@@ -15,7 +15,7 @@ from .engine import (
     Verdict,
     VerdictKind,
 )
-from .kernels import KernelKind, KernelSpec, kernel_eval
+from .kernels import KernelSpec, kernel_eval
 from .pipeline import BedPipeline, monitor_run, replay_run, standardized_stream
 from .sources import (
     ReplaySource,
@@ -48,7 +48,6 @@ __all__ = [
     "EngineError",
     "EventArchive",
     "FlagReason",
-    "KernelKind",
     "KernelSpec",
     "KoadEngine",
     "MatchPolicy",

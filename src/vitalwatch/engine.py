@@ -14,7 +14,11 @@ trick). The score drives four alarm outcomes:
 
 The inverse Gram matrix of the dictionary is maintained incrementally: a
 block-inverse update on admission and a Schur-complement downdate on removal,
-both O(m^2). A full re-inversion fallback guards against numerical drift.
+both O(m^2) and written in place into storage preallocated to max_size, so
+neither reallocates. A full re-inversion fallback guards against numerical
+drift. Each arrival costs one kernel vector against the basis: an open Orange
+tracker's candidate is itself a basis row, so its similarity to the arrival
+is read from that vector rather than evaluated again.
 Per-element usage statistics decay geometrically (factor ``lam``) every step
 and are credited with |a_j| on Green steps; pruning evicts elements whose
 usage falls below a floor, keeping the basis current.
@@ -36,10 +40,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .kernels import KernelKind, KernelSpec, gram_matrix, kernel_eval, kernel_vector
+from .kernels import KernelSpec, gram_matrix, kernel_vector
+# Not called here; imported so that perfbench's tracer can wrap
+# vitalwatch.engine.kernel_eval and count its calls per step.
+from .kernels import kernel_eval  # noqa: F401
 
 SNAPSHOT_FORMAT = "vitalwatch-engine-snapshot"
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 
 # Frobenius tolerance for inv_gram * gram vs identity before a full rebuild.
 CONSISTENCY_TOL = 1e-6
@@ -143,10 +150,14 @@ class Verdict:
 
 @dataclass(eq=False)
 class OrangeTracker:
-    """Bookkeeping for one provisionally admitted vector."""
+    """Bookkeeping for one provisionally admitted vector.
+
+    The vector itself sits in the dictionary at dict_index, so its kernel
+    similarity to each later arrival is read from that arrival's kernel
+    vector.
+    """
 
     raised_at: int
-    candidate: MeasurementVector
     deadline: int
     dict_index: int
     delta: float
@@ -156,8 +167,16 @@ class OrangeTracker:
 class DictionaryState:
     """Sparsified basis with an incrementally maintained inverse Gram matrix.
 
+    Storage is preallocated to max_size: basis, inverse Gram and usage live
+    in fixed buffers of which the leading m rows (and columns) are active.
+    ``basis``, ``inv_gram`` and ``usage`` are views of that active block;
+    they alias the buffers, so a caller that keeps one across an admission
+    or removal must copy it. Assigning ``basis`` sets the active size, so
+    ``inv_gram`` and ``usage`` are assigned after it.
+
     Invariant (checkable on demand): inv_gram @ gram(basis) == identity
-    within 1e-6 Frobenius norm. Admission and removal both cost O(m^2).
+    within 1e-6 Frobenius norm. Admission and removal both cost O(m^2) and
+    never reallocate the storage.
     """
 
     def __init__(self, spec: KernelSpec, dim: int, max_size: int) -> None:
@@ -166,14 +185,44 @@ class DictionaryState:
         self.spec = spec
         self.dim = dim
         self.max_size = max_size
-        self.basis = np.zeros((0, dim))
         self.timesteps: list[int] = []
-        self.inv_gram = np.zeros((0, 0))
-        self.usage = np.zeros(0)
+        self._m = 0
+        self._basis = np.zeros((max_size, dim))
+        self._inv = np.zeros((max_size, max_size))
+        self._usage = np.zeros(max_size)
 
     @property
     def size(self) -> int:
-        return self.basis.shape[0]
+        return self._m
+
+    @property
+    def basis(self) -> np.ndarray:
+        return self._basis[: self._m]
+
+    @basis.setter
+    def basis(self, value: np.ndarray) -> None:
+        value = np.asarray(value, dtype=float).reshape(-1, self.dim)
+        if len(value) > self.max_size:
+            raise ValueError(f"{len(value)} basis rows exceed max_size {self.max_size}")
+        self._m = len(value)
+        self._basis[: self._m] = value
+
+    @property
+    def inv_gram(self) -> np.ndarray:
+        return self._inv[: self._m, : self._m]
+
+    @inv_gram.setter
+    def inv_gram(self, value: np.ndarray) -> None:
+        m = self._m
+        self._inv[:m, :m] = np.reshape(value, (m, m))
+
+    @property
+    def usage(self) -> np.ndarray:
+        return self._usage[: self._m]
+
+    @usage.setter
+    def usage(self, value: np.ndarray) -> None:
+        self._usage[: self._m] = np.reshape(value, self._m)
 
     def admit(self, x: MeasurementVector, coeffs: np.ndarray, delta: float) -> int:
         """Grow the basis by one vector using the block-inverse identity.
@@ -183,50 +232,51 @@ class DictionaryState:
         """
         if delta <= 0.0:
             raise ValueError(f"admission requires delta > 0, got {delta}")
-        if self.size >= self.max_size:
+        m = self._m
+        if m >= self.max_size:
             raise DictionaryFullError(
                 f"dictionary at capacity ({self.max_size}); prune before admitting"
             )
-        m = self.size
+        inv = self._inv
         if m == 0:
-            self.basis = x.values[None, :].copy()
-            self.inv_gram = np.array([[1.0]])  # k(x, x) = 1
+            inv[0, 0] = 1.0  # k(x, x) = 1
         else:
             a = np.asarray(coeffs, dtype=float).reshape(m)
-            new_inv = np.empty((m + 1, m + 1))
-            new_inv[:m, :m] = self.inv_gram + np.outer(a, a) / delta
-            new_inv[:m, m] = -a / delta
-            new_inv[m, :m] = -a / delta
-            new_inv[m, m] = 1.0 / delta
-            self.inv_gram = new_inv
-            self.basis = np.vstack([self.basis, x.values[None, :]])
+            inv[:m, :m] += np.outer(a, a) / delta
+            edge = -a / delta
+            inv[:m, m] = edge
+            inv[m, :m] = edge
+            inv[m, m] = 1.0 / delta
+        self._basis[m] = x.values
+        self._usage[m] = 0.0
         self.timesteps.append(x.timestep)
-        self.usage = np.append(self.usage, 0.0)
-        return self.size - 1
+        self._m = m + 1
+        return m
 
     def remove(self, index: int) -> None:
-        """Shrink the basis by one vector via the Schur-complement downdate."""
-        m = self.size
+        """Shrink the basis by one vector via the Schur-complement downdate.
+
+        Later rows and columns shift down by one in place; the buffers'
+        rows past the new size are stale and never read.
+        """
+        m = self._m
         if not 0 <= index < m:
             raise IndexError(f"index {index} out of range for dictionary of size {m}")
-        if m == 1:
-            self.basis = np.zeros((0, self.dim))
-            self.inv_gram = np.zeros((0, 0))
-            self.timesteps = []
-            self.usage = np.zeros(0)
-            return
-        keep = [i for i in range(m) if i != index]
-        q = self.inv_gram[index, index]
-        u = self.inv_gram[keep, index]
-        sub = self.inv_gram[np.ix_(keep, keep)]
-        self.basis = self.basis[keep]
-        self.timesteps = [self.timesteps[i] for i in keep]
-        self.usage = self.usage[keep]
+        last = m - 1
+        inv = self._inv
+        q = inv[index, index]
+        inv[index:last, :m] = inv[index + 1 : m, :m]
+        u = inv[:last, index].copy()  # the removed column, without its pivot
+        inv[:last, index:last] = inv[:last, index + 1 : m]
+        self._basis[index:last] = self._basis[index + 1 : m]
+        self._usage[index:last] = self._usage[index + 1 : m]
+        del self.timesteps[index]
+        self._m = last
         if abs(q) < 1e-12:
             # Degenerate pivot: the maintained inverse has drifted too far.
             self.refresh_inverse()
         else:
-            self.inv_gram = sub - np.outer(u, u) / q
+            inv[:last, :last] -= np.outer(u, u) / q
 
     def gram(self) -> np.ndarray:
         return gram_matrix(self.spec, self.basis)
@@ -242,7 +292,6 @@ class DictionaryState:
     def refresh_inverse(self) -> None:
         """Full re-inversion fallback for when incremental updates drift."""
         if self.size == 0:
-            self.inv_gram = np.zeros((0, 0))
             return
         try:
             self.inv_gram = np.linalg.inv(self.gram())
@@ -255,11 +304,13 @@ class KoadEngine:
 
     def __init__(self, dim: int, config: ThresholdConfig | None = None) -> None:
         self.config = config or ThresholdConfig()
-        self.spec = KernelSpec(KernelKind.GAUSSIAN, self.config.sigma)
+        self.spec = KernelSpec(self.config.sigma)
         self.dictionary = DictionaryState(self.spec, dim, self.config.max_size)
         self.trackers: list[OrangeTracker] = []
         self.steps_seen = 0
         self.last_timestep: int | None = None
+        # Kernel vector of the latest projection, entry j against basis row j.
+        self._kvec = np.zeros(0)
 
     @property
     def dim(self) -> int:
@@ -276,14 +327,16 @@ class KoadEngine:
         values = np.asarray(values, dtype=float)
         if values.shape != (self.dim,):
             raise ValueError(f"expected shape ({self.dim},), got {values.shape}")
-        if self.dictionary.size == 0:
+        dictionary = self.dictionary
+        if dictionary.size == 0:
+            self._kvec = np.zeros(0)
             return 1.0, np.zeros(0)
-        kvec = kernel_vector(self.spec, self.dictionary.basis, values)
-        coeffs = self.dictionary.inv_gram @ kvec
+        self._kvec = kvec = kernel_vector(self.spec, dictionary.basis, values)
+        coeffs = dictionary.inv_gram @ kvec
         delta = 1.0 - float(kvec @ coeffs)
         if delta < -ROUNDOFF_TOL:
-            self.dictionary.refresh_inverse()
-            coeffs = self.dictionary.inv_gram @ kvec
+            dictionary.refresh_inverse()
+            coeffs = dictionary.inv_gram @ kvec
             delta = 1.0 - float(kvec @ coeffs)
         return max(delta, 0.0), coeffs
 
@@ -296,15 +349,17 @@ class KoadEngine:
         Orange admission); the rest credit usage like a Green arrival.
         """
         values = self._checked(x)
+        cfg = self.config
         delta, coeffs = self.projection_error(values)
-        self.dictionary.usage *= self.config.lam
-        if delta >= self.config.nu1:
-            if self.dictionary.size >= self.config.max_size:
+        usage = self.dictionary.usage
+        usage *= cfg.lam
+        if delta >= cfg.nu1:
+            if self.dictionary.size >= cfg.max_size:
                 self._force_room()
                 delta, coeffs = self.projection_error(values)
             self.dictionary.admit(x, coeffs, delta)
         else:
-            self.dictionary.usage += np.abs(coeffs)
+            usage += np.abs(coeffs)
         self._advance(x.timestep)
 
     def step(self, x: MeasurementVector) -> tuple[Verdict, list[Verdict]]:
@@ -312,19 +367,30 @@ class KoadEngine:
         resolutions that fell due at this timestep."""
         values = self._checked(x)
         t = x.timestep
+        cfg = self.config
         delta, coeffs = self.projection_error(values)
-        self.dictionary.usage *= self.config.lam
 
-        if delta < self.config.nu1:
+        # An open tracker's candidate is basis row dict_index, so its
+        # similarity to x is already in the kernel vector. Count before the
+        # Orange branch: a forced prune there shifts dict_index.
+        kvec = self._kvec
+        for tracker in self.trackers:
+            if tracker.raised_at < t <= tracker.deadline:
+                if kvec[tracker.dict_index] >= cfg.d_similar:
+                    tracker.explained_count += 1
+
+        usage = self.dictionary.usage
+        usage *= cfg.lam
+        if delta < cfg.nu1:
             immediate = Verdict(VerdictKind.GREEN, t, delta)
-            self.dictionary.usage += np.abs(coeffs)
-        elif delta > self.config.nu2:
+            usage += np.abs(coeffs)
+        elif delta > cfg.nu2:
             # Anomaly: never admitted, dictionary basis untouched.
             immediate = Verdict(VerdictKind.RED1, t, delta)
         else:
             immediate = Verdict(VerdictKind.ORANGE, t, delta)
             admit_delta, admit_coeffs = delta, coeffs
-            if self.dictionary.size >= self.config.max_size:
+            if self.dictionary.size >= cfg.max_size:
                 self._force_room()
                 # Projection changed with the basis; recompute before admit.
                 admit_delta, admit_coeffs = self.projection_error(values)
@@ -332,18 +398,11 @@ class KoadEngine:
             self.trackers.append(
                 OrangeTracker(
                     raised_at=t,
-                    candidate=x,
-                    deadline=t + self.config.ell,
+                    deadline=t + cfg.ell,
                     dict_index=idx,
                     delta=delta,
                 )
             )
-
-        for tracker in self.trackers:
-            if tracker.raised_at < t <= tracker.deadline:
-                sim = kernel_eval(self.spec, tracker.candidate.values, values)
-                if sim >= self.config.d_similar:
-                    tracker.explained_count += 1
 
         resolutions = [
             self._resolve(tracker)
@@ -352,7 +411,7 @@ class KoadEngine:
         ]
 
         self._advance(t)
-        if self.steps_seen % self.config.prune_period == 0:
+        if self.steps_seen % cfg.prune_period == 0:
             if self.dictionary.consistency_error() > CONSISTENCY_TOL:
                 self.dictionary.refresh_inverse()
             self.prune_dictionary()
@@ -383,23 +442,19 @@ class KoadEngine:
         least-used unprotected element goes instead (ties: lowest index).
         Returns the pre-removal indices of evicted elements.
         """
-        protected = {tracker.dict_index for tracker in self.trackers}
-        below = [
-            i
-            for i in range(self.dictionary.size)
-            if i not in protected and self.dictionary.usage[i] < self.config.usage_floor
-        ]
-        removed = below
+        usage = self.dictionary.usage
+        free = np.ones(len(usage), dtype=bool)
+        free[[tracker.dict_index for tracker in self.trackers]] = False
+        removed = np.flatnonzero(free & (usage < self.config.usage_floor)).tolist()
         if force and not removed:
-            candidates = [i for i in range(self.dictionary.size) if i not in protected]
-            if not candidates:
+            if not free.any():
                 raise EngineError(
                     "every dictionary element is under an open tracker; "
                     "max_size must exceed the plausible number of open trackers"
                 )
-            usage = self.dictionary.usage
-            removed = [min(candidates, key=lambda i: (usage[i], i))]
-        for index in sorted(removed, reverse=True):
+            # argmin returns the first minimum: ties go to the lowest index.
+            removed = [int(np.argmin(np.where(free, usage, np.inf)))]
+        for index in reversed(removed):
             self._remove_element(index)
         return removed
 
@@ -408,10 +463,10 @@ class KoadEngine:
             raise EngineError("forced prune failed to free a dictionary slot")
 
     def _checked(self, x: MeasurementVector) -> np.ndarray:
-        values = np.asarray(x.values, dtype=float)
+        values = x.values  # already a float array: MeasurementVector converts
         if values.shape != (self.dim,):
             raise ValueError(f"expected shape ({self.dim},), got {values.shape}")
-        if not np.all(np.isfinite(values)):
+        if not np.isfinite(values).all():
             raise EngineError(
                 f"non-finite component at timestep {x.timestep}; "
                 "validity checking should reject such frames upstream"
@@ -460,8 +515,6 @@ class KoadEngine:
                     "dict_index": tr.dict_index,
                     "delta": tr.delta,
                     "explained_count": tr.explained_count,
-                    "candidate_values": tr.candidate.values.tolist(),
-                    "candidate_timestep": tr.candidate.timestep,
                 }
                 for tr in self.trackers
             ],
@@ -487,16 +540,11 @@ class KoadEngine:
             max_size=cfg["max_size"],
         )
         engine = cls(snapshot["dim"], config)
-        dim = engine.dim
-        engine.dictionary.basis = np.array(snapshot["basis"], dtype=float).reshape(
-            -1, dim
-        )
-        engine.dictionary.timesteps = [int(t) for t in snapshot["basis_timesteps"]]
-        m = engine.dictionary.basis.shape[0]
-        engine.dictionary.inv_gram = np.array(snapshot["inv_gram"], dtype=float).reshape(
-            m, m
-        )
-        engine.dictionary.usage = np.array(snapshot["usage"], dtype=float)
+        dictionary = engine.dictionary
+        dictionary.basis = snapshot["basis"]  # sets the active size first
+        dictionary.timesteps = [int(t) for t in snapshot["basis_timesteps"]]
+        dictionary.inv_gram = np.array(snapshot["inv_gram"], dtype=float)
+        dictionary.usage = np.array(snapshot["usage"], dtype=float)
         engine.steps_seen = int(snapshot["steps_seen"])
         last = snapshot["last_timestep"]
         engine.last_timestep = None if last is None else int(last)
@@ -504,10 +552,6 @@ class KoadEngine:
             engine.trackers.append(
                 OrangeTracker(
                     raised_at=int(tr["raised_at"]),
-                    candidate=MeasurementVector(
-                        np.array(tr["candidate_values"], dtype=float),
-                        int(tr["candidate_timestep"]),
-                    ),
                     deadline=int(tr["deadline"]),
                     dict_index=int(tr["dict_index"]),
                     delta=float(tr["delta"]),

@@ -1,38 +1,33 @@
 """Kernel functions used by the online detector.
 
-Only the Gaussian (RBF) kernel ships for now; it is normalized so that
-k(x, x) = 1, which the engine relies on when turning kernel values into
-projection errors.
+The kernel is the Gaussian (RBF) kernel, normalized so that k(x, x) = 1,
+which the engine relies on when turning kernel values into projection
+errors.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from enum import Enum
+from dataclasses import dataclass, field
 
 import numpy as np
 
 
-class KernelKind(Enum):
-    GAUSSIAN = "gaussian"
-
-
 @dataclass(frozen=True)
 class KernelSpec:
-    """Kernel choice plus its bandwidth.
+    """Gaussian kernel bandwidth.
 
     bandwidth_sigma is in units of the (standardized) feature space; inputs
     are expected to be z-scored upstream, so 1.0 is a natural default scale.
     """
 
-    kind: KernelKind = KernelKind.GAUSSIAN
     bandwidth_sigma: float = 1.0
+    # 2 sigma^2, the divisor of every squared distance.
+    two_sigma_sq: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.bandwidth_sigma <= 0:
             raise ValueError(f"bandwidth_sigma must be > 0, got {self.bandwidth_sigma}")
-        if not isinstance(self.kind, KernelKind):
-            raise ValueError(f"unknown kernel kind: {self.kind!r}")
+        object.__setattr__(self, "two_sigma_sq", 2.0 * self.bandwidth_sigma**2)
 
 
 def kernel_eval(spec: KernelSpec, x: np.ndarray, y: np.ndarray) -> float:
@@ -47,24 +42,26 @@ def kernel_eval(spec: KernelSpec, x: np.ndarray, y: np.ndarray) -> float:
         raise ValueError(f"dimension mismatch: {x.shape} vs {y.shape}")
     diff = x - y
     sq = float(diff @ diff)
-    return float(np.exp(-sq / (2.0 * spec.bandwidth_sigma**2)))
+    return float(np.exp(-sq / spec.two_sigma_sq))
 
 
 def kernel_vector(spec: KernelSpec, basis: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Kernel values of x against every basis row.
 
-    basis is an (m, d) array (m may be 0); returns a length-m vector whose
-    j-th entry is kernel_eval(spec, basis[j], x).
+    basis is an (m, d) float array (m may be 0) and x a length-d float
+    array; returns a length-m vector whose j-th entry is
+    exp(-||basis[j] - x||^2 / (2 sigma^2)).
     """
-    basis = np.asarray(basis, dtype=float)
-    x = np.asarray(x, dtype=float)
     if basis.size == 0:
         return np.zeros(0)
     if basis.ndim != 2 or basis.shape[1] != x.shape[0]:
         raise ValueError(f"dimension mismatch: basis {basis.shape} vs x {x.shape}")
-    diff = basis - x[None, :]
+    diff = basis - x
+    # einsum, not (diff * diff).sum(axis=1): the two round differently, and
+    # the engine's verdicts are pinned to this summation.
     sq = np.einsum("ij,ij->i", diff, diff)
-    return np.exp(-sq / (2.0 * spec.bandwidth_sigma**2))
+    sq /= -spec.two_sigma_sq
+    return np.exp(sq, out=sq)
 
 
 def gram_matrix(spec: KernelSpec, basis: np.ndarray) -> np.ndarray:
@@ -74,4 +71,4 @@ def gram_matrix(spec: KernelSpec, basis: np.ndarray) -> np.ndarray:
     if m == 0:
         return np.zeros((0, 0))
     sq = np.sum((basis[:, None, :] - basis[None, :, :]) ** 2, axis=-1)
-    return np.exp(-sq / (2.0 * spec.bandwidth_sigma**2))
+    return np.exp(-sq / spec.two_sigma_sq)

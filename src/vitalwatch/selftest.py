@@ -27,7 +27,7 @@ from .engine import (
     ThresholdConfig,
     VerdictKind,
 )
-from .kernels import KernelKind, KernelSpec, gram_matrix, kernel_vector
+from .kernels import KernelSpec, gram_matrix, kernel_vector
 from .validity import (
     FlagStreak,
     ParameterSchema,
@@ -56,7 +56,7 @@ def _dense_delta(spec: KernelSpec, basis: np.ndarray, x: np.ndarray) -> float:
 def check_projection_oracle(cases: int = 40, seed: int = 7) -> CheckResult:
     """Incremental inverse-Gram bookkeeping vs dense solves."""
     rng = np.random.default_rng(seed)
-    spec = KernelSpec(KernelKind.GAUSSIAN, 1.0)
+    spec = KernelSpec(1.0)
     worst_delta = 0.0
     worst_consistency = 0.0
     for _ in range(cases):

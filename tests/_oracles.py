@@ -20,13 +20,12 @@ def oracle_kernel(x, y, sigma) -> float:
 
 
 def oracle_gram(basis, sigma) -> np.ndarray:
-    basis = [np.asarray(b, dtype=float) for b in basis]
-    m = len(basis)
-    gram = np.empty((m, m))
-    for i in range(m):
-        for j in range(m):
-            gram[i, j] = oracle_kernel(basis[i], basis[j], sigma)
-    return gram
+    """Explicit Gram matrix from all pairwise differences at once."""
+    if len(basis) == 0:
+        return np.zeros((0, 0))
+    points = np.array(basis, dtype=float)
+    diff = points[:, None, :] - points[None, :, :]
+    return np.exp(-np.sum(diff**2, axis=-1) / (2.0 * sigma * sigma))
 
 
 def oracle_inverse(basis, sigma) -> np.ndarray:

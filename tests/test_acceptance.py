@@ -17,7 +17,7 @@ from vitalwatch.engine import (
     ThresholdConfig,
     VerdictKind,
 )
-from vitalwatch.kernels import KernelKind, KernelSpec, kernel_vector
+from vitalwatch.kernels import KernelSpec, kernel_vector
 from vitalwatch.pipeline import BedPipeline, replay_run
 from vitalwatch.sources import ReplaySource
 from vitalwatch.standardize import RunningStandardizer
@@ -44,7 +44,7 @@ def vec(*values) -> np.ndarray:
 
 def test_criterion_1_ald_oracle_equivalence():
     rng = np.random.default_rng(101)
-    spec = KernelSpec(KernelKind.GAUSSIAN, 1.0)
+    spec = KernelSpec(1.0)
     started = time.perf_counter()
     cases = 0
     worst_delta = 0.0

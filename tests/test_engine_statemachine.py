@@ -444,3 +444,66 @@ def test_projection_matches_dense_oracle_during_live_run():
         expected, _ = oracle_delta(basis_before, x, cfg.sigma)
         verdict, _ = engine.step(MeasurementVector(x, t))
         assert verdict.delta == pytest.approx(expected, abs=1e-8)
+
+
+def test_churn_with_forced_prunes_matches_reference_replay():
+    """Differential test under heavy churn: a dictionary small enough that
+    Orange admissions force prunes while other trackers are open, so tracker
+    indices shift between the projection and the admission. Verdicts and
+    basis order must follow the dense replay step by step, and removals from
+    the middle of the preallocated buffers must leave no stale state behind."""
+    for seed in range(3):
+        cfg = ThresholdConfig(
+            sigma=1.5, ell=5, max_size=6, lam=0.9, epsilon_frac=0.4,
+            prune_period=25, usage_floor=1e-3,
+        )
+        engine = KoadEngine(3, cfg)
+        ref = ReferenceDetector(
+            cfg.nu1, cfg.nu2, cfg.ell, cfg.sigma, cfg.lam, cfg.d_similar,
+            cfg.epsilon_frac, cfg.prune_period, cfg.usage_floor, cfg.max_size,
+        )
+        rng = np.random.default_rng(seed)
+        centers = rng.uniform(-3.0, 3.0, size=(4, 3))
+        arrived_at = {}
+        t = 0
+        for c in centers:
+            engine.warm_start(MeasurementVector(c, t))
+            ref.warm(c, t)
+            arrived_at[c.tobytes()] = t
+            t += 1
+
+        forced_with_open_trackers = 0
+        for _ in range(400):
+            scale = rng.choice([0.05, 0.35, 1.5], p=[0.45, 0.45, 0.1])
+            x = centers[rng.integers(len(centers))] + rng.normal(size=3) * scale
+            arrived_at[x.tobytes()] = t
+            crowded = engine.dictionary.size == cfg.max_size and bool(engine.trackers)
+
+            got = flatten(*engine.step(MeasurementVector(x, t)))
+            want = ref.step(x, t)
+            assert [(k, at, r) for k, at, _, r in got] == [
+                (k, at, r) for k, at, _, r in want
+            ]
+            for (_, _, gd, _), (_, _, wd, _) in zip(got, want):
+                assert gd == pytest.approx(wd, abs=1e-9)
+            assert engine.dictionary.timesteps == [
+                arrived_at[p.tobytes()] for p in ref.points
+            ]
+            if crowded and got[0][0] == "orange":
+                forced_with_open_trackers += 1
+            t += 1
+        assert forced_with_open_trackers > 0
+
+        # Remove from the middle down to two elements, then refill: every
+        # admission must overwrite the stale rows and columns past the old size.
+        dictionary = engine.dictionary
+        while dictionary.size > 2:
+            dictionary.remove(dictionary.size // 2)
+            assert dictionary.consistency_error() <= 1e-6
+        while dictionary.size < cfg.max_size:
+            x = rng.uniform(-6.0, 6.0, size=3)
+            delta, coeffs = engine.projection_error(x)
+            if delta >= cfg.nu1:
+                dictionary.admit(MeasurementVector(x, t), coeffs, delta)
+                t += 1
+            assert dictionary.consistency_error() <= 1e-6

@@ -3,11 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vitalwatch.kernels import KernelKind, KernelSpec, gram_matrix, kernel_eval, kernel_vector
+from vitalwatch.kernels import KernelSpec, gram_matrix, kernel_eval, kernel_vector
 
 from _oracles import oracle_kernel
 
-SPEC = KernelSpec(KernelKind.GAUSSIAN, 1.0)
+SPEC = KernelSpec(1.0)
 
 
 def test_zero_distance_is_one():
@@ -49,9 +49,9 @@ def test_dimension_mismatch_raises():
 
 def test_bandwidth_must_be_positive():
     with pytest.raises(ValueError):
-        KernelSpec(KernelKind.GAUSSIAN, 0.0)
+        KernelSpec(0.0)
     with pytest.raises(ValueError):
-        KernelSpec(KernelKind.GAUSSIAN, -1.0)
+        KernelSpec(-1.0)
 
 
 def test_kernel_vector_singleton_and_empty():
@@ -72,7 +72,7 @@ def test_kernel_vector_matches_elementwise_eval():
 def test_matches_independent_oracle():
     rng = np.random.default_rng(14)
     for sigma in (0.5, 1.0, 2.5):
-        spec = KernelSpec(KernelKind.GAUSSIAN, sigma)
+        spec = KernelSpec(sigma)
         for _ in range(50):
             x = rng.normal(size=5)
             y = rng.normal(size=5)
@@ -91,6 +91,6 @@ def test_matches_independent_oracle():
 def test_gram_positive_semidefinite(m, d, seed, sigma):
     rng = np.random.default_rng(seed)
     basis = rng.normal(size=(m, d))
-    gram = gram_matrix(KernelSpec(KernelKind.GAUSSIAN, sigma), basis)
+    gram = gram_matrix(KernelSpec(sigma), basis)
     eigvals = np.linalg.eigvalsh(gram)
     assert eigvals.min() >= -1e-9
