@@ -168,7 +168,11 @@ def event_row(
 
 
 class EventArchive:
-    """Append-only CSV log of every verdict and data-warning transition."""
+    """Append-only CSV log of every verdict and data-warning transition.
+
+    Every event other than a plain Green verdict is flushed as soon as it
+    is written, so an alarm or data warning survives a killed process.
+    """
 
     def __init__(self, target: str | Path | TextIOBase) -> None:
         if isinstance(target, TextIOBase):
@@ -184,6 +188,8 @@ class EventArchive:
         self, bed: str, event: Verdict | DataWarning, wall_time: float | None = None
     ) -> None:
         self._handle.write(event_row(bed, event, wall_time) + "\n")
+        if isinstance(event, DataWarning) or event.kind is not VerdictKind.GREEN:
+            self._handle.flush()
 
     def close(self) -> None:
         self._handle.flush()

@@ -27,16 +27,16 @@ A fresh engine must be seeded before live scoring: from an empty dictionary
 every arrival has delta = 1 > nu2 and would alarm Red1 forever without ever
 being admitted. ``warm_start`` runs admission-only training steps (no
 verdicts) to build the initial dictionary, mirroring a supervised training
-window.
+window. ``feed`` is that whole loop for one arrival: it warm-starts while
+fewer than ``train_steps`` arrivals have been seen and scores with ``step``
+after, so replay, monitor and the tuner all train and score the same way.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 
 import numpy as np
 
@@ -44,9 +44,6 @@ from .kernels import KernelSpec, gram_matrix, kernel_vector
 # Not called here; imported so that perfbench's tracer can wrap
 # vitalwatch.engine.kernel_eval and count its calls per step.
 from .kernels import kernel_eval  # noqa: F401
-
-SNAPSHOT_FORMAT = "vitalwatch-engine-snapshot"
-SNAPSHOT_VERSION = 2
 
 # Frobenius tolerance for inv_gram * gram vs identity before a full rebuild.
 CONSISTENCY_TOL = 1e-6
@@ -171,8 +168,8 @@ class DictionaryState:
     in fixed buffers of which the leading m rows (and columns) are active.
     ``basis``, ``inv_gram`` and ``usage`` are views of that active block;
     they alias the buffers, so a caller that keeps one across an admission
-    or removal must copy it. Assigning ``basis`` sets the active size, so
-    ``inv_gram`` and ``usage`` are assigned after it.
+    or removal must copy it. Only ``inv_gram`` can be assigned, which the
+    re-inversion fallback does.
 
     Invariant (checkable on demand): inv_gram @ gram(basis) == identity
     within 1e-6 Frobenius norm. Admission and removal both cost O(m^2) and
@@ -199,14 +196,6 @@ class DictionaryState:
     def basis(self) -> np.ndarray:
         return self._basis[: self._m]
 
-    @basis.setter
-    def basis(self, value: np.ndarray) -> None:
-        value = np.asarray(value, dtype=float).reshape(-1, self.dim)
-        if len(value) > self.max_size:
-            raise ValueError(f"{len(value)} basis rows exceed max_size {self.max_size}")
-        self._m = len(value)
-        self._basis[: self._m] = value
-
     @property
     def inv_gram(self) -> np.ndarray:
         return self._inv[: self._m, : self._m]
@@ -219,10 +208,6 @@ class DictionaryState:
     @property
     def usage(self) -> np.ndarray:
         return self._usage[: self._m]
-
-    @usage.setter
-    def usage(self, value: np.ndarray) -> None:
-        self._usage[: self._m] = np.reshape(value, self._m)
 
     def admit(self, x: MeasurementVector, coeffs: np.ndarray, delta: float) -> int:
         """Grow the basis by one vector using the block-inverse identity.
@@ -362,6 +347,17 @@ class KoadEngine:
             usage += np.abs(coeffs)
         self._advance(x.timestep)
 
+    def feed(self, x: MeasurementVector, train_steps: int) -> list[Verdict]:
+        """One arrival of the train-then-score loop: the first
+        ``train_steps`` arrivals warm-start silently, later ones are scored.
+        Returns the verdicts in emission order (immediate, then resolutions).
+        """
+        if self.steps_seen < train_steps:
+            self.warm_start(x)
+            return []
+        immediate, resolutions = self.step(x)
+        return [immediate, *resolutions]
+
     def step(self, x: MeasurementVector) -> tuple[Verdict, list[Verdict]]:
         """Score one arrival; returns the immediate verdict plus any Orange
         resolutions that fell due at this timestep."""
@@ -480,89 +476,3 @@ class KoadEngine:
     def _advance(self, timestep: int) -> None:
         self.last_timestep = timestep
         self.steps_seen += 1
-
-    # -- snapshots --------------------------------------------------------
-
-    def to_snapshot(self) -> dict:
-        """Versioned, JSON-serializable state for restart/resume."""
-        cfg = self.config
-        return {
-            "format": SNAPSHOT_FORMAT,
-            "version": SNAPSHOT_VERSION,
-            "dim": self.dim,
-            "config": {
-                "nu1": cfg.nu1,
-                "nu2": cfg.nu2,
-                "ell": cfg.ell,
-                "sigma": cfg.sigma,
-                "lambda": cfg.lam,
-                "d_similar": cfg.d_similar,
-                "epsilon_frac": cfg.epsilon_frac,
-                "prune_period": cfg.prune_period,
-                "usage_floor": cfg.usage_floor,
-                "max_size": cfg.max_size,
-            },
-            "steps_seen": self.steps_seen,
-            "last_timestep": self.last_timestep,
-            "basis": self.dictionary.basis.tolist(),
-            "basis_timesteps": list(self.dictionary.timesteps),
-            "inv_gram": self.dictionary.inv_gram.tolist(),
-            "usage": self.dictionary.usage.tolist(),
-            "trackers": [
-                {
-                    "raised_at": tr.raised_at,
-                    "deadline": tr.deadline,
-                    "dict_index": tr.dict_index,
-                    "delta": tr.delta,
-                    "explained_count": tr.explained_count,
-                }
-                for tr in self.trackers
-            ],
-        }
-
-    @classmethod
-    def from_snapshot(cls, snapshot: dict) -> "KoadEngine":
-        if snapshot.get("format") != SNAPSHOT_FORMAT:
-            raise EngineError(f"not an engine snapshot: {snapshot.get('format')!r}")
-        if snapshot.get("version") != SNAPSHOT_VERSION:
-            raise EngineError(f"unsupported snapshot version: {snapshot.get('version')!r}")
-        cfg = snapshot["config"]
-        config = ThresholdConfig(
-            nu1=cfg["nu1"],
-            nu2=cfg["nu2"],
-            ell=cfg["ell"],
-            sigma=cfg["sigma"],
-            lam=cfg["lambda"],
-            d_similar=cfg["d_similar"],
-            epsilon_frac=cfg["epsilon_frac"],
-            prune_period=cfg["prune_period"],
-            usage_floor=cfg["usage_floor"],
-            max_size=cfg["max_size"],
-        )
-        engine = cls(snapshot["dim"], config)
-        dictionary = engine.dictionary
-        dictionary.basis = snapshot["basis"]  # sets the active size first
-        dictionary.timesteps = [int(t) for t in snapshot["basis_timesteps"]]
-        dictionary.inv_gram = np.array(snapshot["inv_gram"], dtype=float)
-        dictionary.usage = np.array(snapshot["usage"], dtype=float)
-        engine.steps_seen = int(snapshot["steps_seen"])
-        last = snapshot["last_timestep"]
-        engine.last_timestep = None if last is None else int(last)
-        for tr in snapshot["trackers"]:
-            engine.trackers.append(
-                OrangeTracker(
-                    raised_at=int(tr["raised_at"]),
-                    deadline=int(tr["deadline"]),
-                    dict_index=int(tr["dict_index"]),
-                    delta=float(tr["delta"]),
-                    explained_count=int(tr["explained_count"]),
-                )
-            )
-        return engine
-
-    def save_snapshot(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_snapshot()), encoding="utf-8")
-
-    @classmethod
-    def load_snapshot(cls, path: str | Path) -> "KoadEngine":
-        return cls.from_snapshot(json.loads(Path(path).read_text(encoding="utf-8")))

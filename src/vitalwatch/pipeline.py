@@ -10,11 +10,17 @@ The detector only scores once it has a model of normality: the first
 ``warmup`` valid frames only settle the standardizer, the next
 ``train_steps`` build the dictionary silently, and everything after is
 scored live.
+
+Each half of the chain has one implementation. ``BedPipeline.screen`` is the
+front half, up to the standardized vector; ``KoadEngine.feed`` is the
+detector half, training then scoring. ``replay`` and ``monitor`` run both
+through ``feed_line``; ``tune`` runs the front half once
+(``standardized_stream``) and the detector half once per grid row
+(``tuning.run_detector``).
 """
 
 from __future__ import annotations
 
-import math
 import sys
 import threading
 import time
@@ -59,7 +65,6 @@ class BedPipeline:
         )
         self.engine = KoadEngine(self.schema.dim, settings.threshold_config())
         self.frame_index = 0
-        self.trained = 0
         self._archive = frame_archive
         if frame_archive is not None and frame_archive.tell() == 0:
             frame_archive.write(archive_header(self.schema) + "\n")
@@ -68,12 +73,19 @@ class BedPipeline:
     def phase(self) -> str:
         if not self.standardizer.warmed_up:
             return "warmup"
-        if self.trained < self.settings.train_steps:
+        if self.engine.steps_seen < self.settings.train_steps:
             return "training"
         return "live"
 
-    def feed_line(self, line: str, received_at: float) -> list[Verdict | DataWarning]:
-        """Process one raw record; returns the events it produced."""
+    def screen(
+        self, line: str, received_at: float
+    ) -> tuple[DataWarning | None, MeasurementVector | None]:
+        """Front half of the chain for one raw record.
+
+        Returns the streak's warning transition, if this frame caused one,
+        and the standardized vector for the detector, or None for a flagged
+        or warm-up frame.
+        """
         timestep = self.frame_index
         self.frame_index += 1
         frame = parse_frame(line, bed=self.bed, received_at=received_at)
@@ -83,47 +95,37 @@ class BedPipeline:
                 archive_row(self.bed, timestep, received_at, result, frame, self.schema)
                 + "\n"
             )
-        events: list[Verdict | DataWarning] = []
         warning = track(self.streak, result, timestep)
-        if warning is not None:
-            events.append(warning)
         if not result.ok:
-            return events
+            return warning, None
         z = self.standardizer.push(self.schema.project(result.vector))
         if self.standardizer.count <= self.settings.warmup:
-            return events  # raw passthrough frames never reach the detector
-        x = MeasurementVector(z, timestep)
-        if self.trained < self.settings.train_steps:
-            self.engine.warm_start(x)
-            self.trained += 1
-            return events
-        immediate, resolutions = self.engine.step(x)
-        events.append(immediate)
-        events.extend(resolutions)
+            return warning, None  # raw passthrough frames never reach the detector
+        return warning, MeasurementVector(z, timestep)
+
+    def feed_line(self, line: str, received_at: float) -> list[Verdict | DataWarning]:
+        """Process one raw record; returns the events it produced."""
+        warning, x = self.screen(line, received_at)
+        events: list[Verdict | DataWarning] = [] if warning is None else [warning]
+        if x is not None:
+            events += self.engine.feed(x, self.settings.train_steps)
         return events
 
 
 def standardized_stream(
     lines: list[str], settings: Settings, bed: str = "bed1"
 ) -> tuple[list[int], list[np.ndarray]]:
-    """Run the validity+standardize front half only; returns the model-space
-    vectors with their original stream timesteps (for the tuner)."""
-    schema = settings.schema()
-    standardizer = RunningStandardizer(
-        schema.dim, warmup=settings.warmup, var_floor=settings.var_floor
-    )
+    """Run only the front half of a fresh ``BedPipeline``; returns the
+    model-space vectors with their original stream timesteps (for the
+    tuner)."""
+    pipe = BedPipeline(bed, settings)
     timesteps: list[int] = []
     vectors: list[np.ndarray] = []
-    for timestep, line in enumerate(lines):
-        frame = parse_frame(line, bed=bed)
-        result = validate(frame, settings.password, schema)
-        if not result.ok:
-            continue
-        z = standardizer.push(schema.project(result.vector))
-        if standardizer.count <= settings.warmup:
-            continue
-        timesteps.append(timestep)
-        vectors.append(z)
+    for line in lines:
+        _, x = pipe.screen(line, 0.0)
+        if x is not None:
+            timesteps.append(x.timestep)
+            vectors.append(x.values)
     return timesteps, vectors
 
 

@@ -22,6 +22,9 @@ from .synth import SyntheticSpec, capture_text
 
 DEFAULT_POLL_INTERVAL = 12.0  # seconds between frames from a bedside unit
 
+# Longest socket record kept; a valid frame is about 40 bytes.
+MAX_RECORD_BYTES = 4096
+
 
 class SourceError(Exception):
     """I/O failure distinct from data-level validity flags."""
@@ -125,12 +128,10 @@ class TailSource:
         path: str | Path,
         poll_interval: float = DEFAULT_POLL_INTERVAL,
         stop: threading.Event | None = None,
-        from_start: bool = False,
     ) -> None:
         self.path = Path(path)
         self.poll_interval = poll_interval
         self.stop = stop or threading.Event()
-        self.from_start = from_start
 
     def frames(self) -> Iterator[tuple[str, float]]:
         try:
@@ -138,8 +139,7 @@ class TailSource:
         except OSError as exc:
             raise SourceError(f"cannot open {self.path}: {exc}") from exc
         with handle:
-            if not self.from_start:
-                handle.seek(0, 2)
+            handle.seek(0, 2)
             buffer = ""
             # short sleeps keep shutdown responsive regardless of cadence
             nap = min(self.poll_interval, 0.05)
@@ -162,6 +162,10 @@ class SocketSource:
 
     One peer at a time; when a connection drops, the listener simply waits
     for the next one, and the silent stretch surfaces as missing frames.
+    A record longer than MAX_RECORD_BYTES is yielded once as an empty line,
+    which screening flags, and dropped through its newline (or the end of
+    the connection), so a peer that never sends a newline costs bounded
+    memory.
     """
 
     def __init__(
@@ -201,6 +205,7 @@ class SocketSource:
                 with conn:
                     conn.settimeout(0.2)
                     buffer = b""
+                    skipping = False  # inside an overlong record
                     while not self.stop.is_set():
                         try:
                             chunk = conn.recv(4096)
@@ -213,9 +218,19 @@ class SocketSource:
                         buffer += chunk
                         while b"\n" in buffer:
                             raw, buffer = buffer.split(b"\n", 1)
-                            line = raw.decode("utf-8", errors="replace").rstrip("\r")
-                            if line.strip() != "":
-                                yield line, time.time()
+                            if skipping:
+                                skipping = False
+                            elif len(raw) > MAX_RECORD_BYTES:
+                                yield "", time.time()
+                            else:
+                                line = raw.decode("utf-8", errors="replace").rstrip("\r")
+                                if line.strip() != "":
+                                    yield line, time.time()
+                        if len(buffer) > MAX_RECORD_BYTES:
+                            buffer = b""
+                            if not skipping:
+                                skipping = True
+                                yield "", time.time()
 
 
 def emit_lines(

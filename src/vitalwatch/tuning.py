@@ -116,7 +116,8 @@ def run_detector(
     train_steps: int = 50,
     timesteps: list[int] | None = None,
 ) -> list[Verdict]:
-    """One fresh engine pass: the leading train_steps vectors build the
+    """One fresh engine pass through ``KoadEngine.feed``, the detector half
+    of the per-bed chain: the leading train_steps vectors build the
     dictionary silently, the rest are scored. Returns all verdicts
     (immediate and resolutions) in emission order.
 
@@ -137,14 +138,8 @@ def run_detector(
         raise ValueError("timesteps and vectors must have equal length")
     engine = KoadEngine(vectors.shape[1], config)
     out: list[Verdict] = []
-    for i, row in enumerate(vectors):
-        x = MeasurementVector(row, timesteps[i])
-        if i < train_steps:
-            engine.warm_start(x)
-        else:
-            immediate, resolutions = engine.step(x)
-            out.append(immediate)
-            out.extend(resolutions)
+    for row, t in zip(vectors, timesteps):
+        out.extend(engine.feed(MeasurementVector(row, t), train_steps))
     return out
 
 

@@ -211,3 +211,16 @@ def test_event_rows_and_archive(tmp_path):
     lines = path.read_text(encoding="utf-8").splitlines()
     assert len(lines) == 3
     assert lines[0] == "timestamp,bed,kind,timestep,delta,resolves_timestep"
+
+
+def test_alarms_reach_the_file_before_the_archive_closes(tmp_path):
+    path = tmp_path / "events.csv"
+    archive = EventArchive(path)
+    try:
+        archive.append("bed1", red1(2), wall_time=1.0)
+        # a second handle sees what a killed process would have left behind
+        assert "1.000,bed1,red1,2," in path.read_text(encoding="utf-8")
+        archive.append("bed1", DataWarning(active=True, at_timestep=3), wall_time=2.0)
+        assert "bed1,data-warning-raised,3" in path.read_text(encoding="utf-8")
+    finally:
+        archive.close()

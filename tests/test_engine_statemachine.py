@@ -1,4 +1,4 @@
-"""Alarm state machine: branch selection, Orange windows, pruning, snapshots.
+"""Alarm state machine: branch selection, Orange windows, pruning, training.
 
 Hand-built scenarios use a 1-d Gaussian kernel where the single-element
 projection error has the closed form delta(u) = 1 - exp(-u^2 / sigma^2),
@@ -280,50 +280,20 @@ def test_non_finite_values_rejected():
         engine.step(vec(float("nan"), t))
 
 
-def test_snapshot_roundtrip_mid_window(tmp_path):
-    cfg = ThresholdConfig(ell=8, epsilon_frac=0.4, lam=0.9, prune_period=5)
-    engine, t = seeded([0.0, 5.0], cfg)
-    engine.step(vec(0.02, t))
-    engine.step(vec(BAND_U, t + 1))  # open tracker
-    engine.step(vec(BAND_U + 0.01, t + 2))
-
-    path = tmp_path / "engine.json"
-    engine.save_snapshot(path)
-    clone = KoadEngine.load_snapshot(path)
-
-    np.testing.assert_array_equal(clone.dictionary.basis, engine.dictionary.basis)
-    np.testing.assert_array_equal(clone.dictionary.inv_gram, engine.dictionary.inv_gram)
-    np.testing.assert_array_equal(clone.dictionary.usage, engine.dictionary.usage)
-    assert clone.dictionary.timesteps == engine.dictionary.timesteps
-    assert clone.steps_seen == engine.steps_seen
-    assert clone.last_timestep == engine.last_timestep
-    assert len(clone.trackers) == 1
-    assert clone.trackers[0].explained_count == engine.trackers[0].explained_count
-
-    # Both copies must emit identical verdicts forever after.
-    rng = np.random.default_rng(7)
-    for i in range(30):
-        x = float(rng.choice([0.0, BAND_U, 3.0]) + rng.normal() * 0.02)
-        ts = t + 3 + i
-        a_imm, a_res = engine.step(vec(x, ts))
-        b_imm, b_res = clone.step(vec(x, ts))
-        assert (a_imm.kind, a_imm.at_timestep, a_imm.delta) == (
-            b_imm.kind,
-            b_imm.at_timestep,
-            b_imm.delta,
-        )
-        assert [(r.kind, r.at_timestep, r.resolves_timestep) for r in a_res] == [
-            (r.kind, r.at_timestep, r.resolves_timestep) for r in b_res
-        ]
-
-
-def test_snapshot_rejects_foreign_payloads():
-    with pytest.raises(EngineError, match="snapshot"):
-        KoadEngine.from_snapshot({"format": "something-else"})
-    good = seeded([0.0], ThresholdConfig())[0].to_snapshot()
-    good["version"] = 99
-    with pytest.raises(EngineError, match="version"):
-        KoadEngine.from_snapshot(good)
+def test_feed_trains_silently_then_scores_like_step():
+    cfg = ThresholdConfig(ell=3, prune_period=5)
+    rng = np.random.default_rng(11)
+    fed, manual = KoadEngine(1, cfg), KoadEngine(1, cfg)
+    for t in range(40):
+        x = vec(rng.choice([0.0, BAND_U, 3.0]) + rng.normal() * 0.02, t)
+        got = fed.feed(x, train_steps=5)
+        if t < 5:
+            manual.warm_start(x)
+            assert got == []
+        else:
+            immediate, resolutions = manual.step(x)
+            assert got == [immediate, *resolutions]
+    assert fed.steps_seen == manual.steps_seen == 40
 
 
 def flatten(immediate, resolutions):

@@ -1,0 +1,39 @@
+"""The benchmark in ``perfbench/`` reaches into the package by name: its
+tracer wraps functions in their callers' namespaces and methods on their
+classes, and its workloads patch module globals. A rename of any of them
+must fail here rather than in the middle of a benchmark run."""
+
+from __future__ import annotations
+
+from pathlib import Path
+
+import vitalwatch.pipeline as pipeline
+import vitalwatch.tuning as tuning
+from vitalwatch.sources import ReplaySource
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def hooks(tracing) -> list:
+    """What each tracer target and the replay read currently resolve to."""
+    found = [
+        owner.__dict__[attr] if isinstance(owner, type) else getattr(owner, attr)
+        for owner, attr, _, _ in tracing._TARGETS
+    ]
+    return [*found, ReplaySource.__dict__["frames"]]
+
+
+def test_tracer_installs_and_restores_every_hook(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+    import workloads  # noqa: F401  (its imports name the package's entry points)
+
+    before = hooks(tracing)
+    with tracing.Tracer().installed():
+        wrapped = hooks(tracing)
+    assert all(w is not b for w, b in zip(wrapped, before))
+    assert hooks(tracing) == before
+    # module globals the workloads patch to cut timing segments
+    assert callable(tuning.MeasurementVector)
+    assert callable(tuning.score_run)
+    assert callable(pipeline.standardized_stream)

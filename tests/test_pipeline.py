@@ -5,7 +5,7 @@ import io
 import numpy as np
 import pytest
 
-from vitalwatch.board import BoardState
+from vitalwatch.board import BoardState, event_row
 from vitalwatch.config import BedSource, Settings
 from vitalwatch.engine import Verdict, VerdictKind
 from vitalwatch.pipeline import (
@@ -16,7 +16,8 @@ from vitalwatch.pipeline import (
     standardized_stream,
 )
 from vitalwatch.sources import ReplaySource, SocketSource, SourceError, TailSource
-from vitalwatch.synth import default_spec, write_stream
+from vitalwatch.synth import default_spec, read_labels, write_stream
+from vitalwatch.tuning import grid_search, run_detector, score_run
 from vitalwatch.validity import DataWarning
 
 
@@ -189,6 +190,73 @@ class TestReplayRun:
             settings, capture_file, out_dir=out, speedup=float("inf")
         )
         assert counts["frames"] == 120
+
+
+class TestTuneAgreesWithReplay:
+    """``tune`` runs the front half once and the detector half per grid row;
+    on the deployed config it must see exactly what ``replay`` archives."""
+
+    @pytest.fixture()
+    def faulty_capture(self, tmp_path):
+        spec = default_spec(
+            steps=400, n_anomalies=5, seed=11, dim=4, first_anomaly=90, min_gap=40
+        )
+        path = tmp_path / "stream.csv"
+        labels = tmp_path / "labels.csv"
+        write_stream(spec, path, labels)
+        rows = path.read_text(encoding="utf-8").splitlines()
+        # rows[i] is timestep i - 1: isolated faults in warmup, training and
+        # live scoring, plus a run long enough to raise a data warning
+        for i in (6, 25, 130, 131):
+            rows[i] = "-," + rows[i].split(",", 1)[1]
+        for i in range(200, 205):
+            rows[i] = "garbage"
+        path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        return path, labels
+
+    def test_default_config_verdicts_match_the_replay_archive(
+        self, tmp_path, faulty_capture
+    ):
+        path, labels_path = faulty_capture
+        settings = Settings(warmup=10, train_steps=20, sigma=1.5, ell=10, warn_threshold=3)
+        out = tmp_path / "out"
+        replay_run(settings, path, out_dir=out)
+        archived = [
+            row.split(",", 1)[1]
+            for row in (out / "events.csv").read_text(encoding="utf-8").splitlines()[1:]
+        ]
+        replayed = [row for row in archived if ",data-warning-" not in row]
+        assert len(replayed) < len(archived)  # the fault run raised a warning
+        kinds = {row.split(",")[1] for row in replayed}
+        assert {"green", "orange", "red1", "red2"} <= kinds
+
+        lines = [line for line, _ in ReplaySource(path, settings.password).frames()]
+        timesteps, vectors = standardized_stream(lines, settings)
+        verdicts = run_detector(
+            vectors, settings.threshold_config(), settings.train_steps, timesteps
+        )
+        assert [event_row("bed1", v, 0.0).split(",", 1)[1] for v in verdicts] == replayed
+
+        labels = read_labels(labels_path)
+        policy = settings.match_policy()
+        reports, _ = grid_search(
+            settings.tuning_grid(), vectors, labels, policy,
+            settings.train_steps, timesteps,
+        )
+        deployed = settings.threshold_config()
+        (row,) = [r for r in reports if r.config == deployed]
+        assert row == score_run(
+            [_verdict_from_row(r) for r in replayed], labels, policy, config=deployed
+        )
+
+
+def _verdict_from_row(row: str) -> Verdict:
+    """An ``events.csv`` verdict row, wall-clock column stripped."""
+    _, kind, timestep, delta, resolves = row.split(",")
+    return Verdict(
+        VerdictKind(kind), int(timestep), float(delta),
+        int(resolves) if resolves else None,
+    )
 
 
 class TestMonitorRun:

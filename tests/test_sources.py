@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import math
+import socket
 import threading
 import time
 
 import pytest
 
 from vitalwatch.sources import (
+    MAX_RECORD_BYTES,
     ReplaySource,
     SocketSource,
     SourceError,
@@ -141,3 +143,35 @@ def test_speedup_must_be_positive(tmp_path):
     with pytest.raises(ValueError):
         list(ReplaySource(path, PW, speedup=0.0).frames())
     assert math.isinf(ReplaySource(path, PW).speedup)
+
+
+@pytest.mark.parametrize("record_end", ["newline", "disconnect"])
+def test_socket_overlong_record_is_one_empty_line(record_end):
+    stop = threading.Event()
+    source = SocketSource("127.0.0.1", 0, stop=stop)
+    got = []
+
+    def run():
+        for line, _ in source.frames():
+            got.append(line)
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    port = source.bound_port
+
+    junk = b"9" * (10 * 1024)  # no newline
+    assert len(junk) > 2 * MAX_RECORD_BYTES
+    with socket.create_connection(("127.0.0.1", port), timeout=5.0) as conn:
+        conn.sendall(junk)
+        if record_end == "newline":
+            conn.sendall(b"tail of the junk\n" + f"{PW},1\n".encode())
+    if record_end == "disconnect":
+        assert emit_lines([f"{PW},1"], "127.0.0.1", port) == 1
+
+    deadline = time.monotonic() + 5.0
+    while len(got) < 2 and time.monotonic() < deadline:
+        time.sleep(0.02)
+    time.sleep(0.1)  # nothing further may arrive
+    stop.set()
+    thread.join(timeout=5.0)
+    assert got == ["", f"{PW},1"]
