@@ -167,11 +167,17 @@ def event_row(
     )
 
 
+def needs_flush(event: Verdict | DataWarning) -> bool:
+    """Whether an archive flushes once this event's rows are written, so they
+    survive a killed process: every event other than a plain Green verdict."""
+    return isinstance(event, DataWarning) or event.kind is not VerdictKind.GREEN
+
+
 class EventArchive:
     """Append-only CSV log of every verdict and data-warning transition.
 
-    Every event other than a plain Green verdict is flushed as soon as it
-    is written, so an alarm or data warning survives a killed process.
+    Every event ``needs_flush`` names is flushed as soon as it is written,
+    so an alarm or data warning survives a killed process.
     """
 
     def __init__(self, target: str | Path | TextIOBase) -> None:
@@ -188,7 +194,7 @@ class EventArchive:
         self, bed: str, event: Verdict | DataWarning, wall_time: float | None = None
     ) -> None:
         self._handle.write(event_row(bed, event, wall_time) + "\n")
-        if isinstance(event, DataWarning) or event.kind is not VerdictKind.GREEN:
+        if needs_flush(event):
             self._handle.flush()
 
     def close(self) -> None:

@@ -86,13 +86,10 @@ def build_parser() -> argparse.ArgumentParser:
 def _settings(args: argparse.Namespace) -> Settings:
     settings = load_settings(getattr(args, "config", None))
     if getattr(args, "speedup", None) is not None:
-        if args.speedup <= 0:
-            raise ConfigError("speedup must be > 0")
         settings.speedup = args.speedup
     if getattr(args, "refresh", None) is not None:
-        if args.refresh <= 0:
-            raise ConfigError("refresh must be > 0")
         settings.refresh = args.refresh
+    settings.check()
     return settings
 
 
@@ -158,7 +155,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     settings = _settings(args)
     # place anomalies after the detector's lead-in, spaced to fit the stream
     lead = settings.warmup + settings.train_steps
-    first = min(150, max(lead + 20, args.steps // 3))
+    first = max(lead + 20, min(150, args.steps // 3))
     span = args.steps - 1 - first
     if args.anomalies > 0 and span < args.anomalies:
         raise ConfigError(

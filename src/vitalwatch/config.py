@@ -1,20 +1,28 @@
 """Flat key-value configuration: one `key = value` per line, # comments.
 
-Every tunable named in the module defaults is overridable here; unknown keys
-are errors so typos fail loudly, with the line number in the message. Bed
-sources use dotted keys (bed.<id>.source = replay:path | tail:path |
-socket:host:port | synthetic:seed).
+Every tunable is overridable here; unknown keys are errors so typos fail
+loudly, with the line number in the message. The detector's parameters are
+the fields of ``engine.ThresholdConfig``, whose defaults are their only
+definition; each is set by a key of the same name, except ``lambda`` for
+``lam``. Bed sources use dotted keys (bed.<id>.source = replay:path |
+tail:path | socket:host:port | synthetic:seed).
+
+Every value is checked in one place, ``Settings.check``, which builds what a
+run builds and reports any failure as a ``ConfigError``: ``parse_settings``
+ends with it, and the CLI calls it again after applying its flags.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
+from .board import MAX_BEDS
 from .engine import ThresholdConfig, VerdictKind
+from .standardize import RunningStandardizer
 from .tuning import MatchPolicy
-from .validity import ParameterSchema
+from .validity import FlagStreak, ParameterSchema
 
 
 class ConfigError(Exception):
@@ -42,16 +50,7 @@ class Settings:
     schema_use: tuple[int, ...] | None = None
     schema_zero_ok: tuple[int, ...] = ()
 
-    nu1: float = 0.07
-    nu2: float = 0.16
-    ell: int = 20
-    sigma: float = 1.0
-    lam: float = 0.98
-    d_similar: float = 0.9
-    epsilon_frac: float = 0.2
-    prune_period: int = 100
-    usage_floor: float = 1e-4
-    max_size: int = 50
+    detector: ThresholdConfig = ThresholdConfig()
 
     warmup: int = 50
     var_floor: float = 1e-6
@@ -83,21 +82,9 @@ class Settings:
         )
 
     def threshold_config(self, **overrides) -> ThresholdConfig:
-        base = dict(
-            nu1=self.nu1,
-            nu2=self.nu2,
-            ell=self.ell,
-            sigma=self.sigma,
-            lam=self.lam,
-            d_similar=self.d_similar,
-            epsilon_frac=self.epsilon_frac,
-            prune_period=self.prune_period,
-            usage_floor=self.usage_floor,
-            max_size=self.max_size,
-        )
-        base.update(overrides)
+        """The deployed detector config, with any fields replaced."""
         try:
-            return ThresholdConfig(**base)
+            return replace(self.detector, **overrides)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -112,8 +99,8 @@ class Settings:
 
     def tuning_grid(self) -> list[ThresholdConfig]:
         """Cartesian product of threshold pairs with any sigma/ell sweeps."""
-        sigmas = self.grid_sigma or (self.sigma,)
-        ells = self.grid_ell or (self.ell,)
+        sigmas = self.grid_sigma or (self.detector.sigma,)
+        ells = self.grid_ell or (self.detector.ell,)
         configs = []
         for nu1, nu2 in self.grid:
             for sigma in sigmas:
@@ -122,6 +109,24 @@ class Settings:
                         self.threshold_config(nu1=nu1, nu2=nu2, sigma=sigma, ell=ell)
                     )
         return configs
+
+    def check(self) -> None:
+        """Build what a run builds from these settings, so that a value no
+        run accepts fails here, as a ConfigError, before anything runs."""
+        try:
+            self.match_policy()
+            self.tuning_grid()
+            RunningStandardizer(self.schema().dim, self.warmup, self.var_floor)
+            FlagStreak(self.warn_threshold)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        for name in ("poll_interval", "speedup", "refresh"):
+            if not getattr(self, name) > 0:
+                raise ConfigError(f"{name} must be > 0")
+        if self.train_steps < 1:
+            raise ConfigError("train_steps must be >= 1")
+        if len(self.beds) > MAX_BEDS:
+            raise ConfigError(f"at most {MAX_BEDS} beds supported")
 
 
 def _parse_float(raw: str, line: int) -> float:
@@ -165,21 +170,23 @@ def _parse_grid(raw: str, line: int) -> tuple[tuple[float, float], ...]:
     return tuple(pairs)
 
 
-_FLOAT_KEYS = {
-    "nu1", "nu2", "sigma", "lambda", "d_similar", "epsilon_frac", "usage_floor",
-    "var_floor", "poll_interval", "speedup", "refresh",
+def _parse_number(raw: str, default: int | float, line: int) -> int | float:
+    """A value of the same type as the setting's default."""
+    return _parse_int(raw, line) if isinstance(default, int) else _parse_float(raw, line)
+
+
+# Numeric keys, each with the field it sets; `lambda` is a Python keyword.
+_DETECTOR_KEYS = {
+    "lambda" if f.name == "lam" else f.name: f for f in fields(ThresholdConfig)
 }
-_INT_KEYS = {
-    "ell", "prune_period", "max_size", "warmup", "train_steps", "warn_threshold",
-    "window_w",
-}
-_FIELD_FOR_KEY = {"lambda": "lam"}
+_NUMBER_KEYS = {f.name: f for f in fields(Settings) if type(f.default) in (int, float)}
 
 _SOURCE_KINDS = ("replay", "tail", "socket", "synthetic")
 
 
 def parse_settings(text: str) -> Settings:
     settings = Settings()
+    detector: dict[str, int | float] = {}
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.strip()
         if not line or line.startswith("#"):
@@ -192,10 +199,11 @@ def parse_settings(text: str) -> Settings:
         if not key:
             raise ConfigError("missing key before `=`", line_no)
 
-        if key in _FLOAT_KEYS:
-            setattr(settings, _FIELD_FOR_KEY.get(key, key), _parse_float(raw, line_no))
-        elif key in _INT_KEYS:
-            setattr(settings, key, _parse_int(raw, line_no))
+        if key in _DETECTOR_KEYS:
+            f = _DETECTOR_KEYS[key]
+            detector[f.name] = _parse_number(raw, f.default, line_no)
+        elif key in _NUMBER_KEYS:
+            setattr(settings, key, _parse_number(raw, _NUMBER_KEYS[key].default, line_no))
         elif key == "password":
             if not raw or "," in raw:
                 raise ConfigError("password must be a non-empty comma-free token", line_no)
@@ -239,24 +247,9 @@ def parse_settings(text: str) -> Settings:
         else:
             raise ConfigError(f"unknown setting {key!r}", line_no)
 
-    # cross-field validation with the real constructors, so messages agree
-    settings.threshold_config()
-    settings.match_policy()
-    settings.schema()
-    if settings.poll_interval <= 0:
-        raise ConfigError("poll_interval must be > 0")
-    if settings.speedup <= 0:
-        raise ConfigError("speedup must be > 0")
-    if settings.refresh <= 0:
-        raise ConfigError("refresh must be > 0")
-    if settings.warmup < 1:
-        raise ConfigError("warmup must be >= 1")
-    if settings.train_steps < 1:
-        raise ConfigError("train_steps must be >= 1")
-    if settings.warn_threshold < 1:
-        raise ConfigError("warn_threshold must be >= 1")
-    if len(settings.beds) > 5:
-        raise ConfigError("at most 5 beds supported")
+    # built once, from the whole file, so that nu1 < nu2 sees both lines
+    settings.detector = settings.threshold_config(**detector)
+    settings.check()
     return settings
 
 

@@ -29,7 +29,7 @@ from queue import Empty, Full, Queue
 
 import numpy as np
 
-from .board import BoardState, EventArchive, render
+from .board import BoardState, EventArchive, needs_flush, render
 from .config import BedSource, Settings
 from .engine import KoadEngine, MeasurementVector, Verdict
 from .sources import (
@@ -53,7 +53,13 @@ from .standardize import RunningStandardizer
 
 
 class BedPipeline:
-    """Single-writer chain turning raw lines into verdicts for one bed."""
+    """Single-writer chain turning raw lines into verdicts for one bed.
+
+    The frame archive, when given, gets one row per record. It is flushed
+    after a flagged frame's row and after a frame whose events include one
+    that ``needs_flush``, so the frames behind an alarm or a data warning
+    survive a killed process.
+    """
 
     def __init__(self, bed: str, settings: Settings, frame_archive=None) -> None:
         self.bed = bed
@@ -95,6 +101,8 @@ class BedPipeline:
                 archive_row(self.bed, timestep, received_at, result, frame, self.schema)
                 + "\n"
             )
+            if not result.ok:
+                self._archive.flush()
         warning = track(self.streak, result, timestep)
         if not result.ok:
             return warning, None
@@ -109,6 +117,8 @@ class BedPipeline:
         events: list[Verdict | DataWarning] = [] if warning is None else [warning]
         if x is not None:
             events += self.engine.feed(x, self.settings.train_steps)
+        if self._archive is not None and any(map(needs_flush, events)):
+            self._archive.flush()
         return events
 
 

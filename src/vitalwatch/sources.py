@@ -16,13 +16,13 @@ import socket
 import threading
 import time
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import BinaryIO, Iterable, Iterator
 
 from .synth import SyntheticSpec, capture_text
 
 DEFAULT_POLL_INTERVAL = 12.0  # seconds between frames from a bedside unit
 
-# Longest socket record kept; a valid frame is about 40 bytes.
+# Longest record a tail or socket source keeps; a valid frame is about 40 bytes.
 MAX_RECORD_BYTES = 4096
 
 
@@ -116,11 +116,41 @@ class SyntheticSource:
         yield from _pace(lines, self.poll_interval, self.speedup)
 
 
+def records(chunks: Iterable[bytes]) -> Iterator[str]:
+    """Split a byte stream into newline-delimited records, blank ones skipped.
+
+    A record longer than MAX_RECORD_BYTES is yielded once as an empty line,
+    which screening flags, and dropped through its newline (or the end of
+    the stream), so a writer that never sends a newline costs bounded
+    memory. Bytes that are not UTF-8 decode to U+FFFD, so a corrupt record
+    is flagged by screening instead of ending the source.
+    """
+    buffer = b""
+    skipping = False  # inside an overlong record
+    for chunk in chunks:
+        *complete, buffer = (buffer + chunk).split(b"\n")
+        for raw in complete:
+            if skipping:
+                skipping = False
+            elif len(raw) > MAX_RECORD_BYTES:
+                yield ""
+            else:
+                line = raw.decode("utf-8", errors="replace").rstrip("\r")
+                if line.strip() != "":
+                    yield line
+        if len(buffer) > MAX_RECORD_BYTES:
+            buffer = b""
+            if not skipping:
+                skipping = True
+                yield ""
+
+
 class TailSource:
     """Follow a growing file from its current end, like tail -f.
 
-    Polls for appended lines; stops when ``stop`` is set. Partial lines
-    (no terminator yet) are left in the file until completed.
+    Polls for appended bytes; stops when ``stop`` is set. A partial line (no
+    terminator yet) is held until completed, and records are split and
+    bounded by ``records``.
     """
 
     def __init__(
@@ -135,26 +165,23 @@ class TailSource:
 
     def frames(self) -> Iterator[tuple[str, float]]:
         try:
-            handle = self.path.open("r", encoding="utf-8")
+            handle = self.path.open("rb")
         except OSError as exc:
             raise SourceError(f"cannot open {self.path}: {exc}") from exc
         with handle:
             handle.seek(0, 2)
-            buffer = ""
-            # short sleeps keep shutdown responsive regardless of cadence
-            nap = min(self.poll_interval, 0.05)
-            while not self.stop.is_set():
-                chunk = handle.readline()
-                if chunk == "":
-                    time.sleep(nap)
-                    continue
-                buffer += chunk
-                if not buffer.endswith("\n"):
-                    continue
-                line = buffer.rstrip("\r\n")
-                buffer = ""
-                if line.strip() != "":
-                    yield line, time.time()
+            for line in records(self._appended(handle)):
+                yield line, time.time()
+
+    def _appended(self, handle: BinaryIO) -> Iterator[bytes]:
+        # short sleeps keep shutdown responsive regardless of cadence
+        nap = min(self.poll_interval, 0.05)
+        while not self.stop.is_set():
+            chunk = handle.read(4096)
+            if chunk:
+                yield chunk
+            else:
+                time.sleep(nap)
 
 
 class SocketSource:
@@ -162,10 +189,8 @@ class SocketSource:
 
     One peer at a time; when a connection drops, the listener simply waits
     for the next one, and the silent stretch surfaces as missing frames.
-    A record longer than MAX_RECORD_BYTES is yielded once as an empty line,
-    which screening flags, and dropped through its newline (or the end of
-    the connection), so a peer that never sends a newline costs bounded
-    memory.
+    Records are split and bounded by ``records``, afresh for each
+    connection.
     """
 
     def __init__(
@@ -204,33 +229,20 @@ class SocketSource:
                     continue
                 with conn:
                     conn.settimeout(0.2)
-                    buffer = b""
-                    skipping = False  # inside an overlong record
-                    while not self.stop.is_set():
-                        try:
-                            chunk = conn.recv(4096)
-                        except TimeoutError:
-                            continue
-                        except OSError:
-                            break
-                        if chunk == b"":
-                            break  # peer closed; wait for the next connection
-                        buffer += chunk
-                        while b"\n" in buffer:
-                            raw, buffer = buffer.split(b"\n", 1)
-                            if skipping:
-                                skipping = False
-                            elif len(raw) > MAX_RECORD_BYTES:
-                                yield "", time.time()
-                            else:
-                                line = raw.decode("utf-8", errors="replace").rstrip("\r")
-                                if line.strip() != "":
-                                    yield line, time.time()
-                        if len(buffer) > MAX_RECORD_BYTES:
-                            buffer = b""
-                            if not skipping:
-                                skipping = True
-                                yield "", time.time()
+                    for line in records(self._received(conn)):
+                        yield line, time.time()
+
+    def _received(self, conn: socket.socket) -> Iterator[bytes]:
+        while not self.stop.is_set():
+            try:
+                chunk = conn.recv(4096)
+            except TimeoutError:
+                continue
+            except OSError:
+                return
+            if chunk == b"":
+                return  # peer closed; wait for the next connection
+            yield chunk
 
 
 def emit_lines(

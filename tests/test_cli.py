@@ -3,7 +3,7 @@
 import pytest
 
 from vitalwatch.cli import main
-from vitalwatch.synth import default_spec, write_stream
+from vitalwatch.synth import default_spec, read_labels, write_stream
 
 
 def run(capsys, *argv):
@@ -60,6 +60,16 @@ def test_synth_is_seed_deterministic(tmp_path, capsys):
         )
     assert texts[0] == texts[1]
 
+
+def test_synth_places_anomalies_after_a_long_lead_in(tmp_path, capsys):
+    cfg = tmp_path / "long.cfg"
+    cfg.write_text("warmup = 100\ntrain_steps = 100\n")
+    stream = tmp_path / "s.csv"
+    code, _, _ = run(capsys, "synth", "--config", str(cfg), "--out", str(stream))
+    assert code == 0
+    labels = read_labels(tmp_path / "s.csv.labels.csv")
+    assert len(labels) == 9
+    assert min(ev.timestep for ev in labels) >= 200
 
 def test_replay_writes_archives_and_board(tmp_path, capsys, labeled_stream):
     stream, _ = labeled_stream

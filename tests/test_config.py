@@ -3,19 +3,21 @@
 from __future__ import annotations
 
 import math
+from dataclasses import fields
 
 import pytest
 
 from vitalwatch.config import BedSource, ConfigError, Settings, load_settings, parse_settings
-from vitalwatch.engine import VerdictKind
+from vitalwatch.engine import ThresholdConfig, VerdictKind
 
 
 def test_empty_text_gives_documented_defaults():
     s = parse_settings("")
     assert s.password == "PW123"
-    assert s.nu1 == 0.07 and s.nu2 == 0.16
-    assert s.ell == 20 and s.sigma == 1.0 and s.lam == 0.98
-    assert s.prune_period == 100 and s.usage_floor == 1e-4 and s.max_size == 50
+    assert s.detector.nu1 == 0.07 and s.detector.nu2 == 0.16
+    assert s.detector.ell == 20 and s.detector.sigma == 1.0 and s.detector.lam == 0.98
+    assert s.detector.prune_period == 100 and s.detector.usage_floor == 1e-4
+    assert s.detector.max_size == 50
     assert s.warmup == 50 and s.train_steps == 50 and s.warn_threshold == 5
     assert s.poll_interval == 12.0 and math.isinf(s.speedup)
     assert s.window_w == 5 and s.counted_kinds == ("red1", "red2")
@@ -37,8 +39,8 @@ def test_comments_blanks_and_overrides():
         password = WARD7
         """
     )
-    assert s.nu1 == 0.03 and s.nu2 == 0.08
-    assert s.lam == 0.9 and s.ell == 10
+    assert s.detector.nu1 == 0.03 and s.detector.nu2 == 0.08
+    assert s.detector.lam == 0.9 and s.detector.ell == 10
     assert s.password == "WARD7"
     cfg = s.threshold_config()
     assert cfg.nu1 == 0.03 and cfg.lam == 0.9
@@ -108,6 +110,11 @@ def test_bed_sources():
         ("nu1 = 0.5\nnu2 = 0.2\n", "nu1 < nu2", None),
         ("speedup = 0\n", "speedup", None),
         ("warmup = 0\n", "warmup", None),
+        ("var_floor = 0\n", "var_floor", None),
+        ("schema.use = 9\n", "use indices", None),
+        ("schema.zero_ok = 7\n", "zero_ok indices", None),
+        ("grid_sigma = 0\n", "sigma", None),
+        ("grid_ell = 0\n", "ell", None),
     ],
 )
 def test_errors_carry_line_numbers(text, fragment, line):
@@ -116,6 +123,20 @@ def test_errors_carry_line_numbers(text, fragment, line):
     assert fragment in str(excinfo.value)
     if line is not None:
         assert f"line {line}:" in str(excinfo.value)
+
+
+def test_every_detector_field_is_set_by_its_key():
+    values = {
+        "nu1": 0.05, "nu2": 0.3, "ell": 7, "sigma": 2.5, "lam": 0.9,
+        "d_similar": 0.8, "epsilon_frac": 0.3, "prune_period": 40,
+        "usage_floor": 0.01, "max_size": 12,
+    }
+    assert values.keys() == {f.name for f in fields(ThresholdConfig)}
+    assert all(value != getattr(ThresholdConfig(), name) for name, value in values.items())
+    text = "".join(
+        f"{'lambda' if name == 'lam' else name} = {value}\n" for name, value in values.items()
+    )
+    assert parse_settings(text).threshold_config() == ThresholdConfig(**values)
 
 
 def test_six_beds_rejected():
@@ -128,7 +149,7 @@ def test_load_settings_from_file(tmp_path):
     path = tmp_path / "run.conf"
     path.write_text("nu1 = 0.05\nnu2 = 0.12\n", encoding="utf-8")
     s = load_settings(path)
-    assert (s.nu1, s.nu2) == (0.05, 0.12)
+    assert (s.detector.nu1, s.detector.nu2) == (0.05, 0.12)
     assert load_settings(None) == Settings()
     with pytest.raises(ConfigError, match="cannot read"):
         load_settings(tmp_path / "missing.conf")

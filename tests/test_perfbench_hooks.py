@@ -9,6 +9,7 @@ from pathlib import Path
 
 import vitalwatch.pipeline as pipeline
 import vitalwatch.tuning as tuning
+from vitalwatch.config import load_settings
 from vitalwatch.sources import ReplaySource
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -37,3 +38,21 @@ def test_tracer_installs_and_restores_every_hook(monkeypatch):
     assert callable(tuning.MeasurementVector)
     assert callable(tuning.score_run)
     assert callable(pipeline.standardized_stream)
+
+
+def test_tune_grid_config_loads_as_the_workload_expects(monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import inputs
+    import workloads
+
+    config = inputs.write_config(
+        tmp_path,
+        "grid_sigma = " + ", ".join(map(str, workloads.TUNE_SIGMAS)),
+        "grid_ell = " + ", ".join(map(str, workloads.TUNE_ELLS)),
+    )
+    settings = load_settings(config)
+    deployed = settings.threshold_config()
+    assert deployed.sigma == 2.5
+    grid = settings.tuning_grid()
+    assert len(grid) == 18
+    assert deployed in grid

@@ -7,7 +7,7 @@ import pytest
 
 from vitalwatch.board import BoardState, event_row
 from vitalwatch.config import BedSource, Settings
-from vitalwatch.engine import Verdict, VerdictKind
+from vitalwatch.engine import ThresholdConfig, Verdict, VerdictKind
 from vitalwatch.pipeline import (
     BedPipeline,
     build_source,
@@ -31,10 +31,7 @@ def small_settings(**overrides) -> Settings:
         warmup=4,
         train_steps=6,
         warn_threshold=3,
-        nu1=0.07,
-        nu2=0.16,
-        sigma=1.5,
-        ell=5,
+        detector=ThresholdConfig(nu1=0.07, nu2=0.16, sigma=1.5, ell=5),
     )
     base.update(overrides)
     return Settings(**base)
@@ -108,6 +105,25 @@ class TestBedPipeline:
         assert rows[0] == "bed,timestep,received_at,flags,hr,spo2,nbp_sys"
         assert len(rows) == 3
         assert rows[2].startswith("bed1,1,2.000,1:hyphen,")
+
+    def test_frames_behind_alarms_reach_the_file_before_the_archive_closes(
+        self, tmp_path
+    ):
+        path = tmp_path / "frames_bed1.csv"
+        rng = np.random.default_rng(2)
+
+        def last_row_on_disk() -> str:
+            return path.read_text(encoding="utf-8").splitlines()[-1]
+
+        with path.open("w", encoding="utf-8") as sink:
+            pipe = BedPipeline("bed1", small_settings(warmup=10, train_steps=20), sink)
+            for i in range(60):
+                pipe.feed_line(steady_line(rng), float(i))
+            pipe.feed_line(wire("72", "-", "118"), 60.0)
+            assert last_row_on_disk().startswith("bed1,60,60.000,1:hyphen,")
+            events = pipe.feed_line(wire("300", "5", "400"), 61.0)
+            assert events[0].kind in (VerdictKind.RED1, VerdictKind.ORANGE)
+            assert last_row_on_disk().startswith("bed1,61,61.000,,")
 
 
 class TestStandardizedStream:
@@ -218,7 +234,10 @@ class TestTuneAgreesWithReplay:
         self, tmp_path, faulty_capture
     ):
         path, labels_path = faulty_capture
-        settings = Settings(warmup=10, train_steps=20, sigma=1.5, ell=10, warn_threshold=3)
+        settings = Settings(
+            warmup=10, train_steps=20, warn_threshold=3,
+            detector=ThresholdConfig(sigma=1.5, ell=10),
+        )
         out = tmp_path / "out"
         replay_run(settings, path, out_dir=out)
         archived = [

@@ -104,6 +104,48 @@ def test_tail_source_sees_only_appended_lines(tmp_path):
     assert got == [f"{PW},new"]
 
 
+def tail(path, payload: bytes, count: int) -> list[str]:
+    """Lines a TailSource on ``path`` yields once ``payload`` is appended:
+    the first ``count``, and anything that follows within 0.1 s."""
+    stop = threading.Event()
+    source = TailSource(path, poll_interval=0.2, stop=stop)
+    got = []
+
+    def run():
+        for line, _ in source.frames():
+            got.append(line)
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    time.sleep(0.2)
+    with path.open("ab") as handle:
+        handle.write(payload)
+    deadline = time.monotonic() + 5.0
+    while len(got) < count and time.monotonic() < deadline:
+        time.sleep(0.02)
+    time.sleep(0.1)
+    stop.set()
+    thread.join(timeout=5.0)
+    assert not thread.is_alive()
+    return got
+
+
+def test_tail_overlong_record_is_one_empty_line(tmp_path):
+    path = tmp_path / "live.csv"
+    path.touch()
+    junk = b"9" * (20 * 1024)  # no newline
+    assert len(junk) > 2 * MAX_RECORD_BYTES
+    payload = junk + b"tail of the junk\n" + f"{PW},1\n".encode()
+    assert tail(path, payload, 2) == ["", f"{PW},1"]
+
+
+def test_tail_source_survives_bytes_that_are_not_utf8(tmp_path):
+    path = tmp_path / "live.csv"
+    path.touch()
+    payload = f"{PW},70\n{PW},".encode() + b"\xff\n" + f"{PW},71\n".encode()
+    assert tail(path, payload, 3) == [f"{PW},70", f"{PW},\ufffd", f"{PW},71"]
+
+
 def test_socket_roundtrip_and_reconnect():
     stop = threading.Event()
     source = SocketSource("127.0.0.1", 0, stop=stop)
