@@ -25,7 +25,7 @@ from pathlib import Path
 from .config import ConfigError, Settings, load_settings
 from .pipeline import monitor_run, replay_run, standardized_stream
 from .selftest import main as run_selftest
-from .sources import ReplaySource, SourceError, emit_lines
+from .sources import ReplaySource, SourceError, emit_lines, socket_address
 from .synth import default_spec, read_labels, write_stream
 from .tuning import grid_search, render_table, reports_csv
 
@@ -109,13 +109,14 @@ def cmd_monitor(args: argparse.Namespace) -> int:
 def cmd_replay(args: argparse.Namespace) -> int:
     settings = _settings(args)
     if args.emit:
-        host, _, port = args.emit.rpartition(":")
-        if not host or not port.isdigit():
-            raise ConfigError(f"--emit needs host:port, got {args.emit!r}")
+        try:
+            host, port = socket_address(args.emit)
+        except ValueError as exc:
+            raise ConfigError(f"--emit: {exc}") from None
         source = ReplaySource(
             args.stream, settings.password, settings.poll_interval, settings.speedup
         )
-        sent = emit_lines((line for line, _ in source.frames()), host, int(port))
+        sent = emit_lines((line for line, _ in source.frames()), host, port)
         print(f"emitted {sent} frames to {args.emit}")
         return 0
     out_dir = args.out or settings.archive_dir

@@ -20,6 +20,7 @@ from pathlib import Path
 
 from .board import MAX_BEDS
 from .engine import ThresholdConfig, VerdictKind
+from .sources import socket_address
 from .standardize import RunningStandardizer
 from .tuning import MatchPolicy
 from .validity import FlagStreak, ParameterSchema
@@ -127,6 +128,19 @@ class Settings:
             raise ConfigError("train_steps must be >= 1")
         if len(self.beds) > MAX_BEDS:
             raise ConfigError(f"at most {MAX_BEDS} beds supported")
+        for bed in self.beds:
+            if bed.kind == "socket":
+                try:
+                    socket_address(bed.target)
+                except ValueError as exc:
+                    raise ConfigError(f"bed {bed.bed!r}: {exc}") from None
+            elif bed.kind == "synthetic" and not (
+                bed.target.isascii() and bed.target.isdigit()
+            ):
+                raise ConfigError(
+                    f"bed {bed.bed!r}: synthetic source needs a non-negative "
+                    f"integer seed, got {bed.target!r}"
+                )
 
 
 def _parse_float(raw: str, line: int) -> float:

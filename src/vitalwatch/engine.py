@@ -15,10 +15,13 @@ trick). The score drives four alarm outcomes:
 The inverse Gram matrix of the dictionary is maintained incrementally: a
 block-inverse update on admission and a Schur-complement downdate on removal,
 both O(m^2) and written in place into storage preallocated to max_size, so
-neither reallocates. A full re-inversion fallback guards against numerical
-drift. Each arrival costs one kernel vector against the basis: an open Orange
-tracker's candidate is itself a basis row, so its similarity to the arrival
-is read from that vector rather than evaluated again.
+neither reallocates. The Gram matrix itself is kept beside the inverse, its
+entries taken from the kernel vectors computed at admission, so the periodic
+consistency check evaluates no kernel. A full re-inversion fallback guards
+against numerical drift. Each arrival costs one kernel vector against the
+basis: an open Orange tracker's candidate is itself a basis row, so its
+similarity to the arrival is read from that vector rather than evaluated
+again.
 Per-element usage statistics decay geometrically (factor ``lam``) every step
 and are credited with |a_j| on Green steps; pruning evicts elements whose
 usage falls below a floor, keeping the basis current.
@@ -40,7 +43,7 @@ from enum import Enum
 
 import numpy as np
 
-from .kernels import KernelSpec, gram_matrix, kernel_vector
+from .kernels import KernelSpec, kernel_vector
 # Not called here; imported so that perfbench's tracer can wrap
 # vitalwatch.engine.kernel_eval and count its calls per step.
 from .kernels import kernel_eval  # noqa: F401
@@ -162,18 +165,25 @@ class OrangeTracker:
 
 
 class DictionaryState:
-    """Sparsified basis with an incrementally maintained inverse Gram matrix.
+    """Sparsified basis with its Gram matrix and an incrementally maintained
+    inverse.
 
-    Storage is preallocated to max_size: basis, inverse Gram and usage live
-    in fixed buffers of which the leading m rows (and columns) are active.
-    ``basis``, ``inv_gram`` and ``usage`` are views of that active block;
-    they alias the buffers, so a caller that keeps one across an admission
-    or removal must copy it. Only ``inv_gram`` can be assigned, which the
-    re-inversion fallback does.
+    Storage is preallocated to max_size: basis, Gram matrix, inverse Gram
+    and usage live in fixed buffers of which the leading m rows (and
+    columns) are active. ``size``, ``basis``, ``inv_gram`` and ``usage`` are
+    set on every admission and removal; the arrays are views of the active
+    block and alias the buffers, so a caller that keeps one across an
+    admission or removal must copy it.
 
-    Invariant (checkable on demand): inv_gram @ gram(basis) == identity
-    within 1e-6 Frobenius norm. Admission and removal both cost O(m^2) and
-    never reallocate the storage.
+    The Gram matrix is kept beside its inverse rather than rebuilt from the
+    basis: every entry is a kernel value the caller already computed when
+    the later of its two elements was admitted, so ``admit`` takes the
+    arrival's kernel vector against the current basis and writes it as the
+    new row and column.
+
+    Invariant (checkable on demand): inv_gram @ gram() == identity within
+    1e-6 Frobenius norm. Admission and removal both cost O(m^2) and never
+    reallocate the storage.
     """
 
     def __init__(self, spec: KernelSpec, dim: int, max_size: int) -> None:
@@ -183,41 +193,30 @@ class DictionaryState:
         self.dim = dim
         self.max_size = max_size
         self.timesteps: list[int] = []
-        self._m = 0
         self._basis = np.zeros((max_size, dim))
+        self._gram = np.zeros((max_size, max_size))
         self._inv = np.zeros((max_size, max_size))
         self._usage = np.zeros(max_size)
+        self._resize(0)
 
-    @property
-    def size(self) -> int:
-        return self._m
+    def _resize(self, m: int) -> None:
+        self.size = m
+        self.basis = self._basis[:m]
+        self.inv_gram = self._inv[:m, :m]
+        self.usage = self._usage[:m]
 
-    @property
-    def basis(self) -> np.ndarray:
-        return self._basis[: self._m]
-
-    @property
-    def inv_gram(self) -> np.ndarray:
-        return self._inv[: self._m, : self._m]
-
-    @inv_gram.setter
-    def inv_gram(self, value: np.ndarray) -> None:
-        m = self._m
-        self._inv[:m, :m] = np.reshape(value, (m, m))
-
-    @property
-    def usage(self) -> np.ndarray:
-        return self._usage[: self._m]
-
-    def admit(self, x: MeasurementVector, coeffs: np.ndarray, delta: float) -> int:
+    def admit(
+        self, x: MeasurementVector, coeffs: np.ndarray, delta: float, kvec: np.ndarray
+    ) -> int:
         """Grow the basis by one vector using the block-inverse identity.
 
         (coeffs, delta) must come from projection_error against the current
-        basis; delta == 0 means linear dependence and is a caller bug.
+        basis, and kvec is the kernel vector that projection used; delta == 0
+        means linear dependence and is a caller bug.
         """
         if delta <= 0.0:
             raise ValueError(f"admission requires delta > 0, got {delta}")
-        m = self._m
+        m = self.size
         if m >= self.max_size:
             raise DictionaryFullError(
                 f"dictionary at capacity ({self.max_size}); prune before admitting"
@@ -232,10 +231,14 @@ class DictionaryState:
             inv[:m, m] = edge
             inv[m, :m] = edge
             inv[m, m] = 1.0 / delta
+        gram = self._gram
+        gram[m, :m] = kvec
+        gram[:m, m] = kvec
+        gram[m, m] = 1.0
         self._basis[m] = x.values
         self._usage[m] = 0.0
         self.timesteps.append(x.timestep)
-        self._m = m + 1
+        self._resize(m + 1)
         return m
 
     def remove(self, index: int) -> None:
@@ -244,10 +247,13 @@ class DictionaryState:
         Later rows and columns shift down by one in place; the buffers'
         rows past the new size are stale and never read.
         """
-        m = self._m
+        m = self.size
         if not 0 <= index < m:
             raise IndexError(f"index {index} out of range for dictionary of size {m}")
         last = m - 1
+        gram = self._gram
+        gram[index:last, :m] = gram[index + 1 : m, :m]
+        gram[:last, index:last] = gram[:last, index + 1 : m]
         inv = self._inv
         q = inv[index, index]
         inv[index:last, :m] = inv[index + 1 : m, :m]
@@ -256,7 +262,7 @@ class DictionaryState:
         self._basis[index:last] = self._basis[index + 1 : m]
         self._usage[index:last] = self._usage[index + 1 : m]
         del self.timesteps[index]
-        self._m = last
+        self._resize(last)
         if abs(q) < 1e-12:
             # Degenerate pivot: the maintained inverse has drifted too far.
             self.refresh_inverse()
@@ -264,22 +270,24 @@ class DictionaryState:
             inv[:last, :last] -= np.outer(u, u) / q
 
     def gram(self) -> np.ndarray:
-        return gram_matrix(self.spec, self.basis)
+        """The kept Gram matrix of the basis (a view of the active block)."""
+        return self._gram[: self.size, : self.size]
 
     def consistency_error(self) -> float:
         """Frobenius distance of inv_gram @ gram from the identity."""
         m = self.size
         if m == 0:
             return 0.0
-        residual = self.inv_gram @ self.gram() - np.eye(m)
-        return float(np.linalg.norm(residual))
+        residual = (self.inv_gram @ self.gram()).ravel()
+        residual[:: m + 1] -= 1.0  # minus the identity
+        return math.sqrt(residual @ residual)
 
     def refresh_inverse(self) -> None:
         """Full re-inversion fallback for when incremental updates drift."""
         if self.size == 0:
             return
         try:
-            self.inv_gram = np.linalg.inv(self.gram())
+            self.inv_gram[...] = np.linalg.inv(self.gram())
         except np.linalg.LinAlgError as exc:
             raise EngineError("dictionary Gram matrix is singular") from exc
 
@@ -342,7 +350,7 @@ class KoadEngine:
             if self.dictionary.size >= cfg.max_size:
                 self._force_room()
                 delta, coeffs = self.projection_error(values)
-            self.dictionary.admit(x, coeffs, delta)
+            self.dictionary.admit(x, coeffs, delta, self._kvec)
         else:
             usage += np.abs(coeffs)
         self._advance(x.timestep)
@@ -390,7 +398,7 @@ class KoadEngine:
                 self._force_room()
                 # Projection changed with the basis; recompute before admit.
                 admit_delta, admit_coeffs = self.projection_error(values)
-            idx = self.dictionary.admit(x, admit_coeffs, admit_delta)
+            idx = self.dictionary.admit(x, admit_coeffs, admit_delta, self._kvec)
             self.trackers.append(
                 OrangeTracker(
                     raised_at=t,
@@ -462,7 +470,7 @@ class KoadEngine:
         values = x.values  # already a float array: MeasurementVector converts
         if values.shape != (self.dim,):
             raise ValueError(f"expected shape ({self.dim},), got {values.shape}")
-        if not np.isfinite(values).all():
+        if not all(map(math.isfinite, values.tolist())):
             raise EngineError(
                 f"non-finite component at timestep {x.timestep}; "
                 "validity checking should reject such frames upstream"

@@ -24,6 +24,7 @@ from __future__ import annotations
 import sys
 import threading
 import time
+import traceback
 from pathlib import Path
 from queue import Empty, Full, Queue
 
@@ -38,6 +39,7 @@ from .sources import (
     SourceError,
     SyntheticSource,
     TailSource,
+    socket_address,
 )
 from .synth import default_spec
 from .validity import (
@@ -147,16 +149,16 @@ def build_source(bed: BedSource, settings: Settings, stop: threading.Event):
     if bed.kind == "tail":
         return TailSource(bed.target, settings.poll_interval, stop=stop)
     if bed.kind == "socket":
-        host, _, port = bed.target.rpartition(":")
-        if not host or not port.isdigit():
-            raise SourceError(f"socket source needs host:port, got {bed.target!r}")
-        return SocketSource(host, int(port), stop=stop)
+        try:
+            host, port = socket_address(bed.target)
+        except ValueError as exc:
+            raise SourceError(str(exc)) from None
+        return SocketSource(host, port, stop=stop)
     if bed.kind == "synthetic":
-        seed = int(bed.target) if bed.target.lstrip("-").isdigit() else 0
         spec = default_spec(
             steps=10_000,
             n_anomalies=20,
-            seed=seed,
+            seed=int(bed.target),
             dim=settings.schema().arity,
             first_anomaly=max(300, 2 * (settings.warmup + settings.train_steps)),
         )
@@ -235,7 +237,8 @@ def monitor_run(
     """Threaded multi-bed monitor: one producer per source, one consumer.
 
     Runs until every source ends, ``duration`` elapses, or Ctrl-C. A source
-    failure degrades its bed (DataWarning badge) and the rest keep going.
+    failure of any kind, not only a ``SourceError``, degrades its bed
+    (DataWarning badge, archive row, screen line) and the rest keep going.
     """
     if not settings.beds:
         raise SourceError("monitor needs at least one bed.<id>.source entry")
@@ -262,6 +265,12 @@ def monitor_run(
         except SourceError as exc:
             if not stop.is_set():
                 queue.put((bed_cfg.bed, None, str(exc)))
+        except Exception as exc:
+            # Any other failure degrades only this bed too; it is not one the
+            # source anticipated, so its traceback goes to stderr.
+            traceback.print_exc(file=sys.stderr)
+            if not stop.is_set():
+                queue.put((bed_cfg.bed, None, f"{type(exc).__name__}: {exc}"))
 
     threads = [
         threading.Thread(target=pump, args=(b,), daemon=True, name=f"src-{b.bed}")

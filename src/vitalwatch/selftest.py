@@ -3,7 +3,8 @@
 Three checks, each independent of the code path it verifies:
 
 * projection errors and the maintained inverse Gram against fresh dense
-  linear solves on randomized admission/removal sequences,
+  linear solves on randomized admission/removal sequences, and the kept
+  Gram matrix against one rebuilt from the basis,
 * the Green / Red1 / Orange / Red2 alarm walk on a scripted 1-d stream
   whose expected deltas come from the same dense solves,
 * the frame validity table and the consecutive-flag warning counter.
@@ -54,11 +55,12 @@ def _dense_delta(spec: KernelSpec, basis: np.ndarray, x: np.ndarray) -> float:
 
 
 def check_projection_oracle(cases: int = 40, seed: int = 7) -> CheckResult:
-    """Incremental inverse-Gram bookkeeping vs dense solves."""
+    """Incremental Gram and inverse-Gram bookkeeping vs dense rebuilds."""
     rng = np.random.default_rng(seed)
     spec = KernelSpec(1.0)
     worst_delta = 0.0
     worst_consistency = 0.0
+    worst_gram = 0.0
     for _ in range(cases):
         d = int(rng.integers(2, 6))
         state = DictionaryState(spec, d, max_size=12)
@@ -70,7 +72,7 @@ def check_projection_oracle(cases: int = 40, seed: int = 7) -> CheckResult:
                 continue  # too close to the span; a live engine would not admit it
             k = kernel_vector(spec, state.basis, x)
             coeffs = state.inv_gram @ k if state.size else np.zeros(0)
-            state.admit(MeasurementVector(x, 0), coeffs, delta)
+            state.admit(MeasurementVector(x, 0), coeffs, delta, k)
             if state.size > 2 and rng.random() < 0.3:
                 state.remove(int(rng.integers(0, state.size)))
         probe = rng.uniform(-spread, spread, size=d)
@@ -78,11 +80,14 @@ def check_projection_oracle(cases: int = 40, seed: int = 7) -> CheckResult:
         recursive = 1.0 - float(k @ (state.inv_gram @ k)) if state.size else 1.0
         worst_delta = max(worst_delta, abs(recursive - _dense_delta(spec, state.basis, probe)))
         worst_consistency = max(worst_consistency, state.consistency_error())
-    ok = worst_delta <= 1e-8 and worst_consistency <= 1e-6
+        kept = np.abs(state.gram() - gram_matrix(spec, state.basis))
+        worst_gram = max(worst_gram, float(kept.max(initial=0.0)))
+    ok = worst_delta <= 1e-8 and worst_consistency <= 1e-6 and worst_gram <= 1e-12
     return CheckResult(
         "projection vs dense solve",
         ok,
-        f"max |delta diff| {worst_delta:.2e}, max inverse drift {worst_consistency:.2e}",
+        f"max |delta diff| {worst_delta:.2e}, max inverse drift {worst_consistency:.2e}, "
+        f"max kept-Gram drift {worst_gram:.2e}",
     )
 
 

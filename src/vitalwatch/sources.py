@@ -12,6 +12,7 @@ downstream as missing frames rather than a crash.
 from __future__ import annotations
 
 import math
+import os
 import socket
 import threading
 import time
@@ -32,6 +33,17 @@ class SourceError(Exception):
 
 def wire_line(password: str, values: Iterable[float]) -> str:
     return ",".join([password, *(f"{v:.3f}" for v in values)])
+
+
+def socket_address(target: str) -> tuple[str, int]:
+    """Split a ``host:port`` target; ValueError unless the port is an integer
+    in 0-65535 and the host is non-empty."""
+    host, _, port = target.rpartition(":")
+    if not host or not (port.isascii() and port.isdigit()) or int(port) > 65535:
+        raise ValueError(
+            f"socket target needs host:port with a port in 0-65535, got {target!r}"
+        )
+    return host, int(port)
 
 
 def _pace(lines: list[str], interval: float, speedup: float) -> Iterator[tuple[str, float]]:
@@ -151,6 +163,12 @@ class TailSource:
     Polls for appended bytes; stops when ``stop`` is set. A partial line (no
     terminator yet) is held until completed, and records are split and
     bounded by ``records``.
+
+    A file truncated in place (copytruncate log rotation) is read again from
+    its start: when a poll finds nothing new and the file is shorter than the
+    read offset, the offset goes back to 0. A truncation followed by a
+    rewrite past the old offset before the next poll looks like plain growth
+    and is not detected.
     """
 
     def __init__(
@@ -180,6 +198,8 @@ class TailSource:
             chunk = handle.read(4096)
             if chunk:
                 yield chunk
+            elif os.fstat(handle.fileno()).st_size < handle.tell():
+                handle.seek(0)  # truncated in place
             else:
                 time.sleep(nap)
 

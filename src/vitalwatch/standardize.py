@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -12,6 +14,11 @@ class RunningStandardizer:
     settle; the caller decides what to do with them (the pipeline keeps them
     out of the detector). A variance floor keeps constant channels at z = 0
     instead of dividing by zero.
+
+    The statistics are Python floats, one per channel: a frame has only a
+    handful of channels, and numpy's per-call overhead would dominate. Each
+    channel runs the same IEEE operations an array update would, so the
+    transform is bit-identical to the numpy float64 version.
     """
 
     def __init__(self, dim: int, warmup: int = 50, var_floor: float = 1e-6) -> None:
@@ -25,27 +32,40 @@ class RunningStandardizer:
         self.warmup = warmup
         self.var_floor = var_floor
         self.count = 0
-        self.mean = np.zeros(dim)
-        self._m2 = np.zeros(dim)
+        self._mean = [0.0] * dim
+        self._m2 = [0.0] * dim
 
     @property
     def warmed_up(self) -> bool:
         return self.count >= self.warmup
 
-    def variance(self) -> np.ndarray:
+    @property
+    def mean(self) -> np.ndarray:
+        return np.array(self._mean)
+
+    def _variances(self) -> list[float]:
         if self.count < 2:
-            return np.full(self.dim, self.var_floor)
-        return np.maximum(self._m2 / (self.count - 1), self.var_floor)
+            return [self.var_floor] * self.dim
+        n1 = self.count - 1
+        return [max(m2 / n1, self.var_floor) for m2 in self._m2]
+
+    def variance(self) -> np.ndarray:
+        return np.array(self._variances())
 
     def push(self, values: np.ndarray) -> np.ndarray:
         """Fold one frame into the statistics and return its transform."""
         values = np.asarray(values, dtype=float)
         if values.shape != (self.dim,):
             raise ValueError(f"expected shape ({self.dim},), got {values.shape}")
-        self.count += 1
-        delta = values - self.mean
-        self.mean = self.mean + delta / self.count
-        self._m2 = self._m2 + delta * (values - self.mean)
-        if self.count <= self.warmup:
+        self.count = n = self.count + 1
+        xs = values.tolist()
+        mean, m2 = self._mean, self._m2
+        for i, x in enumerate(xs):
+            delta = x - mean[i]
+            mean[i] = mu = mean[i] + delta / n
+            m2[i] += delta * (x - mu)
+        if n <= self.warmup:
             return values.copy()
-        return (values - self.mean) / np.sqrt(self.variance())
+        return np.array(
+            [(x - mu) / math.sqrt(var) for x, mu, var in zip(xs, mean, self._variances())]
+        )

@@ -84,18 +84,18 @@ def score_run(
     policy = policy or MatchPolicy()
     alarms = alarm_times(verdicts, policy)
     label_times = sorted(ev.timestep for ev in labels)
-    taken = [False] * len(alarms)
+    w = policy.window_w
     matches = []
+    # Labels and alarms are both sorted, so one forward pointer suffices:
+    # every alarm behind it is taken or too early for this and any later
+    # label, and the alarm under it is the earliest unmatched candidate.
+    j = 0
     for lt in label_times:
-        for j, at in enumerate(alarms):
-            if taken[j]:
-                continue
-            if at > lt + policy.window_w:
-                break  # alarms are sorted; nothing further can match
-            if at >= lt - policy.window_w:
-                taken[j] = True
-                matches.append((lt, at))
-                break
+        while j < len(alarms) and alarms[j] < lt - w:
+            j += 1
+        if j < len(alarms) and alarms[j] <= lt + w:
+            matches.append((lt, alarms[j]))
+            j += 1
     detected = len(matches)
     if config is not None:
         nu1, nu2 = config.nu1, config.nu2

@@ -135,7 +135,8 @@ def parse_frame(
     return RawFrame(tokens[0], tuple(tokens[1:]), received_at, bed)
 
 
-def _check_field(token: str, index: int, schema: ParameterSchema) -> FlagReason | None:
+def _check_field(token: str, index: int, schema: ParameterSchema) -> float | FlagReason:
+    """The field's value, or the reason it is flagged."""
     stripped = token.strip()
     if stripped == "" or stripped.lower() == "null":
         return FlagReason.NULL
@@ -148,7 +149,7 @@ def _check_field(token: str, index: int, schema: ParameterSchema) -> FlagReason 
         return FlagReason.ZERO
     if value > VALUE_LIMIT:
         return FlagReason.OVER_LIMIT
-    return None
+    return value
 
 
 def validate(
@@ -163,16 +164,16 @@ def validate(
     if len(frame.fields) != schema.arity:
         return ValidationResult(None, ((FRAME_FLAG, FlagReason.BAD_ARITY),))
     flags = []
-    values = np.empty(schema.arity)
+    values = []
     for i, token in enumerate(frame.fields):
-        reason = _check_field(token, i, schema)
-        if reason is not None:
-            flags.append((i, reason))
+        checked = _check_field(token, i, schema)
+        if isinstance(checked, FlagReason):
+            flags.append((i, checked))
         else:
-            values[i] = float(token.strip())
+            values.append(checked)
     if flags:
         return ValidationResult(None, tuple(flags))
-    return ValidationResult(values, ())
+    return ValidationResult(np.array(values), ())
 
 
 def track(

@@ -150,3 +150,31 @@ class ReferenceDetector:
         if self.steps % self.prune_period == 0:
             self._prune()
         return out
+
+
+class ArrayStandardizer:
+    """Welford running mean/variance as whole-array numpy float64 updates,
+    the form the package's per-channel float version must match bit for bit."""
+
+    def __init__(self, dim, warmup, var_floor):
+        self.dim = dim
+        self.warmup = warmup
+        self.var_floor = var_floor
+        self.count = 0
+        self.mean = np.zeros(dim)
+        self._m2 = np.zeros(dim)
+
+    def variance(self) -> np.ndarray:
+        if self.count < 2:
+            return np.full(self.dim, self.var_floor)
+        return np.maximum(self._m2 / (self.count - 1), self.var_floor)
+
+    def push(self, values) -> np.ndarray:
+        values = np.asarray(values, dtype=float)
+        self.count += 1
+        delta = values - self.mean
+        self.mean = self.mean + delta / self.count
+        self._m2 = self._m2 + delta * (values - self.mean)
+        if self.count <= self.warmup:
+            return values.copy()
+        return (values - self.mean) / np.sqrt(self.variance())

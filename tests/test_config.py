@@ -115,6 +115,8 @@ def test_bed_sources():
         ("schema.zero_ok = 7\n", "zero_ok indices", None),
         ("grid_sigma = 0\n", "sigma", None),
         ("grid_ell = 0\n", "ell", None),
+        ("bed.b1.source = socket:127.0.0.1:99999\n", "port in 0-65535", None),
+        ("bed.b1.source = synthetic:abc\n", "integer seed", None),
     ],
 )
 def test_errors_carry_line_numbers(text, fragment, line):

@@ -21,7 +21,10 @@ def admit_directly(engine: KoadEngine, values, timestep: int) -> int:
     """Mirror the engine's admission path outside of step()."""
     delta, coeffs = engine.projection_error(np.asarray(values, dtype=float))
     return engine.dictionary.admit(
-        MeasurementVector(np.asarray(values, dtype=float), timestep), coeffs, delta
+        MeasurementVector(np.asarray(values, dtype=float), timestep),
+        coeffs,
+        delta,
+        engine._kvec,
     )
 
 
@@ -69,7 +72,7 @@ def test_admit_rejects_nonpositive_delta():
     admit_directly(engine, [0.0, 0.0], 0)
     with pytest.raises(ValueError):
         engine.dictionary.admit(
-            MeasurementVector(np.zeros(2), 1), np.array([1.0]), 0.0
+            MeasurementVector(np.zeros(2), 1), np.array([1.0]), 0.0, np.array([1.0])
         )
 
 

@@ -19,6 +19,7 @@ from vitalwatch.engine import (
     ThresholdConfig,
     VerdictKind,
 )
+from vitalwatch.kernels import gram_matrix
 
 from _oracles import ReferenceDetector, oracle_delta
 
@@ -416,6 +417,13 @@ def test_projection_matches_dense_oracle_during_live_run():
         assert verdict.delta == pytest.approx(expected, abs=1e-8)
 
 
+def max_gram_drift(engine: KoadEngine) -> float:
+    """Largest entry of |kept Gram - Gram rebuilt from the basis|."""
+    dictionary = engine.dictionary
+    rebuilt = gram_matrix(engine.spec, dictionary.basis)
+    return float(np.abs(dictionary.gram() - rebuilt).max(initial=0.0))
+
+
 def test_churn_with_forced_prunes_matches_reference_replay():
     """Differential test under heavy churn: a dictionary small enough that
     Orange admissions force prunes while other trackers are open, so tracker
@@ -463,6 +471,8 @@ def test_churn_with_forced_prunes_matches_reference_replay():
                 forced_with_open_trackers += 1
             t += 1
         assert forced_with_open_trackers > 0
+        # The kept Gram matrix followed every admission and shifted removal.
+        assert max_gram_drift(engine) <= 1e-12
 
         # Remove from the middle down to two elements, then refill: every
         # admission must overwrite the stale rows and columns past the old size.
@@ -474,6 +484,7 @@ def test_churn_with_forced_prunes_matches_reference_replay():
             x = rng.uniform(-6.0, 6.0, size=3)
             delta, coeffs = engine.projection_error(x)
             if delta >= cfg.nu1:
-                dictionary.admit(MeasurementVector(x, t), coeffs, delta)
+                dictionary.admit(MeasurementVector(x, t), coeffs, delta, engine._kvec)
                 t += 1
             assert dictionary.consistency_error() <= 1e-6
+        assert max_gram_drift(engine) <= 1e-12

@@ -5,6 +5,7 @@ import io
 import numpy as np
 import pytest
 
+import vitalwatch.pipeline as pipeline_module
 from vitalwatch.board import BoardState, event_row
 from vitalwatch.config import BedSource, Settings
 from vitalwatch.engine import ThresholdConfig, Verdict, VerdictKind
@@ -310,6 +311,35 @@ class TestMonitorRun:
         assert "source for bed2 failed" in screen.getvalue()
         events = (out / "events.csv").read_text()
         assert "bed2,data-warning-raised" in events
+
+    def test_unexpected_source_exception_degrades_bed_but_run_continues(
+        self, tmp_path, capture_file, monkeypatch
+    ):
+        class Broken:
+            def frames(self):
+                raise RuntimeError("transceiver fell over")
+                yield  # a generator, like every source
+
+        real_build = pipeline_module.build_source
+
+        def build(bed_cfg, settings, stop):
+            if bed_cfg.bed == "bed2":
+                return Broken()
+            return real_build(bed_cfg, settings, stop)
+
+        monkeypatch.setattr(pipeline_module, "build_source", build)
+        settings = Settings(warmup=10, train_steps=20)
+        settings.beds = [
+            BedSource(bed="bed1", kind="replay", target=str(capture_file)),
+            BedSource(bed="bed2", kind="replay", target=str(capture_file)),
+        ]
+        out = tmp_path / "out"
+        screen = io.StringIO()
+        counts = monitor_run(settings, out_dir=out, screen=screen)
+        assert counts["frames"] == 120
+        assert counts["board"].tiles["bed2"].data_warning is True
+        assert "source for bed2 failed: RuntimeError: transceiver fell over" in screen.getvalue()
+        assert "bed2,data-warning-raised" in (out / "events.csv").read_text()
 
     def test_monitor_without_beds_is_an_error(self, tmp_path):
         with pytest.raises(SourceError, match="at least one bed"):

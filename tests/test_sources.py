@@ -130,6 +130,38 @@ def tail(path, payload: bytes, count: int) -> list[str]:
     return got
 
 
+def test_tail_source_rereads_a_file_truncated_in_place(tmp_path):
+    # copytruncate rotation: the file shrinks under the open handle, then grows.
+    path = tmp_path / "live.csv"
+    path.touch()
+    stop = threading.Event()
+    source = TailSource(path, poll_interval=0.2, stop=stop)
+    got = []
+
+    def run():
+        for line, _ in source.frames():
+            got.append(line)
+
+    def wait_for(count):
+        deadline = time.monotonic() + 5.0
+        while len(got) < count and time.monotonic() < deadline:
+            time.sleep(0.02)
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    time.sleep(0.2)
+    with path.open("a", encoding="utf-8") as handle:
+        handle.write(f"{PW},72,98,118,76\n{PW},73,97,119,77\n")
+    wait_for(2)
+    path.write_text(f"{PW},3\n", encoding="utf-8")
+    with path.open("a", encoding="utf-8") as handle:
+        handle.write(f"{PW},4\n")
+    wait_for(4)
+    stop.set()
+    thread.join(timeout=5.0)
+    assert got == [f"{PW},72,98,118,76", f"{PW},73,97,119,77", f"{PW},3", f"{PW},4"]
+
+
 def test_tail_overlong_record_is_one_empty_line(tmp_path):
     path = tmp_path / "live.csv"
     path.touch()

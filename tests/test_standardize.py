@@ -7,6 +7,8 @@ import pytest
 
 from vitalwatch.standardize import RunningStandardizer
 
+from _oracles import ArrayStandardizer
+
 
 def test_single_frame_passes_through_unchanged():
     s = RunningStandardizer(dim=3, warmup=50)
@@ -64,3 +66,22 @@ def test_dimension_and_parameter_validation():
     s = RunningStandardizer(dim=2)
     with pytest.raises(ValueError):
         s.push(np.array([1.0, 2.0, 3.0]))
+
+
+@pytest.mark.parametrize("warmup", [1, 3, 50])
+def test_push_is_bit_identical_to_the_array_welford(warmup):
+    # Vital-sign scale values rounded like the wire's 3 decimals, a channel
+    # near zero (where every rounding of the mean update shows), and a
+    # constant channel whose variance sits on the floor. The comparison
+    # starts at the first push, where count < 2 reads the floor too.
+    rng = np.random.default_rng(11)
+    frames = rng.normal([72.0, 98.0, 118.0, 0.2], [9.0, 1.5, 14.0, 1.0], size=(400, 4))
+    frames = np.column_stack([np.round(frames, 3), np.full(len(frames), 80.0)])
+    got = RunningStandardizer(dim=5, warmup=warmup, var_floor=1e-6)
+    want = ArrayStandardizer(dim=5, warmup=warmup, var_floor=1e-6)
+    for frame in frames:
+        assert np.array_equal(got.variance(), want.variance())
+        assert np.array_equal(got.push(frame), want.push(frame))
+        assert np.array_equal(got.mean, want.mean)
+        assert got.count == want.count
+    assert got.variance()[4] == 1e-6

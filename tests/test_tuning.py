@@ -100,6 +100,38 @@ def test_greedy_matching_equals_brute_force_optimum():
         assert report.detected + report.false_alarms == len(times)
 
 
+def rescanning_greedy(label_times, alarms, w):
+    """Earliest-unmatched greedy that rescans every alarm for each label."""
+    taken = [False] * len(alarms)
+    matches = []
+    for lt in sorted(label_times):
+        for j, at in enumerate(alarms):
+            if not taken[j] and lt - w <= at <= lt + w:
+                taken[j] = True
+                matches.append((lt, at))
+                break
+    return tuple(matches)
+
+
+def test_flood_row_matches_the_rescanning_greedy():
+    # A Red1-flood grid row: an alarm on most steps, Red2s pinned onto the
+    # same raise times, and labels every 100 steps with some clustered so
+    # that neighbours compete for the same alarms.
+    rng = np.random.default_rng(5)
+    verdicts = [red1(t) for t in range(2400) if rng.random() < 0.9]
+    verdicts += [red2(resolved_at=t + 20, raised_at=t) for t in range(0, 2400, 7)]
+    label_times = sorted([*range(50, 2400, 100), 51, 52, 53, 1249, 1250, 2399])
+    labels = [label(t) for t in label_times]
+    for w in (0, 2, 5):
+        policy = MatchPolicy(window_w=w)
+        alarms = alarm_times(verdicts, policy)
+        report = score_run(verdicts, labels, policy)
+        assert report.matches == rescanning_greedy(label_times, alarms, w)
+        assert report.detected + report.missed == len(labels)
+        assert report.detected + report.false_alarms == len(alarms)
+    assert report.detected == len(labels)
+
+
 def test_alarm_times_sorted_and_filtered():
     verdicts = [
         red1(30),
