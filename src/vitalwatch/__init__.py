@@ -15,7 +15,6 @@ from .engine import (
     Verdict,
     VerdictKind,
 )
-from .kernels import KernelSpec, kernel_eval
 from .pipeline import BedPipeline, monitor_run, replay_run, standardized_stream
 from .sources import (
     ReplaySource,
@@ -48,7 +47,6 @@ __all__ = [
     "EngineError",
     "EventArchive",
     "FlagReason",
-    "KernelSpec",
     "KoadEngine",
     "MatchPolicy",
     "MeasurementVector",
@@ -70,7 +68,6 @@ __all__ = [
     "emit_lines",
     "generate",
     "grid_search",
-    "kernel_eval",
     "load_settings",
     "monitor_run",
     "parse_frame",

@@ -36,16 +36,18 @@ class BoardError(Exception):
 @dataclass
 class BedTile:
     bed: str
-    state: TileState = TileState.UNOCCUPIED
     last_delta: float | None = None
     last_update: float | None = None
     open_orange_count: int = 0
     data_warning: bool = False
     red_latched: bool = False
 
-    def resting_state(self) -> TileState:
-        """What the tile shows when no Red is latched."""
-        if self.state is TileState.UNOCCUPIED and self.last_update is None:
+    @property
+    def state(self) -> TileState:
+        """What the tile shows; a latched Red wins over everything else."""
+        if self.red_latched:
+            return TileState.RED
+        if self.last_update is None:
             return TileState.UNOCCUPIED
         return TileState.ORANGE if self.open_orange_count > 0 else TileState.GREEN
 
@@ -95,9 +97,6 @@ class BoardState:
         if event.kind in (VerdictKind.RED1, VerdictKind.RED2):
             self.detected += 1
             tile.red_latched = True
-            tile.state = TileState.RED
-        elif not tile.red_latched:
-            tile.state = tile.resting_state()
 
     def acknowledge(self, bed: str) -> bool:
         """Clear a latched Red; returns False (with a notice) if none was lit."""
@@ -106,7 +105,6 @@ class BoardState:
             self.notices.append(f"{bed}: nothing to acknowledge")
             return False
         tile.red_latched = False
-        tile.state = tile.resting_state()
         self.addressed += 1
         return True
 

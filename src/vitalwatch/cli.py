@@ -77,8 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--labels", help="label file to write (default: <out>.labels.csv)"
     )
 
-    selftest = sub.add_parser("selftest", help="built-in sanity checks")
-    add_config(selftest)  # accepted for symmetry; the checks are self-contained
+    sub.add_parser("selftest", help="built-in sanity checks")
 
     return parser
 

@@ -20,7 +20,7 @@ from pathlib import Path
 
 from .board import MAX_BEDS
 from .engine import ThresholdConfig, VerdictKind
-from .sources import socket_address
+from .sources import DEFAULT_POLL_INTERVAL, socket_address
 from .standardize import RunningStandardizer
 from .tuning import MatchPolicy
 from .validity import FlagStreak, ParameterSchema
@@ -58,7 +58,7 @@ class Settings:
     train_steps: int = 50
     warn_threshold: int = 5
 
-    poll_interval: float = 12.0
+    poll_interval: float = DEFAULT_POLL_INTERVAL
     speedup: float = math.inf
     refresh: float = 2.0
 

@@ -43,7 +43,7 @@ from enum import Enum
 
 import numpy as np
 
-from .kernels import KernelSpec, kernel_vector
+from .kernels import kernel_vector
 # Not called here; imported so that perfbench's tracer can wrap
 # vitalwatch.engine.kernel_eval and count its calls per step.
 from .kernels import kernel_eval  # noqa: F401
@@ -90,7 +90,7 @@ class ThresholdConfig:
     nu1: float = 0.07
     nu2: float = 0.16
     ell: int = 20
-    sigma: float = 1.0
+    sigma: float = 2.5
     lam: float = 0.98
     d_similar: float = 0.9
     epsilon_frac: float = 0.2
@@ -186,10 +186,9 @@ class DictionaryState:
     reallocate the storage.
     """
 
-    def __init__(self, spec: KernelSpec, dim: int, max_size: int) -> None:
+    def __init__(self, dim: int, max_size: int) -> None:
         if dim < 1:
             raise ValueError(f"dimension must be >= 1, got {dim}")
-        self.spec = spec
         self.dim = dim
         self.max_size = max_size
         self.timesteps: list[int] = []
@@ -297,8 +296,7 @@ class KoadEngine:
 
     def __init__(self, dim: int, config: ThresholdConfig | None = None) -> None:
         self.config = config or ThresholdConfig()
-        self.spec = KernelSpec(self.config.sigma)
-        self.dictionary = DictionaryState(self.spec, dim, self.config.max_size)
+        self.dictionary = DictionaryState(dim, self.config.max_size)
         self.trackers: list[OrangeTracker] = []
         self.steps_seen = 0
         self.last_timestep: int | None = None
@@ -324,7 +322,7 @@ class KoadEngine:
         if dictionary.size == 0:
             self._kvec = np.zeros(0)
             return 1.0, np.zeros(0)
-        self._kvec = kvec = kernel_vector(self.spec, dictionary.basis, values)
+        self._kvec = kvec = kernel_vector(dictionary.basis, values, self.config.sigma)
         coeffs = dictionary.inv_gram @ kvec
         delta = 1.0 - float(kvec @ coeffs)
         if delta < -ROUNDOFF_TOL:
@@ -347,10 +345,7 @@ class KoadEngine:
         usage = self.dictionary.usage
         usage *= cfg.lam
         if delta >= cfg.nu1:
-            if self.dictionary.size >= cfg.max_size:
-                self._force_room()
-                delta, coeffs = self.projection_error(values)
-            self.dictionary.admit(x, coeffs, delta, self._kvec)
+            self._admit(x, delta, coeffs)
         else:
             usage += np.abs(coeffs)
         self._advance(x.timestep)
@@ -393,12 +388,7 @@ class KoadEngine:
             immediate = Verdict(VerdictKind.RED1, t, delta)
         else:
             immediate = Verdict(VerdictKind.ORANGE, t, delta)
-            admit_delta, admit_coeffs = delta, coeffs
-            if self.dictionary.size >= cfg.max_size:
-                self._force_room()
-                # Projection changed with the basis; recompute before admit.
-                admit_delta, admit_coeffs = self.projection_error(values)
-            idx = self.dictionary.admit(x, admit_coeffs, admit_delta, self._kvec)
+            idx = self._admit(x, delta, coeffs)
             self.trackers.append(
                 OrangeTracker(
                     raised_at=t,
@@ -462,9 +452,15 @@ class KoadEngine:
             self._remove_element(index)
         return removed
 
-    def _force_room(self) -> None:
-        if not self.prune_dictionary(force=True):
-            raise EngineError("forced prune failed to free a dictionary slot")
+    def _admit(self, x: MeasurementVector, delta: float, coeffs: np.ndarray) -> int:
+        """Admit x, whose (delta, coeffs) were just projected; at capacity,
+        force a prune first and project again, since the basis changed.
+        Returns x's index in the dictionary."""
+        if self.dictionary.size >= self.config.max_size:
+            if not self.prune_dictionary(force=True):
+                raise EngineError("forced prune failed to free a dictionary slot")
+            delta, coeffs = self.projection_error(x.values)
+        return self.dictionary.admit(x, coeffs, delta, self._kvec)
 
     def _checked(self, x: MeasurementVector) -> np.ndarray:
         values = x.values  # already a float array: MeasurementVector converts

@@ -96,7 +96,7 @@ class BedPipeline:
         """
         timestep = self.frame_index
         self.frame_index += 1
-        frame = parse_frame(line, bed=self.bed, received_at=received_at)
+        frame = parse_frame(line)
         result = validate(frame, self.settings.password, self.schema)
         if self._archive is not None:
             self._archive.write(

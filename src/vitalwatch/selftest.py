@@ -22,13 +22,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import (
-    DictionaryState,
     KoadEngine,
     MeasurementVector,
     ThresholdConfig,
     VerdictKind,
 )
-from .kernels import KernelSpec, gram_matrix, kernel_vector
+from .kernels import gram_matrix, kernel_vector
 from .validity import (
     FlagStreak,
     ParameterSchema,
@@ -45,49 +44,60 @@ class CheckResult:
     detail: str
 
 
-def _dense_delta(spec: KernelSpec, basis: np.ndarray, x: np.ndarray) -> float:
+def _dense_delta(basis: np.ndarray, x: np.ndarray, sigma: float) -> float:
     """Projection error by a from-scratch dense solve (the oracle side)."""
     if basis.shape[0] == 0:
         return 1.0
-    gram = gram_matrix(spec, basis)
-    k = kernel_vector(spec, basis, x)
+    gram = gram_matrix(basis, sigma)
+    k = kernel_vector(basis, x, sigma)
     return float(1.0 - k @ np.linalg.solve(gram, k))
 
 
 def check_projection_oracle(cases: int = 40, seed: int = 7) -> CheckResult:
-    """Incremental Gram and inverse-Gram bookkeeping vs dense rebuilds."""
+    """Incremental Gram and inverse-Gram bookkeeping vs dense rebuilds.
+
+    A random admit/remove walk builds an engine's dictionary; its
+    ``projection_error`` then scores a probe from the whole box (delta near
+    1) and a basis row plus N(0, 0.3) noise (delta inside (0, 1)).
+    """
     rng = np.random.default_rng(seed)
-    spec = KernelSpec(1.0)
+    sigma = 1.0
     worst_delta = 0.0
     worst_consistency = 0.0
     worst_gram = 0.0
+    deltas = []
     for _ in range(cases):
         d = int(rng.integers(2, 6))
-        state = DictionaryState(spec, d, max_size=12)
+        engine = KoadEngine(d, ThresholdConfig(sigma=sigma, max_size=12))
+        state = engine.dictionary
         spread = 3.0 * 10 ** (1.0 / d)
         for _ in range(int(rng.integers(3, 9))):
             x = rng.uniform(-spread, spread, size=d)
-            delta = _dense_delta(spec, state.basis, x)
+            delta = _dense_delta(state.basis, x, sigma)
             if delta < 0.05:
                 continue  # too close to the span; a live engine would not admit it
-            k = kernel_vector(spec, state.basis, x)
+            k = kernel_vector(state.basis, x, sigma)
             coeffs = state.inv_gram @ k if state.size else np.zeros(0)
             state.admit(MeasurementVector(x, 0), coeffs, delta, k)
             if state.size > 2 and rng.random() < 0.3:
                 state.remove(int(rng.integers(0, state.size)))
-        probe = rng.uniform(-spread, spread, size=d)
-        k = kernel_vector(spec, state.basis, probe)
-        recursive = 1.0 - float(k @ (state.inv_gram @ k)) if state.size else 1.0
-        worst_delta = max(worst_delta, abs(recursive - _dense_delta(spec, state.basis, probe)))
         worst_consistency = max(worst_consistency, state.consistency_error())
-        kept = np.abs(state.gram() - gram_matrix(spec, state.basis))
+        kept = np.abs(state.gram() - gram_matrix(state.basis, sigma))
         worst_gram = max(worst_gram, float(kept.max(initial=0.0)))
+        near = state.basis[int(rng.integers(0, state.size))] + rng.normal(0.0, 0.3, size=d)
+        for probe in (rng.uniform(-spread, spread, size=d), near):
+            dense = _dense_delta(state.basis, probe, sigma)
+            recursive, _ = engine.projection_error(probe)
+            worst_delta = max(worst_delta, abs(recursive - dense))
+            deltas.append(dense)
     ok = worst_delta <= 1e-8 and worst_consistency <= 1e-6 and worst_gram <= 1e-12
+    low, mid, high = np.percentile(deltas, [0, 50, 100])
     return CheckResult(
         "projection vs dense solve",
         ok,
-        f"max |delta diff| {worst_delta:.2e}, max inverse drift {worst_consistency:.2e}, "
-        f"max kept-Gram drift {worst_gram:.2e}",
+        f"max |delta diff| {worst_delta:.2e} over {len(deltas)} probes "
+        f"(delta min/median/max {low:.3f}/{mid:.3f}/{high:.3f}), "
+        f"max inverse drift {worst_consistency:.2e}, max kept-Gram drift {worst_gram:.2e}",
     )
 
 
@@ -99,7 +109,6 @@ def check_alarm_walk() -> CheckResult:
         usage_floor=0.0, max_size=10,
     )
     engine = KoadEngine(1, config)
-    spec = engine.spec
     t = 0
 
     def step(value: float):
@@ -128,7 +137,7 @@ def check_alarm_walk() -> CheckResult:
     expect(engine.dictionary.size == size_before, "Red1 must not grow the basis")
 
     candidate = 0.45
-    band_delta = _dense_delta(spec, engine.dictionary.basis, np.array([candidate]))
+    band_delta = _dense_delta(engine.dictionary.basis, np.array([candidate]), config.sigma)
     expect(0.05 <= band_delta <= 0.3, "scripted arrival should sit in the band")
     verdict, _ = step(candidate)
     raise_t = verdict.at_timestep

@@ -158,17 +158,19 @@ def records(chunks: Iterable[bytes]) -> Iterator[str]:
 
 
 class TailSource:
-    """Follow a growing file from its current end, like tail -f.
+    """Follow a growing file from its current end, like tail -F.
 
     Polls for appended bytes; stops when ``stop`` is set. A partial line (no
     terminator yet) is held until completed, and records are split and
     bounded by ``records``.
 
-    A file truncated in place (copytruncate log rotation) is read again from
-    its start: when a poll finds nothing new and the file is shorter than the
-    read offset, the offset goes back to 0. A truncation followed by a
-    rewrite past the old offset before the next poll looks like plain growth
-    and is not detected.
+    Log rotation is checked for when a poll finds nothing new, so the old
+    file is read to its end first. A file truncated in place (copytruncate)
+    is read again from its start; a truncation followed by a rewrite past
+    the old offset before the next poll looks like plain growth and is not
+    detected. When another file takes the path (rename rotation, logrotate's
+    ``create``), that file is read from its start; while the path is
+    missing, the source keeps waiting.
     """
 
     def __init__(
@@ -182,26 +184,41 @@ class TailSource:
         self.stop = stop or threading.Event()
 
     def frames(self) -> Iterator[tuple[str, float]]:
+        for line in records(self._appended()):
+            yield line, time.time()
+
+    def _appended(self) -> Iterator[bytes]:
         try:
             handle = self.path.open("rb")
         except OSError as exc:
             raise SourceError(f"cannot open {self.path}: {exc}") from exc
-        with handle:
-            handle.seek(0, 2)
-            for line in records(self._appended(handle)):
-                yield line, time.time()
-
-    def _appended(self, handle: BinaryIO) -> Iterator[bytes]:
+        handle.seek(0, 2)
         # short sleeps keep shutdown responsive regardless of cadence
         nap = min(self.poll_interval, 0.05)
-        while not self.stop.is_set():
-            chunk = handle.read(4096)
-            if chunk:
-                yield chunk
-            elif os.fstat(handle.fileno()).st_size < handle.tell():
-                handle.seek(0)  # truncated in place
-            else:
-                time.sleep(nap)
+        try:
+            while not self.stop.is_set():
+                chunk = handle.read(4096)
+                if chunk:
+                    yield chunk
+                elif os.fstat(handle.fileno()).st_size < handle.tell():
+                    handle.seek(0)  # truncated in place
+                elif (replacement := self._replacement(handle)) is not None:
+                    handle.close()
+                    handle = replacement
+                else:
+                    time.sleep(nap)
+        finally:
+            handle.close()
+
+    def _replacement(self, handle: BinaryIO) -> BinaryIO | None:
+        """A handle on the file now at the path if it is not the one
+        ``handle`` reads; None while the path is missing or unchanged."""
+        try:
+            if os.path.samestat(os.stat(self.path), os.fstat(handle.fileno())):
+                return None
+            return self.path.open("rb")
+        except OSError:
+            return None
 
 
 class SocketSource:

@@ -80,8 +80,6 @@ class ParameterSchema:
 class RawFrame:
     password: str
     fields: tuple[str, ...]
-    received_at: float
-    bed: str
 
 
 @dataclass(frozen=True)
@@ -124,15 +122,13 @@ class FlagStreak:
             raise ValueError(f"warn_threshold must be >= 1, got {self.warn_threshold}")
 
 
-def parse_frame(
-    line: str, bed: str = "", received_at: float = 0.0
-) -> RawFrame:
+def parse_frame(line: str) -> RawFrame:
     """Split one wire record; no numeric conversion happens here."""
     record = line.rstrip("\r\n")
     if record == "":
-        return RawFrame("", (), received_at, bed)
+        return RawFrame("", ())
     tokens = record.split(",")
-    return RawFrame(tokens[0], tuple(tokens[1:]), received_at, bed)
+    return RawFrame(tokens[0], tuple(tokens[1:]))
 
 
 def _check_field(token: str, index: int, schema: ParameterSchema) -> float | FlagReason:

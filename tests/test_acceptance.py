@@ -17,7 +17,7 @@ from vitalwatch.engine import (
     ThresholdConfig,
     VerdictKind,
 )
-from vitalwatch.kernels import KernelSpec, kernel_vector
+from vitalwatch.kernels import kernel_vector
 from vitalwatch.pipeline import BedPipeline, replay_run
 from vitalwatch.sources import ReplaySource
 from vitalwatch.standardize import RunningStandardizer
@@ -44,14 +44,13 @@ def vec(*values) -> np.ndarray:
 
 def test_criterion_1_ald_oracle_equivalence():
     rng = np.random.default_rng(101)
-    spec = KernelSpec(1.0)
     started = time.perf_counter()
     cases = 0
     worst_delta = 0.0
     worst_identity = 0.0
     while cases < 220:
         d = int(rng.integers(1, 9))
-        state = DictionaryState(spec, d, max_size=20)
+        state = DictionaryState(d, max_size=20)
         spread = 3.0 * 20 ** (1.0 / d)
         for _ in range(int(rng.integers(4, 30))):
             x = rng.uniform(-spread, spread, size=d)
@@ -59,14 +58,14 @@ def test_criterion_1_ald_oracle_equivalence():
             # near-dependent vectors are never admitted live (band floor nu1);
             # admitting them would make any absolute inverse comparison moot
             if dense_delta >= 0.05 and state.size < 20:
-                k = kernel_vector(spec, state.basis, x)
+                k = kernel_vector(state.basis, x, 1.0)
                 coeffs = state.inv_gram @ k if state.size else np.zeros(0)
                 state.admit(MeasurementVector(x, 0), coeffs, float(1.0 - k @ coeffs), k)
             if state.size > 2 and rng.random() < 0.25:
                 state.remove(int(rng.integers(0, state.size)))
         for _ in range(3):
             probe = rng.uniform(-spread, spread, size=d)
-            k = kernel_vector(spec, state.basis, probe)
+            k = kernel_vector(state.basis, probe, 1.0)
             recursive = 1.0 - float(k @ (state.inv_gram @ k)) if state.size else 1.0
             dense, _ = oracle_delta(list(state.basis), probe, 1.0)
             worst_delta = max(worst_delta, abs(recursive - dense))

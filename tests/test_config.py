@@ -15,7 +15,7 @@ def test_empty_text_gives_documented_defaults():
     s = parse_settings("")
     assert s.password == "PW123"
     assert s.detector.nu1 == 0.07 and s.detector.nu2 == 0.16
-    assert s.detector.ell == 20 and s.detector.sigma == 1.0 and s.detector.lam == 0.98
+    assert s.detector.ell == 20 and s.detector.sigma == 2.5 and s.detector.lam == 0.98
     assert s.detector.prune_period == 100 and s.detector.usage_floor == 1e-4
     assert s.detector.max_size == 50
     assert s.warmup == 50 and s.train_steps == 50 and s.warn_threshold == 5
@@ -129,7 +129,7 @@ def test_errors_carry_line_numbers(text, fragment, line):
 
 def test_every_detector_field_is_set_by_its_key():
     values = {
-        "nu1": 0.05, "nu2": 0.3, "ell": 7, "sigma": 2.5, "lam": 0.9,
+        "nu1": 0.05, "nu2": 0.3, "ell": 7, "sigma": 1.5, "lam": 0.9,
         "d_similar": 0.8, "epsilon_frac": 0.3, "prune_period": 40,
         "usage_floor": 0.01, "max_size": 12,
     }

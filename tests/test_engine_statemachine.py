@@ -24,7 +24,8 @@ from vitalwatch.kernels import gram_matrix
 from _oracles import ReferenceDetector, oracle_delta
 
 # Distance at which delta vs a lone dictionary element {0} equals 0.1
-# (inside the default 0.07..0.16 Orange band): 1 - exp(-u^2) = 0.1.
+# (inside the default 0.07..0.16 Orange band) at sigma = 1.0, which the
+# scenarios relying on that value pin: 1 - exp(-u^2) = 0.1.
 BAND_U = math.sqrt(-math.log(0.9))
 
 
@@ -97,7 +98,7 @@ def test_band_edges_resolve_to_orange():
 
 def test_orange_resolves_green_when_quota_met():
     # ell=5, epsilon_frac=0.2: one explained arrival keeps the candidate.
-    cfg = ThresholdConfig(ell=5, epsilon_frac=0.2)
+    cfg = ThresholdConfig(ell=5, epsilon_frac=0.2, sigma=1.0)
     assert cfg.green_quota == 1
     engine, _ = seeded([0.0], cfg)
     orange, _ = engine.step(vec(BAND_U, 1))
@@ -123,7 +124,7 @@ def test_orange_resolves_green_when_quota_met():
 
 def test_orange_resolves_red2_when_quota_missed():
     # Quota of 2 but only one explaining arrival lands in the window.
-    cfg = ThresholdConfig(ell=4, epsilon_frac=0.5)
+    cfg = ThresholdConfig(ell=4, epsilon_frac=0.5, sigma=1.0)
     assert cfg.green_quota == 2
     engine, t = seeded([0.0, 5.0], cfg)
     orange, _ = engine.step(vec(BAND_U, t))
@@ -147,7 +148,7 @@ def test_orange_resolves_red2_when_quota_missed():
 def test_raise_step_does_not_count_toward_quota():
     # The candidate is trivially similar to itself; if the Orange step
     # self-counted, quota 1 would be met with no later evidence at all.
-    cfg = ThresholdConfig(ell=3, epsilon_frac=0.2)
+    cfg = ThresholdConfig(ell=3, epsilon_frac=0.2, sigma=1.0)
     assert cfg.green_quota == 1
     engine, t = seeded([0.0, 5.0], cfg)
     engine.step(vec(BAND_U, t))
@@ -179,7 +180,7 @@ def test_gap_past_deadline_resolves_with_original_timestep():
 
 
 def test_every_resolution_lands_exactly_ell_after_raise():
-    cfg = ThresholdConfig(ell=7, epsilon_frac=0.3)
+    cfg = ThresholdConfig(ell=7, epsilon_frac=0.3, sigma=1.0)
     engine, t = seeded([0.0], cfg)
     engine.step(vec(BAND_U, t))
     seen = []
@@ -205,7 +206,7 @@ def test_usage_decay_and_green_credit():
 
 
 def test_periodic_prune_drops_idle_elements_but_never_tracked_ones():
-    cfg = ThresholdConfig(ell=20, prune_period=5, usage_floor=1e-4)
+    cfg = ThresholdConfig(ell=20, prune_period=5, usage_floor=1e-4, sigma=1.0)
     engine, t = seeded([0.0, 5.0], cfg)  # steps_seen == 2
     engine.step(vec(0.01, t))  # credit element 0
     engine.step(vec(-0.01, t + 1))
@@ -230,7 +231,7 @@ def test_periodic_prune_drops_idle_elements_but_never_tracked_ones():
 
 
 def test_capacity_forces_eviction_of_least_used_before_admission():
-    cfg = ThresholdConfig(max_size=2, usage_floor=0.0, ell=10)
+    cfg = ThresholdConfig(max_size=2, usage_floor=0.0, ell=10, sigma=1.0)
     engine, t = seeded([0.0, 5.0], cfg)
     # Both warm elements have usage 0.0; the tie breaks to the lower index.
     orange, _ = engine.step(vec(BAND_U, t))
@@ -242,7 +243,7 @@ def test_capacity_forces_eviction_of_least_used_before_admission():
 
 
 def test_capacity_prefers_below_floor_victim_over_tie_break():
-    cfg = ThresholdConfig(max_size=3, ell=10, usage_floor=1e-4)
+    cfg = ThresholdConfig(max_size=3, ell=10, usage_floor=1e-4, sigma=1.0)
     engine, t = seeded([0.0, 5.0], cfg)
     engine.step(vec(0.01, t))  # credit element 0 well above the floor
     orange, _ = engine.step(vec(BAND_U, t + 1))  # fills to capacity
@@ -257,7 +258,7 @@ def test_capacity_prefers_below_floor_victim_over_tie_break():
 
 
 def test_capacity_with_every_element_tracked_is_an_error():
-    cfg = ThresholdConfig(max_size=1, ell=10)
+    cfg = ThresholdConfig(max_size=1, ell=10, sigma=1.0)
     engine, t = seeded([0.0], cfg)
     orange, _ = engine.step(vec(BAND_U, t))
     assert orange.kind is VerdictKind.ORANGE
@@ -420,7 +421,7 @@ def test_projection_matches_dense_oracle_during_live_run():
 def max_gram_drift(engine: KoadEngine) -> float:
     """Largest entry of |kept Gram - Gram rebuilt from the basis|."""
     dictionary = engine.dictionary
-    rebuilt = gram_matrix(engine.spec, dictionary.basis)
+    rebuilt = gram_matrix(dictionary.basis, engine.config.sigma)
     return float(np.abs(dictionary.gram() - rebuilt).max(initial=0.0))
 
 

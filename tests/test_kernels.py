@@ -3,21 +3,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vitalwatch.kernels import KernelSpec, gram_matrix, kernel_eval, kernel_vector
+from vitalwatch.engine import ThresholdConfig
+from vitalwatch.kernels import gram_matrix, kernel_eval, kernel_vector
 
 from _oracles import oracle_kernel
 
-SPEC = KernelSpec(1.0)
+SIGMA = 1.0
 
 
 def test_zero_distance_is_one():
     x = np.array([3.0, -1.5, 0.25])
-    assert kernel_eval(SPEC, x, x) == 1.0
+    assert kernel_eval(x, x, SIGMA) == 1.0
 
 
 def test_unit_distance_closed_form():
     # exp(-1 / 2) for x=(0,0), y=(1,0), sigma=1
-    got = kernel_eval(SPEC, np.array([0.0, 0.0]), np.array([1.0, 0.0]))
+    got = kernel_eval(np.array([0.0, 0.0]), np.array([1.0, 0.0]), SIGMA)
     assert got == pytest.approx(0.6065306597126334, abs=1e-12)
 
 
@@ -26,7 +27,7 @@ def test_symmetry_random_pairs():
     for _ in range(100):
         x = rng.normal(size=4)
         y = rng.normal(size=4)
-        assert kernel_eval(SPEC, x, y) == kernel_eval(SPEC, y, x)
+        assert kernel_eval(x, y, SIGMA) == kernel_eval(y, x, SIGMA)
 
 
 def test_bounds_and_equality_condition():
@@ -34,7 +35,7 @@ def test_bounds_and_equality_condition():
     for _ in range(200):
         x = rng.normal(size=3)
         y = rng.normal(size=3)
-        k = kernel_eval(SPEC, x, y)
+        k = kernel_eval(x, y, SIGMA)
         assert 0.0 < k <= 1.0
         if not np.array_equal(x, y):
             assert k < 1.0
@@ -42,41 +43,40 @@ def test_bounds_and_equality_condition():
 
 def test_dimension_mismatch_raises():
     with pytest.raises(ValueError):
-        kernel_eval(SPEC, np.zeros(2), np.zeros(3))
+        kernel_eval(np.zeros(2), np.zeros(3), SIGMA)
     with pytest.raises(ValueError):
-        kernel_vector(SPEC, np.zeros((2, 3)), np.zeros(2))
+        kernel_vector(np.zeros((2, 3)), np.zeros(2), SIGMA)
 
 
 def test_bandwidth_must_be_positive():
     with pytest.raises(ValueError):
-        KernelSpec(0.0)
+        ThresholdConfig(sigma=0.0)
     with pytest.raises(ValueError):
-        KernelSpec(-1.0)
+        ThresholdConfig(sigma=-1.0)
 
 
 def test_kernel_vector_singleton_and_empty():
     x = np.array([1.0, 2.0])
-    assert kernel_vector(SPEC, x[None, :], x).tolist() == [1.0]
-    assert kernel_vector(SPEC, np.zeros((0, 2)), x).shape == (0,)
+    assert kernel_vector(x[None, :], x, SIGMA).tolist() == [1.0]
+    assert kernel_vector(np.zeros((0, 2)), x, SIGMA).shape == (0,)
 
 
 def test_kernel_vector_matches_elementwise_eval():
     rng = np.random.default_rng(13)
     basis = rng.normal(size=(3, 2))
     x = rng.normal(size=2)
-    got = kernel_vector(SPEC, basis, x)
-    want = [kernel_eval(SPEC, b, x) for b in basis]
+    got = kernel_vector(basis, x, SIGMA)
+    want = [kernel_eval(b, x, SIGMA) for b in basis]
     np.testing.assert_allclose(got, want, atol=1e-15)
 
 
 def test_matches_independent_oracle():
     rng = np.random.default_rng(14)
     for sigma in (0.5, 1.0, 2.5):
-        spec = KernelSpec(sigma)
         for _ in range(50):
             x = rng.normal(size=5)
             y = rng.normal(size=5)
-            assert kernel_eval(spec, x, y) == pytest.approx(
+            assert kernel_eval(x, y, sigma) == pytest.approx(
                 oracle_kernel(x, y, sigma), abs=1e-14
             )
 
@@ -91,6 +91,6 @@ def test_matches_independent_oracle():
 def test_gram_positive_semidefinite(m, d, seed, sigma):
     rng = np.random.default_rng(seed)
     basis = rng.normal(size=(m, d))
-    gram = gram_matrix(KernelSpec(sigma), basis)
+    gram = gram_matrix(basis, sigma)
     eigvals = np.linalg.eigvalsh(gram)
     assert eigvals.min() >= -1e-9

@@ -162,6 +162,40 @@ def test_tail_source_rereads_a_file_truncated_in_place(tmp_path):
     assert got == [f"{PW},72,98,118,76", f"{PW},73,97,119,77", f"{PW},3", f"{PW},4"]
 
 
+def test_tail_source_follows_a_file_renamed_and_recreated(tmp_path):
+    # rename rotation: the file is moved away and a new one takes its path.
+    path = tmp_path / "live.csv"
+    path.touch()
+    stop = threading.Event()
+    source = TailSource(path, poll_interval=0.2, stop=stop)
+    got = []
+
+    def run():
+        for line, _ in source.frames():
+            got.append(line)
+
+    def wait_for(count):
+        deadline = time.monotonic() + 5.0
+        while len(got) < count and time.monotonic() < deadline:
+            time.sleep(0.02)
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    time.sleep(0.2)
+    with path.open("a", encoding="utf-8") as handle:
+        handle.write(f"{PW},1\n")
+    wait_for(1)
+    path.rename(tmp_path / "live.csv.1")
+    time.sleep(0.2)  # the path is missing for a few polls
+    path.write_text(f"{PW},2\n", encoding="utf-8")
+    with path.open("a", encoding="utf-8") as handle:
+        handle.write(f"{PW},3\n")
+    wait_for(3)
+    stop.set()
+    thread.join(timeout=5.0)
+    assert got == [f"{PW},1", f"{PW},2", f"{PW},3"]
+
+
 def test_tail_overlong_record_is_one_empty_line(tmp_path):
     path = tmp_path / "live.csv"
     path.touch()

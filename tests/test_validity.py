@@ -25,15 +25,13 @@ PW = "PW123"
 
 
 def frame(fields, password=PW):
-    return RawFrame(password, tuple(fields), received_at=0.0, bed="bed1")
+    return RawFrame(password, tuple(fields))
 
 
 def test_parse_frame_splits_password_and_fields():
-    f = parse_frame("PW123,72,98,120,80", bed="bed1", received_at=3.5)
+    f = parse_frame("PW123,72,98,120,80")
     assert f.password == "PW123"
     assert f.fields == ("72", "98", "120", "80")
-    assert f.bed == "bed1"
-    assert f.received_at == 3.5
 
 
 def test_parse_frame_short_record_parses_without_judgement():
