@@ -32,7 +32,12 @@ being admitted. ``warm_start`` runs admission-only training steps (no
 verdicts) to build the initial dictionary, mirroring a supervised training
 window. ``feed`` is that whole loop for one arrival: it warm-starts while
 fewer than ``train_steps`` arrivals have been seen and scores with ``step``
-after, so replay, monitor and the tuner all train and score the same way.
+after. ``feed_run`` is the same loop over a whole run known in advance (the
+tuner's detector pass): it computes the kernel rows of up to ``BLOCK``
+arrivals against the basis in one call and scores them in order through the
+scorer ``step`` uses, with verdicts bitwise equal to one ``feed`` per
+arrival. Replay and monitor feed one arrival at a time, since a live bed
+has no lookahead.
 """
 
 from __future__ import annotations
@@ -52,6 +57,11 @@ from .kernels import kernel_eval  # noqa: F401
 CONSISTENCY_TOL = 1e-6
 # delta more negative than this signals inverse drift, not roundoff.
 ROUNDOFF_TOL = 1e-9
+# Arrivals whose kernel rows feed_run computes in one kernel_vector call. A
+# change to the dictionary ends a block early; on the benchmark's tune
+# streams 2.5 % of scored steps change it at sigma = 2.5, 15-18 % at 1.0 and
+# 1.5. Block lengths of 8 and 32 measured no better.
+BLOCK = 16
 
 
 class EngineError(Exception):
@@ -173,7 +183,10 @@ class DictionaryState:
     columns) are active. ``size``, ``basis``, ``inv_gram`` and ``usage`` are
     set on every admission and removal; the arrays are views of the active
     block and alias the buffers, so a caller that keeps one across an
-    admission or removal must copy it.
+    admission or removal must copy it. ``changes`` counts admissions,
+    removals and re-inversions, so a caller holding something computed from
+    the dictionary (kernel rows against the basis, say) can tell whether it
+    may have gone stale.
 
     The Gram matrix is kept beside its inverse rather than rebuilt from the
     basis: every entry is a kernel value the caller already computed when
@@ -196,6 +209,7 @@ class DictionaryState:
         self._gram = np.zeros((max_size, max_size))
         self._inv = np.zeros((max_size, max_size))
         self._usage = np.zeros(max_size)
+        self.changes = 0
         self._resize(0)
 
     def _resize(self, m: int) -> None:
@@ -238,6 +252,7 @@ class DictionaryState:
         self._usage[m] = 0.0
         self.timesteps.append(x.timestep)
         self._resize(m + 1)
+        self.changes += 1
         return m
 
     def remove(self, index: int) -> None:
@@ -262,6 +277,7 @@ class DictionaryState:
         self._usage[index:last] = self._usage[index + 1 : m]
         del self.timesteps[index]
         self._resize(last)
+        self.changes += 1
         if abs(q) < 1e-12:
             # Degenerate pivot: the maintained inverse has drifted too far.
             self.refresh_inverse()
@@ -289,6 +305,7 @@ class DictionaryState:
             self.inv_gram[...] = np.linalg.inv(self.gram())
         except np.linalg.LinAlgError as exc:
             raise EngineError("dictionary Gram matrix is singular") from exc
+        self.changes += 1
 
 
 class KoadEngine:
@@ -316,13 +333,21 @@ class KoadEngine:
         triggers the full re-inversion fallback and a single recompute.
         """
         values = np.asarray(values, dtype=float)
-        if values.shape != (self.dim,):
-            raise ValueError(f"expected shape ({self.dim},), got {values.shape}")
+        self._check_width(values.shape)
+        return self._project(values)
+
+    def _project(
+        self, values: np.ndarray, kvec: np.ndarray | None = None
+    ) -> tuple[float, np.ndarray]:
+        """projection_error without the input check. kvec, when given, is
+        the arrival's kernel vector against the current basis; it is kept as
+        ``_kvec`` for the admission and tracker reads that follow."""
         dictionary = self.dictionary
+        if kvec is None:
+            kvec = kernel_vector(dictionary.basis, values, self.config.sigma)
+        self._kvec = kvec
         if dictionary.size == 0:
-            self._kvec = np.zeros(0)
-            return 1.0, np.zeros(0)
-        self._kvec = kvec = kernel_vector(dictionary.basis, values, self.config.sigma)
+            return 1.0, kvec  # the empty basis explains nothing
         coeffs = dictionary.inv_gram @ kvec
         delta = 1.0 - float(kvec @ coeffs)
         if delta < -ROUNDOFF_TOL:
@@ -340,15 +365,8 @@ class KoadEngine:
         Orange admission); the rest credit usage like a Green arrival.
         """
         values = self._checked(x)
-        cfg = self.config
-        delta, coeffs = self.projection_error(values)
-        usage = self.dictionary.usage
-        usage *= cfg.lam
-        if delta >= cfg.nu1:
-            self._admit(x, delta, coeffs)
-        else:
-            usage += np.abs(coeffs)
-        self._advance(x.timestep)
+        delta, coeffs = self._project(values)
+        self._train(values, x.timestep, delta, coeffs)
 
     def feed(self, x: MeasurementVector, train_steps: int) -> list[Verdict]:
         """One arrival of the train-then-score loop: the first
@@ -361,13 +379,68 @@ class KoadEngine:
         immediate, resolutions = self.step(x)
         return [immediate, *resolutions]
 
+    def feed_run(
+        self, vectors: np.ndarray, timesteps: list[int], train_steps: int
+    ) -> list[Verdict]:
+        """``feed`` over a whole run, row i arriving at timesteps[i]; returns
+        every verdict in emission order, bitwise equal to one ``feed`` call
+        per row.
+
+        The run is checked whole before any row is used, and a bad row
+        raises what ``feed`` would raise on reaching it. The kernel rows of
+        up to BLOCK arrivals against the basis come from one
+        ``kernel_vector`` call; an arrival that changes the dictionary ends
+        its block, and the rows computed for the arrivals after it are
+        dropped, so every arrival is scored against the basis its row was
+        computed from.
+        """
+        vectors = np.asarray(vectors, dtype=float)
+        self._check_run(vectors, timesteps)
+        dictionary = self.dictionary
+        sigma = self.config.sigma
+        out: list[Verdict] = []
+        start = 0
+        while start < len(vectors):
+            block = vectors[start : start + BLOCK]
+            rows = kernel_vector(dictionary.basis, block, sigma)
+            changes = dictionary.changes
+            for values, kvec, t in zip(block, rows, timesteps[start : start + BLOCK]):
+                start += 1
+                delta, coeffs = self._project(values, kvec)
+                if self.steps_seen < train_steps:
+                    self._train(values, t, delta, coeffs)
+                else:
+                    immediate, resolutions = self._score(values, t, delta, coeffs)
+                    out.append(immediate)
+                    out += resolutions
+                if dictionary.changes != changes:
+                    break
+        return out
+
     def step(self, x: MeasurementVector) -> tuple[Verdict, list[Verdict]]:
         """Score one arrival; returns the immediate verdict plus any Orange
         resolutions that fell due at this timestep."""
         values = self._checked(x)
-        t = x.timestep
+        delta, coeffs = self._project(values)
+        return self._score(values, x.timestep, delta, coeffs)
+
+    def _train(self, values: np.ndarray, t: int, delta: float, coeffs: np.ndarray) -> None:
+        """warm_start's update for an arrival just projected."""
         cfg = self.config
-        delta, coeffs = self.projection_error(values)
+        usage = self.dictionary.usage
+        usage *= cfg.lam
+        if delta >= cfg.nu1:
+            self._admit(values, t, delta, coeffs)
+        else:
+            usage += np.abs(coeffs)
+        self._advance(t)
+
+    def _score(
+        self, values: np.ndarray, t: int, delta: float, coeffs: np.ndarray
+    ) -> tuple[Verdict, list[Verdict]]:
+        """The verdict logic of ``step`` for an arrival just projected: the
+        one scorer behind ``step`` and ``feed_run``."""
+        cfg = self.config
 
         # An open tracker's candidate is basis row dict_index, so its
         # similarity to x is already in the kernel vector. Count before the
@@ -388,7 +461,7 @@ class KoadEngine:
             immediate = Verdict(VerdictKind.RED1, t, delta)
         else:
             immediate = Verdict(VerdictKind.ORANGE, t, delta)
-            idx = self._admit(x, delta, coeffs)
+            idx = self._admit(values, t, delta, coeffs)
             self.trackers.append(
                 OrangeTracker(
                     raised_at=t,
@@ -452,31 +525,63 @@ class KoadEngine:
             self._remove_element(index)
         return removed
 
-    def _admit(self, x: MeasurementVector, delta: float, coeffs: np.ndarray) -> int:
-        """Admit x, whose (delta, coeffs) were just projected; at capacity,
-        force a prune first and project again, since the basis changed.
-        Returns x's index in the dictionary."""
+    def _admit(self, values: np.ndarray, t: int, delta: float, coeffs: np.ndarray) -> int:
+        """Admit the arrival at t, whose (delta, coeffs) were just projected;
+        at capacity, force a prune first and project again, since the basis
+        changed. Returns its index in the dictionary."""
         if self.dictionary.size >= self.config.max_size:
             if not self.prune_dictionary(force=True):
                 raise EngineError("forced prune failed to free a dictionary slot")
-            delta, coeffs = self.projection_error(x.values)
-        return self.dictionary.admit(x, coeffs, delta, self._kvec)
+            delta, coeffs = self._project(values)
+        return self.dictionary.admit(MeasurementVector(values, t), coeffs, delta, self._kvec)
+
+    # -- input checks ----------------------------------------------------
+
+    def _check_width(self, shape: tuple[int, ...]) -> None:
+        if shape != (self.dim,):
+            raise ValueError(f"expected shape ({self.dim},), got {shape}")
 
     def _checked(self, x: MeasurementVector) -> np.ndarray:
         values = x.values  # already a float array: MeasurementVector converts
-        if values.shape != (self.dim,):
-            raise ValueError(f"expected shape ({self.dim},), got {values.shape}")
-        if not all(map(math.isfinite, values.tolist())):
-            raise EngineError(
-                f"non-finite component at timestep {x.timestep}; "
-                "validity checking should reject such frames upstream"
-            )
-        if self.last_timestep is not None and x.timestep <= self.last_timestep:
-            raise EngineError(
-                f"timesteps must be strictly increasing: {x.timestep} after {self.last_timestep}"
-            )
+        self._check_width(values.shape)
+        _check_arrival(all(map(math.isfinite, values.tolist())), x.timestep, self.last_timestep)
         return values
+
+    def _check_run(self, vectors: np.ndarray, timesteps: list[int]) -> None:
+        """The checks ``feed`` makes on each arrival, made on a whole run at
+        once before any of it is scored: the first bad row raises what
+        ``feed`` would raise on reaching it."""
+        if len(timesteps) != len(vectors):
+            raise ValueError("timesteps and vectors must have equal length")
+        if not len(vectors):
+            return
+        self._check_width(vectors.shape[1:])
+        finite = np.isfinite(vectors).all(axis=1)
+        # Each timestep must exceed the one before it; the first, the
+        # engine's last or, on a fresh engine, -1.
+        steps = np.asarray(timesteps)
+        first = -1 if self.last_timestep is None else self.last_timestep
+        good = finite & (steps > np.concatenate(([first], steps[:-1])))
+        if good.all():
+            return
+        i = int(np.argmin(good))
+        t = timesteps[i]
+        if t < 0:  # what MeasurementVector refuses
+            raise ValueError(f"timestep must be >= 0, got {t}")
+        _check_arrival(bool(finite[i]), t, timesteps[i - 1] if i else self.last_timestep)
 
     def _advance(self, timestep: int) -> None:
         self.last_timestep = timestep
         self.steps_seen += 1
+
+
+def _check_arrival(finite: bool, t: int, last: int | None) -> None:
+    """Refuse an arrival at timestep t, after one at last, that has a
+    non-finite component or comes out of order."""
+    if not finite:
+        raise EngineError(
+            f"non-finite component at timestep {t}; "
+            "validity checking should reject such frames upstream"
+        )
+    if last is not None and t <= last:
+        raise EngineError(f"timesteps must be strictly increasing: {t} after {last}")

@@ -29,20 +29,31 @@ def kernel_eval(x: np.ndarray, y: np.ndarray, sigma: float) -> float:
 def kernel_vector(basis: np.ndarray, x: np.ndarray, sigma: float) -> np.ndarray:
     """Kernel values of x against every basis row.
 
-    basis is an (m, d) float array (m may be 0) and x a length-d float
-    array; returns a length-m vector whose j-th entry is
-    exp(-||basis[j] - x||^2 / (2 sigma^2)).
+    basis is an (m, d) float array (m may be 0). x is a length-d float
+    array, giving a length-m vector whose j-th entry is
+    exp(-||basis[j] - x||^2 / (2 sigma^2)), or a (B, d) block of arrivals,
+    giving a (B, m) array whose row i is bitwise the result for x[i] alone.
     """
     if basis.size == 0:
-        return np.zeros(0)
-    if basis.ndim != 2 or basis.shape[1] != x.shape[0]:
+        return np.zeros(x.shape[:-1] + (0,))
+    if basis.ndim != 2 or basis.shape[1] != x.shape[-1]:
         raise ValueError(f"dimension mismatch: basis {basis.shape} vs x {x.shape}")
-    diff = basis - x
+    if x.ndim == 1:
+        diff = basis - x
+    else:
+        # Stack the (m, d) differences of each arrival into B * m rows, so
+        # the one-arrival einsum below sums every row. Repeating x and
+        # subtracting the basis in place is several times faster than the
+        # broadcast basis - x[:, None, :], whose inner loop is only d long.
+        stacked = np.repeat(x, len(basis), axis=0).reshape(len(x), *basis.shape)
+        np.subtract(basis, stacked, out=stacked)
+        diff = stacked.reshape(-1, basis.shape[1])
     # einsum, not (diff * diff).sum(axis=1): the two round differently, and
     # the engine's verdicts are pinned to this summation.
     sq = np.einsum("ij,ij->i", diff, diff)
     sq /= -(2.0 * sigma**2)
-    return np.exp(sq, out=sq)
+    np.exp(sq, out=sq)
+    return sq if x.ndim == 1 else sq.reshape(len(x), len(basis))
 
 
 def gram_matrix(basis: np.ndarray, sigma: float) -> np.ndarray:

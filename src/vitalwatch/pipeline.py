@@ -16,7 +16,8 @@ front half, up to the standardized vector; ``KoadEngine.feed`` is the
 detector half, training then scoring. ``replay`` and ``monitor`` run both
 through ``feed_line``; ``tune`` runs the front half once
 (``standardized_stream``) and the detector half once per grid row
-(``tuning.run_detector``).
+(``tuning.run_detector``, through ``KoadEngine.feed_run``, which scores
+blocks of arrivals with verdicts bitwise equal to ``feed``'s).
 """
 
 from __future__ import annotations

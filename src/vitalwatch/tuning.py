@@ -15,7 +15,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import KoadEngine, MeasurementVector, ThresholdConfig, Verdict, VerdictKind
+from .engine import KoadEngine, ThresholdConfig, Verdict, VerdictKind
+# Not called here; imported so that perfbench's workloads can patch
+# vitalwatch.tuning.MeasurementVector.
+from .engine import MeasurementVector  # noqa: F401
 from .synth import LabeledEvent
 
 DEFAULT_COUNTED_KINDS = frozenset({VerdictKind.RED1, VerdictKind.RED2})
@@ -116,10 +119,10 @@ def run_detector(
     train_steps: int = 50,
     timesteps: list[int] | None = None,
 ) -> list[Verdict]:
-    """One fresh engine pass through ``KoadEngine.feed``, the detector half
-    of the per-bed chain: the leading train_steps vectors build the
-    dictionary silently, the rest are scored. Returns all verdicts
-    (immediate and resolutions) in emission order.
+    """One fresh engine pass through ``KoadEngine.feed_run``, the detector
+    half of the per-bed chain over a whole run: the leading train_steps
+    vectors build the dictionary silently, the rest are scored. Returns all
+    verdicts (immediate and resolutions) in emission order.
 
     ``timesteps`` carries the vectors' original stream positions when the
     stream had gaps (flagged or warm-up frames); verdicts and labels must
@@ -134,13 +137,8 @@ def run_detector(
         )
     if timesteps is None:
         timesteps = list(range(len(vectors)))
-    if len(timesteps) != len(vectors):
-        raise ValueError("timesteps and vectors must have equal length")
     engine = KoadEngine(vectors.shape[1], config)
-    out: list[Verdict] = []
-    for row, t in zip(vectors, timesteps):
-        out.extend(engine.feed(MeasurementVector(row, t), train_steps))
-    return out
+    return engine.feed_run(vectors, timesteps, train_steps)
 
 
 def pick_best(reports: list[DetectionReport]) -> DetectionReport:
@@ -163,6 +161,7 @@ def grid_search(
     if not grid:
         raise ValueError("grid must not be empty")
     policy = policy or MatchPolicy()
+    vectors = np.asarray(vectors, dtype=float)  # once, not once per grid row
     reports = [
         score_run(
             run_detector(vectors, config, train_steps, timesteps),

@@ -1,5 +1,10 @@
 """Subcommand-level tests driving main() the way a shell would."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from vitalwatch.cli import main
@@ -153,3 +158,26 @@ def test_speedup_flag_must_be_positive(capsys, labeled_stream):
     code, _, err = run(capsys, "replay", str(stream), "--speedup", "-1")
     assert code == 2
     assert "speedup" in err
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+def test_closed_stdout_ends_quietly(unbuffered):
+    """``vitalwatch selftest | head -1`` once head has gone: the command
+    ends with status 1 and nothing on stderr, not a BrokenPipeError
+    traceback. The read end is closed before the first line is written, so
+    the write fails every time rather than when the reader wins a race."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])),
+        "PYTHONUNBUFFERED": unbuffered,
+    }
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "vitalwatch.cli", "selftest"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert "Traceback" not in err.decode()
+    assert "BrokenPipeError" not in err.decode()
+    assert proc.returncode == 1

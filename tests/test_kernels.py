@@ -46,6 +46,8 @@ def test_dimension_mismatch_raises():
         kernel_eval(np.zeros(2), np.zeros(3), SIGMA)
     with pytest.raises(ValueError):
         kernel_vector(np.zeros((2, 3)), np.zeros(2), SIGMA)
+    with pytest.raises(ValueError):
+        kernel_vector(np.zeros((2, 3)), np.zeros((5, 2)), SIGMA)
 
 
 def test_bandwidth_must_be_positive():
@@ -59,6 +61,7 @@ def test_kernel_vector_singleton_and_empty():
     x = np.array([1.0, 2.0])
     assert kernel_vector(x[None, :], x, SIGMA).tolist() == [1.0]
     assert kernel_vector(np.zeros((0, 2)), x, SIGMA).shape == (0,)
+    assert kernel_vector(np.zeros((0, 2)), np.stack([x, x, x]), SIGMA).shape == (3, 0)
 
 
 def test_kernel_vector_matches_elementwise_eval():
@@ -68,6 +71,19 @@ def test_kernel_vector_matches_elementwise_eval():
     got = kernel_vector(basis, x, SIGMA)
     want = [kernel_eval(b, x, SIGMA) for b in basis]
     np.testing.assert_allclose(got, want, atol=1e-15)
+
+
+def test_kernel_vector_block_rows_equal_single_calls_bitwise():
+    rng = np.random.default_rng(16)
+    for d in (1, 4, 7):
+        # a leading view of a larger buffer, as the engine's basis is
+        basis = (rng.normal(size=(50, d)) * 2)[:37]
+        for b in (1, 2, 16, 64):
+            block = rng.normal(size=(b, d)) * 2
+            got = kernel_vector(basis, block, 2.5)
+            assert got.shape == (b, 37)
+            for row, x in zip(got, block):
+                assert row.tobytes() == kernel_vector(basis, x, 2.5).tobytes()
 
 
 def test_matches_independent_oracle():

@@ -5,7 +5,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from vitalwatch.engine import ThresholdConfig, Verdict, VerdictKind
+from vitalwatch.engine import (
+    EngineError,
+    KoadEngine,
+    MeasurementVector,
+    ThresholdConfig,
+    Verdict,
+    VerdictKind,
+)
 from vitalwatch.synth import LabeledEvent, default_spec, generate
 from vitalwatch.tuning import (
     DetectionReport,
@@ -220,6 +227,58 @@ def test_run_detector_validates_inputs():
         run_detector(z, ThresholdConfig(), train_steps=10)
     with pytest.raises(ValueError):
         run_detector(np.zeros(10), ThresholdConfig(), train_steps=2)
+
+
+def _feed_each(vectors, config, train_steps, timesteps):
+    """run_detector as one ``feed`` per arrival: the reference for what a
+    bad row raises."""
+    engine = KoadEngine(vectors.shape[1], config)
+    for row, t in zip(vectors, timesteps):
+        engine.feed(MeasurementVector(row, t), train_steps)
+
+
+@pytest.mark.parametrize(
+    "row, timestep, error, message",
+    [
+        (20, None, EngineError, "non-finite component at timestep 40;"),
+        (70, None, EngineError, "non-finite component at timestep 140;"),
+        (70, 138, EngineError, "strictly increasing: 138 after 138"),
+        (90, 100, EngineError, "strictly increasing: 100 after 178"),
+        (0, -2, ValueError, "timestep must be >= 0, got -2"),
+        (90, -2, ValueError, "timestep must be >= 0, got -2"),
+    ],
+)
+def test_run_detector_refuses_a_bad_row_as_one_feed_per_arrival_would(
+    row, timestep, error, message
+):
+    # A NaN (timestep None) or a replaced timestep at one row, in training
+    # or scored; a second fault further on must not be the one reported.
+    z = np.random.default_rng(19).normal(size=(120, 3))
+    timesteps = list(range(0, 240, 2))
+    if timestep is None:
+        z[row, 1] = np.nan
+    else:
+        timesteps[row] = timestep
+    z[110, 0] = np.inf
+    config = ThresholdConfig()
+    with pytest.raises(error) as want:
+        _feed_each(z, config, 50, timesteps)
+    with pytest.raises(error) as got:
+        run_detector(z, config, 50, timesteps)
+    assert str(got.value) == str(want.value)
+    assert message in str(got.value)
+
+
+def test_feed_run_refuses_a_wrong_width_before_scoring_anything():
+    engine = KoadEngine(4, ThresholdConfig())
+    with pytest.raises(ValueError) as want:
+        engine.feed(MeasurementVector(np.zeros(3), 0), 0)
+    with pytest.raises(ValueError) as got:
+        engine.feed_run(np.zeros((5, 3)), list(range(5)), 0)
+    assert str(got.value) == str(want.value) == "expected shape (4,), got (3,)"
+    assert engine.steps_seen == 0
+    with pytest.raises(ValueError):  # ragged rows never reach the engine
+        run_detector([np.zeros(3)] * 60 + [np.zeros(2)], ThresholdConfig())
 
 
 def test_render_table_and_csv_shapes():
