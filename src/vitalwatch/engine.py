@@ -33,11 +33,16 @@ verdicts) to build the initial dictionary, mirroring a supervised training
 window. ``feed`` is that whole loop for one arrival: it warm-starts while
 fewer than ``train_steps`` arrivals have been seen and scores with ``step``
 after. ``feed_run`` is the same loop over a whole run known in advance (the
-tuner's detector pass): it computes the kernel rows of up to ``BLOCK``
-arrivals against the basis in one call and scores them in order through the
-scorer ``step`` uses, with verdicts bitwise equal to one ``feed`` per
-arrival. Replay and monitor feed one arrival at a time, since a live bed
-has no lookahead.
+tuner's detector pass): it computes the kernel rows of ``BLOCK`` arrivals
+against the basis in one call and scores them in order through the scorer
+``step`` uses, with verdicts bitwise equal to one ``feed`` per arrival. A
+dictionary change inside a block is one element in or out, so the block's
+rows are patched rather than recomputed: a removal deletes its column, and
+an admission adds the admitted arrival's column, read from the block's own
+pairwise kernel. The same patch gives an arrival that forces a prune at
+capacity its row against the pruned basis, on either path, so no arrival's
+row against the basis is computed twice. Replay and monitor feed one
+arrival at a time, since a live bed has no lookahead.
 """
 
 from __future__ import annotations
@@ -57,11 +62,12 @@ from .kernels import kernel_eval  # noqa: F401
 CONSISTENCY_TOL = 1e-6
 # delta more negative than this signals inverse drift, not roundoff.
 ROUNDOFF_TOL = 1e-9
-# Arrivals whose kernel rows feed_run computes in one kernel_vector call. A
-# change to the dictionary ends a block early; on the benchmark's tune
-# streams 2.5 % of scored steps change it at sigma = 2.5, 15-18 % at 1.0 and
-# 1.5. Block lengths of 8 and 32 measured no better.
-BLOCK = 16
+# Arrivals whose kernel rows feed_run computes in one kernel_vector call.
+# Dictionary changes patch the rows and never end a block. Over the tune
+# grid's 18 configs, engine time at 16, 32 and 64 was 0.92, 0.90 and 0.90
+# of that of 16-arrival blocks ended by every change; 64 gains nothing more
+# and builds a pairwise kernel four times the size.
+BLOCK = 32
 
 
 class EngineError(Exception):
@@ -183,10 +189,7 @@ class DictionaryState:
     columns) are active. ``size``, ``basis``, ``inv_gram`` and ``usage`` are
     set on every admission and removal; the arrays are views of the active
     block and alias the buffers, so a caller that keeps one across an
-    admission or removal must copy it. ``changes`` counts admissions,
-    removals and re-inversions, so a caller holding something computed from
-    the dictionary (kernel rows against the basis, say) can tell whether it
-    may have gone stale.
+    admission or removal must copy it.
 
     The Gram matrix is kept beside its inverse rather than rebuilt from the
     basis: every entry is a kernel value the caller already computed when
@@ -209,7 +212,6 @@ class DictionaryState:
         self._gram = np.zeros((max_size, max_size))
         self._inv = np.zeros((max_size, max_size))
         self._usage = np.zeros(max_size)
-        self.changes = 0
         self._resize(0)
 
     def _resize(self, m: int) -> None:
@@ -252,7 +254,6 @@ class DictionaryState:
         self._usage[m] = 0.0
         self.timesteps.append(x.timestep)
         self._resize(m + 1)
-        self.changes += 1
         return m
 
     def remove(self, index: int) -> None:
@@ -277,7 +278,6 @@ class DictionaryState:
         self._usage[index:last] = self._usage[index + 1 : m]
         del self.timesteps[index]
         self._resize(last)
-        self.changes += 1
         if abs(q) < 1e-12:
             # Degenerate pivot: the maintained inverse has drifted too far.
             self.refresh_inverse()
@@ -305,7 +305,6 @@ class DictionaryState:
             self.inv_gram[...] = np.linalg.inv(self.gram())
         except np.linalg.LinAlgError as exc:
             raise EngineError("dictionary Gram matrix is singular") from exc
-        self.changes += 1
 
 
 class KoadEngine:
@@ -319,6 +318,17 @@ class KoadEngine:
         self.last_timestep: int | None = None
         # Kernel vector of the latest projection, entry j against basis row j.
         self._kvec = np.zeros(0)
+        # feed_run's current block: its arrivals, their kernel rows against
+        # the basis (max_size columns each, the leading ones in the
+        # dictionary's order), the scored arrival's place in it, and its
+        # pairwise kernel once an admission needs a column. The rows after
+        # the scored arrival's are the ones still to be scored;
+        # _remove_element and _admit keep them, and _kvec, in step with the
+        # dictionary. Outside feed_run the block is empty.
+        self._block = np.zeros((0, dim))
+        self._rows = np.zeros((0, self.config.max_size))
+        self._at = 0
+        self._pairs: np.ndarray | None = None
 
     @property
     def dim(self) -> int:
@@ -388,33 +398,36 @@ class KoadEngine:
 
         The run is checked whole before any row is used, and a bad row
         raises what ``feed`` would raise on reaching it. The kernel rows of
-        up to BLOCK arrivals against the basis come from one
-        ``kernel_vector`` call; an arrival that changes the dictionary ends
-        its block, and the rows computed for the arrivals after it are
-        dropped, so every arrival is scored against the basis its row was
-        computed from.
+        each BLOCK arrivals against the basis come from one ``kernel_vector``
+        call, kept in a (BLOCK, max_size) buffer. A dictionary change inside
+        the block patches the rows of the arrivals still to come (see
+        ``_remove_element`` and ``_admit``), so every arrival is scored with
+        the row a fresh call against the basis of its turn would give.
         """
         vectors = np.asarray(vectors, dtype=float)
         self._check_run(vectors, timesteps)
         dictionary = self.dictionary
         sigma = self.config.sigma
+        buffer = np.empty((BLOCK, dictionary.max_size))
         out: list[Verdict] = []
-        start = 0
-        while start < len(vectors):
+        for start in range(0, len(vectors), BLOCK):
             block = vectors[start : start + BLOCK]
-            rows = kernel_vector(dictionary.basis, block, sigma)
-            changes = dictionary.changes
-            for values, kvec, t in zip(block, rows, timesteps[start : start + BLOCK]):
-                start += 1
-                delta, coeffs = self._project(values, kvec)
+            rows = buffer[: len(block)]
+            rows[:, : dictionary.size] = kernel_vector(dictionary.basis, block, sigma)
+            self._block, self._rows, self._pairs = block, rows, None
+            for i, (values, row, t) in enumerate(
+                zip(block, rows, timesteps[start : start + BLOCK])
+            ):
+                self._at = i
+                delta, coeffs = self._project(values, row[: dictionary.size])
                 if self.steps_seen < train_steps:
                     self._train(values, t, delta, coeffs)
                 else:
                     immediate, resolutions = self._score(values, t, delta, coeffs)
                     out.append(immediate)
                     out += resolutions
-                if dictionary.changes != changes:
-                    break
+        # No block outside feed_run, and no hold on the run's memory.
+        self._block, self._rows, self._pairs = np.zeros((0, self.dim)), buffer[:0], None
         return out
 
     def step(self, x: MeasurementVector) -> tuple[Verdict, list[Verdict]]:
@@ -494,7 +507,17 @@ class KoadEngine:
         return Verdict(VerdictKind.RED2, t, tracker.delta, tracker.raised_at)
 
     def _remove_element(self, index: int) -> None:
+        m = self.dictionary.size
         self.dictionary.remove(index)
+        # The element's column leaves the scored arrival's kernel row (until
+        # its own admission leaves that row one column short) and the rows
+        # after it in the block, which stay in the dictionary's order.
+        kvec = self._kvec
+        if len(kvec) == m:
+            kvec[index : m - 1] = kvec[index + 1 :]
+            self._kvec = kvec[: m - 1]
+        later = self._rows[self._at + 1 :]
+        later[:, index : m - 1] = later[:, index + 1 : m]
         for tracker in self.trackers:
             if tracker.dict_index == index:
                 raise EngineError("removed an element still under an open tracker")
@@ -528,12 +551,26 @@ class KoadEngine:
     def _admit(self, values: np.ndarray, t: int, delta: float, coeffs: np.ndarray) -> int:
         """Admit the arrival at t, whose (delta, coeffs) were just projected;
         at capacity, force a prune first and project again, since the basis
-        changed. Returns its index in the dictionary."""
-        if self.dictionary.size >= self.config.max_size:
+        changed. Returns its index in the dictionary.
+
+        The prune deleted the evicted columns from the arrival's own row, so
+        that row is the one against the pruned basis. The arrivals after it
+        in feed_run's block get its column from the block's pairwise
+        kernel, whose entry for arrivals (j, i) has the diff x_i - x_j that
+        ``kernel_vector`` computes for x_j against a basis holding x_i."""
+        dictionary = self.dictionary
+        if dictionary.size >= self.config.max_size:
             if not self.prune_dictionary(force=True):
                 raise EngineError("forced prune failed to free a dictionary slot")
-            delta, coeffs = self._project(values)
-        return self.dictionary.admit(MeasurementVector(values, t), coeffs, delta, self._kvec)
+            delta, coeffs = self._project(values, self._kvec)
+        index = dictionary.admit(MeasurementVector(values, t), coeffs, delta, self._kvec)
+        i = self._at
+        later = self._rows[i + 1 :]
+        if len(later):
+            if self._pairs is None:
+                self._pairs = kernel_vector(self._block, self._block, self.config.sigma)
+            later[:, index] = self._pairs[i + 1 :, i]
+        return index
 
     # -- input checks ----------------------------------------------------
 

@@ -17,7 +17,8 @@ detector half, training then scoring. ``replay`` and ``monitor`` run both
 through ``feed_line``; ``tune`` runs the front half once
 (``standardized_stream``) and the detector half once per grid row
 (``tuning.run_detector``, through ``KoadEngine.feed_run``, which scores
-blocks of arrivals with verdicts bitwise equal to ``feed``'s).
+blocks of arrivals from one kernel call per block, patched for each
+dictionary change inside it, with verdicts bitwise equal to ``feed``'s).
 """
 
 from __future__ import annotations

@@ -166,11 +166,14 @@ class TailSource:
 
     Log rotation is checked for when a poll finds nothing new, so the old
     file is read to its end first. A file truncated in place (copytruncate)
-    is read again from its start; a truncation followed by a rewrite past
-    the old offset before the next poll looks like plain growth and is not
-    detected. When another file takes the path (rename rotation, logrotate's
-    ``create``), that file is read from its start; while the path is
-    missing, the source keeps waiting.
+    is read again from its start. So is one rewritten in place, even past
+    the old offset before the next poll: every poll compares the file's
+    first record with the one taken at open (or when the first record
+    arrived, if the file was empty). A rewrite that keeps the first record
+    byte-identical looks like plain growth and is still missed. When
+    another file takes the path (rename rotation, logrotate's ``create``),
+    that file is read from its start; while the path is missing, the source
+    keeps waiting.
     """
 
     def __init__(
@@ -193,18 +196,26 @@ class TailSource:
         except OSError as exc:
             raise SourceError(f"cannot open {self.path}: {exc}") from exc
         handle.seek(0, 2)
+        first: bytes | None = None  # its first record, taken at the first poll
         # short sleeps keep shutdown responsive regardless of cadence
         nap = min(self.poll_interval, 0.05)
         try:
             while not self.stop.is_set():
+                if first is None:
+                    first = _first_record(handle)
+                elif os.pread(handle.fileno(), len(first), 0) != first:
+                    handle.seek(0)  # rewritten in place
+                    first = None
                 chunk = handle.read(4096)
                 if chunk:
                     yield chunk
                 elif os.fstat(handle.fileno()).st_size < handle.tell():
                     handle.seek(0)  # truncated in place
+                    first = None
                 elif (replacement := self._replacement(handle)) is not None:
                     handle.close()
                     handle = replacement
+                    first = None
                 else:
                     time.sleep(nap)
         finally:
@@ -219,6 +230,16 @@ class TailSource:
             return self.path.open("rb")
         except OSError:
             return None
+
+
+def _first_record(handle: BinaryIO) -> bytes | None:
+    """The first record of the file ``handle`` reads, newline included and
+    cut at MAX_RECORD_BYTES + 1 bytes, or None while it has no complete one."""
+    head = os.pread(handle.fileno(), MAX_RECORD_BYTES + 1, 0)
+    end = head.find(b"\n") + 1
+    if end:
+        return head[:end]
+    return head if len(head) > MAX_RECORD_BYTES else None
 
 
 class SocketSource:

@@ -4,7 +4,7 @@ arrival: the verdicts must agree bit for bit (kind, timestep,
 
 Each special case also checks that its event fell inside a block, after
 the block's first arrival, so that arrival was scored from a kernel row
-computed ahead of it.
+computed ahead of it and patched for every dictionary change since.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import pytest
 
 import vitalwatch.engine as engine_module
 from vitalwatch.engine import (
-    BLOCK,
     EngineError,
     KoadEngine,
     MeasurementVector,
@@ -47,17 +46,21 @@ def state(engine: KoadEngine) -> tuple:
 class Run:
     """Two engines with one config: ``walked`` takes the stream through
     ``feed_run``, ``stepped`` one ``feed`` at a time. ``starts`` records the
-    arrival index at which each of the walk's blocks began."""
+    arrival index at which each of the walk's blocks began (its call against
+    the basis), ``pairs`` the arrival at which a block took its pairwise
+    kernel."""
 
     def __init__(self, monkeypatch, config: ThresholdConfig) -> None:
         self.walked = KoadEngine(4, config)
         self.stepped = KoadEngine(4, config)
         self.starts: list[int] = []
+        self.pairs: list[int] = []
         kernel_vector = engine_module.kernel_vector
 
         def recording(basis, x, sigma):
             if x.ndim == 2:
-                self.starts.append(self.walked.steps_seen)
+                calls = self.pairs if basis is x else self.starts
+                calls.append(self.walked.steps_seen)
             return kernel_vector(basis, x, sigma)
 
         monkeypatch.setattr(engine_module, "kernel_vector", recording)
@@ -80,7 +83,7 @@ class Run:
     def mid_block(self, i: int) -> bool:
         """Arrival i was scored from a row its block computed ahead of it."""
         start = max(s for s in self.starts if s <= i)
-        return start < i < start + BLOCK
+        return start < i < start + engine_module.BLOCK
 
 
 def _after_scoring(engine: KoadEngine, hook) -> None:
@@ -117,6 +120,47 @@ def test_walk_equals_one_feed_per_arrival(monkeypatch, seed, sigma):
     assert {VerdictKind.GREEN, VerdictKind.ORANGE, VerdictKind.RED2} <= {v.kind for v in verdicts}
     orange = [v.at_timestep for v in verdicts if v.kind is VerdictKind.ORANGE]
     assert any(run.mid_block(t) for t in orange)
+
+
+CONFIGS = {
+    "sigma1.0": ThresholdConfig(sigma=1.0),
+    "sigma1.5": ThresholdConfig(sigma=1.5),
+    "max_size12": ThresholdConfig(sigma=1.5, max_size=12),
+}
+
+
+@pytest.mark.parametrize("config", CONFIGS.values(), ids=CONFIGS.keys())
+@pytest.mark.parametrize("block", [1, 2, 5, 16, 64])
+def test_walk_at_any_block_length(monkeypatch, block, config):
+    # Over these 600 arrivals each config admits 73-100 times and removes
+    # 43-63 times; at max_size = 12, 28 admissions force a prune.
+    monkeypatch.setattr(engine_module, "BLOCK", block)
+    Run(monkeypatch, config).compare(stream(8, steps=600))
+
+
+@pytest.mark.parametrize("sigma", [1.0, 1.5])
+@pytest.mark.parametrize("block", [5, 16])
+def test_one_basis_call_per_block_however_the_dictionary_churns(monkeypatch, block, sigma):
+    monkeypatch.setattr(engine_module, "BLOCK", block)
+    run = Run(monkeypatch, ThresholdConfig(sigma=sigma, max_size=12))
+    admitted = []
+    admit = run.walked.dictionary.admit
+
+    def recording(*args):
+        admitted.append(run.walked.steps_seen)
+        return admit(*args)
+
+    run.walked.dictionary.admit = recording
+    z = stream(8, steps=600)
+    run.compare(z)
+    # ceil(n / BLOCK) calls against the basis, one at each block's start
+    assert run.starts == list(range(0, len(z), block))
+    # At most one pairwise kernel per block, and only in a block that admits.
+    pair_blocks = [i // block for i in run.pairs]
+    assert len(set(pair_blocks)) == len(pair_blocks)
+    assert set(pair_blocks) <= {i // block for i in admitted}
+    # Admissions fell inside blocks, and the blocks ran on regardless.
+    assert len(pair_blocks) >= 5
 
 
 def test_capacity_prune_inside_a_block(monkeypatch):

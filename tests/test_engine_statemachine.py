@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+import vitalwatch.engine as engine_module
 from vitalwatch.engine import (
     EngineError,
     KoadEngine,
@@ -19,7 +20,8 @@ from vitalwatch.engine import (
     ThresholdConfig,
     VerdictKind,
 )
-from vitalwatch.kernels import gram_matrix
+from vitalwatch.kernels import gram_matrix, kernel_vector
+from vitalwatch.synth import default_spec, generate
 
 from _oracles import ReferenceDetector, oracle_delta
 
@@ -489,3 +491,55 @@ def test_churn_with_forced_prunes_matches_reference_replay():
                 t += 1
             assert dictionary.consistency_error() <= 1e-6
         assert max_gram_drift(engine) <= 1e-12
+
+
+def test_forced_prunes_cost_no_second_kernel_row(monkeypatch):
+    """At capacity an Orange forces a prune before its admission. The
+    arrival's own kernel row, less the evicted columns, is its row against
+    the pruned basis, so a feed loop computes one row per arrival, and every
+    kept Gram row stays bitwise what a fresh ``kernel_vector`` call gives."""
+    cfg = ThresholdConfig(sigma=1.5, max_size=6)
+    engine = KoadEngine(4, cfg)
+    ref = ReferenceDetector(
+        cfg.nu1, cfg.nu2, cfg.ell, cfg.sigma, cfg.lam, cfg.d_similar,
+        cfg.epsilon_frac, cfg.prune_period, cfg.usage_floor, cfg.max_size,
+    )
+    calls = []
+
+    def counting(basis, x, sigma):
+        calls.append(engine.steps_seen)
+        return kernel_vector(basis, x, sigma)
+
+    monkeypatch.setattr(engine_module, "kernel_vector", counting)
+    forced = []
+    prune = engine.prune_dictionary
+
+    def recording(force=False):
+        if force:
+            forced.append(engine.steps_seen)
+        return prune(force)
+
+    engine.prune_dictionary = recording
+
+    values, _ = generate(default_spec(steps=600, n_anomalies=6, seed=26, dim=4))
+    z = (values - values.mean(axis=0)) / values.std(axis=0)
+    train = 50
+    for t, x in enumerate(z):
+        got = engine.feed(MeasurementVector(x, t), train)
+        if t < train:
+            ref.warm(x, t)
+            continue
+        want = ref.step(x, t)
+        assert [(v.kind.value, v.at_timestep, v.resolves_timestep) for v in got] == [
+            (k, at, r) for k, at, _, r in want
+        ]
+        for v, (_, _, wd, _) in zip(got, want):
+            assert v.delta == pytest.approx(wd, abs=1e-9)
+
+    assert calls == list(range(len(z)))
+    assert sum(t >= train for t in forced) >= 5
+    dictionary = engine.dictionary
+    gram = dictionary.gram()
+    for i in range(dictionary.size):
+        fresh = kernel_vector(dictionary.basis[:i], dictionary.basis[i], cfg.sigma)
+        assert gram[i, :i].tobytes() == fresh.tobytes()

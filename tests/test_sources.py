@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import math
 import socket
 import threading
@@ -9,6 +10,7 @@ import time
 
 import pytest
 
+import vitalwatch.sources as sources
 from vitalwatch.sources import (
     MAX_RECORD_BYTES,
     ReplaySource,
@@ -160,6 +162,31 @@ def test_tail_source_rereads_a_file_truncated_in_place(tmp_path):
     stop.set()
     thread.join(timeout=5.0)
     assert got == [f"{PW},72,98,118,76", f"{PW},73,97,119,77", f"{PW},3", f"{PW},4"]
+
+
+def test_tail_source_rereads_a_file_rewritten_in_place_past_its_offset(tmp_path, monkeypatch):
+    # Truncated and rewritten longer between two polls, so no poll sees the
+    # file shrink. The generator polls only when resumed, so driving it by
+    # hand puts the rewrite between two polls; the one append the test needs
+    # while the source waits comes from its nap.
+    path = tmp_path / "live.csv"
+    path.write_text(f"{PW},1\n", encoding="utf-8")
+    appends = [f"{PW},2\n{PW},3\n"]
+
+    def nap(seconds):
+        assert appends, "the source waited for data it should have read"
+        with path.open("a", encoding="utf-8") as handle:
+            handle.write(appends.pop())
+
+    monkeypatch.setattr(sources.time, "sleep", nap)
+    with contextlib.closing(TailSource(path, poll_interval=0.2).frames()) as frames:
+        got = [next(frames)[0], next(frames)[0]]
+        offset = path.stat().st_size
+        rewritten = [f"{PW},{v}" for v in range(70, 76)]
+        path.write_text("".join(line + "\n" for line in rewritten), encoding="utf-8")
+        assert path.stat().st_size > offset
+        got += [next(frames)[0] for _ in rewritten]
+    assert got == [f"{PW},2", f"{PW},3", *rewritten]
 
 
 def test_tail_source_follows_a_file_renamed_and_recreated(tmp_path):

@@ -1,0 +1,93 @@
+"""Digests of the detector's verdicts and the replay archives, for checking
+that a change leaves them bit-identical.
+
+Run from the repository root, once on each commit, and compare the output:
+
+    python3 tools/verdict_digest.py --seeds 201 7
+
+For each seed it prints two SHA-256 digests, built from the benchmark's own
+seeded inputs (``perfbench/``, imported and never written):
+
+* ``tune``: every ``run_detector`` verdict (kind, timestep, ``delta.hex()``,
+  resolves) over the tune-grid streams and configs;
+* ``replay``: the replay-archive capture's ``events.csv`` and
+  ``frames_bed1.csv``, with their wall-clock columns stripped.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.dont_write_bytecode = True  # leave perfbench/ exactly as checked out
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+import inputs  # noqa: E402
+import workloads  # noqa: E402
+from vitalwatch import load_settings, replay_run  # noqa: E402
+from vitalwatch.pipeline import standardized_stream  # noqa: E402
+from vitalwatch.tuning import run_detector  # noqa: E402
+
+
+def tune_digest(seed: int, work: Path) -> tuple[str, int, int]:
+    """Digest of the verdicts, their count and the number of runs."""
+    config = inputs.write_config(
+        work,
+        "grid_sigma = " + ", ".join(map(str, workloads.TUNE_SIGMAS)),
+        "grid_ell = " + ", ".join(map(str, workloads.TUNE_ELLS)),
+    )
+    settings = load_settings(config)
+    grid = settings.tuning_grid()
+    digest = hashlib.sha256()
+    verdicts = runs = 0
+    for stream in inputs.tune_streams(workloads.TUNE_LINES, seed, workloads.TUNE_STREAMS):
+        timesteps, vectors = standardized_stream(stream.lines, settings)
+        for detector in grid:
+            runs += 1
+            for v in run_detector(vectors, detector, settings.train_steps, timesteps):
+                verdicts += 1
+                row = f"{v.kind.value},{v.at_timestep},{v.delta.hex()},{v.resolves_timestep}\n"
+                digest.update(row.encode())
+    return digest.hexdigest(), verdicts, runs
+
+
+def replay_digest(seed: int, work: Path) -> tuple[str, int, int]:
+    """Digest of both archives, and their event and frame row counts."""
+    settings = load_settings(inputs.write_config(work))
+    stream, _ = inputs.replay_capture(workloads.REPLAY_LINES, seed, settings.warn_threshold)
+    path, _ = inputs.write_stream(stream, work, "capture")
+    out = work / "archive"
+    replay_run(settings, path, out_dir=out)
+    digest = hashlib.sha256()
+    counts = []
+    # events.csv stamps wall time in its first column, frames_bed1.csv in its third
+    for name, wall in (("events.csv", 0), ("frames_bed1.csv", 2)):
+        rows = (out / name).read_text(encoding="utf-8").splitlines()[1:]
+        counts.append(len(rows))
+        for row in rows:
+            fields = row.split(",")
+            del fields[wall]
+            digest.update((",".join(fields) + "\n").encode())
+    return digest.hexdigest(), *counts
+
+
+def main(argv: list[str]) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seeds", type=int, nargs="+", required=True)
+    args = parser.parse_args(argv)
+    for seed in args.seeds:
+        with tempfile.TemporaryDirectory() as tmp:
+            work = Path(tmp)
+            digest, verdicts, runs = tune_digest(seed, work / "tune")
+            print(f"seed {seed} tune {digest} ({verdicts} verdicts, {runs} runs)")
+            digest, events, frames = replay_digest(seed, work / "replay")
+            print(f"seed {seed} replay {digest} ({events} events, {frames} frames)")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
