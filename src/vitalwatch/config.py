@@ -116,11 +116,22 @@ class Settings:
         run accepts fails here, as a ConfigError, before anything runs."""
         try:
             self.match_policy()
-            self.tuning_grid()
+            grid = self.tuning_grid()
             RunningStandardizer(self.schema().dim, self.warmup, self.var_floor)
             FlagStreak(self.warn_threshold)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        # A tracker raised at one arrival resolves within ell arrivals, so at
+        # most ell trackers are open when an admission at capacity forces a
+        # prune. With max_size > ell some element is always unprotected and
+        # the prune can free a slot; otherwise the engine may raise
+        # EngineError mid-stream.
+        for config in (self.detector, *grid):
+            if config.max_size <= config.ell:
+                raise ConfigError(
+                    f"max_size ({config.max_size}) must exceed ell ({config.ell}), "
+                    "the most Orange trackers that can be open at once"
+                )
         for name in ("poll_interval", "speedup", "refresh"):
             if not getattr(self, name) > 0:
                 raise ConfigError(f"{name} must be > 0")

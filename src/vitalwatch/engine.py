@@ -50,6 +50,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -150,12 +151,22 @@ class VerdictKind(Enum):
     RED2 = "red2"
 
 
-@dataclass(frozen=True)
-class Verdict:
-    """Outcome of one scoring decision.
+# Module-level names for the kinds the scorer emits: reading one is a
+# global lookup, where VerdictKind.GREEN is an Enum class attribute lookup.
+_GREEN = VerdictKind.GREEN
+_ORANGE = VerdictKind.ORANGE
+_RED1 = VerdictKind.RED1
+_RED2 = VerdictKind.RED2
+
+
+class Verdict(NamedTuple):
+    """Outcome of one scoring decision; an immutable value, equal and
+    hash-equal to another with the same fields.
 
     resolves_timestep is set only on deferred outcomes (Red2 or the Green
     that closes an Orange) and names the timestep of the original Orange.
+    A named tuple because every arrival builds one: it costs about a third
+    of a frozen dataclass to create and under half its memory.
     """
 
     kind: VerdictKind
@@ -360,6 +371,8 @@ class KoadEngine:
             return 1.0, kvec  # the empty basis explains nothing
         coeffs = dictionary.inv_gram @ kvec
         delta = 1.0 - float(kvec @ coeffs)
+        if delta >= 0.0:
+            return delta, coeffs
         if delta < -ROUNDOFF_TOL:
             dictionary.refresh_inverse()
             coeffs = dictionary.inv_gram @ kvec
@@ -415,17 +428,17 @@ class KoadEngine:
             rows = buffer[: len(block)]
             rows[:, : dictionary.size] = kernel_vector(dictionary.basis, block, sigma)
             self._block, self._rows, self._pairs = block, rows, None
-            for i, (values, row, t) in enumerate(
-                zip(block, rows, timesteps[start : start + BLOCK])
-            ):
+            for i in range(len(block)):
                 self._at = i
-                delta, coeffs = self._project(values, row[: dictionary.size])
+                values, t = block[i], timesteps[start + i]
+                delta, coeffs = self._project(values, rows[i, : dictionary.size])
                 if self.steps_seen < train_steps:
                     self._train(values, t, delta, coeffs)
                 else:
                     immediate, resolutions = self._score(values, t, delta, coeffs)
                     out.append(immediate)
-                    out += resolutions
+                    if resolutions:
+                        out += resolutions
         # No block outside feed_run, and no hold on the run's memory.
         self._block, self._rows, self._pairs = np.zeros((0, self.dim)), buffer[:0], None
         return out
@@ -446,51 +459,51 @@ class KoadEngine:
             self._admit(values, t, delta, coeffs)
         else:
             usage += np.abs(coeffs)
-        self._advance(t)
+        self.last_timestep = t
+        self.steps_seen += 1
 
     def _score(
         self, values: np.ndarray, t: int, delta: float, coeffs: np.ndarray
     ) -> tuple[Verdict, list[Verdict]]:
         """The verdict logic of ``step`` for an arrival just projected: the
-        one scorer behind ``step`` and ``feed_run``."""
+        one scorer behind ``step`` and ``feed_run``.
+
+        ``trackers`` is in deadline order: trackers are appended as they
+        are raised, every one ``ell`` past its arrival, and arrivals come in
+        rising timestep order. So the due ones are a prefix of the list."""
         cfg = self.config
+        trackers = self.trackers
 
         # An open tracker's candidate is basis row dict_index, so its
         # similarity to x is already in the kernel vector. Count before the
-        # Orange branch: a forced prune there shifts dict_index.
-        kvec = self._kvec
-        for tracker in self.trackers:
-            if tracker.raised_at < t <= tracker.deadline:
-                if kvec[tracker.dict_index] >= cfg.d_similar:
+        # Orange branch: a forced prune there shifts dict_index. Every open
+        # tracker was raised before t; one whose deadline fell in a gap
+        # before t is due but counts nothing.
+        if trackers:
+            kvec = self._kvec
+            for tracker in trackers:
+                if t <= tracker.deadline and kvec[tracker.dict_index] >= cfg.d_similar:
                     tracker.explained_count += 1
 
         usage = self.dictionary.usage
         usage *= cfg.lam
         if delta < cfg.nu1:
-            immediate = Verdict(VerdictKind.GREEN, t, delta)
+            immediate = Verdict(_GREEN, t, delta)
             usage += np.abs(coeffs)
         elif delta > cfg.nu2:
             # Anomaly: never admitted, dictionary basis untouched.
-            immediate = Verdict(VerdictKind.RED1, t, delta)
+            immediate = Verdict(_RED1, t, delta)
         else:
-            immediate = Verdict(VerdictKind.ORANGE, t, delta)
+            immediate = Verdict(_ORANGE, t, delta)
             idx = self._admit(values, t, delta, coeffs)
-            self.trackers.append(
-                OrangeTracker(
-                    raised_at=t,
-                    deadline=t + cfg.ell,
-                    dict_index=idx,
-                    delta=delta,
-                )
-            )
+            trackers.append(OrangeTracker(t, t + cfg.ell, idx, delta))
 
-        resolutions = [
-            self._resolve(tracker)
-            for tracker in list(self.trackers)
-            if t >= tracker.deadline
-        ]
+        resolutions = []
+        while trackers and trackers[0].deadline <= t:
+            resolutions.append(self._resolve(trackers.pop(0)))
 
-        self._advance(t)
+        self.last_timestep = t
+        self.steps_seen += 1
         if self.steps_seen % cfg.prune_period == 0:
             if self.dictionary.consistency_error() > CONSISTENCY_TOL:
                 self.dictionary.refresh_inverse()
@@ -498,13 +511,13 @@ class KoadEngine:
         return immediate, resolutions
 
     def _resolve(self, tracker: OrangeTracker) -> Verdict:
-        """Close an Orange at its deadline: keep the candidate or evict it."""
-        self.trackers.remove(tracker)
+        """Close an Orange, already taken off ``trackers``, at its deadline:
+        keep the candidate or evict it."""
         t = tracker.deadline
         if tracker.explained_count >= self.config.green_quota:
-            return Verdict(VerdictKind.GREEN, t, tracker.delta, tracker.raised_at)
+            return Verdict(_GREEN, t, tracker.delta, tracker.raised_at)
         self._remove_element(tracker.dict_index)
-        return Verdict(VerdictKind.RED2, t, tracker.delta, tracker.raised_at)
+        return Verdict(_RED2, t, tracker.delta, tracker.raised_at)
 
     def _remove_element(self, index: int) -> None:
         m = self.dictionary.size
@@ -540,7 +553,7 @@ class KoadEngine:
             if not free.any():
                 raise EngineError(
                     "every dictionary element is under an open tracker; "
-                    "max_size must exceed the plausible number of open trackers"
+                    "max_size must exceed ell, the most trackers open at once"
                 )
             # argmin returns the first minimum: ties go to the lowest index.
             removed = [int(np.argmin(np.where(free, usage, np.inf)))]
@@ -606,10 +619,6 @@ class KoadEngine:
         if t < 0:  # what MeasurementVector refuses
             raise ValueError(f"timestep must be >= 0, got {t}")
         _check_arrival(bool(finite[i]), t, timesteps[i - 1] if i else self.last_timestep)
-
-    def _advance(self, timestep: int) -> None:
-        self.last_timestep = timestep
-        self.steps_seen += 1
 
 
 def _check_arrival(finite: bool, t: int, last: int | None) -> None:

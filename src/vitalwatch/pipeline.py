@@ -34,7 +34,7 @@ import numpy as np
 
 from .board import BoardState, EventArchive, needs_flush, render
 from .config import BedSource, Settings
-from .engine import KoadEngine, MeasurementVector, Verdict
+from .engine import EngineError, KoadEngine, MeasurementVector, Verdict
 from .sources import (
     ReplaySource,
     SocketSource,
@@ -124,6 +124,20 @@ class BedPipeline:
         if self._archive is not None and any(map(needs_flush, events)):
             self._archive.flush()
         return events
+
+    def restart_engine(self) -> DataWarning:
+        """Replace the detector after it raised an ``EngineError`` on the
+        latest frame; returns the data warning that reports it.
+
+        The front half keeps its frame index, standardizer and streak, so
+        the fresh engine trains on the next ``train_steps`` valid frames and
+        then scores again. The failed frame's archive row is flushed, since
+        it is the one behind the warning.
+        """
+        self.engine = KoadEngine(self.schema.dim, self.settings.threshold_config())
+        if self._archive is not None:
+            self._archive.flush()
+        return DataWarning(active=True, at_timestep=self.frame_index - 1)
 
 
 def standardized_stream(
@@ -241,6 +255,8 @@ def monitor_run(
     Runs until every source ends, ``duration`` elapses, or Ctrl-C. A source
     failure of any kind, not only a ``SourceError``, degrades its bed
     (DataWarning badge, archive row, screen line) and the rest keep going.
+    So does an ``EngineError`` from a bed's detector, after which that bed
+    gets a fresh engine (``BedPipeline.restart_engine``) and keeps reading.
     """
     if not settings.beds:
         raise SourceError("monitor needs at least one bed.<id>.source entry")
@@ -314,7 +330,13 @@ def monitor_run(
                         screen.write(f"source for {bed} failed: {meta}\n")
                     else:
                         counts["frames"] += 1
-                        for event in pipelines[bed].feed_line(line, meta):
+                        try:
+                            produced = pipelines[bed].feed_line(line, meta)
+                        except EngineError as exc:
+                            # this bed's detector starts over; the rest go on
+                            produced = [pipelines[bed].restart_engine()]
+                            screen.write(f"detector for {bed} restarted: {exc}\n")
+                        for event in produced:
                             counts["events"] += 1
                             board.apply_event(bed, event, now=meta)
                             events.append(bed, event, wall_time=meta)

@@ -65,14 +65,14 @@ def alarm_times(verdicts: list[Verdict], policy: MatchPolicy) -> list[int]:
     A Red2 is pinned to the timestep of the Orange it resolves (that is when
     the anomaly happened); everything else counts where it fired.
     """
+    # A tuple test matches the Enum members by identity; a frozenset test
+    # hashes each verdict's kind first.
+    counted = tuple(policy.counted_kinds)
+    red2 = VerdictKind.RED2
     times = []
-    for v in verdicts:
-        if v.kind not in policy.counted_kinds:
-            continue
-        if v.kind is VerdictKind.RED2 and v.resolves_timestep is not None:
-            times.append(v.resolves_timestep)
-        else:
-            times.append(v.at_timestep)
+    for kind, at, _, resolves in verdicts:
+        if kind in counted:
+            times.append(resolves if kind is red2 and resolves is not None else at)
     return sorted(times)
 
 

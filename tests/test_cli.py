@@ -131,6 +131,15 @@ def test_bad_config_exits_2_with_line_number(tmp_path, capsys):
     assert "line 2" in err
 
 
+def test_config_that_can_exhaust_the_dictionary_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text("ell = 30\nmax_size = 30\n")
+    code, _, err = run(capsys, "replay", "nowhere.csv", "--config", str(cfg))
+    assert code == 2
+    assert "config error: max_size (30) must exceed ell (30)" in err
+    assert "Traceback" not in err
+
+
 def test_missing_stream_exits_1(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     code, _, err = run(capsys, "replay", "no-such-file.csv")

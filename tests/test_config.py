@@ -115,6 +115,8 @@ def test_bed_sources():
         ("schema.zero_ok = 7\n", "zero_ok indices", None),
         ("grid_sigma = 0\n", "sigma", None),
         ("grid_ell = 0\n", "ell", None),
+        ("max_size = 20\n", "max_size (20) must exceed ell (20)", None),
+        ("grid_ell = 10, 60\n", "max_size (50) must exceed ell (60)", None),
         ("bed.b1.source = socket:127.0.0.1:99999\n", "port in 0-65535", None),
         ("bed.b1.source = synthetic:abc\n", "integer seed", None),
     ],

@@ -18,6 +18,7 @@ from vitalwatch.engine import (
     KoadEngine,
     MeasurementVector,
     ThresholdConfig,
+    Verdict,
     VerdictKind,
 )
 from vitalwatch.kernels import gram_matrix, kernel_vector
@@ -158,6 +159,20 @@ def test_raise_step_does_not_count_toward_quota():
         engine.step(vec(5.0 + 0.01 * i, t + i))
     _, res = engine.step(vec(4.98, t + 3))
     assert [r.kind for r in res] == [VerdictKind.RED2]
+
+
+def test_arrival_past_the_deadline_does_not_count_toward_quota():
+    # The tracker falls due inside a gap; the arrival that resolves it is
+    # the candidate itself, but it lies outside the window and must not
+    # meet the quota of 1 on its way through.
+    cfg = ThresholdConfig(ell=4, epsilon_frac=0.2, sigma=1.0)
+    assert cfg.green_quota == 1
+    engine, t = seeded([0.0, 5.0], cfg)
+    orange, _ = engine.step(vec(BAND_U, t))
+    assert orange.kind is VerdictKind.ORANGE
+    imm, res = engine.step(vec(BAND_U, t + 9))
+    assert imm.kind is VerdictKind.GREEN
+    assert [(r.kind, r.at_timestep) for r in res] == [(VerdictKind.RED2, t + 4)]
 
 
 def test_gap_past_deadline_resolves_with_original_timestep():
@@ -543,3 +558,77 @@ def test_forced_prunes_cost_no_second_kernel_row(monkeypatch):
     for i in range(dictionary.size):
         fresh = kernel_vector(dictionary.basis[:i], dictionary.basis[i], cfg.sigma)
         assert gram[i, :i].tobytes() == fresh.tobytes()
+
+
+def standardized_synth(seed: int) -> np.ndarray:
+    """A 600-step, 4-channel synthetic stream, standardized column-wise."""
+    values, _ = generate(default_spec(steps=600, n_anomalies=6, seed=seed, dim=4))
+    return (values - values.mean(axis=0)) / values.std(axis=0)
+
+
+def test_max_size_above_ell_always_leaves_a_prunable_element():
+    """A tracker resolves within ell arrivals, so an admission at capacity
+    finds at most ell elements protected: with max_size > ell the forced
+    prune always frees a slot. The same streams at ell = 20 run out, which
+    is why Settings.check refuses max_size <= ell."""
+    exhausted = 0
+    for seed in range(1, 30):
+        z = standardized_synth(seed)
+        KoadEngine(4, ThresholdConfig(sigma=1.5, ell=5, max_size=6)).feed_run(
+            z, list(range(len(z))), 50
+        )
+        try:
+            KoadEngine(4, ThresholdConfig(sigma=1.5, ell=20, max_size=6)).feed_run(
+                z, list(range(len(z))), 50
+            )
+        except EngineError as exc:
+            assert "every dictionary element is under an open tracker" in str(exc)
+            exhausted += 1
+    assert exhausted > 0
+
+
+@pytest.mark.parametrize("ell", [10, 20])
+@pytest.mark.parametrize("sigma", [1.0, 1.5])
+def test_trackers_stay_in_deadline_order_through_gaps(sigma, ell):
+    """The scorer resolves trackers from the front of ``trackers``, which
+    relies on the list staying in deadline order. After every feed it must
+    be, and the verdicts must follow the dense reference, including when a
+    deadline falls inside a timestep gap and resolves late."""
+    cfg = ThresholdConfig(sigma=sigma, ell=ell)
+    engine = KoadEngine(4, cfg)
+    ref = ReferenceDetector(
+        cfg.nu1, cfg.nu2, cfg.ell, cfg.sigma, cfg.lam, cfg.d_similar,
+        cfg.epsilon_frac, cfg.prune_period, cfg.usage_floor, cfg.max_size,
+    )
+    rng = np.random.default_rng(ell + int(10 * sigma))
+    z = standardized_synth(3)[:400]
+    timesteps = np.cumsum(rng.choice([1, 1, 1, 2, 4], size=len(z))).tolist()
+    train = 50
+    most_open = late = 0
+    for i, (x, t) in enumerate(zip(z, timesteps)):
+        got = engine.feed(MeasurementVector(x, t), train)
+        deadlines = [tracker.deadline for tracker in engine.trackers]
+        assert deadlines == sorted(deadlines)
+        most_open = max(most_open, len(deadlines))
+        if i < train:
+            ref.warm(x, t)
+            continue
+        want = ref.step(x, t)
+        assert [(v.kind.value, v.at_timestep, v.resolves_timestep) for v in got] == [
+            (k, at, r) for k, at, _, r in want
+        ]
+        for v, (_, _, wd, _) in zip(got, want):
+            assert v.delta == pytest.approx(wd, abs=1e-9)
+        late += sum(v.resolves_timestep is not None and v.at_timestep < t for v in got)
+    assert most_open >= 2 and late > 0
+
+
+def test_verdicts_are_immutable_values():
+    green = Verdict(VerdictKind.GREEN, 7, 0.01)
+    assert green.resolves_timestep is None
+    with pytest.raises(AttributeError):
+        green.delta = 0.5
+    twin = Verdict(VerdictKind.GREEN, 7, 0.01, None)
+    assert twin == green and hash(twin) == hash(green)
+    assert green != Verdict(VerdictKind.GREEN, 7, 0.01, 3)
+    assert len({green, twin}) == 1

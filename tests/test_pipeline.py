@@ -8,7 +8,7 @@ import pytest
 import vitalwatch.pipeline as pipeline_module
 from vitalwatch.board import BoardState, event_row
 from vitalwatch.config import BedSource, Settings
-from vitalwatch.engine import ThresholdConfig, Verdict, VerdictKind
+from vitalwatch.engine import EngineError, KoadEngine, ThresholdConfig, Verdict, VerdictKind
 from vitalwatch.pipeline import (
     BedPipeline,
     build_source,
@@ -340,6 +340,53 @@ class TestMonitorRun:
         assert counts["board"].tiles["bed2"].data_warning is True
         assert "source for bed2 failed: RuntimeError: transceiver fell over" in screen.getvalue()
         assert "bed2,data-warning-raised" in (out / "events.csv").read_text()
+
+    def test_engine_error_restarts_only_that_beds_detector(
+        self, tmp_path, capture_file, monkeypatch
+    ):
+        settings = Settings(warmup=10, train_steps=20)
+        settings.beds = [
+            BedSource(bed="bed1", kind="replay", target=str(capture_file)),
+            BedSource(bed="bed2", kind="replay", target=str(capture_file)),
+        ]
+
+        def rows(out, bed):
+            text = drop_column((out / "events.csv").read_text(), 0)
+            return [row for row in text.splitlines() if row.startswith(bed + ",")]
+
+        clean = tmp_path / "clean"
+        monitor_run(settings, out_dir=clean, screen=io.StringIO())
+
+        class FlakyEngine(KoadEngine):
+            def feed(self, x, train_steps):
+                if x.timestep == 60:
+                    raise EngineError("injected fault")
+                return super().feed(x, train_steps)
+
+        class FlakyBed1(BedPipeline):
+            def __init__(self, bed, settings, frame_archive=None):
+                super().__init__(bed, settings, frame_archive)
+                if bed == "bed1":
+                    self.engine = FlakyEngine(self.schema.dim, settings.threshold_config())
+
+        monkeypatch.setattr(pipeline_module, "BedPipeline", FlakyBed1)
+        out = tmp_path / "out"
+        screen = io.StringIO()
+        counts = monitor_run(settings, out_dir=out, screen=screen)
+        assert counts["frames"] == 240
+        assert "detector for bed1 restarted: injected fault" in screen.getvalue()
+        assert counts["board"].tiles["bed1"].data_warning is True
+        assert counts["board"].tiles["bed2"].data_warning is False
+        assert rows(out, "bed2") == rows(clean, "bed2")
+
+        bed1 = rows(out, "bed1")
+        cut = bed1.index("bed1,data-warning-raised,60,,")
+        assert bed1[:cut] == [r for r in rows(clean, "bed1") if int(r.split(",")[2]) < 60]
+        # the fresh engine trains on frames 61-80 and scores from 81 on
+        after = [int(r.split(",")[2]) for r in bed1[cut + 1 :]]
+        assert after and min(after) == 81
+        frames = (out / "frames_bed1.csv").read_text().splitlines()
+        assert len(frames) == 121
 
     def test_monitor_without_beds_is_an_error(self, tmp_path):
         with pytest.raises(SourceError, match="at least one bed"):

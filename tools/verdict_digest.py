@@ -1,9 +1,10 @@
 """Digests of the detector's verdicts and the replay archives, for checking
 that a change leaves them bit-identical.
 
-Run from the repository root, once on each commit, and compare the output:
+Run from the repository root:
 
     python3 tools/verdict_digest.py --seeds 201 7
+    python3 tools/verdict_digest.py --seeds 201 7 --against HEAD~1
 
 For each seed it prints two SHA-256 digests, built from the benchmark's own
 seeded inputs (``perfbench/``, imported and never written):
@@ -12,29 +13,33 @@ seeded inputs (``perfbench/``, imported and never written):
   resolves) over the tune-grid streams and configs;
 * ``replay``: the replay-archive capture's ``events.csv`` and
   ``frames_bed1.csv``, with their wall-clock columns stripped.
+
+With ``--against REV`` it extracts REV's ``src/`` with ``git archive`` into
+a temporary directory, computes the same digests with that package and with
+the working tree's, both from the working tree's ``perfbench/`` inputs, in
+one fresh process each, prints both sides and exits 1 on any mismatch.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.dont_write_bytecode = True  # leave perfbench/ exactly as checked out
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
-
-import inputs  # noqa: E402
-import workloads  # noqa: E402
-from vitalwatch import load_settings, replay_run  # noqa: E402
-from vitalwatch.pipeline import standardized_stream  # noqa: E402
-from vitalwatch.tuning import run_detector  # noqa: E402
 
 
 def tune_digest(seed: int, work: Path) -> tuple[str, int, int]:
     """Digest of the verdicts, their count and the number of runs."""
+    import inputs
+    import workloads
+    from vitalwatch import load_settings
+    from vitalwatch.pipeline import standardized_stream
+    from vitalwatch.tuning import run_detector
+
     config = inputs.write_config(
         work,
         "grid_sigma = " + ", ".join(map(str, workloads.TUNE_SIGMAS)),
@@ -57,6 +62,10 @@ def tune_digest(seed: int, work: Path) -> tuple[str, int, int]:
 
 def replay_digest(seed: int, work: Path) -> tuple[str, int, int]:
     """Digest of both archives, and their event and frame row counts."""
+    import inputs
+    import workloads
+    from vitalwatch import load_settings, replay_run
+
     settings = load_settings(inputs.write_config(work))
     stream, _ = inputs.replay_capture(workloads.REPLAY_LINES, seed, settings.warn_threshold)
     path, _ = inputs.write_stream(stream, work, "capture")
@@ -75,17 +84,57 @@ def replay_digest(seed: int, work: Path) -> tuple[str, int, int]:
     return digest.hexdigest(), *counts
 
 
-def main(argv: list[str]) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seeds", type=int, nargs="+", required=True)
-    args = parser.parse_args(argv)
-    for seed in args.seeds:
+def print_digests(seeds: list[int], src: Path) -> None:
+    """Print every seed's digests, computed with the package under src."""
+    sys.dont_write_bytecode = True  # leave perfbench/ exactly as checked out
+    sys.path[:0] = [str(src), str(ROOT / "perfbench")]
+    for seed in seeds:
         with tempfile.TemporaryDirectory() as tmp:
             work = Path(tmp)
             digest, verdicts, runs = tune_digest(seed, work / "tune")
             print(f"seed {seed} tune {digest} ({verdicts} verdicts, {runs} runs)")
             digest, events, frames = replay_digest(seed, work / "replay")
             print(f"seed {seed} replay {digest} ({events} events, {frames} frames)")
+
+
+def digests_in_child(seeds: list[int], src: Path) -> list[str]:
+    """The lines ``print_digests`` prints, from a fresh interpreter, so
+    that each side imports its own ``vitalwatch``."""
+    argv = [sys.executable, __file__, "--src", str(src), "--seeds", *map(str, seeds)]
+    return subprocess.run(argv, check=True, capture_output=True, text=True).stdout.splitlines()
+
+
+def against(rev: str, seeds: list[int]) -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        archive = subprocess.run(
+            ["git", "-C", str(ROOT), "archive", rev, "src"],
+            check=True, capture_output=True,
+        ).stdout
+        subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
+        theirs = digests_in_child(seeds, Path(tmp) / "src")
+    ours = digests_in_child(seeds, ROOT / "src")
+    mismatches = 0
+    for line_theirs, line_ours in zip(theirs, ours, strict=True):
+        same = line_theirs == line_ours
+        mismatches += not same
+        print(f"{rev}:    {line_theirs}")
+        print(f"working: {line_ours}{'' if same else '   MISMATCH'}")
+    print(f"{mismatches} mismatch(es) against {rev}")
+    return 1 if mismatches else 0
+
+
+def main(argv: list[str]) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seeds", type=int, nargs="+", required=True)
+    parser.add_argument(
+        "--against", metavar="REV",
+        help="compare with the digests of this git revision's src/",
+    )
+    parser.add_argument("--src", type=Path, default=ROOT / "src", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.against:
+        return against(args.against, args.seeds)
+    print_digests(args.seeds, args.src)
     return 0
 
 
