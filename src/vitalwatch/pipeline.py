@@ -14,10 +14,10 @@ scored live.
 Each half of the chain has one implementation. ``BedPipeline.screen`` is the
 front half, up to the standardized vector; ``KoadEngine.feed`` is the
 detector half, training then scoring. ``replay`` and ``monitor`` run both
-through ``feed_line``; ``tune`` runs the front half once
-(``standardized_stream``) and the detector half once per grid row
-(``tuning.run_detector``, through ``KoadEngine.feed_run``, which scores
-blocks of arrivals from one kernel call per block, patched for each
+through ``feed_line`` and hand its events to ``deliver``; ``tune`` runs the
+front half once (``standardized_stream``) and the detector half once per
+grid row (``tuning.run_detector``, through ``KoadEngine.feed_run``, which
+scores blocks of arrivals from one kernel call per block, patched for each
 dictionary change inside it, with verdicts bitwise equal to ``feed``'s).
 """
 
@@ -76,6 +76,8 @@ class BedPipeline:
         self.engine = KoadEngine(self.schema.dim, settings.threshold_config())
         self.frame_index = 0
         self._archive = frame_archive
+        # a restart's data warning is up and waits for the next verdict
+        self._restart_warning = False
         if frame_archive is not None and frame_archive.tell() == 0:
             frame_archive.write(archive_header(self.schema) + "\n")
 
@@ -116,28 +118,30 @@ class BedPipeline:
         return warning, MeasurementVector(z, timestep)
 
     def feed_line(self, line: str, received_at: float) -> list[Verdict | DataWarning]:
-        """Process one raw record; returns the events it produced."""
+        """Process one raw record; returns the events it produced. A detector
+        that raises ``EngineError`` gives way to a fresh engine, reported by a
+        data warning that its first verdict clears, unless a streak's clear
+        comes first (the badge is one flag)."""
         warning, x = self.screen(line, received_at)
         events: list[Verdict | DataWarning] = [] if warning is None else [warning]
+        if warning is not None and not warning.active:
+            self._restart_warning = False
         if x is not None:
-            events += self.engine.feed(x, self.settings.train_steps)
+            try:
+                verdicts = self.engine.feed(x, self.settings.train_steps)
+            except EngineError as exc:
+                self.engine = KoadEngine(self.schema.dim, self.settings.threshold_config())
+                self._restart_warning = True
+                reason = f"detector for {self.bed} restarted: {exc}"
+                events.append(DataWarning(True, x.timestep, reason))
+            else:
+                if verdicts and self._restart_warning:
+                    self._restart_warning = False
+                    events.append(DataWarning(active=False, at_timestep=x.timestep))
+                events += verdicts
         if self._archive is not None and any(map(needs_flush, events)):
             self._archive.flush()
         return events
-
-    def restart_engine(self) -> DataWarning:
-        """Replace the detector after it raised an ``EngineError`` on the
-        latest frame; returns the data warning that reports it.
-
-        The front half keeps its frame index, standardizer and streak, so
-        the fresh engine trains on the next ``train_steps`` valid frames and
-        then scores again. The failed frame's archive row is flushed, since
-        it is the one behind the warning.
-        """
-        self.engine = KoadEngine(self.schema.dim, self.settings.threshold_config())
-        if self._archive is not None:
-            self._archive.flush()
-        return DataWarning(active=True, at_timestep=self.frame_index - 1)
 
 
 def standardized_stream(
@@ -204,36 +208,39 @@ class RunArtifacts:
             path.unlink(missing_ok=True)
 
 
+def deliver(bed: str, produced: list[Verdict | DataWarning], wall_time: float | None,
+            board: BoardState, archive: EventArchive, counts: dict, screen=None) -> None:
+    """Hand one bed's events to a run's outputs: each is counted, applied to
+    the board and archived, and a data warning that names its cause gets a
+    screen line."""
+    counts["events"] += len(produced)
+    for event in produced:
+        board.apply_event(bed, event, now=wall_time)
+        archive.append(bed, event, wall_time=wall_time)
+        if screen is not None and isinstance(event, DataWarning) and event.reason:
+            screen.write(event.reason + "\n")
+
+
 def replay_run(
     settings: Settings,
     path: str | Path,
     bed: str = "bed1",
     out_dir: str | Path = "archives",
-    speedup: float | None = None,
     screen=None,
 ) -> dict:
     """Synchronous single-bed replay; returns run counters."""
-    source = ReplaySource(
-        path,
-        settings.password,
-        settings.poll_interval,
-        settings.speedup if speedup is None else speedup,
-    )
+    source = ReplaySource(path, settings.password, settings.poll_interval, settings.speedup)
     artifacts = RunArtifacts(out_dir)
     artifacts.fresh()
     board = BoardState.for_beds([bed])
-    counts = {"frames": 0, "events": 0, "alarms": 0}
+    counts = {"frames": 0, "events": 0}
     with artifacts.frame_archive_path(bed).open("w", encoding="utf-8") as frames:
         pipeline = BedPipeline(bed, settings, frame_archive=frames)
         with EventArchive(artifacts.event_archive_path) as events:
             for line, received_at in source.frames():
                 counts["frames"] += 1
-                for event in pipeline.feed_line(line, received_at):
-                    counts["events"] += 1
-                    if isinstance(event, Verdict):
-                        counts["alarms"] += 1
-                    board.apply_event(bed, event, now=received_at)
-                    events.append(bed, event, wall_time=received_at)
+                produced = pipeline.feed_line(line, received_at)
+                deliver(bed, produced, received_at, board, events, counts, screen)
     if screen is not None:
         screen.write(render(board, phase=0))
         screen.write(
@@ -255,8 +262,8 @@ def monitor_run(
     Runs until every source ends, ``duration`` elapses, or Ctrl-C. A source
     failure of any kind, not only a ``SourceError``, degrades its bed
     (DataWarning badge, archive row, screen line) and the rest keep going.
-    So does an ``EngineError`` from a bed's detector, after which that bed
-    gets a fresh engine (``BedPipeline.restart_engine``) and keeps reading.
+    A bed whose detector raises gets a fresh engine inside ``feed_line``,
+    as in ``replay_run``.
     """
     if not settings.beds:
         raise SourceError("monitor needs at least one bed.<id>.source entry")
@@ -319,27 +326,15 @@ def monitor_run(
                     bed, line, meta = queue.get(timeout=0.05)
                 except Empty:
                     bed = None
-                if bed is not None:
-                    if line is None:
-                        # source died: flag the bed, keep the rest running
-                        warning = DataWarning(
-                            active=True, at_timestep=pipelines[bed].frame_index
-                        )
-                        board.apply_event(bed, warning)
-                        events.append(bed, warning)
-                        screen.write(f"source for {bed} failed: {meta}\n")
-                    else:
-                        counts["frames"] += 1
-                        try:
-                            produced = pipelines[bed].feed_line(line, meta)
-                        except EngineError as exc:
-                            # this bed's detector starts over; the rest go on
-                            produced = [pipelines[bed].restart_engine()]
-                            screen.write(f"detector for {bed} restarted: {exc}\n")
-                        for event in produced:
-                            counts["events"] += 1
-                            board.apply_event(bed, event, now=meta)
-                            events.append(bed, event, wall_time=meta)
+                if bed is not None and line is None:
+                    # source died: flag the bed, keep the rest running
+                    reason = f"source for {bed} failed: {meta}"
+                    failed = DataWarning(True, pipelines[bed].frame_index, reason)
+                    deliver(bed, [failed], None, board, events, counts, screen)
+                elif bed is not None:
+                    counts["frames"] += 1
+                    produced = pipelines[bed].feed_line(line, meta)
+                    deliver(bed, produced, meta, board, events, counts, screen)
                 now = time.monotonic()
                 if now - last_render >= settings.refresh:
                     screen.write(render(board, phase=phase))

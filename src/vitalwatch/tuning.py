@@ -80,10 +80,10 @@ def score_run(
     verdicts: list[Verdict],
     labels: list[LabeledEvent],
     policy: MatchPolicy | None = None,
-    nu1: float = math.nan,
-    nu2: float = math.nan,
     config: ThresholdConfig | None = None,
 ) -> DetectionReport:
+    """Match a run's counted alarms to its labels; the report's threshold
+    pair comes from ``config``, NaN without one."""
     policy = policy or MatchPolicy()
     alarms = alarm_times(verdicts, policy)
     label_times = sorted(ev.timestep for ev in labels)
@@ -100,11 +100,9 @@ def score_run(
             matches.append((lt, alarms[j]))
             j += 1
     detected = len(matches)
-    if config is not None:
-        nu1, nu2 = config.nu1, config.nu2
     return DetectionReport(
-        nu1=nu1,
-        nu2=nu2,
+        nu1=math.nan if config is None else config.nu1,
+        nu2=math.nan if config is None else config.nu2,
         detected=detected,
         missed=len(label_times) - detected,
         false_alarms=len(alarms) - detected,

@@ -103,23 +103,28 @@ class ValidationResult:
 
 @dataclass(frozen=True)
 class DataWarning:
-    """Raised after a run of flagged frames, cleared by the next valid one."""
+    """Raised after a run of flagged frames, cleared by the next valid one.
+    A failed source or a restarted detector names its cause in ``reason``."""
 
     active: bool
     at_timestep: int
+    reason: str = ""
 
 
 @dataclass
 class FlagStreak:
-    """Per-bed run length of flagged frames; warning_active <=> count >= W."""
+    """Per-bed run length of flagged frames."""
 
     warn_threshold: int = 5
     consecutive_flagged: int = 0
-    warning_active: bool = False
 
     def __post_init__(self) -> None:
         if self.warn_threshold < 1:
             raise ValueError(f"warn_threshold must be >= 1, got {self.warn_threshold}")
+
+    @property
+    def warning_active(self) -> bool:
+        return self.consecutive_flagged >= self.warn_threshold
 
 
 def parse_frame(line: str) -> RawFrame:
@@ -179,17 +184,12 @@ def track(
     fires. Deterministic: the warning raises exactly when the run length
     reaches warn_threshold and clears on the first valid frame after."""
     if result.ok:
-        was_active = streak.warning_active
+        cleared = streak.warning_active
         streak.consecutive_flagged = 0
-        streak.warning_active = False
-        if was_active:
-            return DataWarning(active=False, at_timestep=timestep)
-        return None
+        return DataWarning(active=False, at_timestep=timestep) if cleared else None
     streak.consecutive_flagged += 1
-    if streak.consecutive_flagged >= streak.warn_threshold:
-        if not streak.warning_active:
-            streak.warning_active = True
-            return DataWarning(active=True, at_timestep=timestep)
+    if streak.consecutive_flagged == streak.warn_threshold:
+        return DataWarning(active=True, at_timestep=timestep)
     return None
 
 

@@ -162,6 +162,19 @@ def test_emit_target_must_be_host_port(capsys, labeled_stream, tmp_path):
     assert "host:port" in err
 
 
+def test_speedup_flag_wins_over_the_config(tmp_path, capsys, labeled_stream):
+    stream, _ = labeled_stream
+    cfg = tmp_path / "paced.cfg"
+    # the config alone would pace one frame a minute
+    cfg.write_text("speedup = 1\npoll_interval = 60\n")
+    code, out, _ = run(
+        capsys, "replay", str(stream), "--config", str(cfg),
+        "--speedup", "inf", "--out", str(tmp_path / "arch"),
+    )
+    assert code == 0
+    assert "replayed 300 frames" in out
+
+
 def test_speedup_flag_must_be_positive(capsys, labeled_stream):
     stream, _ = labeled_stream
     code, _, err = run(capsys, "replay", str(stream), "--speedup", "-1")

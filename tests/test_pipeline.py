@@ -7,7 +7,8 @@ import pytest
 
 import vitalwatch.pipeline as pipeline_module
 from vitalwatch.board import BoardState, event_row
-from vitalwatch.config import BedSource, Settings
+from vitalwatch.cli import main
+from vitalwatch.config import BedSource, Settings, load_settings
 from vitalwatch.engine import EngineError, KoadEngine, ThresholdConfig, Verdict, VerdictKind
 from vitalwatch.pipeline import (
     BedPipeline,
@@ -44,6 +45,25 @@ def wire(*values) -> str:
 
 def steady_line(rng) -> str:
     return wire(*(f"{v:.3f}" for v in 70.0 + rng.standard_normal(3)))
+
+
+def inject_engine_fault(monkeypatch, at: int) -> None:
+    """Make bed1's first detector raise ``EngineError`` when fed the frame at
+    timestep ``at``; the engine that replaces it is sound."""
+
+    class FlakyEngine(KoadEngine):
+        def feed(self, x, train_steps):
+            if x.timestep == at:
+                raise EngineError("injected fault")
+            return super().feed(x, train_steps)
+
+    class FlakyBed1(BedPipeline):
+        def __init__(self, bed, settings, frame_archive=None):
+            super().__init__(bed, settings, frame_archive)
+            if bed == "bed1":
+                self.engine = FlakyEngine(self.schema.dim, settings.threshold_config())
+
+    monkeypatch.setattr(pipeline_module, "BedPipeline", FlakyBed1)
 
 
 class TestBedPipeline:
@@ -199,14 +219,32 @@ class TestReplayRun:
         second = (out / "frames_bed1.csv").read_text()
         assert first.count("\n") == second.count("\n")
 
-    def test_speedup_override_wins_over_settings(self, tmp_path, capture_file):
-        settings = Settings(warmup=10, train_steps=20, speedup=1.0, poll_interval=60.0)
+    def test_streak_clear_and_restart_on_one_frame_archive_in_order(
+        self, tmp_path, capture_file, monkeypatch
+    ):
+        rows = capture_file.read_text(encoding="utf-8").splitlines()
+        # rows[i] is timestep i - 1: a streak raised at 42 clears at 43, the
+        # frame the detector fails on; another raised at 52 clears at 53,
+        # before the fresh engine's first verdict
+        for i in (41, 42, 43, 51, 52, 53):
+            rows[i] = "garbage"
+        capture_file.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        inject_engine_fault(monkeypatch, at=43)
+        settings = Settings(warmup=10, train_steps=20, warn_threshold=3)
         out = tmp_path / "out"
-        # settings alone would pace one frame a minute; the override must win
-        counts = replay_run(
-            settings, capture_file, out_dir=out, speedup=float("inf")
-        )
-        assert counts["frames"] == 120
+        counts = replay_run(settings, capture_file, out_dir=out)
+        events = drop_column((out / "events.csv").read_text(), 0).splitlines()
+        assert [row for row in events if ",data-warning-" in row] == [
+            "bed1,data-warning-raised,42,,",
+            "bed1,data-warning-cleared,43,,",
+            "bed1,data-warning-raised,43,,",
+            "bed1,data-warning-raised,52,,",
+            "bed1,data-warning-cleared,53,,",
+        ]
+        # the fresh engine trains on 44-49 and 53-66, and scores from 67 on
+        verdicts = [int(row.split(",")[2]) for row in events[1:] if ",data-" not in row]
+        assert min(t for t in verdicts if t > 43) == 67
+        assert counts["board"].tiles["bed1"].data_warning is False
 
 
 class TestTuneAgreesWithReplay:
@@ -357,36 +395,47 @@ class TestMonitorRun:
         clean = tmp_path / "clean"
         monitor_run(settings, out_dir=clean, screen=io.StringIO())
 
-        class FlakyEngine(KoadEngine):
-            def feed(self, x, train_steps):
-                if x.timestep == 60:
-                    raise EngineError("injected fault")
-                return super().feed(x, train_steps)
-
-        class FlakyBed1(BedPipeline):
-            def __init__(self, bed, settings, frame_archive=None):
-                super().__init__(bed, settings, frame_archive)
-                if bed == "bed1":
-                    self.engine = FlakyEngine(self.schema.dim, settings.threshold_config())
-
-        monkeypatch.setattr(pipeline_module, "BedPipeline", FlakyBed1)
+        inject_engine_fault(monkeypatch, at=60)
         out = tmp_path / "out"
         screen = io.StringIO()
         counts = monitor_run(settings, out_dir=out, screen=screen)
         assert counts["frames"] == 240
         assert "detector for bed1 restarted: injected fault" in screen.getvalue()
-        assert counts["board"].tiles["bed1"].data_warning is True
+        assert counts["board"].tiles["bed1"].data_warning is False
         assert counts["board"].tiles["bed2"].data_warning is False
         assert rows(out, "bed2") == rows(clean, "bed2")
 
         bed1 = rows(out, "bed1")
         cut = bed1.index("bed1,data-warning-raised,60,,")
         assert bed1[:cut] == [r for r in rows(clean, "bed1") if int(r.split(",")[2]) < 60]
-        # the fresh engine trains on frames 61-80 and scores from 81 on
+        # the fresh engine trains on frames 61-80 and scores from 81 on; its
+        # first verdict clears the restart's warning
+        assert bed1[cut + 1] == "bed1,data-warning-cleared,81,,"
         after = [int(r.split(",")[2]) for r in bed1[cut + 1 :]]
         assert after and min(after) == 81
         frames = (out / "frames_bed1.csv").read_text().splitlines()
         assert len(frames) == 121
+
+    def test_replay_recovers_from_an_engine_error_as_monitor_does(
+        self, tmp_path, capture_file, monkeypatch, capsys
+    ):
+        inject_engine_fault(monkeypatch, at=60)
+        config = tmp_path / "run.cfg"
+        config.write_text(
+            f"warmup = 10\ntrain_steps = 20\nbed.bed1.source = replay:{capture_file}\n"
+        )
+        replayed, monitored = tmp_path / "replay", tmp_path / "monitor"
+        argv = ["replay", str(capture_file), "--config", str(config), "--out", str(replayed)]
+        assert main(argv) == 0
+        assert "detector for bed1 restarted: injected fault\n" in capsys.readouterr().out
+        screen = io.StringIO()
+        monitor_run(load_settings(config), out_dir=monitored, screen=screen)
+        assert "detector for bed1 restarted: injected fault\n" in screen.getvalue()
+        replay_rows, monitor_rows = (
+            drop_column((out / "events.csv").read_text(), 0) for out in (replayed, monitored)
+        )
+        assert "bed1,data-warning-raised,60,," in replay_rows
+        assert replay_rows == monitor_rows
 
     def test_monitor_without_beds_is_an_error(self, tmp_path):
         with pytest.raises(SourceError, match="at least one bed"):

@@ -12,7 +12,10 @@ seeded inputs (``perfbench/``, imported and never written):
 * ``tune``: every ``run_detector`` verdict (kind, timestep, ``delta.hex()``,
   resolves) over the tune-grid streams and configs;
 * ``replay``: the replay-archive capture's ``events.csv`` and
-  ``frames_bed1.csv``, with their wall-clock columns stripped.
+  ``frames_bed1.csv``, with their wall-clock columns stripped, then every
+  event of an in-memory ``BedPipeline`` over the same capture: verdicts with
+  ``delta.hex()``, which the archive rounds to 6 decimals, and data warnings
+  by kind and timestep.
 
 With ``--against REV`` it extracts REV's ``src/`` with ``git archive`` into
 a temporary directory, computes the same digests with that package and with
@@ -61,10 +64,11 @@ def tune_digest(seed: int, work: Path) -> tuple[str, int, int]:
 
 
 def replay_digest(seed: int, work: Path) -> tuple[str, int, int]:
-    """Digest of both archives, and their event and frame row counts."""
+    """Digest of both archives and the in-memory chain's events, and the
+    archives' event and frame row counts."""
     import inputs
     import workloads
-    from vitalwatch import load_settings, replay_run
+    from vitalwatch import BedPipeline, DataWarning, load_settings, replay_run
 
     settings = load_settings(inputs.write_config(work))
     stream, _ = inputs.replay_capture(workloads.REPLAY_LINES, seed, settings.warn_threshold)
@@ -81,6 +85,14 @@ def replay_digest(seed: int, work: Path) -> tuple[str, int, int]:
             fields = row.split(",")
             del fields[wall]
             digest.update((",".join(fields) + "\n").encode())
+    pipe = BedPipeline("bed1", settings)
+    for line in stream.lines:
+        for e in pipe.feed_line(line, 0.0):
+            if isinstance(e, DataWarning):
+                row = f"data-warning-{'raised' if e.active else 'cleared'},{e.at_timestep}\n"
+            else:
+                row = f"{e.kind.value},{e.at_timestep},{e.delta.hex()},{e.resolves_timestep}\n"
+            digest.update(row.encode())
     return digest.hexdigest(), *counts
 
 
