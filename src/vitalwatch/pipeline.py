@@ -1,7 +1,10 @@
 """Per-bed processing chain and the run drivers behind the CLI.
 
-Chain per frame: parse -> validate -> archive -> streak tracking -> column
-mask -> running standardization -> detector. The frame's position in the
+Chain per frame: screen -> archive -> streak tracking -> column mask ->
+running standardization -> detector. The screen matches first and
+classifies on reject: one compiled match (``frame_matcher``) accepts a clean
+frame and yields its values, and only a frame it rejects is parsed and
+validated field by field, which names its flags. The frame's position in the
 stream is its timestep; flagged frames keep their slot (the archive carries
 them, the detector never sees them), so a stretch of bad data shows up to
 the detector as a gap, not as shifted time.
@@ -49,6 +52,7 @@ from .validity import (
     FlagStreak,
     archive_header,
     archive_row,
+    frame_matcher,
     parse_frame,
     track,
     validate,
@@ -75,6 +79,8 @@ class BedPipeline:
         )
         self.engine = KoadEngine(self.schema.dim, settings.threshold_config())
         self.frame_index = 0
+        self._match = frame_matcher(settings.password, self.schema)
+        self._fields_at = len(settings.password) + 1  # a clean record's fields start here
         self._archive = frame_archive
         # a restart's data warning is up and waits for the next verdict
         self._restart_warning = False
@@ -94,12 +100,39 @@ class BedPipeline:
     ) -> tuple[DataWarning | None, MeasurementVector | None]:
         """Front half of the chain for one raw record.
 
+        Match first, classify on reject: a clean frame takes one compiled
+        match, and its archive row is the record itself behind an empty flags
+        column (byte-equal to ``archive_row``'s). Any other frame goes
+        through ``parse_frame`` and ``validate``, which name its flags, and
+        its row is flushed.
+
         Returns the streak's warning transition, if this frame caused one,
         and the standardized vector for the detector, or None for a flagged
         or warm-up frame.
         """
         timestep = self.frame_index
         self.frame_index += 1
+        record = line.rstrip("\r\n")
+        values = self._match(record)
+        if values is None:
+            values = self._classify(line, timestep, received_at)
+        elif self._archive is not None:
+            self._archive.write(
+                f"{self.bed},{timestep},{received_at:.3f},,{record[self._fields_at:]}\n"
+            )
+        warning = track(self.streak, values is not None, timestep)
+        if values is None:
+            return warning, None
+        if self.schema.use is not None:
+            values = [values[i] for i in self.schema.use]
+        z = self.standardizer.push(values)
+        if self.standardizer.count <= self.settings.warmup:
+            return warning, None  # raw passthrough frames never reach the detector
+        return warning, MeasurementVector(z, timestep)
+
+    def _classify(self, line: str, timestep: int, received_at: float) -> list[float] | None:
+        """The field-by-field screen for a frame the matcher rejected: archive
+        and flush its row, and return its values if it passes after all."""
         frame = parse_frame(line)
         result = validate(frame, self.settings.password, self.schema)
         if self._archive is not None:
@@ -109,13 +142,7 @@ class BedPipeline:
             )
             if not result.ok:
                 self._archive.flush()
-        warning = track(self.streak, result, timestep)
-        if not result.ok:
-            return warning, None
-        z = self.standardizer.push(self.schema.project(result.vector))
-        if self.standardizer.count <= self.settings.warmup:
-            return warning, None  # raw passthrough frames never reach the detector
-        return warning, MeasurementVector(z, timestep)
+        return None if result.vector is None else result.vector.tolist()
 
     def feed_line(self, line: str, received_at: float) -> list[Verdict | DataWarning]:
         """Process one raw record; returns the events it produced. A detector

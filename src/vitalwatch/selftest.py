@@ -31,6 +31,7 @@ from .kernels import gram_matrix, kernel_vector
 from .validity import (
     FlagStreak,
     ParameterSchema,
+    frame_matcher,
     parse_frame,
     track,
     validate,
@@ -189,20 +190,24 @@ def check_validity_table() -> CheckResult:
         ("PW123,72,98,-,76", "2:hyphen"),
         ("PW123,72,98,118,10000.5", "3:over-limit"),
         ("PW123,72,98,abc,76", "2:non-numeric"),
+        ("PW123,\u0667\u0662,98,118,76", "0:non-numeric"),  # Arabic-Indic "72"
     ]
     problems = []
+    match = frame_matcher(password, schema)
     for line, expected in table:
         result = validate(parse_frame(line), password, schema)
         if result.flags_text() != expected:
             problems.append(f"{line!r} -> {result.flags_text()!r}, wanted {expected!r}")
+        if (match(line) is None) == (expected == ""):
+            problems.append(f"{line!r}: the frame matcher and the classifier disagree")
 
     streak = FlagStreak(warn_threshold=3)
     bad = validate(parse_frame("PW123,-,-,-,-"), password, schema)
     good = validate(parse_frame("PW123,72,98,118,76"), password, schema)
-    raised = [track(streak, bad, ts) for ts in (0, 1, 2)]
+    raised = [track(streak, bad.ok, ts) for ts in (0, 1, 2)]
     if [w.active if w else None for w in raised] != [None, None, True]:
         problems.append(f"warning should raise on the 3rd flagged frame, got {raised}")
-    cleared = track(streak, good, 3)
+    cleared = track(streak, good.ok, 3)
     if cleared is None or cleared.active:
         problems.append("next valid frame should clear the warning")
 

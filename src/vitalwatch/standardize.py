@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -43,29 +44,26 @@ class RunningStandardizer:
     def mean(self) -> np.ndarray:
         return np.array(self._mean)
 
-    def _variances(self) -> list[float]:
-        if self.count < 2:
-            return [self.var_floor] * self.dim
-        n1 = self.count - 1
-        return [max(m2 / n1, self.var_floor) for m2 in self._m2]
-
     def variance(self) -> np.ndarray:
-        return np.array(self._variances())
+        if self.count < 2:
+            return np.full(self.dim, self.var_floor)
+        n1 = self.count - 1
+        return np.array([max(m2 / n1, self.var_floor) for m2 in self._m2])
 
-    def push(self, values: np.ndarray) -> np.ndarray:
-        """Fold one frame into the statistics and return its transform."""
-        values = np.asarray(values, dtype=float)
-        if values.shape != (self.dim,):
-            raise ValueError(f"expected shape ({self.dim},), got {values.shape}")
+    def push(self, values: Sequence[float]) -> np.ndarray:
+        """Fold one frame's values into the statistics and return its
+        transform. One loop updates each channel's mean and M2 and, once
+        warmed up, computes its z-score; one array is built at the end."""
+        if len(values) != self.dim:
+            raise ValueError(f"expected {self.dim} values, got {len(values)}")
         self.count = n = self.count + 1
-        xs = values.tolist()
+        scoring = n > self.warmup  # so n >= 2 below
+        n1, var_floor = n - 1, self.var_floor
         mean, m2 = self._mean, self._m2
-        for i, x in enumerate(xs):
+        z = []
+        for i, x in enumerate(values):
             delta = x - mean[i]
             mean[i] = mu = mean[i] + delta / n
-            m2[i] += delta * (x - mu)
-        if n <= self.warmup:
-            return values.copy()
-        return np.array(
-            [(x - mu) / math.sqrt(var) for x, mu, var in zip(xs, mean, self._variances())]
-        )
+            m2[i] = s = m2[i] + delta * (x - mu)
+            z.append((x - mu) / math.sqrt(max(s / n1, var_floor)) if scoring else x)
+        return np.array(z, dtype=float)

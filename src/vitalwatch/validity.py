@@ -7,19 +7,29 @@ hyphen, above the physiological transmission limit, or not plain decimal
 numbers. Flagged frames are archived but never scored. A per-bed streak
 counter raises a DataWarning after ``warn_threshold`` consecutive flagged
 frames and clears it on the next valid one.
+
+There are two screens with one verdict. ``frame_matcher`` accepts a clean
+frame with one compiled match and returns its values; ``parse_frame`` and
+``validate`` classify any frame field by field and name its flags. The
+matcher accepts exactly the frames ``validate`` passes, with the same
+values, so a caller may try it first and classify only what it rejects.
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-# Plain decimal notation only: "12", "-3.5", "+.25", "7.". Anything else
-# (scientific notation, hex, inf/nan spellings) is non-numeric on the wire.
-DECIMAL_RE = re.compile(r"^[+-]?(?:\d+(?:\.\d*)?|\.\d+)$")
+# Plain ASCII decimal notation only: "12", "-3.5", "+.25", "7.". Anything
+# else (scientific notation, hex, inf/nan spellings, non-ASCII digits) is
+# non-numeric on the wire. The digits are spelled [0-9], not \d: a str
+# pattern's \d matches any Unicode digit, and ``frame_matcher`` builds its
+# pattern from this one's text, so a flag would not carry over.
+DECIMAL_RE = re.compile(r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)")
 
 # Values above this are transmission garbage, not physiology.
 VALUE_LIMIT = 10000.0
@@ -68,12 +78,6 @@ class ParameterSchema:
     def dim(self) -> int:
         """Dimension of the vector handed to the detector."""
         return len(self.use) if self.use is not None else len(self.names)
-
-    def project(self, values: np.ndarray) -> np.ndarray:
-        """Mask a full-arity value vector down to the modeled columns."""
-        if self.use is None:
-            return values
-        return values[list(self.use)]
 
 
 @dataclass(frozen=True)
@@ -143,7 +147,7 @@ def _check_field(token: str, index: int, schema: ParameterSchema) -> float | Fla
         return FlagReason.NULL
     if stripped == "-":
         return FlagReason.HYPHEN
-    if not DECIMAL_RE.match(stripped):
+    if not DECIMAL_RE.fullmatch(stripped):
         return FlagReason.NON_NUMERIC
     value = float(stripped)
     if value == 0.0 and index not in schema.zero_ok:
@@ -177,13 +181,48 @@ def validate(
     return ValidationResult(np.array(values), ())
 
 
-def track(
-    streak: FlagStreak, result: ValidationResult, timestep: int
-) -> DataWarning | None:
-    """Advance the per-bed streak; returns a warning transition when one
-    fires. Deterministic: the warning raises exactly when the run length
-    reaches warn_threshold and clears on the first valid frame after."""
-    if result.ok:
+def frame_matcher(
+    password: str, schema: ParameterSchema
+) -> Callable[[str], list[float] | None]:
+    """The one-match screen for clean frames.
+
+    The returned function takes a record (a line without its line ending)
+    and returns its full-arity values when ``validate`` would pass the frame,
+    else None. One compiled pattern checks the password, the arity and every
+    field's notation (``DECIMAL_RE`` between optional blanks, as
+    ``_check_field`` strips them); the zero and limit tests then run on the
+    floats. A None says only that the frame is not clean: ``validate`` names
+    why.
+    """
+    field = rf"\s*({DECIMAL_RE.pattern})\s*"
+    # a frame's password token never holds a comma, so such a password
+    # passes no frame
+    head = "(?!)" if "," in password else re.escape(password)
+    fullmatch = re.compile(",".join([head, *[field] * schema.arity])).fullmatch
+    zero_checked = None  # None: every column, so test the whole list at once
+    if schema.zero_ok:
+        zero_checked = [i for i in range(schema.arity) if i not in schema.zero_ok]
+
+    def match(record: str) -> list[float] | None:
+        found = fullmatch(record)
+        if found is None:
+            return None
+        values = list(map(float, found.groups()))
+        if max(values) > VALUE_LIMIT:
+            return None
+        if 0.0 in (values if zero_checked is None else [values[i] for i in zero_checked]):
+            return None
+        return values
+
+    return match
+
+
+def track(streak: FlagStreak, ok: bool, timestep: int) -> DataWarning | None:
+    """Advance the per-bed streak by one frame, valid (``ok``) or flagged;
+    returns a warning transition when one fires. Deterministic: the warning
+    raises exactly when the run length reaches warn_threshold and clears on
+    the first valid frame after."""
+    if ok:
         cleared = streak.warning_active
         streak.consecutive_flagged = 0
         return DataWarning(active=False, at_timestep=timestep) if cleared else None

@@ -20,7 +20,13 @@ from vitalwatch.pipeline import (
 from vitalwatch.sources import ReplaySource, SocketSource, SourceError, TailSource
 from vitalwatch.synth import default_spec, read_labels, write_stream
 from vitalwatch.tuning import grid_search, run_detector, score_run
-from vitalwatch.validity import DataWarning
+from vitalwatch.validity import (
+    DataWarning,
+    archive_header,
+    archive_row,
+    parse_frame,
+    validate,
+)
 
 
 PW = "PW123"
@@ -145,6 +151,40 @@ class TestBedPipeline:
             events = pipe.feed_line(wire("300", "5", "400"), 61.0)
             assert events[0].kind in (VerdictKind.RED1, VerdictKind.ORANGE)
             assert last_row_on_disk().startswith("bed1,61,61.000,,")
+
+
+    def test_screen_writes_the_classifiers_archive_rows(self):
+        # A clean frame's row comes from the matched record, any other from
+        # the classifier; both must be archive_row's bytes. Edge lines in
+        # both kinds ride along a faulted capture through every phase.
+        settings = small_settings()
+        schema = settings.schema()
+        rng = np.random.default_rng(9)
+        lines = [steady_line(rng) for _ in range(60)]
+        for i in range(3, 60, 7):
+            lines[i] = wire(*lines[i].split(",")[1:3], "-")
+        edge = [
+            wire(" 72 ", "\t98", "118\u00a0"),
+            wire("72", "+.25", "7.") + "\r\n",
+            wire("-3.5", "+98", "0118") + " \n",
+            wire("72", "98", "10000") + "\n",
+            wire("72", "98", "10000.5"), wire("72", "0", "118"), wire("null", "98", " "),
+            wire("72", "98", "1e3"), wire("\u0667\u0662", "98", "118"),
+            "WRONG,72,98,118", wire("72", "98"), wire("72", "98", "118", "5"), "", "\r\n",
+        ]
+        lines[8:8] = lines[40:40] = edge
+        sink = io.StringIO()
+        pipe = BedPipeline("bed1", settings, frame_archive=sink)
+        for t, line in enumerate(lines):
+            pipe.screen(line, 1.7e9 + 12.3456 * t)
+        expected = [archive_header(schema)]
+        for t, line in enumerate(lines):
+            frame = parse_frame(line)
+            result = validate(frame, PW, schema)
+            expected.append(archive_row("bed1", t, 1.7e9 + 12.3456 * t, result, frame, schema))
+        assert sink.getvalue() == "".join(row + "\n" for row in expected)
+        clean = sum(row.split(",")[3] == "" for row in expected[1:])
+        assert clean == 51 + 2 * 4  # unfaulted capture frames, clean edge lines
 
 
 class TestStandardizedStream:

@@ -66,6 +66,9 @@ def test_dimension_and_parameter_validation():
     s = RunningStandardizer(dim=2)
     with pytest.raises(ValueError):
         s.push(np.array([1.0, 2.0, 3.0]))
+    with pytest.raises(ValueError):
+        s.push([1.0])
+    assert s.count == 0
 
 
 @pytest.mark.parametrize("warmup", [1, 3, 50])
@@ -73,15 +76,20 @@ def test_push_is_bit_identical_to_the_array_welford(warmup):
     # Vital-sign scale values rounded like the wire's 3 decimals, a channel
     # near zero (where every rounding of the mean update shows), and a
     # constant channel whose variance sits on the floor. The comparison
-    # starts at the first push, where count < 2 reads the floor too.
+    # starts at the first push, where count < 2 reads the floor too. The
+    # pipeline pushes a list of Python floats; an array gives the same bits.
     rng = np.random.default_rng(11)
     frames = rng.normal([72.0, 98.0, 118.0, 0.2], [9.0, 1.5, 14.0, 1.0], size=(400, 4))
     frames = np.column_stack([np.round(frames, 3), np.full(len(frames), 80.0)])
     got = RunningStandardizer(dim=5, warmup=warmup, var_floor=1e-6)
+    from_floats = RunningStandardizer(dim=5, warmup=warmup, var_floor=1e-6)
     want = ArrayStandardizer(dim=5, warmup=warmup, var_floor=1e-6)
     for frame in frames:
         assert np.array_equal(got.variance(), want.variance())
-        assert np.array_equal(got.push(frame), want.push(frame))
+        expected = want.push(frame)
+        assert np.array_equal(got.push(frame), expected)
+        assert np.array_equal(from_floats.push(frame.tolist()), expected)
         assert np.array_equal(got.mean, want.mean)
-        assert got.count == want.count
-    assert got.variance()[4] == 1e-6
+        assert np.array_equal(from_floats.mean, want.mean)
+        assert got.count == from_floats.count == want.count
+    assert got.variance()[4] == from_floats.variance()[4] == 1e-6

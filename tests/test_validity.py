@@ -1,10 +1,15 @@
-"""Table-driven screening tests: every flag reason, streak warnings, archive."""
+"""Table-driven screening tests: every flag reason, streak warnings, archive,
+and the frame matcher's agreement with the classifier."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from vitalwatch.config import Settings
+from vitalwatch.pipeline import BedPipeline
 from vitalwatch.validity import (
     FRAME_FLAG,
     DataWarning,
@@ -12,9 +17,9 @@ from vitalwatch.validity import (
     FlagStreak,
     ParameterSchema,
     RawFrame,
-    ValidationResult,
     archive_header,
     archive_row,
+    frame_matcher,
     parse_frame,
     track,
     validate,
@@ -111,11 +116,20 @@ def test_decimal_forms_accepted():
     np.testing.assert_allclose(result.vector, [72.0, 98.5, -0.5, 0.8])
 
 
+def test_non_ascii_digits_are_non_numeric():
+    # Arabic-Indic "72": float() reads it, the wire format does not
+    line = "PW123,\u0667\u0662,98,118,76"
+    assert validate(parse_frame(line), PW, SCHEMA).flags_text() == "0:non-numeric"
+    assert frame_matcher(PW, SCHEMA)(line) is None
+
+
 def test_schema_projection_masks_columns():
-    schema = ParameterSchema(names=SCHEMA.names, use=(0, 1, 3))
-    assert schema.dim == 3
-    result = validate(frame(["72", "98", "120", "80"]), PW, schema)
-    np.testing.assert_array_equal(schema.project(result.vector), [72.0, 98.0, 80.0])
+    settings = Settings(password=PW, schema_names=SCHEMA.names, schema_use=(0, 1, 3))
+    assert settings.schema().dim == 3
+    pipe = BedPipeline("bed1", settings)
+    pipe.screen("PW123,72,98,120,80", 0.0)
+    # one frame: the standardizer's mean is that frame's modeled columns
+    np.testing.assert_array_equal(pipe.standardizer.mean, [72.0, 98.0, 80.0])
 
 
 def test_schema_rejects_bad_indices():
@@ -127,8 +141,8 @@ def test_schema_rejects_bad_indices():
         ParameterSchema(names=())
 
 
-FLAGGED = ValidationResult(None, ((0, FlagReason.NULL),))
-VALID = ValidationResult(np.array([1.0]), ())
+FLAGGED = False
+VALID = True
 
 
 def test_warning_raised_on_exactly_the_wth_frame():
@@ -185,3 +199,83 @@ def test_archive_row_empty_flags_for_valid_frames():
     result = validate(f, PW, SCHEMA)
     row = archive_row("bed1", 0, 0.0, result, f, SCHEMA)
     assert row.split(",")[3] == ""
+
+
+def test_matcher_passes_a_clean_frame_with_its_values():
+    match = frame_matcher(PW, SCHEMA)
+    assert match("PW123, 72 ,+.25,7.,\t-3.5") == [72.0, 0.25, 7.0, -3.5]
+    assert match("PW123,72,98,120,10000") == [72.0, 98.0, 120.0, 10000.0]
+
+
+@pytest.mark.parametrize(
+    "record",
+    ["PW123,72,98,120,10000.01", "PW123,72,0,120,80", "PW123,72,-0,120,80",
+     "PW123,72,98,1e3,80", "PW123,72,98,nan,80", "PW123,72,98,120", "",
+     "PW1234,72,98,120,80", "PW123 ,72,98,120,80", "PW123,72,98,1 20,80"],
+)
+def test_matcher_rejects_what_the_classifier_flags(record):
+    assert frame_matcher(PW, SCHEMA)(record) is None
+    assert not validate(parse_frame(record), PW, SCHEMA).ok
+
+
+def test_matcher_passes_no_frame_for_a_password_with_a_comma():
+    # a frame's password token ends at its first comma
+    assert frame_matcher("PW,123", SCHEMA)("PW,123,72,98,120,80") is None
+    assert not validate(parse_frame("PW,123,72,98,120,80"), "PW,123", SCHEMA).ok
+
+
+# -- the matcher and the classifier agree on random frames ----------------
+
+BLANKS = st.sampled_from(["", " ", "  ", "\t", "\u00a0", "\u3000"])
+DIGITS = st.text(alphabet="0123456789", max_size=6)
+# sign, whole part, optional point, fraction: plain decimals, "7.", ".5",
+# and the malformed "", "+", "." and "-." among them
+DECIMAL = st.builds(
+    lambda sign, whole, point, frac: sign + whole + point + frac,
+    st.sampled_from(["", "+", "-"]), DIGITS, st.sampled_from(["", "."]), DIGITS,
+)
+SPECIAL = st.sampled_from([
+    "", "null", "NULL", "-", "0", "-0", "0.0", "+0.", "1e3", "1E3", "nan",
+    "inf", "0x1F", "1_000", "--", "abc", "7x12", "\u0667\u0662", "\uff17\uff12",
+    "\u00b2", "10000", "10000.0", "10000.001", "99999", "1" * 400,
+])
+FIELD = st.builds(lambda left, core, right: left + core + right,
+                  BLANKS, st.one_of(DECIMAL, SPECIAL), BLANKS)
+# readings with three decimals in the wire's own and other decimal
+# spellings, some of them zero or over the limit
+READING = st.builds(
+    lambda left, sign, milli, spelling, right: left + spelling.format(sign * milli / 1000) + right,
+    BLANKS, st.sampled_from([1, -1]), st.integers(0, 10_500_000),
+    st.sampled_from(["{:.3f}", "{:.0f}.", "{:+.2f}", "{}"]), BLANKS,
+)
+SCHEMAS = st.sampled_from([
+    SCHEMA,
+    ParameterSchema(names=SCHEMA.names, use=(0, 2, 3)),
+    ParameterSchema(names=SCHEMA.names, zero_ok=frozenset({1})),
+    ParameterSchema(names=SCHEMA.names, use=(1, 3), zero_ok=frozenset({0, 3})),
+])
+
+
+@st.composite
+def wire_lines(draw, arity: int) -> str:
+    password = draw(st.sampled_from([PW] * 12 + ["WRONG", " PW123", "PW123 ", "PW12", ""]))
+    size = draw(st.sampled_from([arity] * 4 + [arity - 1, arity + 1]))
+    fields = draw(st.lists(READING, min_size=size, max_size=size))
+    for i, token in draw(st.lists(st.tuples(st.integers(0, size - 1), FIELD), max_size=3)):
+        fields[i] = token
+    ending = draw(st.sampled_from(["", "\n", "\r\n", " \n"]))
+    return ",".join([password, *fields]) + ending
+
+
+@settings(max_examples=600, deadline=None)
+@given(data=st.data())
+def test_matcher_agrees_with_the_classifier(data):
+    schema = data.draw(SCHEMAS)
+    line = data.draw(wire_lines(schema.arity))
+    values = frame_matcher(PW, schema)(line.rstrip("\r\n"))
+    result = validate(parse_frame(line), PW, schema)
+    if values is None:
+        assert not result.ok
+    else:
+        assert result.ok
+        assert [v.hex() for v in values] == [v.hex() for v in result.vector.tolist()]

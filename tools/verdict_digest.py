@@ -6,7 +6,7 @@ Run from the repository root:
     python3 tools/verdict_digest.py --seeds 201 7
     python3 tools/verdict_digest.py --seeds 201 7 --against HEAD~1
 
-For each seed it prints two SHA-256 digests, built from the benchmark's own
+For each seed it prints three SHA-256 digests, built from the benchmark's own
 seeded inputs (``perfbench/``, imported and never written):
 
 * ``tune``: every ``run_detector`` verdict (kind, timestep, ``delta.hex()``,
@@ -15,7 +15,11 @@ seeded inputs (``perfbench/``, imported and never written):
   ``frames_bed1.csv``, with their wall-clock columns stripped, then every
   event of an in-memory ``BedPipeline`` over the same capture: verdicts with
   ``delta.hex()``, which the archive rounds to 6 decimals, and data warnings
-  by kind and timestep.
+  by kind and timestep;
+* ``edge``: the frame archive and the events of a ``BedPipeline`` over the
+  same capture with ``EDGE_LINES`` spliced in at every phase: wire spellings
+  the capture never holds (CRLF, padded fields, ``+.25``, ``7.``) and every
+  flag kind.
 
 With ``--against REV`` it extracts REV's ``src/`` with ``git archive`` into
 a temporary directory, computes the same digests with that package and with
@@ -68,7 +72,7 @@ def replay_digest(seed: int, work: Path) -> tuple[str, int, int]:
     archives' event and frame row counts."""
     import inputs
     import workloads
-    from vitalwatch import BedPipeline, DataWarning, load_settings, replay_run
+    from vitalwatch import BedPipeline, load_settings, replay_run
 
     settings = load_settings(inputs.write_config(work))
     stream, _ = inputs.replay_capture(workloads.REPLAY_LINES, seed, settings.warn_threshold)
@@ -88,12 +92,55 @@ def replay_digest(seed: int, work: Path) -> tuple[str, int, int]:
     pipe = BedPipeline("bed1", settings)
     for line in stream.lines:
         for e in pipe.feed_line(line, 0.0):
-            if isinstance(e, DataWarning):
-                row = f"data-warning-{'raised' if e.active else 'cleared'},{e.at_timestep}\n"
-            else:
-                row = f"{e.kind.value},{e.at_timestep},{e.delta.hex()},{e.resolves_timestep}\n"
-            digest.update(row.encode())
+            digest.update(event_row(e).encode())
     return digest.hexdigest(), *counts
+
+
+# Four-column frames; {pw} is the capture's password. All ASCII: the
+# screen's treatment of non-ASCII digits changed once on purpose.
+EDGE_LINES = [
+    "{pw},72,98,118,76\r\n", "{pw}, 72 ,\t98,118 , 76", "{pw},+.25,7.,-3.5,+118",
+    "{pw},0072.50,98.,.5,76 \n", "{pw},72,98,118,10000", "{pw},72,98,118,10000.001",
+    "{pw},72,0,118,76", "{pw},-0,98,118,76", "{pw},null,98,118,76", "{pw},72,-,118,76",
+    "{pw},72,98,,76", "{pw},72,98,1e3,76", "{pw},72,nan,118,76", "{pw},72,98,118",
+    "{pw},72,98,118,76,5", "WRONG,72,98,118,76", "",
+]
+
+
+def event_row(event) -> str:
+    """A verdict with its exact delta, or a data warning by kind and timestep."""
+    from vitalwatch import DataWarning
+
+    if isinstance(event, DataWarning):
+        return f"data-warning-{'raised' if event.active else 'cleared'},{event.at_timestep}\n"
+    kind, at, delta, resolves = event
+    return f"{kind.value},{at},{delta.hex()},{resolves}\n"
+
+
+def edge_digest(seed: int, work: Path) -> tuple[str, int]:
+    """Digest of an archived ``BedPipeline``'s frame rows and events over
+    the replay capture with ``EDGE_LINES`` spliced in during warm-up,
+    training and live scoring; and the number of lines fed."""
+    import io
+
+    import inputs
+    import workloads
+    from vitalwatch import BedPipeline, load_settings
+
+    settings = load_settings(inputs.write_config(work))
+    stream, _ = inputs.replay_capture(workloads.REPLAY_LINES, seed, settings.warn_threshold)
+    edge = [line.format(pw=inputs.PASSWORD) for line in EDGE_LINES]
+    lines = list(stream.lines)
+    for at in (10_000, 75, 20):  # from the back, so each index is the capture's
+        lines[at:at] = edge
+    sink = io.StringIO()
+    pipe = BedPipeline("bed1", settings, frame_archive=sink)
+    digest = hashlib.sha256()
+    for t, line in enumerate(lines):
+        for e in pipe.feed_line(line, 1000.0 + 12.5 * t):
+            digest.update(event_row(e).encode())
+    digest.update(sink.getvalue().encode())
+    return digest.hexdigest(), len(lines)
 
 
 def print_digests(seeds: list[int], src: Path) -> None:
@@ -107,6 +154,8 @@ def print_digests(seeds: list[int], src: Path) -> None:
             print(f"seed {seed} tune {digest} ({verdicts} verdicts, {runs} runs)")
             digest, events, frames = replay_digest(seed, work / "replay")
             print(f"seed {seed} replay {digest} ({events} events, {frames} frames)")
+            digest, fed = edge_digest(seed, work / "edge")
+            print(f"seed {seed} edge {digest} ({fed} lines)")
 
 
 def digests_in_child(seeds: list[int], src: Path) -> list[str]:
