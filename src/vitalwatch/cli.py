@@ -130,6 +130,11 @@ def cmd_tune(args: argparse.Namespace) -> int:
     settings = _settings(args)
     lines = _read_stream_lines(args.stream, settings)
     timesteps, vectors = standardized_stream(lines, settings)
+    if len(vectors) <= settings.train_steps:
+        raise ConfigError(
+            f"{args.stream} leaves {len(vectors)} vectors after warm-up, too few "
+            f"to score any after train_steps = {settings.train_steps}"
+        )
     labels = read_labels(args.labels)
     policy = settings.match_policy()
     reports, best = grid_search(

@@ -41,7 +41,11 @@ rows are patched rather than recomputed: a removal deletes its column, and
 an admission adds the admitted arrival's column, read from the block's own
 pairwise kernel. The same patch gives an arrival that forces a prune at
 capacity its row against the pruned basis, on either path, so no arrival's
-row against the basis is computed twice. Replay and monitor feed one
+row against the basis is computed twice. The walk also projects a block's
+rows at once, one stacked matrix-vector product and one stacked dot for all
+of them, each row bitwise the one-row result; the stacked projections hold
+until the dictionary first changes inside the block, and the arrivals after
+that change are projected one at a time. Replay and monitor feed one
 arrival at a time, since a live bed has no lookahead.
 """
 
@@ -211,6 +215,10 @@ class DictionaryState:
     Invariant (checkable on demand): inv_gram @ gram() == identity within
     1e-6 Frobenius norm. Admission and removal both cost O(m^2) and never
     reallocate the storage.
+
+    ``changes`` counts the calls that write the basis or the inverse
+    (``admit``, ``remove`` and ``refresh_inverse``): a projection made at
+    one count holds while the count stays the same.
     """
 
     def __init__(self, dim: int, max_size: int) -> None:
@@ -223,6 +231,7 @@ class DictionaryState:
         self._gram = np.zeros((max_size, max_size))
         self._inv = np.zeros((max_size, max_size))
         self._usage = np.zeros(max_size)
+        self.changes = 0
         self._resize(0)
 
     def _resize(self, m: int) -> None:
@@ -265,6 +274,7 @@ class DictionaryState:
         self._usage[m] = 0.0
         self.timesteps.append(x.timestep)
         self._resize(m + 1)
+        self.changes += 1
         return m
 
     def remove(self, index: int) -> None:
@@ -289,6 +299,7 @@ class DictionaryState:
         self._usage[index:last] = self._usage[index + 1 : m]
         del self.timesteps[index]
         self._resize(last)
+        self.changes += 1
         if abs(q) < 1e-12:
             # Degenerate pivot: the maintained inverse has drifted too far.
             self.refresh_inverse()
@@ -312,6 +323,7 @@ class DictionaryState:
         """Full re-inversion fallback for when incremental updates drift."""
         if self.size == 0:
             return
+        self.changes += 1
         try:
             self.inv_gram[...] = np.linalg.inv(self.gram())
         except np.linalg.LinAlgError as exc:
@@ -416,6 +428,15 @@ class KoadEngine:
         the block patches the rows of the arrivals still to come (see
         ``_remove_element`` and ``_admit``), so every arrival is scored with
         the row a fresh call against the basis of its turn would give.
+
+        Each block's rows are also projected at once: ``np.matmul`` of the
+        inverse with the stacked rows and ``np.vecdot`` of the rows with the
+        coefficients, which numpy runs as one matrix-vector product and one
+        dot per row, each bitwise ``_project``'s. The stacked projections
+        hold while ``dictionary.changes`` stays where it was at the block's
+        start; from the first change on, each arrival to the block's end is
+        projected by ``_project``. A negative stacked delta also goes to
+        ``_project``, for its clamp and re-inversion rules.
         """
         vectors = np.asarray(vectors, dtype=float)
         self._check_run(vectors, timesteps)
@@ -428,10 +449,18 @@ class KoadEngine:
             rows = buffer[: len(block)]
             rows[:, : dictionary.size] = kernel_vector(dictionary.basis, block, sigma)
             self._block, self._rows, self._pairs = block, rows, None
+            changes = dictionary.changes
+            krows = rows[:, : dictionary.size]
+            crows = np.matmul(dictionary.inv_gram, krows[..., None])[..., 0]
+            dots = np.vecdot(krows, crows).tolist()
             for i in range(len(block)):
                 self._at = i
                 values, t = block[i], timesteps[start + i]
-                delta, coeffs = self._project(values, rows[i, : dictionary.size])
+                if dictionary.changes == changes and (delta := 1.0 - dots[i]) >= 0.0:
+                    coeffs = crows[i]
+                    self._kvec = krows[i]
+                else:
+                    delta, coeffs = self._project(values, rows[i, : dictionary.size])
                 if self.steps_seen < train_steps:
                     self._train(values, t, delta, coeffs)
                 else:

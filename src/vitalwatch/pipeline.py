@@ -21,7 +21,9 @@ through ``feed_line`` and hand its events to ``deliver``; ``tune`` runs the
 front half once (``standardized_stream``) and the detector half once per
 grid row (``tuning.run_detector``, through ``KoadEngine.feed_run``, which
 scores blocks of arrivals from one kernel call per block, patched for each
-dictionary change inside it, with verdicts bitwise equal to ``feed``'s).
+dictionary change inside it, and projects a block's arrivals in one stacked
+call until the dictionary changes, with verdicts bitwise equal to
+``feed``'s).
 """
 
 from __future__ import annotations

@@ -1,12 +1,16 @@
 """Built-in sanity suite, runnable on any install without test tooling.
 
-Three checks, each independent of the code path it verifies:
+Four checks, each independent of the code path it verifies:
 
 * projection errors and the maintained inverse Gram against fresh dense
   linear solves on randomized admission/removal sequences, and the kept
   Gram matrix against one rebuilt from the basis,
 * the Green / Red1 / Orange / Red2 alarm walk on a scripted 1-d stream
   whose expected deltas come from the same dense solves,
+* the tuner's block walk (``feed_run``) against one ``feed`` per arrival,
+  bit for bit, on a stream that churns the dictionary: the walk projects
+  stacked rows, so a numpy whose stacked arithmetic differs from its
+  one-row arithmetic fails here rather than letting tune and replay drift,
 * the frame validity table and the consecutive-flag warning counter.
 
 Kept deliberately small (about a second); the full development suite lives
@@ -28,6 +32,7 @@ from .engine import (
     VerdictKind,
 )
 from .kernels import gram_matrix, kernel_vector
+from .synth import default_spec, generate
 from .validity import (
     FlagStreak,
     ParameterSchema,
@@ -177,6 +182,36 @@ def check_alarm_walk() -> CheckResult:
     return CheckResult("alarm state machine", not problems, detail)
 
 
+def check_block_walk(steps: int = 600, train_steps: int = 50) -> CheckResult:
+    """``feed_run`` against one ``feed`` per arrival on a churning stream:
+    verdicts (with ``delta.hex()``) and the dictionary must match bit for
+    bit."""
+    values, _ = generate(default_spec(steps=steps, n_anomalies=6, seed=8, dim=4))
+    z = (values - values.mean(axis=0)) / values.std(axis=0)
+    config = ThresholdConfig(sigma=1.5, max_size=12)
+    walked, stepped = KoadEngine(4, config), KoadEngine(4, config)
+    got = walked.feed_run(z, list(range(steps)), train_steps)
+    expected = []
+    for t, row in enumerate(z):
+        expected += stepped.feed(MeasurementVector(row, t), train_steps)
+
+    def key(engine: KoadEngine, verdicts) -> tuple:
+        d = engine.dictionary
+        arrays = [a.tobytes() for a in (d.basis, d.gram(), d.inv_gram, d.usage)]
+        rows = [(v.kind, v.at_timestep, v.delta.hex(), v.resolves_timestep) for v in verdicts]
+        return rows, arrays, d.timesteps
+
+    same = key(walked, got) == key(stepped, expected)
+    changes = walked.dictionary.changes  # few changes would leave the fallbacks untested
+    return CheckResult(
+        "block walk vs one feed per arrival",
+        same and changes >= 100,
+        f"{len(got)} verdicts and the dictionary "
+        f"{'bit-identical' if same else 'DIFFER'} over {steps} arrivals, "
+        f"{changes} dictionary changes (100 needed; numpy {np.__version__})",
+    )
+
+
 def check_validity_table() -> CheckResult:
     schema = ParameterSchema(names=("hr", "spo2", "nbp_sys", "nbp_dia"))
     password = "PW123"
@@ -216,7 +251,12 @@ def check_validity_table() -> CheckResult:
 
 
 def run_all() -> list[CheckResult]:
-    return [check_projection_oracle(), check_alarm_walk(), check_validity_table()]
+    return [
+        check_projection_oracle(),
+        check_alarm_walk(),
+        check_block_walk(),
+        check_validity_table(),
+    ]
 
 
 def main(screen=None) -> int:

@@ -120,7 +120,7 @@ def test_monitor_drains_replay_beds(tmp_path, capsys, labeled_stream):
 def test_selftest_passes_on_clean_build(capsys):
     code, out, _ = run(capsys, "selftest")
     assert code == 0
-    assert "all 3 checks passed" in out
+    assert "all 4 checks passed" in out
 
 
 def test_bad_config_exits_2_with_line_number(tmp_path, capsys):
@@ -138,6 +138,23 @@ def test_config_that_can_exhaust_the_dictionary_exits_2(tmp_path, capsys):
     assert code == 2
     assert "config error: max_size (30) must exceed ell (30)" in err
     assert "Traceback" not in err
+
+
+def test_tune_on_a_stream_too_short_to_score_exits_2(tmp_path, capsys):
+    # 80 frames leave 30 vectors after the default 50 warm-up frames, fewer
+    # than the default 50 training steps.
+    stream = tmp_path / "short.csv"
+    code, _, _ = run(
+        capsys, "synth", "--steps", "80", "--anomalies", "0", "--out", str(stream)
+    )
+    assert code == 0
+    code, out, err = run(
+        capsys, "tune", str(stream), "--labels", f"{stream}.labels.csv"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert "leaves 30 vectors" in err and "train_steps = 50" in err
 
 
 def test_missing_stream_exits_1(tmp_path, monkeypatch, capsys):

@@ -5,6 +5,10 @@ arrival: the verdicts must agree bit for bit (kind, timestep,
 Each special case also checks that its event fell inside a block, after
 the block's first arrival, so that arrival was scored from a kernel row
 computed ahead of it and patched for every dictionary change since.
+
+The walk projects a block's rows in one stacked call until the dictionary
+changes; the call tests count those calls and pin the stacked arithmetic to
+the per-row one.
 """
 
 from __future__ import annotations
@@ -95,6 +99,55 @@ def _after_scoring(engine: KoadEngine, hook) -> None:
         return out
 
     engine._score = hooked
+
+
+def _record_projections(monkeypatch, engine: KoadEngine) -> list[tuple[int, int]]:
+    """(first arrival, length) of every projection call the walk makes for
+    its rows: a stacked ``np.matmul`` call over a block, or a ``_project``
+    call for one arrival. Not counted: ``_admit``'s re-projection after a
+    forced prune, which passes the arrival's own row back, and the fallback
+    for a negative stacked delta, a call inside the latest stacked block
+    before the dictionary changed."""
+    calls: list[tuple[int, int]] = []
+    opened = []  # dictionary.changes at the latest recorded call
+    matmul = np.matmul
+
+    def stacked(a, b, *args, **kwargs):
+        calls.append((engine.steps_seen, len(b)))
+        opened[:] = [engine.dictionary.changes]
+        return matmul(a, b, *args, **kwargs)
+
+    project = engine._project
+
+    def single(values, kvec=None):
+        at = engine.steps_seen
+        first, length = calls[-1] if calls else (0, 0)
+        fallback = first <= at < first + length and opened == [engine.dictionary.changes]
+        if kvec is not engine._kvec and not fallback:
+            calls.append((at, 1))
+            opened[:] = [engine.dictionary.changes]
+        return project(values, kvec)
+
+    monkeypatch.setattr(np, "matmul", stacked)
+    engine._project = single
+    return calls
+
+
+def _record_changes(engine: KoadEngine) -> list[int]:
+    """Arrival indices at which the engine's dictionary changed."""
+    changed = []
+    for name in ("_train", "_score"):
+        method = getattr(engine, name)
+
+        def recording(values, t, delta, coeffs, method=method):
+            at, before = engine.steps_seen, engine.dictionary.changes
+            out = method(values, t, delta, coeffs)
+            if engine.dictionary.changes != before:
+                changed.append(at)
+            return out
+
+        setattr(engine, name, recording)
+    return changed
 
 
 def _record_prunes(engine: KoadEngine) -> list[tuple[int, bool, list[int]]]:
@@ -201,6 +254,9 @@ def test_roundoff_fallback_inside_a_block(monkeypatch):
     def inflate_inverse(engine, t):
         if t == t0:  # the next arrival's delta comes out near -2
             engine.dictionary.inv_gram *= 3.0
+            # A write to the inverse from outside the engine, recorded as
+            # the engine's own writes are, so the walk projects again.
+            engine.dictionary.changes += 1
 
     run = Run(monkeypatch, config)
     refreshed = []
@@ -215,6 +271,138 @@ def test_roundoff_fallback_inside_a_block(monkeypatch):
     assert t0 + 1 in refreshed
     assert run.mid_block(t0 + 1)
     assert run.walked.dictionary.consistency_error() < 1e-9
+
+
+def test_negative_stacked_delta_falls_back_to_project(monkeypatch):
+    z = stream(3, steps=600)
+    config = ThresholdConfig(sigma=2.5)
+    block = engine_module.BLOCK
+    # A scored arrival that opens a block, with a stacked call, in a run
+    # left alone, and whose turn ends off the consistency check's period.
+    dry = Run(monkeypatch, config)
+    dry_calls = _record_projections(monkeypatch, dry.walked)
+    dry.compare(z)
+    t1 = next(
+        i
+        for i, length in dry_calls
+        if i > TRAIN and i % block == 0 and length > 1 and (i + 1) % config.prune_period
+    )
+
+    def inflate_inverse(engine, t):
+        # Unrecorded, on the last arrival of a block: the next block's
+        # stacked call is made on the inflated inverse, and the delta it
+        # gives t1 comes out near -2.
+        if t == t1 - 1:
+            engine.dictionary.inv_gram *= 3.0
+
+    run = Run(monkeypatch, config)
+    calls = _record_projections(monkeypatch, run.walked)
+    refreshed = []
+    refresh = run.walked.dictionary.refresh_inverse
+
+    def recording():
+        refreshed.append(run.walked.steps_seen)
+        refresh()
+
+    run.walked.dictionary.refresh_inverse = recording
+    run.compare(z, hook=inflate_inverse)
+    first, length = max(w for w in calls if w[0] <= t1)
+    assert first == t1 and length > 1
+    assert t1 in refreshed
+    assert run.walked.dictionary.consistency_error() < 1e-9
+
+
+@pytest.mark.parametrize("max_size", [1, 12, 50])
+def test_stacked_projection_is_bitwise_the_per_row_one(max_size):
+    # Engine-shaped operands: the inverse a strided [:m, :m] view of its
+    # (max_size, max_size) buffer, the rows [i:j, :m] of a (BLOCK, max_size)
+    # buffer. feed_run relies on each stacked row equalling _project's.
+    rng = np.random.default_rng(max_size)
+    inverse = np.empty((max_size, max_size))
+    rows = np.empty((engine_module.BLOCK, max_size))
+    for m in range(1, max_size + 1):
+        inverse[...] = rng.normal(size=inverse.shape)
+        rows[...] = rng.uniform(0.0, 1.0, size=rows.shape)
+        inv = inverse[:m, :m]
+        for i, j in [(0, 2), (3, 10), (0, engine_module.BLOCK), (17, 18 + m % 14)]:
+            kvecs = rows[i:j, :m]
+            coeffs = np.matmul(inv, kvecs[..., None])[..., 0]
+            dots = np.vecdot(kvecs, coeffs).tolist()
+            for k, kvec in enumerate(kvecs):
+                each = inv @ kvec
+                assert coeffs[k].tobytes() == each.tobytes(), (
+                    f"numpy {np.__version__}: stacked matmul row {k} differs "
+                    f"from the gemv at m={m}, window {i}:{j}"
+                )
+                assert dots[k].hex() == float(kvec @ each).hex(), (
+                    f"numpy {np.__version__}: stacked vecdot row {k} differs "
+                    f"from the dot at m={m}, window {i}:{j}"
+                )
+
+
+CALL_CONFIGS = {
+    "sigma2.5": ThresholdConfig(sigma=2.5),
+    "max_size12": ThresholdConfig(sigma=1.5, max_size=12),
+}
+
+
+@pytest.mark.parametrize("config", CALL_CONFIGS.values(), ids=CALL_CONFIGS.keys())
+@pytest.mark.parametrize("block", [16, 32])
+def test_a_block_is_one_call_until_its_first_change(monkeypatch, block, config):
+    monkeypatch.setattr(engine_module, "BLOCK", block)
+    run = Run(monkeypatch, config)
+    calls = _record_projections(monkeypatch, run.walked)
+    changed = _record_changes(run.walked)
+    z = stream(8, steps=600)
+    run.compare(z)
+    assert len(changed) >= 40
+    # Every call, from the rule: each block is one stacked call, and from
+    # its first change on, each arrival to its end is projected alone.
+    expected = []
+    for start in range(0, len(z), block):
+        end = min(start + block, len(z))
+        expected.append((start, end - start))
+        first_change = next((a for a in changed if start <= a < end), end)
+        expected += [(a, 1) for a in range(first_change + 1, end)]
+    assert calls == expected
+    # Both branches ran: some block after the first was one call, and some
+    # block changed before its last arrival.
+    assert any(i and length == block for i, length in calls)
+    assert any(i % block and length == 1 for i, length in calls)
+
+
+@pytest.mark.parametrize("change", ["refresh", "prune"])
+@pytest.mark.parametrize("where", ["block start", "block end"])
+def test_change_on_the_first_or_last_arrival_of_a_block(monkeypatch, where, change):
+    z = stream(3, steps=600)
+    config = ThresholdConfig(sigma=2.5)
+    block = engine_module.BLOCK
+    dry = Run(monkeypatch, config)
+    dry_calls = _record_projections(monkeypatch, dry.walked)
+    dry.compare(z)
+    offset = 0 if where == "block start" else block - 1
+    t0 = next(t for t in range(TRAIN + 1, len(z) - block) if t % block == offset)
+
+    def make_change(engine, t):
+        if t == t0:
+            if change == "refresh":
+                engine.dictionary.refresh_inverse()
+            else:
+                assert engine.prune_dictionary(force=True)
+
+    run = Run(monkeypatch, config)
+    calls = _record_projections(monkeypatch, run.walked)
+    run.compare(z, hook=make_change)
+    # Calls up to the change are the undisturbed run's.
+    before = [w for w in dry_calls if w[0] <= t0]
+    assert calls[: len(before)] == before
+    if where == "block start":
+        # The rest of the block is projected one arrival at a time.
+        rest = [(a, 1) for a in range(t0 + 1, t0 + block)]
+        assert calls[len(before) : len(before) + len(rest)] == rest
+    else:
+        # The next block is stacked on the changed inverse.
+        assert calls[len(before)] == (t0 + 1, block)
 
 
 def test_walk_continues_an_engine_fed_one_arrival_at_a_time():

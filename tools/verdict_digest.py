@@ -6,7 +6,7 @@ Run from the repository root:
     python3 tools/verdict_digest.py --seeds 201 7
     python3 tools/verdict_digest.py --seeds 201 7 --against HEAD~1
 
-For each seed it prints three SHA-256 digests, built from the benchmark's own
+For each seed it prints four SHA-256 digests, built from the benchmark's own
 seeded inputs (``perfbench/``, imported and never written):
 
 * ``tune``: every ``run_detector`` verdict (kind, timestep, ``delta.hex()``,
@@ -19,7 +19,10 @@ seeded inputs (``perfbench/``, imported and never written):
 * ``edge``: the frame archive and the events of a ``BedPipeline`` over the
   same capture with ``EDGE_LINES`` spliced in at every phase: wire spellings
   the capture never holds (CRLF, padded fields, ``+.25``, ``7.``) and every
-  flag kind.
+  flag kind;
+* ``walk``: every verdict, with ``delta.hex()``, of ``run_detector`` at the
+  deployment config over the capture's ``standardized_stream``, the detector
+  pass replay-archive times, whose row check rounds delta to 6 decimals.
 
 With ``--against REV`` it extracts REV's ``src/`` with ``git archive`` into
 a temporary directory, computes the same digests with that package and with
@@ -96,6 +99,27 @@ def replay_digest(seed: int, work: Path) -> tuple[str, int, int]:
     return digest.hexdigest(), *counts
 
 
+def walk_digest(seed: int, work: Path) -> tuple[str, int]:
+    """Digest of the deployment config's ``run_detector`` verdicts over the
+    replay capture's standardized vectors, and their count."""
+    import inputs
+    import workloads
+    from vitalwatch import load_settings
+    from vitalwatch.pipeline import standardized_stream
+    from vitalwatch.tuning import run_detector
+
+    settings = load_settings(inputs.write_config(work))
+    stream, _ = inputs.replay_capture(workloads.REPLAY_LINES, seed, settings.warn_threshold)
+    timesteps, vectors = standardized_stream(stream.lines, settings)
+    verdicts = run_detector(
+        vectors, settings.threshold_config(), settings.train_steps, timesteps
+    )
+    digest = hashlib.sha256()
+    for v in verdicts:
+        digest.update(event_row(v).encode())
+    return digest.hexdigest(), len(verdicts)
+
+
 # Four-column frames; {pw} is the capture's password. All ASCII: the
 # screen's treatment of non-ASCII digits changed once on purpose.
 EDGE_LINES = [
@@ -156,6 +180,8 @@ def print_digests(seeds: list[int], src: Path) -> None:
             print(f"seed {seed} replay {digest} ({events} events, {frames} frames)")
             digest, fed = edge_digest(seed, work / "edge")
             print(f"seed {seed} edge {digest} ({fed} lines)")
+            digest, verdicts = walk_digest(seed, work / "walk")
+            print(f"seed {seed} walk {digest} ({verdicts} verdicts)")
 
 
 def digests_in_child(seeds: list[int], src: Path) -> list[str]:
