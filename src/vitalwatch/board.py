@@ -16,7 +16,7 @@ from enum import Enum
 from io import TextIOBase
 from pathlib import Path
 
-from .engine import Verdict, VerdictKind
+from .engine import _GREEN, _ORANGE, Verdict, VerdictKind
 from .validity import DataWarning
 
 MAX_BEDS = 5  # the display shows up to five patient statuses
@@ -83,18 +83,19 @@ class BoardState:
         self, bed: str, event: Verdict | DataWarning, now: float | None = None
     ) -> None:
         tile = self._tile(bed)
-        now = time.time() if now is None else now
-        if isinstance(event, DataWarning):
+        if type(event) is not Verdict:
             tile.data_warning = event.active
             return
-        tile.last_delta = event.delta
-        tile.last_update = now
-        if event.kind is VerdictKind.ORANGE:
+        kind, _, tile.last_delta, resolves = event
+        tile.last_update = time.time() if now is None else now
+        if kind is _GREEN and resolves is None:
+            return  # a plain Green opens, closes and latches nothing
+        if kind is _ORANGE:
             tile.open_orange_count += 1
-        elif event.resolves_timestep is not None:
+        elif resolves is not None:
             # a Green or Red2 resolution closes the Orange window it judged
             tile.open_orange_count = max(0, tile.open_orange_count - 1)
-        if event.kind in (VerdictKind.RED1, VerdictKind.RED2):
+        if kind in (VerdictKind.RED1, VerdictKind.RED2):
             self.detected += 1
             tile.red_latched = True
 
@@ -148,27 +149,29 @@ def render(board: BoardState, phase: int = 0, now: float | None = None) -> str:
 # -- event archive -----------------------------------------------------------
 
 EVENT_HEADER = "timestamp,bed,kind,timestep,delta,resolves_timestep"
+# A verdict kind's text in the kind column, read without an Enum attribute.
+_KIND_TEXT = {kind: kind.value for kind in VerdictKind}
 
 
 def event_row(
     bed: str, event: Verdict | DataWarning, wall_time: float | None = None
 ) -> str:
-    wall_time = time.time() if wall_time is None else wall_time
-    stamp = f"{wall_time:.3f}"
-    if isinstance(event, DataWarning):
+    if wall_time is None:
+        wall_time = time.time()
+    if type(event) is not Verdict:
         kind = "data-warning-raised" if event.active else "data-warning-cleared"
-        return f"{stamp},{bed},{kind},{event.at_timestep},,"
-    resolves = "" if event.resolves_timestep is None else str(event.resolves_timestep)
+        return f"{wall_time:.3f},{bed},{kind},{event.at_timestep},,"
+    kind, t, delta, resolves = event
     return (
-        f"{stamp},{bed},{event.kind.value},{event.at_timestep},"
-        f"{event.delta:.6f},{resolves}"
+        f"{wall_time:.3f},{bed},{_KIND_TEXT[kind]},{t},{delta:.6f},"
+        f"{'' if resolves is None else resolves}"
     )
 
 
 def needs_flush(event: Verdict | DataWarning) -> bool:
     """Whether an archive flushes once this event's rows are written, so they
-    survive a killed process: every event other than a plain Green verdict."""
-    return isinstance(event, DataWarning) or event.kind is not VerdictKind.GREEN
+    survive a killed process: every event other than a Green verdict."""
+    return type(event) is not Verdict or event.kind is not _GREEN
 
 
 class EventArchive:

@@ -161,6 +161,11 @@ def cmd_synth(args: argparse.Namespace) -> int:
     settings = _settings(args)
     # place anomalies after the detector's lead-in, spaced to fit the stream
     lead = settings.warmup + settings.train_steps
+    if args.steps <= lead:
+        raise ConfigError(
+            f"{args.steps} steps is too short to tune: it must exceed "
+            f"warmup + train_steps = {lead}"
+        )
     first = max(lead + 20, min(150, args.steps // 3))
     span = args.steps - 1 - first
     if args.anomalies > 0 and span < args.anomalies:

@@ -241,13 +241,20 @@ class DictionaryState:
         self.usage = self._usage[:m]
 
     def admit(
-        self, x: MeasurementVector, coeffs: np.ndarray, delta: float, kvec: np.ndarray
+        self,
+        values: np.ndarray,
+        timestep: int,
+        coeffs: np.ndarray,
+        delta: float,
+        kvec: np.ndarray,
     ) -> int:
-        """Grow the basis by one vector using the block-inverse identity.
+        """Grow the basis by the (dim,) vector values, arrived at timestep,
+        using the block-inverse identity.
 
         (coeffs, delta) must come from projection_error against the current
-        basis, and kvec is the kernel vector that projection used; delta == 0
-        means linear dependence and is a caller bug.
+        basis, coeffs an (m,) float array, and kvec is the kernel vector
+        that projection used; delta == 0 means linear dependence and is a
+        caller bug.
         """
         if delta <= 0.0:
             raise ValueError(f"admission requires delta > 0, got {delta}")
@@ -260,9 +267,8 @@ class DictionaryState:
         if m == 0:
             inv[0, 0] = 1.0  # k(x, x) = 1
         else:
-            a = np.asarray(coeffs, dtype=float).reshape(m)
-            inv[:m, :m] += np.outer(a, a) / delta
-            edge = -a / delta
+            inv[:m, :m] += np.outer(coeffs, coeffs) / delta
+            edge = -coeffs / delta
             inv[:m, m] = edge
             inv[m, :m] = edge
             inv[m, m] = 1.0 / delta
@@ -270,9 +276,9 @@ class DictionaryState:
         gram[m, :m] = kvec
         gram[:m, m] = kvec
         gram[m, m] = 1.0
-        self._basis[m] = x.values
+        self._basis[m] = values
         self._usage[m] = 0.0
-        self.timesteps.append(x.timestep)
+        self.timesteps.append(timestep)
         self._resize(m + 1)
         self.changes += 1
         return m
@@ -336,6 +342,7 @@ class KoadEngine:
     def __init__(self, dim: int, config: ThresholdConfig | None = None) -> None:
         self.config = config or ThresholdConfig()
         self.dictionary = DictionaryState(dim, self.config.max_size)
+        self._shape = (dim,)  # an arrival's shape, for _checked's compare
         self.trackers: list[OrangeTracker] = []
         self.steps_seen = 0
         self.last_timestep: int | None = None
@@ -382,13 +389,14 @@ class KoadEngine:
         if dictionary.size == 0:
             return 1.0, kvec  # the empty basis explains nothing
         coeffs = dictionary.inv_gram @ kvec
-        delta = 1.0 - float(kvec @ coeffs)
+        # kvec.dot(coeffs) is bitwise kvec @ coeffs and costs about half.
+        delta = 1.0 - float(kvec.dot(coeffs))
         if delta >= 0.0:
             return delta, coeffs
         if delta < -ROUNDOFF_TOL:
             dictionary.refresh_inverse()
             coeffs = dictionary.inv_gram @ kvec
-            delta = 1.0 - float(kvec @ coeffs)
+            delta = 1.0 - float(kvec.dot(coeffs))
         return max(delta, 0.0), coeffs
 
     # -- lifecycle -------------------------------------------------------
@@ -605,7 +613,7 @@ class KoadEngine:
             if not self.prune_dictionary(force=True):
                 raise EngineError("forced prune failed to free a dictionary slot")
             delta, coeffs = self._project(values, self._kvec)
-        index = dictionary.admit(MeasurementVector(values, t), coeffs, delta, self._kvec)
+        index = dictionary.admit(values, t, coeffs, delta, self._kvec)
         i = self._at
         later = self._rows[i + 1 :]
         if len(later):
@@ -617,13 +625,20 @@ class KoadEngine:
     # -- input checks ----------------------------------------------------
 
     def _check_width(self, shape: tuple[int, ...]) -> None:
-        if shape != (self.dim,):
+        if shape != self._shape:
             raise ValueError(f"expected shape ({self.dim},), got {shape}")
 
     def _checked(self, x: MeasurementVector) -> np.ndarray:
+        """x's values, refused as ``_check_width`` and ``_check_arrival``
+        refuse them. An accepted arrival calls neither: a finite sum means
+        finite components, and a sum that overflows from finite ones goes
+        to ``_check_arrival``, which passes it."""
         values = x.values  # already a float array: MeasurementVector converts
-        self._check_width(values.shape)
-        _check_arrival(all(map(math.isfinite, values.tolist())), x.timestep, self.last_timestep)
+        t, last = x.timestep, self.last_timestep
+        if values.shape != self._shape:
+            self._check_width(values.shape)
+        if not (math.isfinite(sum(values.tolist())) and (last is None or t > last)):
+            _check_arrival(all(map(math.isfinite, values.tolist())), t, last)
         return values
 
     def _check_run(self, vectors: np.ndarray, timesteps: list[int]) -> None:

@@ -150,11 +150,15 @@ class BedPipeline:
         """Process one raw record; returns the events it produced. A detector
         that raises ``EngineError`` gives way to a fresh engine, reported by a
         data warning that its first verdict clears, unless a streak's clear
-        comes first (the badge is one flag)."""
+        comes first (the badge is one flag). The frame archive is flushed at
+        the first event that ``needs_flush``; a frame whose only event is a
+        Green verdict makes one test."""
         warning, x = self.screen(line, received_at)
-        events: list[Verdict | DataWarning] = [] if warning is None else [warning]
-        if warning is not None and not warning.active:
-            self._restart_warning = False
+        events: list[Verdict | DataWarning] = []
+        if warning is not None:
+            events.append(warning)
+            if not warning.active:
+                self._restart_warning = False
         if x is not None:
             try:
                 verdicts = self.engine.feed(x, self.settings.train_steps)
@@ -168,8 +172,11 @@ class BedPipeline:
                     self._restart_warning = False
                     events.append(DataWarning(active=False, at_timestep=x.timestep))
                 events += verdicts
-        if self._archive is not None and any(map(needs_flush, events)):
-            self._archive.flush()
+        if self._archive is not None:
+            for event in events:
+                if needs_flush(event):
+                    self._archive.flush()
+                    break
         return events
 
 
@@ -244,8 +251,8 @@ def deliver(bed: str, produced: list[Verdict | DataWarning], wall_time: float | 
     screen line."""
     counts["events"] += len(produced)
     for event in produced:
-        board.apply_event(bed, event, now=wall_time)
-        archive.append(bed, event, wall_time=wall_time)
+        board.apply_event(bed, event, wall_time)
+        archive.append(bed, event, wall_time)
         if screen is not None and isinstance(event, DataWarning) and event.reason:
             screen.write(event.reason + "\n")
 

@@ -84,7 +84,7 @@ def check_projection_oracle(cases: int = 40, seed: int = 7) -> CheckResult:
                 continue  # too close to the span; a live engine would not admit it
             k = kernel_vector(state.basis, x, sigma)
             coeffs = state.inv_gram @ k if state.size else np.zeros(0)
-            state.admit(MeasurementVector(x, 0), coeffs, delta, k)
+            state.admit(x, 0, coeffs, delta, k)
             if state.size > 2 and rng.random() < 0.3:
                 state.remove(int(rng.integers(0, state.size)))
         worst_consistency = max(worst_consistency, state.consistency_error())

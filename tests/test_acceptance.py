@@ -60,7 +60,7 @@ def test_criterion_1_ald_oracle_equivalence():
             if dense_delta >= 0.05 and state.size < 20:
                 k = kernel_vector(state.basis, x, 1.0)
                 coeffs = state.inv_gram @ k if state.size else np.zeros(0)
-                state.admit(MeasurementVector(x, 0), coeffs, float(1.0 - k @ coeffs), k)
+                state.admit(x, 0, coeffs, float(1.0 - k @ coeffs), k)
             if state.size > 2 and rng.random() < 0.25:
                 state.remove(int(rng.integers(0, state.size)))
         for _ in range(3):

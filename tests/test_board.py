@@ -7,11 +7,13 @@ import io
 import pytest
 
 from vitalwatch.board import (
+    BedTile,
     BoardError,
     BoardState,
     EventArchive,
     TileState,
     event_row,
+    needs_flush,
     render,
 )
 from vitalwatch.engine import Verdict, VerdictKind
@@ -186,6 +188,81 @@ def test_render_banner_present_exactly_once():
     b.apply_event("bed2", DataWarning(active=True, at_timestep=1), now=0.0)
     screen = render(b, phase=0, now=1.0)
     assert screen.count("!! DATA WARNING") == 1
+
+
+# One row per event shape: the event, its archive row at WALL, whether it
+# needs a flush, and the tile and board after it lands on a tile primed
+# with an open Orange window (and a lit badge, for a clearing warning):
+# (open_orange_count, red_latched, last_delta, last_update, data_warning,
+# detected). WALL's exact binary .0625 rounds to even in the stamp.
+WALL = 1700000000.0625
+EVENT_SHAPES = {
+    "plain-green": (
+        Verdict(VerdictKind.GREEN, 7, 0.0123456789),
+        "1700000000.062,bed1,green,7,0.012346,", False,
+        (1, False, 0.0123456789, WALL, False, 0),
+    ),
+    "green-resolution": (
+        Verdict(VerdictKind.GREEN, 27, 0.1, 7),
+        "1700000000.062,bed1,green,27,0.100000,7", False,
+        (0, False, 0.1, WALL, False, 0),
+    ),
+    "orange": (
+        Verdict(VerdictKind.ORANGE, 8, 0.0875),
+        "1700000000.062,bed1,orange,8,0.087500,", True,
+        (2, False, 0.0875, WALL, False, 0),
+    ),
+    "red1": (
+        Verdict(VerdictKind.RED1, 9, 0.5000005),
+        "1700000000.062,bed1,red1,9,0.500000,", True,
+        (1, True, 0.5000005, WALL, False, 1),
+    ),
+    "red2": (
+        Verdict(VerdictKind.RED2, 28, 0.12, 8),
+        "1700000000.062,bed1,red2,28,0.120000,8", True,
+        (0, True, 0.12, WALL, False, 1),
+    ),
+    "warning-raised": (
+        DataWarning(True, 30),
+        "1700000000.062,bed1,data-warning-raised,30,,", True,
+        (1, False, 0.5, 5.0, True, 0),
+    ),
+    "warning-raised-reason": (
+        DataWarning(True, 31, "detector for bed1 restarted: boom"),
+        "1700000000.062,bed1,data-warning-raised,31,,", True,
+        (1, False, 0.5, 5.0, True, 0),
+    ),
+    "warning-cleared": (
+        DataWarning(False, 32),
+        "1700000000.062,bed1,data-warning-cleared,32,,", True,
+        (1, False, 0.5, 5.0, False, 0),
+    ),
+    "warning-cleared-reason": (
+        DataWarning(False, 33, "cleared"),
+        "1700000000.062,bed1,data-warning-cleared,33,,", True,
+        (1, False, 0.5, 5.0, False, 0),
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "event,row,flush,after", EVENT_SHAPES.values(), ids=EVENT_SHAPES.keys()
+)
+def test_each_event_shape_row_flush_and_tile(event, row, flush, after):
+    assert event_row("bed1", event, WALL) == row
+    assert needs_flush(event) is flush
+    assert flush is not (isinstance(event, Verdict) and event.kind is VerdictKind.GREEN)
+    b = BoardState.for_beds(["bed1"])
+    clearing = isinstance(event, DataWarning) and not event.active
+    tile = b.tiles["bed1"] = BedTile(
+        "bed1", last_delta=0.5, last_update=5.0, open_orange_count=1, data_warning=clearing
+    )
+    b.apply_event("bed1", event, now=WALL)
+    got = (
+        tile.open_orange_count, tile.red_latched, tile.last_delta,
+        tile.last_update, tile.data_warning, b.detected,
+    )
+    assert got == after
 
 
 def test_event_rows_and_archive(tmp_path):

@@ -140,14 +140,44 @@ def test_config_that_can_exhaust_the_dictionary_exits_2(tmp_path, capsys):
     assert "Traceback" not in err
 
 
-def test_tune_on_a_stream_too_short_to_score_exits_2(tmp_path, capsys):
-    # 80 frames leave 30 vectors after the default 50 warm-up frames, fewer
-    # than the default 50 training steps.
+@pytest.mark.parametrize("steps,anomalies", [(80, 0), (100, 0), (100, 3)])
+def test_synth_refuses_a_capture_too_short_to_tune(tmp_path, capsys, steps, anomalies):
+    # The defaults warm up on 50 frames and train on 50 more, so tune
+    # refuses any capture of 100 frames or fewer.
     stream = tmp_path / "short.csv"
+    code, out, err = run(
+        capsys, "synth", "--steps", str(steps), "--anomalies", str(anomalies),
+        "--out", str(stream),
+    )
+    assert code == 2
+    assert out == ""
+    assert err == (
+        f"config error: {steps} steps is too short to tune: it must exceed "
+        "warmup + train_steps = 100\n"
+    )
+    assert not stream.exists()
+
+
+def test_synth_writes_the_shortest_capture_tune_accepts(tmp_path, capsys):
+    stream = tmp_path / "s.csv"
     code, _, _ = run(
-        capsys, "synth", "--steps", "80", "--anomalies", "0", "--out", str(stream)
+        capsys, "synth", "--steps", "101", "--anomalies", "0", "--out", str(stream)
     )
     assert code == 0
+    code, _, err = run(capsys, "tune", str(stream), "--labels", f"{stream}.labels.csv")
+    assert code == 0, err
+
+
+def test_tune_on_a_stream_too_short_to_score_exits_2(tmp_path, capsys):
+    # 80 frames leave 30 vectors after the default 50 warm-up frames, fewer
+    # than the default 50 training steps. synth refuses so short a capture,
+    # so the test writes it directly.
+    stream = tmp_path / "short.csv"
+    write_stream(
+        default_spec(steps=80, n_anomalies=0, seed=0, dim=4),
+        stream,
+        f"{stream}.labels.csv",
+    )
     code, out, err = run(
         capsys, "tune", str(stream), "--labels", f"{stream}.labels.csv"
     )

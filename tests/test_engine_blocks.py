@@ -316,7 +316,8 @@ def test_negative_stacked_delta_falls_back_to_project(monkeypatch):
 def test_stacked_projection_is_bitwise_the_per_row_one(max_size):
     # Engine-shaped operands: the inverse a strided [:m, :m] view of its
     # (max_size, max_size) buffer, the rows [i:j, :m] of a (BLOCK, max_size)
-    # buffer. feed_run relies on each stacked row equalling _project's.
+    # buffer. feed_run relies on each stacked row equalling _project's, and
+    # _project takes its delta from kvec.dot(coeffs), bitwise kvec @ coeffs.
     rng = np.random.default_rng(max_size)
     inverse = np.empty((max_size, max_size))
     rows = np.empty((engine_module.BLOCK, max_size))
@@ -334,9 +335,14 @@ def test_stacked_projection_is_bitwise_the_per_row_one(max_size):
                     f"numpy {np.__version__}: stacked matmul row {k} differs "
                     f"from the gemv at m={m}, window {i}:{j}"
                 )
-                assert dots[k].hex() == float(kvec @ each).hex(), (
+                dot = float(kvec @ each).hex()
+                assert dots[k].hex() == dot, (
                     f"numpy {np.__version__}: stacked vecdot row {k} differs "
                     f"from the dot at m={m}, window {i}:{j}"
+                )
+                assert float(kvec.dot(each)).hex() == dot, (
+                    f"numpy {np.__version__}: kvec.dot(coeffs) differs from "
+                    f"kvec @ coeffs for row {k} at m={m}, window {i}:{j}"
                 )
 
 

@@ -6,7 +6,6 @@ import pytest
 from vitalwatch.engine import (
     DictionaryFullError,
     KoadEngine,
-    MeasurementVector,
     ThresholdConfig,
 )
 
@@ -21,10 +20,7 @@ def admit_directly(engine: KoadEngine, values, timestep: int) -> int:
     """Mirror the engine's admission path outside of step()."""
     delta, coeffs = engine.projection_error(np.asarray(values, dtype=float))
     return engine.dictionary.admit(
-        MeasurementVector(np.asarray(values, dtype=float), timestep),
-        coeffs,
-        delta,
-        engine._kvec,
+        np.asarray(values, dtype=float), timestep, coeffs, delta, engine._kvec
     )
 
 
@@ -71,9 +67,7 @@ def test_admit_rejects_nonpositive_delta():
     engine = make_engine()
     admit_directly(engine, [0.0, 0.0], 0)
     with pytest.raises(ValueError):
-        engine.dictionary.admit(
-            MeasurementVector(np.zeros(2), 1), np.array([1.0]), 0.0, np.array([1.0])
-        )
+        engine.dictionary.admit(np.zeros(2), 1, np.array([1.0]), 0.0, np.array([1.0]))
 
 
 def test_admit_at_capacity_raises():
