@@ -1,7 +1,9 @@
 """Central display model: per-bed tiles, event summary, terminal rendering.
 
 A tile's clinical state follows the verdict stream: Orange while any Orange
-window is open, Green otherwise, and Red after any Red1/Red2. Red latches
+window is open, Green otherwise, and Red after any Red1/Red2. A data warning
+that names its cause (a restarted detector or a failed source) closes every
+open window, since none of them will resolve. Red latches
 until an operator acknowledges it; an unacknowledged emergency that silently
 clears is the one failure mode this display must never have. Data warnings
 are a separate badge that co-displays with the clinical state and drives the
@@ -13,7 +15,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from io import TextIOBase
 from pathlib import Path
 
 from .engine import _GREEN, _ORANGE, Verdict, VerdictKind
@@ -85,6 +86,9 @@ class BoardState:
         tile = self._tile(bed)
         if type(event) is not Verdict:
             tile.data_warning = event.active
+            if event.active and event.reason:
+                # A restart or a source failure abandons the open windows.
+                tile.open_orange_count = 0
             return
         kind, _, tile.last_delta, resolves = event
         tile.last_update = time.time() if now is None else now
@@ -181,13 +185,8 @@ class EventArchive:
     so an alarm or data warning survives a killed process.
     """
 
-    def __init__(self, target: str | Path | TextIOBase) -> None:
-        if isinstance(target, TextIOBase):
-            self._handle = target
-            self._owns = False
-        else:
-            self._handle = Path(target).open("a", encoding="utf-8")
-            self._owns = True
+    def __init__(self, path: str | Path) -> None:
+        self._handle = Path(path).open("a", encoding="utf-8")
         if self._handle.tell() == 0:
             self._handle.write(EVENT_HEADER + "\n")
 
@@ -199,9 +198,7 @@ class EventArchive:
             self._handle.flush()
 
     def close(self) -> None:
-        self._handle.flush()
-        if self._owns:
-            self._handle.close()
+        self._handle.close()
 
     def __enter__(self) -> "EventArchive":
         return self

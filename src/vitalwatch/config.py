@@ -54,7 +54,6 @@ class Settings:
     detector: ThresholdConfig = ThresholdConfig()
 
     warmup: int = 50
-    var_floor: float = 1e-6
     train_steps: int = 50
     warn_threshold: int = 5
 
@@ -117,7 +116,7 @@ class Settings:
         try:
             self.match_policy()
             grid = self.tuning_grid()
-            RunningStandardizer(self.schema().dim, self.warmup, self.var_floor)
+            RunningStandardizer(self.schema().dim, self.warmup)
             FlagStreak(self.warn_threshold)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc

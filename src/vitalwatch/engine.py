@@ -19,7 +19,8 @@ neither reallocates. The Gram matrix itself is kept beside the inverse, its
 entries taken from the kernel vectors computed at admission, so the periodic
 consistency check evaluates no kernel. A full re-inversion fallback guards
 against numerical drift. Each arrival costs one kernel vector against the
-basis: an open Orange tracker's candidate is itself a basis row, so its
+basis, passed as an argument from the projection to the scorer and the
+admission: an open Orange tracker's candidate is itself a basis row, so its
 similarity to the arrival is read from that vector rather than evaluated
 again.
 Per-element usage statistics decay geometrically (factor ``lam``) every step
@@ -38,15 +39,16 @@ against the basis in one call and scores them in order through the scorer
 ``step`` uses, with verdicts bitwise equal to one ``feed`` per arrival. A
 dictionary change inside a block is one element in or out, so the block's
 rows are patched rather than recomputed: a removal deletes its column, and
-an admission adds the admitted arrival's column, read from the block's own
-pairwise kernel. The same patch gives an arrival that forces a prune at
-capacity its row against the pruned basis, on either path, so no arrival's
-row against the basis is computed twice. The walk also projects a block's
-rows at once, one stacked matrix-vector product and one stacked dot for all
-of them, each row bitwise the one-row result; the stacked projections hold
-until the dictionary first changes inside the block, and the arrivals after
-that change are projected one at a time. Replay and monitor feed one
-arrival at a time, since a live bed has no lookahead.
+an admission adds the admitted arrival's column, its kernel values against
+the block's later arrivals. An arrival that forces a prune at capacity, on
+either path, takes its row against the pruned basis by deleting the evicted
+columns from its own, so no arrival's row against the basis is computed
+twice. The walk also projects a block's rows at once, one stacked
+matrix-vector product and one stacked dot for all of them, each row bitwise
+the one-row result; the stacked projections hold until the dictionary first
+changes inside the block, and the arrivals after that change are projected
+one at a time. Replay and monitor feed one arrival at a time, since a live
+bed has no lookahead.
 """
 
 from __future__ import annotations
@@ -70,17 +72,12 @@ ROUNDOFF_TOL = 1e-9
 # Arrivals whose kernel rows feed_run computes in one kernel_vector call.
 # Dictionary changes patch the rows and never end a block. Over the tune
 # grid's 18 configs, engine time at 16, 32 and 64 was 0.92, 0.90 and 0.90
-# of that of 16-arrival blocks ended by every change; 64 gains nothing more
-# and builds a pairwise kernel four times the size.
+# of that of 16-arrival blocks ended by every change; 64 gains nothing more.
 BLOCK = 32
 
 
 class EngineError(Exception):
     """Engine misuse or an unrecoverable internal state."""
-
-
-class DictionaryFullError(EngineError):
-    """Admission attempted at capacity; the caller must prune first."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -260,7 +257,7 @@ class DictionaryState:
             raise ValueError(f"admission requires delta > 0, got {delta}")
         m = self.size
         if m >= self.max_size:
-            raise DictionaryFullError(
+            raise EngineError(
                 f"dictionary at capacity ({self.max_size}); prune before admitting"
             )
         inv = self._inv
@@ -346,19 +343,15 @@ class KoadEngine:
         self.trackers: list[OrangeTracker] = []
         self.steps_seen = 0
         self.last_timestep: int | None = None
-        # Kernel vector of the latest projection, entry j against basis row j.
-        self._kvec = np.zeros(0)
         # feed_run's current block: its arrivals, their kernel rows against
         # the basis (max_size columns each, the leading ones in the
-        # dictionary's order), the scored arrival's place in it, and its
-        # pairwise kernel once an admission needs a column. The rows after
-        # the scored arrival's are the ones still to be scored;
-        # _remove_element and _admit keep them, and _kvec, in step with the
-        # dictionary. Outside feed_run the block is empty.
+        # dictionary's order) and the scored arrival's place in it. The rows
+        # after the scored arrival's are the ones still to be scored;
+        # _remove_element and _admit keep them in step with the dictionary.
+        # Outside feed_run the block is empty.
         self._block = np.zeros((0, dim))
         self._rows = np.zeros((0, self.config.max_size))
         self._at = 0
-        self._pairs: np.ndarray | None = None
 
     @property
     def dim(self) -> int:
@@ -374,30 +367,30 @@ class KoadEngine:
         """
         values = np.asarray(values, dtype=float)
         self._check_width(values.shape)
-        return self._project(values)
+        delta, coeffs, _ = self._project(values)
+        return delta, coeffs
 
     def _project(
         self, values: np.ndarray, kvec: np.ndarray | None = None
-    ) -> tuple[float, np.ndarray]:
-        """projection_error without the input check. kvec, when given, is
-        the arrival's kernel vector against the current basis; it is kept as
-        ``_kvec`` for the admission and tracker reads that follow."""
+    ) -> tuple[float, np.ndarray, np.ndarray]:
+        """projection_error without the input check, returning the kernel
+        vector too: kvec, entry j against basis row j, is the arrival's row
+        against the current basis, computed here unless given."""
         dictionary = self.dictionary
         if kvec is None:
             kvec = kernel_vector(dictionary.basis, values, self.config.sigma)
-        self._kvec = kvec
         if dictionary.size == 0:
-            return 1.0, kvec  # the empty basis explains nothing
+            return 1.0, kvec, kvec  # the empty basis explains nothing
         coeffs = dictionary.inv_gram @ kvec
         # kvec.dot(coeffs) is bitwise kvec @ coeffs and costs about half.
         delta = 1.0 - float(kvec.dot(coeffs))
         if delta >= 0.0:
-            return delta, coeffs
+            return delta, coeffs, kvec
         if delta < -ROUNDOFF_TOL:
             dictionary.refresh_inverse()
             coeffs = dictionary.inv_gram @ kvec
             delta = 1.0 - float(kvec.dot(coeffs))
-        return max(delta, 0.0), coeffs
+        return max(delta, 0.0), coeffs, kvec
 
     # -- lifecycle -------------------------------------------------------
 
@@ -408,8 +401,8 @@ class KoadEngine:
         Orange admission); the rest credit usage like a Green arrival.
         """
         values = self._checked(x)
-        delta, coeffs = self._project(values)
-        self._train(values, x.timestep, delta, coeffs)
+        delta, coeffs, kvec = self._project(values)
+        self._train(values, x.timestep, delta, coeffs, kvec)
 
     def feed(self, x: MeasurementVector, train_steps: int) -> list[Verdict]:
         """One arrival of the train-then-score loop: the first
@@ -456,7 +449,7 @@ class KoadEngine:
             block = vectors[start : start + BLOCK]
             rows = buffer[: len(block)]
             rows[:, : dictionary.size] = kernel_vector(dictionary.basis, block, sigma)
-            self._block, self._rows, self._pairs = block, rows, None
+            self._block, self._rows = block, rows
             changes = dictionary.changes
             krows = rows[:, : dictionary.size]
             crows = np.matmul(dictionary.inv_gram, krows[..., None])[..., 0]
@@ -465,45 +458,50 @@ class KoadEngine:
                 self._at = i
                 values, t = block[i], timesteps[start + i]
                 if dictionary.changes == changes and (delta := 1.0 - dots[i]) >= 0.0:
-                    coeffs = crows[i]
-                    self._kvec = krows[i]
+                    coeffs, kvec = crows[i], krows[i]
                 else:
-                    delta, coeffs = self._project(values, rows[i, : dictionary.size])
+                    delta, coeffs, kvec = self._project(values, rows[i, : dictionary.size])
                 if self.steps_seen < train_steps:
-                    self._train(values, t, delta, coeffs)
+                    self._train(values, t, delta, coeffs, kvec)
                 else:
-                    immediate, resolutions = self._score(values, t, delta, coeffs)
+                    immediate, resolutions = self._score(values, t, delta, coeffs, kvec)
                     out.append(immediate)
                     if resolutions:
                         out += resolutions
         # No block outside feed_run, and no hold on the run's memory.
-        self._block, self._rows, self._pairs = np.zeros((0, self.dim)), buffer[:0], None
+        self._block, self._rows = np.zeros((0, self.dim)), buffer[:0]
         return out
 
     def step(self, x: MeasurementVector) -> tuple[Verdict, list[Verdict]]:
         """Score one arrival; returns the immediate verdict plus any Orange
         resolutions that fell due at this timestep."""
         values = self._checked(x)
-        delta, coeffs = self._project(values)
-        return self._score(values, x.timestep, delta, coeffs)
+        # Unpacked, not starred: building a starred call's arguments cost
+        # about 0.4 us a call (CPython 3.11 on a 2-vCPU VM).
+        delta, coeffs, kvec = self._project(values)
+        return self._score(values, x.timestep, delta, coeffs, kvec)
 
-    def _train(self, values: np.ndarray, t: int, delta: float, coeffs: np.ndarray) -> None:
-        """warm_start's update for an arrival just projected."""
+    def _train(
+        self, values: np.ndarray, t: int, delta: float, coeffs: np.ndarray, kvec: np.ndarray
+    ) -> None:
+        """warm_start's update for an arrival just projected, kvec its row
+        against the basis."""
         cfg = self.config
         usage = self.dictionary.usage
         usage *= cfg.lam
         if delta >= cfg.nu1:
-            self._admit(values, t, delta, coeffs)
+            self._admit(values, t, delta, coeffs, kvec)
         else:
             usage += np.abs(coeffs)
         self.last_timestep = t
         self.steps_seen += 1
 
     def _score(
-        self, values: np.ndarray, t: int, delta: float, coeffs: np.ndarray
+        self, values: np.ndarray, t: int, delta: float, coeffs: np.ndarray, kvec: np.ndarray
     ) -> tuple[Verdict, list[Verdict]]:
-        """The verdict logic of ``step`` for an arrival just projected: the
-        one scorer behind ``step`` and ``feed_run``.
+        """The verdict logic of ``step`` for an arrival just projected, kvec
+        its row against the basis: the one scorer behind ``step`` and
+        ``feed_run``.
 
         ``trackers`` is in deadline order: trackers are appended as they
         are raised, every one ``ell`` past its arrival, and arrivals come in
@@ -517,7 +515,6 @@ class KoadEngine:
         # tracker was raised before t; one whose deadline fell in a gap
         # before t is due but counts nothing.
         if trackers:
-            kvec = self._kvec
             for tracker in trackers:
                 if t <= tracker.deadline and kvec[tracker.dict_index] >= cfg.d_similar:
                     tracker.explained_count += 1
@@ -532,7 +529,7 @@ class KoadEngine:
             immediate = Verdict(_RED1, t, delta)
         else:
             immediate = Verdict(_ORANGE, t, delta)
-            idx = self._admit(values, t, delta, coeffs)
+            idx = self._admit(values, t, delta, coeffs, kvec)
             trackers.append(OrangeTracker(t, t + cfg.ell, idx, delta))
 
         resolutions = []
@@ -559,13 +556,8 @@ class KoadEngine:
     def _remove_element(self, index: int) -> None:
         m = self.dictionary.size
         self.dictionary.remove(index)
-        # The element's column leaves the scored arrival's kernel row (until
-        # its own admission leaves that row one column short) and the rows
-        # after it in the block, which stay in the dictionary's order.
-        kvec = self._kvec
-        if len(kvec) == m:
-            kvec[index : m - 1] = kvec[index + 1 :]
-            self._kvec = kvec[: m - 1]
+        # The element's column leaves the rows after the scored arrival's in
+        # the block, which stay in the dictionary's order.
         later = self._rows[self._at + 1 :]
         later[:, index : m - 1] = later[:, index + 1 : m]
         for tracker in self.trackers:
@@ -598,28 +590,28 @@ class KoadEngine:
             self._remove_element(index)
         return removed
 
-    def _admit(self, values: np.ndarray, t: int, delta: float, coeffs: np.ndarray) -> int:
-        """Admit the arrival at t, whose (delta, coeffs) were just projected;
-        at capacity, force a prune first and project again, since the basis
-        changed. Returns its index in the dictionary.
+    def _admit(
+        self, values: np.ndarray, t: int, delta: float, coeffs: np.ndarray, kvec: np.ndarray
+    ) -> int:
+        """Admit the arrival at t, whose (delta, coeffs, kvec) were just
+        projected; at capacity, force a prune first and project again, since
+        the basis changed. Returns its index in the dictionary.
 
-        The prune deleted the evicted columns from the arrival's own row, so
-        that row is the one against the pruned basis. The arrivals after it
-        in feed_run's block get its column from the block's pairwise
-        kernel, whose entry for arrivals (j, i) has the diff x_i - x_j that
-        ``kernel_vector`` computes for x_j against a basis holding x_i."""
+        The arrival's row less the evicted columns is its row against the
+        pruned basis. The arrivals after it in feed_run's block get its
+        column from one ``kernel_vector`` call of theirs against it, bitwise
+        their rows' entries: only the differences' signs are flipped."""
         dictionary = self.dictionary
         if dictionary.size >= self.config.max_size:
-            if not self.prune_dictionary(force=True):
+            removed = self.prune_dictionary(force=True)
+            if not removed:
                 raise EngineError("forced prune failed to free a dictionary slot")
-            delta, coeffs = self._project(values, self._kvec)
-        index = dictionary.admit(values, t, coeffs, delta, self._kvec)
-        i = self._at
-        later = self._rows[i + 1 :]
+            delta, coeffs, kvec = self._project(values, np.delete(kvec, removed))
+        index = dictionary.admit(values, t, coeffs, delta, kvec)
+        after = self._at + 1
+        later = self._rows[after:]
         if len(later):
-            if self._pairs is None:
-                self._pairs = kernel_vector(self._block, self._block, self.config.sigma)
-            later[:, index] = self._pairs[i + 1 :, i]
+            later[:, index] = kernel_vector(self._block[after:], values, self.config.sigma)
         return index
 
     # -- input checks ----------------------------------------------------

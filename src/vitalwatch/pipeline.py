@@ -76,9 +76,7 @@ class BedPipeline:
         self.settings = settings
         self.schema = settings.schema()
         self.streak = FlagStreak(warn_threshold=settings.warn_threshold)
-        self.standardizer = RunningStandardizer(
-            self.schema.dim, warmup=settings.warmup, var_floor=settings.var_floor
-        )
+        self.standardizer = RunningStandardizer(self.schema.dim, warmup=settings.warmup)
         self.engine = KoadEngine(self.schema.dim, settings.threshold_config())
         self.frame_index = 0
         self._match = frame_matcher(settings.password, self.schema)

@@ -7,13 +7,16 @@ from collections.abc import Sequence
 
 import numpy as np
 
+# Floor on a channel's variance, so a constant channel maps to z = 0.
+VAR_FLOOR = 1e-6
+
 
 class RunningStandardizer:
     """Welford-style running mean/variance per channel, update then transform.
 
     The first ``warmup`` frames pass through unchanged while the statistics
     settle; the caller decides what to do with them (the pipeline keeps them
-    out of the detector). A variance floor keeps constant channels at z = 0
+    out of the detector). ``VAR_FLOOR`` keeps constant channels at z = 0
     instead of dividing by zero.
 
     The statistics are Python floats, one per channel: a frame has only a
@@ -22,16 +25,13 @@ class RunningStandardizer:
     transform is bit-identical to the numpy float64 version.
     """
 
-    def __init__(self, dim: int, warmup: int = 50, var_floor: float = 1e-6) -> None:
+    def __init__(self, dim: int, warmup: int = 50) -> None:
         if dim < 1:
             raise ValueError(f"dim must be >= 1, got {dim}")
         if warmup < 1:
             raise ValueError(f"warmup must be >= 1, got {warmup}")
-        if var_floor <= 0:
-            raise ValueError(f"var_floor must be > 0, got {var_floor}")
         self.dim = dim
         self.warmup = warmup
-        self.var_floor = var_floor
         self.count = 0
         self._mean = [0.0] * dim
         self._m2 = [0.0] * dim
@@ -46,9 +46,9 @@ class RunningStandardizer:
 
     def variance(self) -> np.ndarray:
         if self.count < 2:
-            return np.full(self.dim, self.var_floor)
+            return np.full(self.dim, VAR_FLOOR)
         n1 = self.count - 1
-        return np.array([max(m2 / n1, self.var_floor) for m2 in self._m2])
+        return np.array([max(m2 / n1, VAR_FLOOR) for m2 in self._m2])
 
     def push(self, values: Sequence[float]) -> np.ndarray:
         """Fold one frame's values into the statistics and return its
@@ -58,12 +58,12 @@ class RunningStandardizer:
             raise ValueError(f"expected {self.dim} values, got {len(values)}")
         self.count = n = self.count + 1
         scoring = n > self.warmup  # so n >= 2 below
-        n1, var_floor = n - 1, self.var_floor
+        n1 = n - 1
         mean, m2 = self._mean, self._m2
         z = []
         for i, x in enumerate(values):
             delta = x - mean[i]
             mean[i] = mu = mean[i] + delta / n
             m2[i] = s = m2[i] + delta * (x - mu)
-            z.append((x - mu) / math.sqrt(max(s / n1, var_floor)) if scoring else x)
+            z.append((x - mu) / math.sqrt(max(s / n1, VAR_FLOOR)) if scoring else x)
         return np.array(z, dtype=float)

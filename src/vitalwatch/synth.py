@@ -172,11 +172,17 @@ def default_spec(
 
 def capture_text(spec: SyntheticSpec, names: tuple[str, ...] | None = None) -> str:
     """Capture-style CSV: header of parameter names, one row per poll."""
-    if names is None:
-        names = tuple(f"ch{i}" for i in range(spec.dim))
-    if len(names) != spec.dim:
-        raise ValueError(f"need {spec.dim} names, got {len(names)}")
     values, _ = generate(spec)
+    return _capture_text(values, names)
+
+
+def _capture_text(values: np.ndarray, names: tuple[str, ...] | None) -> str:
+    """``capture_text`` of a stream already generated, (steps, dim)."""
+    dim = values.shape[1]
+    if names is None:
+        names = tuple(f"ch{i}" for i in range(dim))
+    if len(names) != dim:
+        raise ValueError(f"need {dim} names, got {len(names)}")
     lines = [",".join(names)]
     for row in values:
         lines.append(",".join(f"{v:.3f}" for v in row))
@@ -210,7 +216,7 @@ def write_stream(
     labels_path: str | Path,
     names: tuple[str, ...] | None = None,
 ) -> list[LabeledEvent]:
-    _, labels = generate(spec)
-    Path(stream_path).write_text(capture_text(spec, names), encoding="utf-8")
+    values, labels = generate(spec)
+    Path(stream_path).write_text(_capture_text(values, names), encoding="utf-8")
     Path(labels_path).write_text(labels_text(labels), encoding="utf-8")
     return labels

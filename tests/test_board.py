@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import io
-
 import pytest
 
 from vitalwatch.board import (
@@ -113,6 +111,24 @@ def test_data_warning_badge_and_console_or():
     assert b.tiles["bed2"].state is TileState.UNOCCUPIED
     b.apply_event("bed2", DataWarning(active=False, at_timestep=12), now=1.0)
     assert not b.console_warning
+
+
+def test_a_restart_leaves_no_orange_window_open_forever():
+    # A restarted detector or a failed source abandons its open Orange
+    # windows: no resolution will come for them. (A streak's warning, which
+    # names no cause, leaves them open: see EVENT_SHAPES.)
+    b = board()
+    for t in (1, 2, 3):
+        b.apply_event("bed1", orange(t), now=0.0)
+    b.apply_event("bed1", red1(4), now=1.0)
+    b.apply_event("bed1", DataWarning(True, 5, "detector for bed1 restarted: boom"), now=2.0)
+    b.acknowledge("bed1")
+    tile = b.tiles["bed1"]
+    assert tile.state is TileState.GREEN
+    assert tile.data_warning
+    # the fresh detector's windows count from zero
+    b.apply_event("bed1", orange(30), now=3.0)
+    assert tile.open_orange_count == 1
 
 
 def test_red_with_data_warning_keeps_badge_after_acknowledge():
@@ -230,7 +246,7 @@ EVENT_SHAPES = {
     "warning-raised-reason": (
         DataWarning(True, 31, "detector for bed1 restarted: boom"),
         "1700000000.062,bed1,data-warning-raised,31,,", True,
-        (1, False, 0.5, 5.0, True, 0),
+        (0, False, 0.5, 5.0, True, 0),
     ),
     "warning-cleared": (
         DataWarning(False, 32),
@@ -271,11 +287,11 @@ def test_event_rows_and_archive(tmp_path):
     row = event_row("bed1", DataWarning(active=True, at_timestep=7), wall_time=1.5)
     assert row == "1.500,bed1,data-warning-raised,7,,"
 
-    buffer = io.StringIO()
-    with EventArchive(buffer) as archive:
+    written = tmp_path / "written.csv"
+    with EventArchive(written) as archive:
         archive.append("bed1", green(1), wall_time=0.5)
         archive.append("bed1", red1(2), wall_time=1.0)
-    lines = buffer.getvalue().splitlines()
+    lines = written.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "timestamp,bed,kind,timestep,delta,resolves_timestep"
     assert lines[1] == "0.500,bed1,green,1,0.010000,"
     assert len(lines) == 3

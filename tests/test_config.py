@@ -110,7 +110,7 @@ def test_bed_sources():
         ("nu1 = 0.5\nnu2 = 0.2\n", "nu1 < nu2", None),
         ("speedup = 0\n", "speedup", None),
         ("warmup = 0\n", "warmup", None),
-        ("var_floor = 0\n", "var_floor", None),
+        ("var_floor = 1e-6\n", "unknown setting 'var_floor'", 1),
         ("schema.use = 9\n", "use indices", None),
         ("schema.zero_ok = 7\n", "zero_ok indices", None),
         ("grid_sigma = 0\n", "sigma", None),

@@ -49,22 +49,31 @@ def state(engine: KoadEngine) -> tuple:
 
 class Run:
     """Two engines with one config: ``walked`` takes the stream through
-    ``feed_run``, ``stepped`` one ``feed`` at a time. ``starts`` records the
-    arrival index at which each of the walk's blocks began (its call against
-    the basis), ``pairs`` the arrival at which a block took its pairwise
-    kernel."""
+    ``feed_run``, ``stepped`` one ``feed`` at a time. Of the walk's
+    ``kernel_vector`` calls, ``starts`` records the arrival index at which
+    each block began (its call against the basis), ``columns`` the arrival
+    index and basis shape of each call for one arrival's column, and
+    ``pairwise`` the arrival index of any call that takes one block of
+    arrivals as both basis and arrivals."""
 
     def __init__(self, monkeypatch, config: ThresholdConfig) -> None:
         self.walked = KoadEngine(4, config)
         self.stepped = KoadEngine(4, config)
+        self.walking = False
         self.starts: list[int] = []
-        self.pairs: list[int] = []
+        self.columns: list[tuple[int, tuple[int, ...]]] = []
+        self.pairwise: list[int] = []
         kernel_vector = engine_module.kernel_vector
 
         def recording(basis, x, sigma):
-            if x.ndim == 2:
-                calls = self.pairs if basis is x else self.starts
-                calls.append(self.walked.steps_seen)
+            if self.walking:
+                at = self.walked.steps_seen
+                if x.ndim == 1:
+                    self.columns.append((at, basis.shape))
+                elif np.shares_memory(basis, x):
+                    self.pairwise.append(at)
+                else:
+                    self.starts.append(at)
             return kernel_vector(basis, x, sigma)
 
         monkeypatch.setattr(engine_module, "kernel_vector", recording)
@@ -76,7 +85,11 @@ class Run:
             for engine in (self.walked, self.stepped):
                 _after_scoring(engine, hook)
         timesteps = list(range(len(z)))
-        verdicts = self.walked.feed_run(z, timesteps, TRAIN)
+        self.walking = True
+        try:
+            verdicts = self.walked.feed_run(z, timesteps, TRAIN)
+        finally:
+            self.walking = False
         expected = []
         for row, t in zip(z, timesteps):
             expected += self.stepped.feed(MeasurementVector(row, t), TRAIN)
@@ -93,8 +106,8 @@ class Run:
 def _after_scoring(engine: KoadEngine, hook) -> None:
     score = engine._score
 
-    def hooked(values, t, delta, coeffs):
-        out = score(values, t, delta, coeffs)
+    def hooked(values, t, delta, coeffs, kvec):
+        out = score(values, t, delta, coeffs, kvec)
         hook(engine, t)
         return out
 
@@ -105,11 +118,12 @@ def _record_projections(monkeypatch, engine: KoadEngine) -> list[tuple[int, int]
     """(first arrival, length) of every projection call the walk makes for
     its rows: a stacked ``np.matmul`` call over a block, or a ``_project``
     call for one arrival. Not counted: ``_admit``'s re-projection after a
-    forced prune, which passes the arrival's own row back, and the fallback
-    for a negative stacked delta, a call inside the latest stacked block
-    before the dictionary changed."""
+    forced prune, which passes the arrival's own row less the evicted
+    columns, and the fallback for a negative stacked delta, a call inside
+    the latest stacked block before the dictionary changed."""
     calls: list[tuple[int, int]] = []
     opened = []  # dictionary.changes at the latest recorded call
+    admitting = []  # nonempty inside _admit
     matmul = np.matmul
 
     def stacked(a, b, *args, **kwargs):
@@ -123,13 +137,23 @@ def _record_projections(monkeypatch, engine: KoadEngine) -> list[tuple[int, int]
         at = engine.steps_seen
         first, length = calls[-1] if calls else (0, 0)
         fallback = first <= at < first + length and opened == [engine.dictionary.changes]
-        if kvec is not engine._kvec and not fallback:
+        if not admitting and not fallback:
             calls.append((at, 1))
             opened[:] = [engine.dictionary.changes]
         return project(values, kvec)
 
+    admit = engine._admit
+
+    def admitting_call(*args):
+        admitting.append(True)
+        try:
+            return admit(*args)
+        finally:
+            admitting.pop()
+
     monkeypatch.setattr(np, "matmul", stacked)
     engine._project = single
+    engine._admit = admitting_call
     return calls
 
 
@@ -139,9 +163,9 @@ def _record_changes(engine: KoadEngine) -> list[int]:
     for name in ("_train", "_score"):
         method = getattr(engine, name)
 
-        def recording(values, t, delta, coeffs, method=method):
+        def recording(values, t, delta, coeffs, kvec, method=method):
             at, before = engine.steps_seen, engine.dictionary.changes
-            out = method(values, t, delta, coeffs)
+            out = method(values, t, delta, coeffs, kvec)
             if engine.dictionary.changes != before:
                 changed.append(at)
             return out
@@ -208,12 +232,13 @@ def test_one_basis_call_per_block_however_the_dictionary_churns(monkeypatch, blo
     run.compare(z)
     # ceil(n / BLOCK) calls against the basis, one at each block's start
     assert run.starts == list(range(0, len(z), block))
-    # At most one pairwise kernel per block, and only in a block that admits.
-    pair_blocks = [i // block for i in run.pairs]
-    assert len(set(pair_blocks)) == len(pair_blocks)
-    assert set(pair_blocks) <= {i // block for i in admitted}
+    # Each admission with later arrivals in its block makes one call for
+    # its column, against those arrivals; no other call is made.
+    later = {i: min(i // block * block + block, len(z)) - i - 1 for i in admitted}
+    assert run.columns == [(i, (later[i], 4)) for i in admitted if later[i]]
+    assert run.pairwise == []
     # Admissions fell inside blocks, and the blocks ran on regardless.
-    assert len(pair_blocks) >= 5
+    assert len(run.columns) >= 5
 
 
 def test_capacity_prune_inside_a_block(monkeypatch):

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from vitalwatch.engine import (
-    DictionaryFullError,
+    EngineError,
     KoadEngine,
     ThresholdConfig,
 )
+from vitalwatch.kernels import kernel_vector
 
 from _oracles import oracle_delta, oracle_inverse
 
@@ -18,10 +19,11 @@ def make_engine(dim=2, sigma=1.0, max_size=50, **kw) -> KoadEngine:
 
 def admit_directly(engine: KoadEngine, values, timestep: int) -> int:
     """Mirror the engine's admission path outside of step()."""
-    delta, coeffs = engine.projection_error(np.asarray(values, dtype=float))
-    return engine.dictionary.admit(
-        np.asarray(values, dtype=float), timestep, coeffs, delta, engine._kvec
-    )
+    values = np.asarray(values, dtype=float)
+    dictionary = engine.dictionary
+    delta, coeffs = engine.projection_error(values)
+    kvec = kernel_vector(dictionary.basis, values, engine.config.sigma)
+    return dictionary.admit(values, timestep, coeffs, delta, kvec)
 
 
 def test_projection_empty_dictionary():
@@ -74,7 +76,7 @@ def test_admit_at_capacity_raises():
     engine = make_engine(max_size=2)
     admit_directly(engine, [0.0, 0.0], 0)
     admit_directly(engine, [3.0, 0.0], 1)
-    with pytest.raises(DictionaryFullError):
+    with pytest.raises(EngineError, match="at capacity"):
         admit_directly(engine, [0.0, 3.0], 2)
 
 

@@ -502,7 +502,8 @@ def test_churn_with_forced_prunes_matches_reference_replay():
             x = rng.uniform(-6.0, 6.0, size=3)
             delta, coeffs = engine.projection_error(x)
             if delta >= cfg.nu1:
-                dictionary.admit(x, t, coeffs, delta, engine._kvec)
+                kvec = kernel_vector(dictionary.basis, x, cfg.sigma)
+                dictionary.admit(x, t, coeffs, delta, kvec)
                 t += 1
             assert dictionary.consistency_error() <= 1e-6
         assert max_gram_drift(engine) <= 1e-12

@@ -53,9 +53,12 @@ def steady_line(rng) -> str:
     return wire(*(f"{v:.3f}" for v in 70.0 + rng.standard_normal(3)))
 
 
-def inject_engine_fault(monkeypatch, at: int) -> None:
+def inject_engine_fault(monkeypatch, at: int) -> list[BedPipeline]:
     """Make bed1's first detector raise ``EngineError`` when fed the frame at
-    timestep ``at``; the engine that replaces it is sound."""
+    timestep ``at``; the engine that replaces it is sound. Returns bed1's
+    pipelines as they are made, each keeping its first detector as
+    ``first_engine``."""
+    made = []
 
     class FlakyEngine(KoadEngine):
         def feed(self, x, train_steps):
@@ -68,8 +71,11 @@ def inject_engine_fault(monkeypatch, at: int) -> None:
             super().__init__(bed, settings, frame_archive)
             if bed == "bed1":
                 self.engine = FlakyEngine(self.schema.dim, settings.threshold_config())
+                self.first_engine = self.engine
+                made.append(self)
 
     monkeypatch.setattr(pipeline_module, "BedPipeline", FlakyBed1)
+    return made
 
 
 class TestBedPipeline:
@@ -285,6 +291,20 @@ class TestReplayRun:
         verdicts = [int(row.split(",")[2]) for row in events[1:] if ",data-" not in row]
         assert min(t for t in verdicts if t > 43) == 67
         assert counts["board"].tiles["bed1"].data_warning is False
+
+    def test_a_restart_leaves_no_orange_window_open_forever(self, tmp_path, monkeypatch):
+        capture = tmp_path / "stream.csv"
+        spec = default_spec(steps=3000, n_anomalies=20, seed=3, dim=4)
+        write_stream(spec, capture, tmp_path / "labels.csv")
+        made = inject_engine_fault(monkeypatch, at=251)
+        counts = replay_run(Settings(), capture, out_dir=tmp_path / "out")
+        # The failed detector had three Orange windows open; its replacement
+        # never resolves them, so the tile counts only the fresh detector's.
+        (bed1,) = made
+        assert len(bed1.first_engine.trackers) == 3
+        assert bed1.engine is not bed1.first_engine
+        tile = counts["board"].tiles["bed1"]
+        assert tile.open_orange_count == len(bed1.engine.trackers)
 
 
 class TestTuneAgreesWithReplay:

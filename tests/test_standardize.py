@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from vitalwatch.standardize import RunningStandardizer
+from vitalwatch.standardize import VAR_FLOOR, RunningStandardizer
 
 from _oracles import ArrayStandardizer
 
@@ -26,7 +26,7 @@ def test_warmup_frames_pass_through_then_zscoring_begins():
 
 
 def test_constant_channel_maps_to_zero_not_nan():
-    s = RunningStandardizer(dim=2, warmup=2, var_floor=1e-6)
+    s = RunningStandardizer(dim=2, warmup=2)
     for _ in range(20):
         out = s.push(np.array([120.0, 80.0]))
     np.testing.assert_array_equal(out, [0.0, 0.0])
@@ -61,8 +61,6 @@ def test_dimension_and_parameter_validation():
         RunningStandardizer(dim=0)
     with pytest.raises(ValueError):
         RunningStandardizer(dim=1, warmup=0)
-    with pytest.raises(ValueError):
-        RunningStandardizer(dim=1, var_floor=0.0)
     s = RunningStandardizer(dim=2)
     with pytest.raises(ValueError):
         s.push(np.array([1.0, 2.0, 3.0]))
@@ -81,9 +79,9 @@ def test_push_is_bit_identical_to_the_array_welford(warmup):
     rng = np.random.default_rng(11)
     frames = rng.normal([72.0, 98.0, 118.0, 0.2], [9.0, 1.5, 14.0, 1.0], size=(400, 4))
     frames = np.column_stack([np.round(frames, 3), np.full(len(frames), 80.0)])
-    got = RunningStandardizer(dim=5, warmup=warmup, var_floor=1e-6)
-    from_floats = RunningStandardizer(dim=5, warmup=warmup, var_floor=1e-6)
-    want = ArrayStandardizer(dim=5, warmup=warmup, var_floor=1e-6)
+    got = RunningStandardizer(dim=5, warmup=warmup)
+    from_floats = RunningStandardizer(dim=5, warmup=warmup)
+    want = ArrayStandardizer(dim=5, warmup=warmup, var_floor=VAR_FLOOR)
     for frame in frames:
         assert np.array_equal(got.variance(), want.variance())
         expected = want.push(frame)
@@ -92,4 +90,4 @@ def test_push_is_bit_identical_to_the_array_welford(warmup):
         assert np.array_equal(got.mean, want.mean)
         assert np.array_equal(from_floats.mean, want.mean)
         assert got.count == from_floats.count == want.count
-    assert got.variance()[4] == from_floats.variance()[4] == 1e-6
+    assert got.variance()[4] == from_floats.variance()[4] == VAR_FLOOR == 1e-6

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import vitalwatch.synth as synth_module
 from vitalwatch.synth import (
     ChannelBaseline,
     InjectedAnomaly,
@@ -128,3 +129,20 @@ def test_write_stream_writes_both_files(tmp_path):
     assert len(labels) == 3
     assert stream.read_text(encoding="utf-8").splitlines()[0] == "a,b,c,d"
     assert read_labels(labels_file) == labels
+
+
+def test_write_stream_generates_once(tmp_path, monkeypatch):
+    spec = default_spec(steps=300, n_anomalies=3, seed=4, first_anomaly=100, min_gap=10)
+    want_stream, (_, want_labels) = capture_text(spec), generate(spec)
+    calls = []
+
+    def counting(spec):
+        calls.append(spec)
+        return generate(spec)
+
+    monkeypatch.setattr(synth_module, "generate", counting)
+    stream, labels_file = tmp_path / "stream.csv", tmp_path / "labels.csv"
+    assert write_stream(spec, stream, labels_file) == want_labels
+    assert calls == [spec]
+    assert stream.read_bytes() == want_stream.encode("utf-8")
+    assert labels_file.read_bytes() == labels_text(want_labels).encode("utf-8")
