@@ -15,8 +15,11 @@ trick). The score drives four alarm outcomes:
 The inverse Gram matrix of the dictionary is maintained incrementally: a
 block-inverse update on admission and a Schur-complement downdate on removal,
 both O(m^2) and written in place into storage preallocated to max_size, so
-neither reallocates. The Gram matrix itself is kept beside the inverse, its
-entries taken from the kernel vectors computed at admission, so the periodic
+neither reallocates. Each update's rank-1 term runs over whole contiguous
+rows of the buffer with the vector zero-padded, which gives every active
+entry the textbook operations and adds +-0 to the stale columns. The Gram
+matrix itself is kept beside the inverse, in one shared buffer, its entries
+taken from the kernel vectors computed at admission, so the periodic
 consistency check evaluates no kernel. A full re-inversion fallback guards
 against numerical drift. Each arrival costs one kernel vector against the
 basis, passed as an argument from the projection to the scorer and the
@@ -201,13 +204,25 @@ class DictionaryState:
     columns) are active. ``size``, ``basis``, ``inv_gram`` and ``usage`` are
     set on every admission and removal; the arrays are views of the active
     block and alias the buffers, so a caller that keeps one across an
-    admission or removal must copy it.
+    admission or removal must copy it. A copy (``copy.deepcopy``, pickle)
+    rebuilds the views on its own buffers.
 
     The Gram matrix is kept beside its inverse rather than rebuilt from the
     basis: every entry is a kernel value the caller already computed when
     the later of its two elements was admitted, so ``admit`` takes the
     arrival's kernel vector against the current basis and writes it as the
-    new row and column.
+    new row and column. The two share one (2, max_size, max_size) buffer,
+    so a removal shifts the rows of both in one copy and their columns in
+    another.
+
+    The rank-1 terms of both updates run over whole rows of the inverse
+    buffer, ``[:m]``, which are contiguous where the ``[:m, :m]`` corner is
+    not: the vector is padded with zeros to max_size, so each active entry
+    gets exactly the textbook c_i c_j / delta (admission) or a_i a_j / q
+    (removal, before the shift that drops row and column ``index``), and
+    each stale column past m gets +-0. Stale entries are values an earlier,
+    larger dictionary held, or the initial zeros, so they stay finite and
+    adding +-0 raises no floating-point warning.
 
     Invariant (checkable on demand): inv_gram @ gram() == identity within
     1e-6 Frobenius norm. Admission and removal both cost O(m^2) and never
@@ -225,11 +240,27 @@ class DictionaryState:
         self.max_size = max_size
         self.timesteps: list[int] = []
         self._basis = np.zeros((max_size, dim))
-        self._gram = np.zeros((max_size, max_size))
-        self._inv = np.zeros((max_size, max_size))
+        # The Gram matrix and its inverse in one buffer, so that one copy
+        # shifts the rows of both on removal and one shifts their columns.
+        self._mats = np.zeros((2, max_size, max_size))
+        self._gram, self._inv = self._mats
         self._usage = np.zeros(max_size)
         self.changes = 0
         self._resize(0)
+
+    def __getstate__(self) -> dict:
+        # The buffers without their views: a copy or an unpickled state
+        # rebuilds the views on its own buffers in __setstate__, where
+        # copied views would be arrays of their own that no update reaches.
+        state = self.__dict__.copy()
+        for name in ("_gram", "_inv", "basis", "inv_gram", "usage"):
+            del state[name]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._gram, self._inv = self._mats
+        self._resize(self.size)
 
     def _resize(self, m: int) -> None:
         self.size = m
@@ -264,10 +295,15 @@ class DictionaryState:
         if m == 0:
             inv[0, 0] = 1.0  # k(x, x) = 1
         else:
-            inv[:m, :m] += np.outer(coeffs, coeffs) / delta
-            edge = -coeffs / delta
-            inv[:m, m] = edge
-            inv[m, :m] = edge
+            # c_i c_j / delta over whole rows: the zero padding adds +-0 to
+            # the stale columns past m, and column m is written below.
+            padded = np.zeros(self.max_size)
+            padded[:m] = coeffs
+            term = np.multiply(coeffs[:, None], padded)
+            term /= delta
+            inv[:m] += term
+            np.divide(coeffs, -delta, out=inv[m, :m])
+            inv[:m, m] = inv[m, :m]
             inv[m, m] = 1.0 / delta
         gram = self._gram
         gram[m, :m] = kvec
@@ -290,24 +326,28 @@ class DictionaryState:
         if not 0 <= index < m:
             raise IndexError(f"index {index} out of range for dictionary of size {m}")
         last = m - 1
-        gram = self._gram
-        gram[index:last, :m] = gram[index + 1 : m, :m]
-        gram[:last, index:last] = gram[:last, index + 1 : m]
         inv = self._inv
         q = inv[index, index]
-        inv[index:last, :m] = inv[index + 1 : m, :m]
-        u = inv[:last, index].copy()  # the removed column, without its pivot
-        inv[:last, index:last] = inv[:last, index + 1 : m]
+        degenerate = abs(q) < 1e-12
+        if not degenerate:
+            # a_i a_j / q over whole rows, before the shift: row and column
+            # index leave with it, and the stale columns past m get +-0.
+            padded = np.zeros(self.max_size)
+            padded[:m] = inv[:m, index]
+            term = np.multiply(padded[:m, None], padded)
+            term /= q
+            inv[:m] -= term
+        mats = self._mats
+        mats[:, index:last] = mats[:, index + 1 : m]
+        mats[:, :last, index:last] = mats[:, :last, index + 1 : m]
         self._basis[index:last] = self._basis[index + 1 : m]
         self._usage[index:last] = self._usage[index + 1 : m]
         del self.timesteps[index]
         self._resize(last)
         self.changes += 1
-        if abs(q) < 1e-12:
+        if degenerate:
             # Degenerate pivot: the maintained inverse has drifted too far.
             self.refresh_inverse()
-        else:
-            inv[:last, :last] -= np.outer(u, u) / q
 
     def gram(self) -> np.ndarray:
         """The kept Gram matrix of the basis (a view of the active block)."""
@@ -575,17 +615,19 @@ class KoadEngine:
         Returns the pre-removal indices of evicted elements.
         """
         usage = self.dictionary.usage
-        free = np.ones(len(usage), dtype=bool)
-        free[[tracker.dict_index for tracker in self.trackers]] = False
-        removed = np.flatnonzero(free & (usage < self.config.usage_floor)).tolist()
+        held = {tracker.dict_index for tracker in self.trackers}
+        below = np.flatnonzero(usage < self.config.usage_floor).tolist()
+        removed = [index for index in below if index not in held]
         if force and not removed:
-            if not free.any():
+            if len(held) == len(usage):
                 raise EngineError(
                     "every dictionary element is under an open tracker; "
                     "max_size must exceed ell, the most trackers open at once"
                 )
             # argmin returns the first minimum: ties go to the lowest index.
-            removed = [int(np.argmin(np.where(free, usage, np.inf)))]
+            masked = usage.copy()
+            masked[list(held)] = np.inf
+            removed = [int(np.argmin(masked))]
         for index in reversed(removed):
             self._remove_element(index)
         return removed
@@ -606,7 +648,9 @@ class KoadEngine:
             removed = self.prune_dictionary(force=True)
             if not removed:
                 raise EngineError("forced prune failed to free a dictionary slot")
-            delta, coeffs, kvec = self._project(values, np.delete(kvec, removed))
+            for index in reversed(removed):
+                kvec = np.concatenate((kvec[:index], kvec[index + 1 :]))
+            delta, coeffs, kvec = self._project(values, kvec)
         index = dictionary.admit(values, t, coeffs, delta, kvec)
         after = self._at + 1
         later = self._rows[after:]

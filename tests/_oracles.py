@@ -152,6 +152,49 @@ class ReferenceDetector:
         return out
 
 
+class LeadingBlockUpdates:
+    """The KRLS dictionary updates written as in the textbook, on dense
+    m x m arrays rebuilt at every call: admission adds np.outer(c, c) / delta
+    to the inverse and borders it with -c / delta and 1 / delta; removal
+    drops row and column ``index``, then subtracts np.outer(u, u) / q, u the
+    dropped column without its pivot q. Every entry gets the same
+    floating-point operations as in the engine's ``DictionaryState``, so
+    the two must agree byte for byte.
+    """
+
+    def __init__(self):
+        self.gram = np.zeros((0, 0))
+        self.inv = np.zeros((0, 0))
+
+    def admit(self, coeffs, delta, kvec):
+        m = len(self.inv)
+        gram = np.empty((m + 1, m + 1))
+        gram[:m, :m] = self.gram
+        gram[m, :m] = kvec
+        gram[:m, m] = kvec
+        gram[m, m] = 1.0
+        inv = np.empty((m + 1, m + 1))
+        if m == 0:
+            inv[0, 0] = 1.0
+        else:
+            inv[:m, :m] = self.inv + np.outer(coeffs, coeffs) / delta
+            edge = -coeffs / delta
+            inv[:m, m] = edge
+            inv[m, :m] = edge
+            inv[m, m] = 1.0 / delta
+        self.gram, self.inv = gram, inv
+
+    def remove(self, index):
+        keep = [i for i in range(len(self.inv)) if i != index]
+        q = self.inv[index, index]
+        u = self.inv[keep, index]
+        self.gram = self.gram[np.ix_(keep, keep)]
+        if abs(q) < 1e-12:
+            self.inv = np.linalg.inv(self.gram)
+        else:
+            self.inv = self.inv[np.ix_(keep, keep)] - np.outer(u, u) / q
+
+
 class ArrayStandardizer:
     """Welford running mean/variance as whole-array numpy float64 updates,
     the form the package's per-channel float version must match bit for bit."""

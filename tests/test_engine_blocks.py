@@ -13,6 +13,9 @@ the per-row one.
 
 from __future__ import annotations
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -450,3 +453,25 @@ def test_walk_continues_an_engine_fed_one_arrival_at_a_time():
     got = mixed.feed_run(z[300:], list(range(300, 600)), TRAIN)
     assert key(got) == key([v for v in expected if v.at_timestep >= 300])
     assert state(mixed) == state(stepped)
+
+
+def test_a_copied_engine_continues_bitwise():
+    """A deep copy and an unpickled copy, taken mid-stream, go on exactly
+    as the original: their dictionary views must alias their own buffers,
+    so that the usage decays and the updates made after the copy reach
+    the state the next change starts from."""
+    z = stream(7, steps=3000)
+    original = KoadEngine(4, ThresholdConfig(sigma=1.5))
+    for t in range(1000):
+        original.feed(MeasurementVector(z[t], t), TRAIN)
+    copied = copy.deepcopy(original)
+    unpickled = pickle.loads(pickle.dumps(original))
+    expected, got = [], []
+    for t in range(1000, len(z)):
+        expected += original.feed(MeasurementVector(z[t], t), TRAIN)
+        got += copied.feed(MeasurementVector(z[t], t), TRAIN)
+        assert state(copied) == state(original)
+    walked = unpickled.feed_run(z[1000:], list(range(1000, len(z))), TRAIN)
+    assert key(got) == key(expected)
+    assert key(walked) == key(expected)
+    assert state(unpickled) == state(original)

@@ -1,5 +1,7 @@
 """Recursive inverse-Gram maintenance checked against explicit dense solves."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from vitalwatch.engine import (
 )
 from vitalwatch.kernels import kernel_vector
 
-from _oracles import oracle_delta, oracle_inverse
+from _oracles import LeadingBlockUpdates, oracle_delta, oracle_inverse
 
 
 def make_engine(dim=2, sigma=1.0, max_size=50, **kw) -> KoadEngine:
@@ -175,6 +177,70 @@ def test_interleaved_admissions_and_removals_track_oracle():
             want, _ = oracle_delta(mirror, x, sigma)
             assert got == pytest.approx(want, abs=1e-8)
         assert engine.dictionary.consistency_error() < 1e-6
+
+
+def admit_both(engine, reference, rng, t):
+    """Admit a novel point into the engine and the textbook reference."""
+    x = draw_novel(rng, engine, engine.dim)
+    delta, coeffs = engine.projection_error(x)
+    kvec = kernel_vector(engine.dictionary.basis, x, engine.config.sigma)
+    engine.dictionary.admit(x, t, coeffs, delta, kvec)
+    reference.admit(coeffs, delta, kvec)
+
+
+@pytest.mark.parametrize("max_size", [2, 7, 16, 50])
+def test_updates_are_bytewise_the_textbook_leading_block_ones(max_size):
+    """Whole-row updates over preallocated buffers, whose columns past m hold
+    whatever earlier, larger dictionaries left there, give every entry of
+    the active block exactly the textbook update's bits."""
+    rng = np.random.default_rng(26 + max_size)
+    engine = make_engine(dim=3, sigma=1.2, max_size=max_size)
+    dictionary = engine.dictionary
+    reference = LeadingBlockUpdates()
+    t = 0
+
+    def check():
+        assert dictionary.inv_gram.tobytes() == reference.inv.tobytes()
+        assert dictionary.gram().tobytes() == reference.gram.tobytes()
+
+    for _ in range(3):
+        while dictionary.size < max_size - 1:
+            admit_both(engine, reference, rng, t)
+            t += 1
+            check()
+        for op in range(4 * max_size):
+            m = dictionary.size
+            if m > 1 and (m == max_size or rng.random() < 0.5):
+                index = (0, m // 2, m - 1)[op % 3]  # first, a middle, last
+                dictionary.remove(index)
+                reference.remove(index)
+            else:
+                admit_both(engine, reference, rng, t)
+                t += 1
+            check()
+        while dictionary.size > 1:
+            index = (0, dictionary.size // 2, dictionary.size - 1)[dictionary.size % 3]
+            dictionary.remove(index)
+            reference.remove(index)
+            check()
+    assert dictionary.consistency_error() < 1e-6
+
+
+def test_remove_with_a_degenerate_pivot_rebuilds_the_inverse():
+    engine = make_engine()
+    rng = np.random.default_rng(27)
+    for i in range(6):
+        admit_directly(engine, rng.normal(size=2) * 2, i)
+    dictionary = engine.dictionary
+    dictionary.inv_gram[2, 2] = 1e-13  # a pivot drifted to nearly zero
+    changes = dictionary.changes
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        dictionary.remove(2)
+    assert dictionary.size == 5
+    assert dictionary.changes == changes + 2  # the removal and the refresh
+    np.testing.assert_array_equal(dictionary.inv_gram, np.linalg.inv(dictionary.gram()))
+    assert dictionary.consistency_error() < 1e-10
 
 
 def test_consistency_check_and_refresh():

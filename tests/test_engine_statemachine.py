@@ -274,6 +274,29 @@ def test_capacity_prefers_below_floor_victim_over_tie_break():
     assert {tr.dict_index for tr in engine.trackers} == {1, 2}
 
 
+def test_capacity_prune_of_several_elements_keeps_the_arrivals_row(monkeypatch):
+    """A forced prune that evicts two elements apart: the arrival's kernel
+    row less their columns is bitwise its row against the pruned basis."""
+    cfg = ThresholdConfig(max_size=4, ell=10, usage_floor=1e-4, sigma=1.0)
+    engine, t = seeded([0.0, 5.0, 10.0, 15.0], cfg)
+    engine.step(vec(0.01, t))  # credit elements 0 and 2 above the floor
+    engine.step(vec(10.01, t + 1))
+    project = engine._project
+    rows = []
+
+    def recording(values, kvec=None):
+        if kvec is not None:
+            fresh = kernel_vector(engine.dictionary.basis, values, cfg.sigma)
+            rows.append((kvec.tobytes(), fresh.tobytes()))
+        return project(values, kvec)
+
+    monkeypatch.setattr(engine, "_project", recording)
+    orange, _ = engine.step(vec(-BAND_U, t + 2))
+    assert orange.kind is VerdictKind.ORANGE
+    assert engine.dictionary.basis[:, 0].tolist() == [0.0, 10.0, -BAND_U]
+    assert len(rows) == 1 and rows[0][0] == rows[0][1]
+
+
 def test_capacity_with_every_element_tracked_is_an_error():
     cfg = ThresholdConfig(max_size=1, ell=10, sigma=1.0)
     engine, t = seeded([0.0], cfg)

@@ -6,11 +6,17 @@ Run from the repository root:
     python3 tools/verdict_digest.py --seeds 201 7
     python3 tools/verdict_digest.py --seeds 201 7 --against HEAD~1
 
-For each seed it prints four SHA-256 digests, built from the benchmark's own
+For each seed it prints five SHA-256 digests, built from the benchmark's own
 seeded inputs (``perfbench/``, imported and never written):
 
 * ``tune``: every ``run_detector`` verdict (kind, timestep, ``delta.hex()``,
   resolves) over the tune-grid streams and configs;
+* ``state``: the dictionary each of those runs leaves, as the bytes of its
+  ``basis``, ``gram()``, ``inv_gram`` and ``usage`` and its element
+  ``timesteps``, so that an update change which keeps every verdict but
+  moves the inverse or the usage still shows. Each run goes through
+  ``KoadEngine.feed_run`` with the arguments ``run_detector`` gives it, and
+  the same runs give the ``tune`` verdicts;
 * ``replay``: the replay-archive capture's ``events.csv`` and
   ``frames_bed1.csv``, with their wall-clock columns stripped, then every
   event of an in-memory ``BedPipeline`` over the same capture: verdicts with
@@ -39,16 +45,18 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def tune_digest(seed: int, work: Path) -> tuple[str, int, int]:
-    """Digest of the verdicts, their count and the number of runs."""
+def tune_digest(seed: int, work: Path) -> tuple[str, str, int, int]:
+    """Digests of the verdicts and of the final dictionary states, the
+    verdict count and the number of runs."""
     import inputs
     import workloads
-    from vitalwatch import load_settings
+    from vitalwatch import KoadEngine, load_settings
     from vitalwatch.pipeline import standardized_stream
-    from vitalwatch.tuning import run_detector
 
     config = inputs.write_config(
         work,
@@ -57,17 +65,22 @@ def tune_digest(seed: int, work: Path) -> tuple[str, int, int]:
     )
     settings = load_settings(config)
     grid = settings.tuning_grid()
-    digest = hashlib.sha256()
+    digest, state = hashlib.sha256(), hashlib.sha256()
     verdicts = runs = 0
     for stream in inputs.tune_streams(workloads.TUNE_LINES, seed, workloads.TUNE_STREAMS):
         timesteps, vectors = standardized_stream(stream.lines, settings)
+        vectors = np.asarray(vectors, dtype=float)
         for detector in grid:
             runs += 1
-            for v in run_detector(vectors, detector, settings.train_steps, timesteps):
+            engine = KoadEngine(vectors.shape[1], detector)
+            for v in engine.feed_run(vectors, timesteps, settings.train_steps):
                 verdicts += 1
-                row = f"{v.kind.value},{v.at_timestep},{v.delta.hex()},{v.resolves_timestep}\n"
-                digest.update(row.encode())
-    return digest.hexdigest(), verdicts, runs
+                digest.update(event_row(v).encode())
+            d = engine.dictionary
+            for array in (d.basis, d.gram(), d.inv_gram, d.usage):
+                state.update(array.tobytes())
+            state.update(f"{d.timesteps}\n".encode())
+    return digest.hexdigest(), state.hexdigest(), verdicts, runs
 
 
 def replay_digest(seed: int, work: Path) -> tuple[str, int, int]:
@@ -174,8 +187,9 @@ def print_digests(seeds: list[int], src: Path) -> None:
     for seed in seeds:
         with tempfile.TemporaryDirectory() as tmp:
             work = Path(tmp)
-            digest, verdicts, runs = tune_digest(seed, work / "tune")
+            digest, state, verdicts, runs = tune_digest(seed, work / "tune")
             print(f"seed {seed} tune {digest} ({verdicts} verdicts, {runs} runs)")
+            print(f"seed {seed} state {state} ({runs} runs)")
             digest, events, frames = replay_digest(seed, work / "replay")
             print(f"seed {seed} replay {digest} ({events} events, {frames} frames)")
             digest, fed = edge_digest(seed, work / "edge")
