@@ -23,7 +23,7 @@ import os
 import sys
 from pathlib import Path
 
-from .config import ConfigError, Settings, load_settings
+from .config import ConfigError, Settings, check_bed_id, load_settings
 from .pipeline import monitor_run, replay_run, standardized_stream
 from .selftest import main as run_selftest
 from .sources import ReplaySource, SourceError, emit_lines, socket_address
@@ -108,6 +108,7 @@ def cmd_monitor(args: argparse.Namespace) -> int:
 
 def cmd_replay(args: argparse.Namespace) -> int:
     settings = _settings(args)
+    check_bed_id(args.bed)
     if args.emit:
         try:
             host, port = socket_address(args.emit)
@@ -147,7 +148,7 @@ def cmd_tune(args: argparse.Namespace) -> int:
     )
     print(render_table(reports, policy))
     print(
-        f"best: nu1={best.nu1:g} nu2={best.nu2:g} "
+        f"best: nu1={best.nu1:g} nu2={best.nu2:g} sigma={best.sigma:g} ell={best.ell:g} "
         f"(detected {best.detected}, missed {best.missed}, "
         f"false alarms {best.false_alarms})"
     )
@@ -160,7 +161,7 @@ def cmd_tune(args: argparse.Namespace) -> int:
 def cmd_synth(args: argparse.Namespace) -> int:
     settings = _settings(args)
     # place anomalies after the detector's lead-in, spaced to fit the stream
-    lead = settings.warmup + settings.train_steps
+    lead = settings.lead_in
     if args.steps <= lead:
         raise ConfigError(
             f"{args.steps} steps is too short to tune: it must exceed "

@@ -15,6 +15,7 @@ ends with it, and the CLI calls it again after applying its flags.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -33,6 +34,18 @@ class ConfigError(Exception):
         self.line = line
         prefix = f"line {line}: " if line is not None else ""
         super().__init__(prefix + message)
+
+
+# A bed id names its frame archive and fills one field of each event row, so
+# it is a plain token: no separator, no path, nothing a CSV field must quote.
+BED_ID_RE = re.compile(r"[A-Za-z0-9_-]+")
+
+
+def check_bed_id(bed: str, line: int | None = None) -> None:
+    if not BED_ID_RE.fullmatch(bed):
+        raise ConfigError(
+            f"bed id must be ASCII letters, digits, '_' or '-', got {bed!r}", line
+        )
 
 
 @dataclass(frozen=True)
@@ -81,6 +94,15 @@ class Settings:
             zero_ok=frozenset(self.schema_zero_ok),
         )
 
+    def standardizer(self) -> RunningStandardizer:
+        """A fresh standardizer for one bed; it owns the warm-up rule."""
+        return RunningStandardizer(self.schema().dim, self.warmup)
+
+    @property
+    def lead_in(self) -> int:
+        """Valid frames before a bed's first verdict: warm-up, then training."""
+        return self.warmup + self.train_steps
+
     def threshold_config(self, **overrides) -> ThresholdConfig:
         """The deployed detector config, with any fields replaced."""
         try:
@@ -116,7 +138,7 @@ class Settings:
         try:
             self.match_policy()
             grid = self.tuning_grid()
-            RunningStandardizer(self.schema().dim, self.warmup)
+            self.standardizer()
             FlagStreak(self.warn_threshold)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
@@ -139,6 +161,7 @@ class Settings:
         if len(self.beds) > MAX_BEDS:
             raise ConfigError(f"at most {MAX_BEDS} beds supported")
         for bed in self.beds:
+            check_bed_id(bed.bed)
             if bed.kind == "socket":
                 try:
                     socket_address(bed.target)
@@ -258,6 +281,7 @@ def parse_settings(text: str) -> Settings:
             if len(parts) != 3 or parts[2] != "source":
                 raise ConfigError(f"unknown bed key {key!r}", line_no)
             bed = parts[1]
+            check_bed_id(bed, line_no)
             kind, _, target = raw.partition(":")
             if kind not in _SOURCE_KINDS:
                 raise ConfigError(

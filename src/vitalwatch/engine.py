@@ -51,7 +51,7 @@ matrix-vector product and one stacked dot for all of them, each row bitwise
 the one-row result; the stacked projections hold until the dictionary first
 changes inside the block, and the arrivals after that change are projected
 one at a time. Replay and monitor feed one arrival at a time, since a live
-bed has no lookahead.
+bed has no lookahead. Every entry point refuses a bad arrival alike.
 """
 
 from __future__ import annotations
@@ -77,23 +77,21 @@ ROUNDOFF_TOL = 1e-9
 # grid's 18 configs, engine time at 16, 32 and 64 was 0.92, 0.90 and 0.90
 # of that of 16-arrival blocks ended by every change; 64 gains nothing more.
 BLOCK = 32
+_FLOAT64 = np.dtype(float)  # _checked converts values of any other dtype object
 
 
 class EngineError(Exception):
     """Engine misuse or an unrecoverable internal state."""
 
 
-@dataclass(frozen=True, eq=False)
-class MeasurementVector:
-    """One timestep's d-dimensional (standardized) vital-sign reading."""
+class MeasurementVector(NamedTuple):
+    """One timestep's (standardized) vital-sign reading, a plain record the
+    engine checks; equal and hash-equal only to itself, not by its arrays."""
 
     values: np.ndarray
     timestep: int
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
-        if self.timestep < 0:
-            raise ValueError(f"timestep must be >= 0, got {self.timestep}")
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
 
 @dataclass(frozen=True)
@@ -382,7 +380,7 @@ class KoadEngine:
         self._shape = (dim,)  # an arrival's shape, for _checked's compare
         self.trackers: list[OrangeTracker] = []
         self.steps_seen = 0
-        self.last_timestep: int | None = None
+        self.last_timestep = -1  # before any arrival: every timestep >= 0 follows it
         # feed_run's current block: its arrivals, their kernel rows against
         # the basis (max_size columns each, the leading ones in the
         # dictionary's order) and the scored arrival's place in it. The rows
@@ -665,16 +663,17 @@ class KoadEngine:
             raise ValueError(f"expected shape ({self.dim},), got {shape}")
 
     def _checked(self, x: MeasurementVector) -> np.ndarray:
-        """x's values, refused as ``_check_width`` and ``_check_arrival``
-        refuse them. An accepted arrival calls neither: a finite sum means
-        finite components, and a sum that overflows from finite ones goes
-        to ``_check_arrival``, which passes it."""
-        values = x.values  # already a float array: MeasurementVector converts
-        t, last = x.timestep, self.last_timestep
+        """x's values as a float array, refused as ``_check_width`` and
+        ``_check_arrival`` refuse them. An accepted arrival calls neither: a
+        finite sum means finite components, and a sum that overflows from
+        finite ones goes to ``_check_arrival``, which passes it."""
+        values, t = x
+        if type(values) is not np.ndarray or values.dtype is not _FLOAT64:
+            values = np.asarray(values, dtype=float)
         if values.shape != self._shape:
             self._check_width(values.shape)
-        if not (math.isfinite(sum(values.tolist())) and (last is None or t > last)):
-            _check_arrival(all(map(math.isfinite, values.tolist())), t, last)
+        if not (math.isfinite(sum(values.tolist())) and t > self.last_timestep):
+            _check_arrival(all(map(math.isfinite, values.tolist())), t, self.last_timestep)
         return values
 
     def _check_run(self, vectors: np.ndarray, timesteps: list[int]) -> None:
@@ -687,27 +686,26 @@ class KoadEngine:
             return
         self._check_width(vectors.shape[1:])
         finite = np.isfinite(vectors).all(axis=1)
-        # Each timestep must exceed the one before it; the first, the
-        # engine's last or, on a fresh engine, -1.
+        # Each timestep must exceed the one before it, the first the engine's last.
         steps = np.asarray(timesteps)
-        first = -1 if self.last_timestep is None else self.last_timestep
-        good = finite & (steps > np.concatenate(([first], steps[:-1])))
+        good = finite & (steps > np.concatenate(([self.last_timestep], steps[:-1])))
         if good.all():
             return
         i = int(np.argmin(good))
-        t = timesteps[i]
-        if t < 0:  # what MeasurementVector refuses
-            raise ValueError(f"timestep must be >= 0, got {t}")
-        _check_arrival(bool(finite[i]), t, timesteps[i - 1] if i else self.last_timestep)
+        last = timesteps[i - 1] if i else self.last_timestep
+        _check_arrival(bool(finite[i]), timesteps[i], last)
 
 
-def _check_arrival(finite: bool, t: int, last: int | None) -> None:
-    """Refuse an arrival at timestep t, after one at last, that has a
-    non-finite component or comes out of order."""
+def _check_arrival(finite: bool, t: int, last: int) -> None:
+    """Refuse an arrival at timestep t, after one at last (-1 for none):
+    a negative timestep, then a non-finite component, then an arrival out
+    of order."""
+    if t < 0:
+        raise ValueError(f"timestep must be >= 0, got {t}")
     if not finite:
         raise EngineError(
             f"non-finite component at timestep {t}; "
             "validity checking should reject such frames upstream"
         )
-    if last is not None and t <= last:
+    if t <= last:
         raise EngineError(f"timesteps must be strictly increasing: {t} after {last}")

@@ -59,7 +59,6 @@ from .validity import (
     track,
     validate,
 )
-from .standardize import RunningStandardizer
 
 
 class BedPipeline:
@@ -76,7 +75,7 @@ class BedPipeline:
         self.settings = settings
         self.schema = settings.schema()
         self.streak = FlagStreak(warn_threshold=settings.warn_threshold)
-        self.standardizer = RunningStandardizer(self.schema.dim, warmup=settings.warmup)
+        self.standardizer = settings.standardizer()
         self.engine = KoadEngine(self.schema.dim, settings.threshold_config())
         self.frame_index = 0
         self._match = frame_matcher(settings.password, self.schema)
@@ -86,14 +85,6 @@ class BedPipeline:
         self._restart_warning = False
         if frame_archive is not None and frame_archive.tell() == 0:
             frame_archive.write(archive_header(self.schema) + "\n")
-
-    @property
-    def phase(self) -> str:
-        if not self.standardizer.warmed_up:
-            return "warmup"
-        if self.engine.steps_seen < self.settings.train_steps:
-            return "training"
-        return "live"
 
     def screen(
         self, line: str, received_at: float
@@ -126,8 +117,8 @@ class BedPipeline:
         if self.schema.use is not None:
             values = [values[i] for i in self.schema.use]
         z = self.standardizer.push(values)
-        if self.standardizer.count <= self.settings.warmup:
-            return warning, None  # raw passthrough frames never reach the detector
+        if z is None:  # a warm-up frame
+            return warning, None
         return warning, MeasurementVector(z, timestep)
 
     def _classify(self, line: str, timestep: int, received_at: float) -> list[float] | None:
@@ -214,7 +205,7 @@ def build_source(bed: BedSource, settings: Settings, stop: threading.Event):
             n_anomalies=20,
             seed=int(bed.target),
             dim=settings.schema().arity,
-            first_anomaly=max(300, 2 * (settings.warmup + settings.train_steps)),
+            first_anomaly=max(300, 2 * settings.lead_in),
         )
         return SyntheticSource(
             spec, settings.password, settings.poll_interval, settings.speedup

@@ -20,6 +20,7 @@ from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator
 
 from .synth import SyntheticSpec, capture_text
+from .validity import DECIMAL_RE
 
 DEFAULT_POLL_INTERVAL = 12.0  # seconds between frames from a bedside unit
 
@@ -60,17 +61,26 @@ def _pace(lines: list[str], interval: float, speedup: float) -> Iterator[tuple[s
         yield line, time.time()
 
 
-def _looks_like_capture(first_line: str, password: str) -> bool:
-    return first_line.split(",", 1)[0] != password
+def _is_capture(lines: list[str], password: str) -> bool:
+    """Whether a recorded file's non-blank lines are a capture: the first is
+    a header of parameter names (no field blank or a decimal, the first not
+    the password) and the second, if any, is not a wire record (it does not
+    start with the password). A corrupt first record of a wire file (bad
+    password, garbage, an empty field) fails one of these tests, so it stays
+    a record that the screen flags alone."""
+    fields = [field.strip() for field in lines[0].split(",")]
+    if fields[0] == password or not all(f and not DECIMAL_RE.fullmatch(f) for f in fields):
+        return False
+    return len(lines) == 1 or lines[1].split(",", 1)[0] != password
 
 
 class ReplaySource:
     """Replay a recorded file, pacing rows by poll_interval / speedup.
 
     Accepts either wire-format files (password-prefixed rows) or capture
-    files (header row of parameter names, value-only rows, no password); the
-    two are told apart by the first token, and capture rows are rewritten
-    into wire form so the rest of the pipeline sees one format.
+    files (header row of parameter names, value-only rows, no password); a
+    capture is recognised by its header (``_is_capture``), and its rows are
+    rewritten into wire form so the rest of the pipeline sees one format.
     """
 
     def __init__(
@@ -99,7 +109,7 @@ class ReplaySource:
         lines = [line for line in raw.splitlines() if line.strip() != ""]
         if not lines:
             return []
-        if _looks_like_capture(lines[0], self.password):
+        if _is_capture(lines, self.password):
             return [f"{self.password},{line}" for line in lines[1:]]
         return lines
 

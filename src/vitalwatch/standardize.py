@@ -14,9 +14,9 @@ VAR_FLOOR = 1e-6
 class RunningStandardizer:
     """Welford-style running mean/variance per channel, update then transform.
 
-    The first ``warmup`` frames pass through unchanged while the statistics
-    settle; the caller decides what to do with them (the pipeline keeps them
-    out of the detector). ``VAR_FLOOR`` keeps constant channels at z = 0
+    The first ``warmup`` frames only settle the statistics: ``push`` folds
+    them in and returns None, so no caller scores a frame before its
+    z-score means something. ``VAR_FLOOR`` keeps constant channels at z = 0
     instead of dividing by zero.
 
     The statistics are Python floats, one per channel: a frame has only a
@@ -37,10 +37,6 @@ class RunningStandardizer:
         self._m2 = [0.0] * dim
 
     @property
-    def warmed_up(self) -> bool:
-        return self.count >= self.warmup
-
-    @property
     def mean(self) -> np.ndarray:
         return np.array(self._mean)
 
@@ -50,10 +46,11 @@ class RunningStandardizer:
         n1 = self.count - 1
         return np.array([max(m2 / n1, VAR_FLOOR) for m2 in self._m2])
 
-    def push(self, values: Sequence[float]) -> np.ndarray:
+    def push(self, values: Sequence[float]) -> np.ndarray | None:
         """Fold one frame's values into the statistics and return its
-        transform. One loop updates each channel's mean and M2 and, once
-        warmed up, computes its z-score; one array is built at the end."""
+        z-scores, or None for a warm-up frame. One loop updates each
+        channel's mean and M2 and, once warmed up, computes its z-score; one
+        array is built at the end."""
         if len(values) != self.dim:
             raise ValueError(f"expected {self.dim} values, got {len(values)}")
         self.count = n = self.count + 1
@@ -65,5 +62,6 @@ class RunningStandardizer:
             delta = x - mean[i]
             mean[i] = mu = mean[i] + delta / n
             m2[i] = s = m2[i] + delta * (x - mu)
-            z.append((x - mu) / math.sqrt(max(s / n1, VAR_FLOOR)) if scoring else x)
-        return np.array(z, dtype=float)
+            if scoring:
+                z.append((x - mu) / math.sqrt(max(s / n1, VAR_FLOOR)))
+        return np.array(z, dtype=float) if scoring else None

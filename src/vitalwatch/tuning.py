@@ -11,7 +11,7 @@ matcher in the tests).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,7 +44,9 @@ class MatchPolicy:
 
 @dataclass(frozen=True)
 class DetectionReport:
-    """One grid row: threshold pair plus detected/missed/false counts."""
+    """One grid row: its config and threshold pair plus detected/missed/false
+    counts. Two rows are equal only with equal configs, so rows that differ
+    only in sigma or ell are told apart."""
 
     nu1: float
     nu2: float
@@ -52,11 +54,21 @@ class DetectionReport:
     missed: int
     false_alarms: int
     matches: tuple[tuple[int, int], ...] = ()  # (label timestep, alarm timestep)
-    config: ThresholdConfig | None = field(default=None, compare=False)
+    config: ThresholdConfig | None = None
 
     @property
     def score(self) -> int:
         return self.detected - self.false_alarms
+
+    @property
+    def sigma(self) -> float:
+        """The row's kernel bandwidth, NaN without a config."""
+        return math.nan if self.config is None else self.config.sigma
+
+    @property
+    def ell(self) -> float:
+        """The row's Orange horizon, NaN without a config."""
+        return math.nan if self.config is None else self.config.ell
 
 
 def alarm_times(verdicts: list[Verdict], policy: MatchPolicy) -> list[int]:
@@ -175,25 +187,29 @@ def grid_search(
 # -- report output -----------------------------------------------------------
 
 def render_table(reports: list[DetectionReport], policy: MatchPolicy) -> str:
-    """Aligned plain-text table, one row per threshold setting."""
+    """Aligned plain-text table, one row per detector config."""
     kinds = ",".join(sorted(k.value for k in policy.counted_kinds))
     header = (
         f"match window +/-{policy.window_w} timesteps; counted kinds: {kinds}"
     )
     rows = [header, ""]
-    rows.append(f"{'nu1':>6} {'nu2':>6} {'Detected':>9} {'Missed':>7} {'False':>6}")
+    rows.append(
+        f"{'nu1':>6} {'nu2':>6} {'sigma':>6} {'ell':>4} "
+        f"{'Detected':>9} {'Missed':>7} {'False':>6}"
+    )
     for r in reports:
         rows.append(
-            f"{r.nu1:>6.3f} {r.nu2:>6.3f} {r.detected:>9d} {r.missed:>7d} "
-            f"{r.false_alarms:>6d}"
+            f"{r.nu1:>6.3f} {r.nu2:>6.3f} {r.sigma:>6.3g} {r.ell:>4g} "
+            f"{r.detected:>9d} {r.missed:>7d} {r.false_alarms:>6d}"
         )
     return "\n".join(rows) + "\n"
 
 
 def reports_csv(reports: list[DetectionReport]) -> str:
-    lines = ["nu1,nu2,detected,missed,false_alarms"]
+    lines = ["nu1,nu2,sigma,ell,detected,missed,false_alarms"]
     for r in reports:
         lines.append(
-            f"{r.nu1:.6g},{r.nu2:.6g},{r.detected},{r.missed},{r.false_alarms}"
+            f"{r.nu1:.6g},{r.nu2:.6g},{r.sigma:.6g},{r.ell:g},"
+            f"{r.detected},{r.missed},{r.false_alarms}"
         )
     return "\n".join(lines) + "\n"

@@ -212,12 +212,13 @@ class ArrayStandardizer:
             return np.full(self.dim, self.var_floor)
         return np.maximum(self._m2 / (self.count - 1), self.var_floor)
 
-    def push(self, values) -> np.ndarray:
+    def push(self, values) -> np.ndarray | None:
+        """The frame's z-scores, or None for a warm-up frame."""
         values = np.asarray(values, dtype=float)
         self.count += 1
         delta = values - self.mean
         self.mean = self.mean + delta / self.count
         self._m2 = self._m2 + delta * (values - self.mean)
         if self.count <= self.warmup:
-            return values.copy()
+            return None
         return (values - self.mean) / np.sqrt(self.variance())

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import vitalwatch
 from vitalwatch.cli import main
 from vitalwatch.synth import default_spec, read_labels, write_stream
 
@@ -46,9 +47,35 @@ def test_synth_then_tune_reports_all_labels_accounted(tmp_path, capsys):
     rows = [r for r in report.read_text().splitlines()[1:] if r]
     assert len(rows) == 3  # one per default grid pair
     for row in rows:
-        _, _, detected, missed, _ = row.split(",")
+        _, _, sigma, ell, detected, missed, _ = row.split(",")
+        assert (sigma, ell) == ("2.5", "20")  # the deployed bandwidth and horizon
         assert int(detected) + int(missed) == 9
     assert "best:" in out
+
+
+def test_tune_names_the_sigma_and_ell_of_each_row_and_the_winner(tmp_path, capsys):
+    stream = tmp_path / "s.csv"
+    run(capsys, "synth", "--steps", "1500", "--anomalies", "12", "--seed", "3",
+        "--out", str(stream))
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text("grid_sigma = 1.0, 2.5\ngrid_ell = 10, 20\n")
+    report = tmp_path / "report.csv"
+    code, out, _ = run(
+        capsys, "tune", str(stream), "--labels", f"{stream}.labels.csv",
+        "--config", str(cfg), "--out", str(report),
+    )
+    assert code == 0
+    rows = [row.split(",") for row in report.read_text().splitlines()]
+    assert rows[0][:4] == ["nu1", "nu2", "sigma", "ell"]
+    assert [tuple(row[:4]) for row in rows[1:5]] == [
+        ("0.03", "0.08", "1", "10"), ("0.03", "0.08", "1", "20"),
+        ("0.03", "0.08", "2.5", "10"), ("0.03", "0.08", "2.5", "20"),
+    ]
+    table = out.splitlines()
+    assert table[2].split()[:4] == ["nu1", "nu2", "sigma", "ell"]
+    assert len({tuple(line.split()[:4]) for line in table[3:15]}) == 12
+    (best,) = [line for line in table if line.startswith("best:")]
+    assert best.startswith("best: nu1=0.07 nu2=0.16 sigma=2.5 ell=10 ")
 
 
 def test_synth_is_seed_deterministic(tmp_path, capsys):
@@ -138,6 +165,33 @@ def test_config_that_can_exhaust_the_dictionary_exits_2(tmp_path, capsys):
     assert code == 2
     assert "config error: max_size (30) must exceed ell (30)" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("bed", ["a,b", "x/y", "../up", ""])
+def test_replay_refuses_a_bed_id_before_touching_an_archive(
+    tmp_path, capsys, labeled_stream, bed
+):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "events.csv").write_text("kept\n")
+    code, _, err = run(
+        capsys, "replay", str(labeled_stream[0]), "--bed", bed, "--out", str(out)
+    )
+    assert code == 2
+    assert f"config error: bed id must be ASCII letters, digits, '_' or '-', got {bed!r}" in err
+    assert sorted(p.name for p in out.iterdir()) == ["events.csv"]
+    assert (out / "events.csv").read_text() == "kept\n"
+
+
+def test_replay_bed_ids_in_the_rule_name_the_archives(tmp_path, capsys, labeled_stream):
+    out = tmp_path / "out"
+    code, _, _ = run(
+        capsys, "replay", str(labeled_stream[0]), "--bed", "ICU-3_b", "--out", str(out)
+    )
+    assert code == 0
+    assert (out / "frames_ICU-3_b.csv").exists()
+    rows = (out / "events.csv").read_text().splitlines()
+    assert all(row.split(",")[1] == "ICU-3_b" for row in rows[1:])
 
 
 @pytest.mark.parametrize("steps,anomalies", [(80, 0), (100, 0), (100, 3)])
@@ -235,7 +289,7 @@ def test_closed_stdout_ends_quietly(unbuffered):
     ends with status 1 and nothing on stderr, not a BrokenPipeError
     traceback. The read end is closed before the first line is written, so
     the write fails every time rather than when the reader wins a race."""
-    src = Path(__file__).resolve().parents[1] / "src"
+    src = Path(vitalwatch.__file__).resolve().parents[1]  # the package under test
     env = {
         **os.environ,
         "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])),

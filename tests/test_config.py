@@ -119,6 +119,10 @@ def test_bed_sources():
         ("grid_ell = 10, 60\n", "max_size (50) must exceed ell (60)", None),
         ("bed.b1.source = socket:127.0.0.1:99999\n", "port in 0-65535", None),
         ("bed.b1.source = synthetic:abc\n", "integer seed", None),
+        ("bed.a,b.source = synthetic:1\n", "bed id must be", 1),
+        ("\nbed.x/y.source = synthetic:1\n", "got 'x/y'", 2),
+        ("bed..source = synthetic:1\n", "bed id must be", 1),
+        ("bed.icu 1.source = synthetic:1\n", "bed id must be", 1),
     ],
 )
 def test_errors_carry_line_numbers(text, fragment, line):
@@ -147,6 +151,12 @@ def test_six_beds_rejected():
     text = "".join(f"bed.b{i}.source = synthetic:{i}\n" for i in range(6))
     with pytest.raises(ConfigError, match="at most 5"):
         parse_settings(text)
+
+
+def test_check_refuses_a_bed_id_set_in_code():
+    settings = Settings(beds=[BedSource("x/y", "synthetic", "1")])
+    with pytest.raises(ConfigError, match="bed id must be"):
+        settings.check()
 
 
 def test_load_settings_from_file(tmp_path):

@@ -322,6 +322,53 @@ def test_non_finite_values_rejected():
         engine.step(vec(float("nan"), t))
 
 
+def test_a_negative_timestep_is_refused_alike_by_feed_and_feed_run():
+    # The record is plain, so it holds t < 0 until an engine takes it; every
+    # entry point refuses it first, before its non-finite value.
+    x = MeasurementVector(np.array([np.nan, 0.0]), -1)
+    errors = []
+    for call in (
+        lambda engine: engine.feed(x, 0),  # step
+        lambda engine: engine.feed(x, 5),  # warm_start
+        lambda engine: engine.feed_run(x.values[None, :], [x.timestep], 0),
+    ):
+        engine = KoadEngine(2, ThresholdConfig())
+        with pytest.raises(ValueError) as got:
+            call(engine)
+        errors.append(str(got.value))
+        assert (engine.steps_seen, engine.last_timestep) == (0, -1)
+    assert errors == ["timestep must be >= 0, got -1"] * 3
+
+
+@pytest.mark.parametrize(
+    "given", [list, tuple, np.array], ids=["list", "tuple", "int-array"]
+)
+def test_a_record_of_any_number_sequence_is_scored_like_its_float_array(given):
+    # Integer readings, so that an int array holds exactly the float values.
+    points = np.random.default_rng(5).integers(-3, 4, size=(80, 3))
+    cfg = ThresholdConfig(ell=4, prune_period=10)
+    floats, others = KoadEngine(3, cfg), KoadEngine(3, cfg)
+    seen = []
+    for t, point in enumerate(points):
+        want = floats.feed(MeasurementVector(point.astype(float), t), 20)
+        assert others.feed(MeasurementVector(given(point.tolist()), t), 20) == want
+        seen += want
+    assert {v.kind for v in seen} == set(VerdictKind)  # every branch ran
+    assert np.array_equal(floats.dictionary.basis, others.dictionary.basis)
+    assert others.dictionary.basis.dtype == np.float64
+
+
+def test_records_compare_and_hash_by_identity():
+    values = np.array([1.0, 2.0])
+    x, twin = MeasurementVector(values, 3), MeasurementVector(values.copy(), 3)
+    assert x == x and not x != x
+    assert x != twin and not x == twin  # no element-wise compare of the arrays
+    assert hash(x) == object.__hash__(x)
+    assert len({x, twin}) == 2
+    got_values, got_t = x
+    assert got_values is values and got_t == 3
+
+
 def test_feed_trains_silently_then_scores_like_step():
     cfg = ThresholdConfig(ell=3, prune_period=5)
     rng = np.random.default_rng(11)

@@ -1,11 +1,14 @@
 """End-to-end checks on the per-bed chain and the run drivers."""
 
 import io
+import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import vitalwatch.pipeline as pipeline_module
+import vitalwatch.sources as sources_module
 from vitalwatch.board import BoardState, event_row
 from vitalwatch.cli import main
 from vitalwatch.config import BedSource, Settings, load_settings
@@ -82,13 +85,12 @@ class TestBedPipeline:
     def test_phases_advance_at_exact_frame_counts(self):
         pipe = BedPipeline("bed1", small_settings())
         rng = np.random.default_rng(0)
-        assert pipe.phase == "warmup"
-        for i in range(4):
+        for i in range(4):  # warm-up: the standardizer only
             assert pipe.feed_line(steady_line(rng), float(i)) == []
-        assert pipe.phase == "training"
-        for i in range(6):
+        assert (pipe.standardizer.count, pipe.engine.steps_seen) == (4, 0)
+        for i in range(6):  # training: the engine, silently
             assert pipe.feed_line(steady_line(rng), float(i)) == []
-        assert pipe.phase == "live"
+        assert (pipe.standardizer.count, pipe.engine.steps_seen) == (10, 6)
         events = pipe.feed_line(steady_line(rng), 10.0)
         assert len(events) == 1
         assert isinstance(events[0], Verdict)
@@ -110,7 +112,7 @@ class TestBedPipeline:
         rng = np.random.default_rng(2)
         for i in range(60):
             pipe.feed_line(steady_line(rng), float(i))
-        assert pipe.phase == "live"
+        assert pipe.engine.steps_seen == 50  # 10 warm-up frames, then 20 trained
         events = pipe.feed_line(wire("300", "5", "400"), 60.0)
         verdicts = [e for e in events if isinstance(e, Verdict)]
         assert verdicts[0].kind in (VerdictKind.RED1, VerdictKind.ORANGE)
@@ -255,6 +257,41 @@ class TestReplayRun:
             events = drop_column((out / "events.csv").read_text(), 0)
             outs.append((frames, events))
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize(
+        "first",
+        ["PW999,72.000,98.000,118.000,76.000", "xx", ",72.000,98.000,118.000,76.000"],
+        ids=["bad-password", "garbage", "empty-field"],
+    )
+    def test_a_corrupt_first_record_is_flagged_alone(self, tmp_path, capture_file, first):
+        # A wire file whose first record is corrupt is still a wire file:
+        # that record is flagged and every other one screens clean.
+        rows = capture_file.read_text(encoding="utf-8").splitlines()[2:]
+        wire = tmp_path / "wire.csv"
+        wire.write_text("\n".join([first, *(f"{PW},{row}" for row in rows)]), encoding="utf-8")
+        out = tmp_path / "out"
+        counts = replay_run(Settings(warmup=10, train_steps=20), wire, out_dir=out)
+        frames = [row.split(",") for row in (out / "frames_bed1.csv").read_text().splitlines()]
+        assert counts["frames"] == len(frames) - 1 == 120
+        assert [row[1] for row in frames[1:] if row[3]] == ["0"]
+
+    def test_capture_and_wire_files_give_byte_identical_archives(
+        self, tmp_path, capture_file, monkeypatch
+    ):
+        rows = capture_file.read_text(encoding="utf-8").splitlines()[1:]
+        wire = tmp_path / "wire.csv"
+        wire.write_text("".join(f"{PW},{row}\n" for row in rows), encoding="utf-8")
+        # one wall clock for both runs, so that every archive byte compares
+        clock = SimpleNamespace(time=lambda: 1.7e9, monotonic=time.monotonic, sleep=time.sleep)
+        monkeypatch.setattr(sources_module, "time", clock)
+        archives = []
+        for path in (capture_file, wire):
+            out = tmp_path / path.stem
+            replay_run(Settings(warmup=10, train_steps=20), path, out_dir=out)
+            names = ("frames_bed1.csv", "events.csv")
+            archives.append([(out / name).read_bytes() for name in names])
+        assert archives[0] == archives[1]
+        assert archives[0][1].count(b"\n") > 90  # a header and a verdict per scored frame
 
     def test_rerun_into_same_dir_replaces_archives(self, tmp_path, capture_file):
         settings = Settings(warmup=10, train_steps=20)

@@ -45,6 +45,27 @@ def test_replay_capture_file_gets_password_prefixed(tmp_path):
     assert got == ["PW123,72.000,98.000", "PW123,71.000,97.000"]
 
 
+@pytest.mark.parametrize(
+    "text, captured",
+    [
+        ("hr,spo2\n", True),  # a header alone: a capture with no rows
+        ("hr, spo2\n72,98\n", True),
+        ("PW999,72,98\nPW123,71,97\n", False),  # a bad password, not a header
+        ("xx\nPW123,71,97\n", False),  # garbage, then a wire record
+        (",72,98\nPW123,71,97\n", False),  # an empty field
+        ("hr,\n72,98\n", False),
+        ("PW123,hr\n72,98\n", False),  # the password is never a name
+        ("hr,98\n72,98\n", False),  # a decimal is never a name
+    ],
+)
+def test_replay_tells_a_capture_by_its_header(tmp_path, text, captured):
+    path = tmp_path / "stream.csv"
+    path.write_text(text, encoding="utf-8")
+    got = [line for line, _ in ReplaySource(path, PW).frames()]
+    lines = text.splitlines()
+    assert got == ([f"{PW},{line}" for line in lines[1:]] if captured else lines)
+
+
 def test_replay_skips_blank_lines(tmp_path):
     path = tmp_path / "stream.csv"
     path.write_text(f"{PW},1\n\n{PW},2\n\n", encoding="utf-8")

@@ -1,4 +1,4 @@
-"""Standardizer behavior: warm-up passthrough, floors, long-run statistics."""
+"""Standardizer behavior: warm-up, floors, long-run statistics."""
 
 from __future__ import annotations
 
@@ -10,19 +10,23 @@ from vitalwatch.standardize import VAR_FLOOR, RunningStandardizer
 from _oracles import ArrayStandardizer
 
 
-def test_single_frame_passes_through_unchanged():
+def test_warmup_frame_is_folded_in_and_returns_none():
     s = RunningStandardizer(dim=3, warmup=50)
-    out = s.push(np.array([100.0, 98.0, 72.0]))
-    np.testing.assert_array_equal(out, [100.0, 98.0, 72.0])
+    assert s.push(np.array([100.0, 98.0, 72.0])) is None
+    assert s.count == 1
+    np.testing.assert_array_equal(s.mean, [100.0, 98.0, 72.0])
 
 
-def test_warmup_frames_pass_through_then_zscoring_begins():
+def test_warmup_frames_return_none_then_zscoring_begins():
     s = RunningStandardizer(dim=1, warmup=3)
     rng = np.random.default_rng(1)
     raw = rng.normal(50.0, 4.0, size=10)
-    outs = [s.push(np.array([v]))[0] for v in raw]
-    np.testing.assert_array_equal(outs[:3], raw[:3])
-    assert not np.allclose(outs[3:], raw[3:])
+    outs = [s.push(np.array([v])) for v in raw]
+    assert outs[:3] == [None, None, None]
+    z = np.array([out[0] for out in outs[3:]])
+    assert not np.allclose(z, raw[3:])
+    # the first scored frame is z-scored against all four frames so far
+    np.testing.assert_allclose(z[0], (raw[3] - raw[:4].mean()) / raw[:4].std(ddof=1))
 
 
 def test_constant_channel_maps_to_zero_not_nan():
@@ -36,10 +40,9 @@ def test_constant_channel_maps_to_zero_not_nan():
 def test_long_run_mean_and_sd_converge():
     rng = np.random.default_rng(7)
     s = RunningStandardizer(dim=1, warmup=50)
-    outs = []
-    for _ in range(5000):
-        outs.append(s.push(rng.normal(100.0, 5.0, size=1))[0])
-    tail = np.array(outs[50:])
+    outs = [s.push(rng.normal(100.0, 5.0, size=1)) for _ in range(5000)]
+    assert all(out is None for out in outs[:50])
+    tail = np.array([out[0] for out in outs[50:]])
     assert abs(tail.mean()) < 0.1
     assert abs(tail.std() - 1.0) < 0.1
 
@@ -85,8 +88,11 @@ def test_push_is_bit_identical_to_the_array_welford(warmup):
     for frame in frames:
         assert np.array_equal(got.variance(), want.variance())
         expected = want.push(frame)
-        assert np.array_equal(got.push(frame), expected)
-        assert np.array_equal(from_floats.push(frame.tolist()), expected)
+        outs = [got.push(frame), from_floats.push(frame.tolist())]
+        if expected is None:  # a warm-up frame
+            assert outs == [None, None]
+        else:
+            assert all(np.array_equal(out, expected) for out in outs)
         assert np.array_equal(got.mean, want.mean)
         assert np.array_equal(from_floats.mean, want.mean)
         assert got.count == from_floats.count == want.count

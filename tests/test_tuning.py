@@ -282,20 +282,37 @@ def test_feed_run_refuses_a_wrong_width_before_scoring_anything():
 
 
 def test_render_table_and_csv_shapes():
+    def row(nu1, nu2, sigma, ell, *counts):
+        config = ThresholdConfig(nu1=nu1, nu2=nu2, sigma=sigma, ell=ell)
+        return DetectionReport(nu1, nu2, *counts, config=config)
+
     reports = [
-        DetectionReport(nu1=0.03, nu2=0.08, detected=5, missed=4, false_alarms=4),
-        DetectionReport(nu1=0.07, nu2=0.16, detected=6, missed=3, false_alarms=2),
+        row(0.03, 0.08, 2.5, 20, 5, 4, 4),
+        row(0.07, 0.16, 1.5, 10, 6, 3, 2),
         DetectionReport(nu1=0.11, nu2=0.24, detected=4, missed=5, false_alarms=6),
     ]
     policy = MatchPolicy()
     table = render_table(reports, policy)
     lines = table.splitlines()
     assert "window +/-5" in lines[0]
-    assert lines[2].split() == ["nu1", "nu2", "Detected", "Missed", "False"]
+    assert lines[2].split() == ["nu1", "nu2", "sigma", "ell", "Detected", "Missed", "False"]
     assert len(lines) == 6
-    assert lines[4].split() == ["0.070", "0.160", "6", "3", "2"]
+    assert lines[4].split() == ["0.070", "0.160", "1.5", "10", "6", "3", "2"]
+    assert lines[5].split()[2:4] == ["nan", "nan"]  # a row scored without a config
 
     csv = reports_csv(reports)
     rows = csv.splitlines()
-    assert rows[0] == "nu1,nu2,detected,missed,false_alarms"
-    assert rows[2] == "0.07,0.16,6,3,2"
+    assert rows[0] == "nu1,nu2,sigma,ell,detected,missed,false_alarms"
+    assert rows[1:3] == ["0.03,0.08,2.5,20,5,4,4", "0.07,0.16,1.5,10,6,3,2"]
+
+
+def test_reports_differ_by_config_as_well_as_counts():
+    # Two grid rows with the same pair and counts but another bandwidth are
+    # different rows; the report keeps the config's sigma and ell readable.
+    a = score_run([], [], config=ThresholdConfig(sigma=1.0, ell=10))
+    b = score_run([], [], config=ThresholdConfig(sigma=2.5, ell=10))
+    assert (a.nu1, a.nu2, a.detected, a.false_alarms) == (b.nu1, b.nu2, 0, 0)
+    assert a != b
+    assert a == score_run([], [], config=ThresholdConfig(sigma=1.0, ell=10))
+    assert (a.sigma, a.ell, b.sigma) == (1.0, 10, 2.5)
+    assert len({a, b}) == 2
