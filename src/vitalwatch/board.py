@@ -153,8 +153,6 @@ def render(board: BoardState, phase: int = 0, now: float | None = None) -> str:
 # -- event archive -----------------------------------------------------------
 
 EVENT_HEADER = "timestamp,bed,kind,timestep,delta,resolves_timestep"
-# A verdict kind's text in the kind column, read without an Enum attribute.
-_KIND_TEXT = {kind: kind.value for kind in VerdictKind}
 
 
 def event_row(
@@ -166,8 +164,10 @@ def event_row(
         kind = "data-warning-raised" if event.active else "data-warning-cleared"
         return f"{wall_time:.3f},{bed},{kind},{event.at_timestep},,"
     kind, t, delta, resolves = event
+    # _value_ is the member's plain attribute; .value is a Python-level
+    # property, and a dict keyed by kind would call Enum.__hash__.
     return (
-        f"{wall_time:.3f},{bed},{_KIND_TEXT[kind]},{t},{delta:.6f},"
+        f"{wall_time:.3f},{bed},{kind._value_},{t},{delta:.6f},"
         f"{'' if resolves is None else resolves}"
     )
 

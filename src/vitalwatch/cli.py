@@ -136,7 +136,12 @@ def cmd_tune(args: argparse.Namespace) -> int:
             f"{args.stream} leaves {len(vectors)} vectors after warm-up, too few "
             f"to score any after train_steps = {settings.train_steps}"
         )
-    labels = read_labels(args.labels)
+    try:
+        labels = read_labels(args.labels)
+    except OSError as exc:
+        raise SourceError(f"cannot read labels {args.labels}: {exc.strerror or exc}") from None
+    except ValueError as exc:
+        raise SourceError(f"bad label file {args.labels}: {exc}") from None
     policy = settings.match_policy()
     reports, best = grid_search(
         settings.tuning_grid(),
@@ -160,6 +165,9 @@ def cmd_tune(args: argparse.Namespace) -> int:
 
 def cmd_synth(args: argparse.Namespace) -> int:
     settings = _settings(args)
+    for flag, value in (("--anomalies", args.anomalies), ("--seed", args.seed)):
+        if value < 0:
+            raise ConfigError(f"{flag} must be >= 0, got {value}")
     # place anomalies after the detector's lead-in, spaced to fit the stream
     lead = settings.lead_in
     if args.steps <= lead:

@@ -156,6 +156,16 @@ class Settings:
         for name in ("poll_interval", "speedup", "refresh"):
             if not getattr(self, name) > 0:
                 raise ConfigError(f"{name} must be > 0")
+        if math.isinf(self.poll_interval):
+            raise ConfigError("poll_interval must be finite")
+        # A paced source sleeps this long between frames; a day is past any
+        # cadence a bedside unit keeps, and far inside what time.sleep takes.
+        gap = self.poll_interval / self.speedup
+        if gap > 86400.0:
+            raise ConfigError(
+                f"poll_interval / speedup, the gap between paced frames, must be "
+                f"at most 86400 s (one day), got {gap:g} s"
+            )
         if self.train_steps < 1:
             raise ConfigError("train_steps must be >= 1")
         if len(self.beds) > MAX_BEDS:

@@ -9,6 +9,7 @@ definition and its one check (sigma > 0) are ``ThresholdConfig.sigma``.
 from __future__ import annotations
 
 import numpy as np
+from numpy._core.multiarray import c_einsum
 
 
 def kernel_eval(x: np.ndarray, y: np.ndarray, sigma: float) -> float:
@@ -34,12 +35,14 @@ def kernel_vector(basis: np.ndarray, x: np.ndarray, sigma: float) -> np.ndarray:
     exp(-||basis[j] - x||^2 / (2 sigma^2)), or a (B, d) block of arrivals,
     giving a (B, m) array whose row i is bitwise the result for x[i] alone.
     """
-    if basis.size == 0:
-        return np.zeros(x.shape[:-1] + (0,))
-    if basis.ndim != 2 or basis.shape[1] != x.shape[-1]:
-        raise ValueError(f"dimension mismatch: basis {basis.shape} vs x {x.shape}")
-    if x.ndim == 1:
+    if x.shape == basis.shape[1:]:
+        # One arrival, the case ``step`` and ``_admit``'s column take: one
+        # shape compare stands for every check below.
         diff = basis - x
+    elif basis.size == 0:
+        return np.zeros(x.shape[:-1] + (0,))
+    elif basis.ndim != 2 or basis.shape[1] != x.shape[-1]:
+        raise ValueError(f"dimension mismatch: basis {basis.shape} vs x {x.shape}")
     else:
         # Stack the (m, d) differences of each arrival into B * m rows, so
         # the one-arrival einsum below sums every row. Repeating x and
@@ -49,10 +52,12 @@ def kernel_vector(basis: np.ndarray, x: np.ndarray, sigma: float) -> np.ndarray:
         np.subtract(basis, stacked, out=stacked)
         diff = stacked.reshape(-1, basis.shape[1])
     # einsum, not (diff * diff).sum(axis=1): the two round differently, and
-    # the engine's verdicts are pinned to this summation.
-    sq = np.einsum("ij,ij->i", diff, diff)
+    # the engine's verdicts are pinned to this summation. np.einsum with
+    # optimize off (its default) returns c_einsum(*operands); calling it
+    # here skips the dispatch and the Python wrapper around that call.
+    sq = c_einsum("ij,ij->i", diff, diff)
     sq /= -(2.0 * sigma**2)
-    np.exp(sq, out=sq)
+    np.exp(sq, sq)
     return sq if x.ndim == 1 else sq.reshape(len(x), len(basis))
 
 

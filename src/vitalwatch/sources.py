@@ -52,6 +52,10 @@ def _pace(lines: list[str], interval: float, speedup: float) -> Iterator[tuple[s
     if speedup <= 0:
         raise ValueError(f"speedup must be > 0, got {speedup}")
     gap = 0.0 if math.isinf(speedup) else interval / speedup
+    if not gap:  # as fast as the reader takes them: no schedule to keep
+        for line in lines:
+            yield line, time.time()
+        return
     start = time.monotonic()
     for i, line in enumerate(lines):
         due = start + i * gap

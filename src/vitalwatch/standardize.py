@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
+from math import sqrt
 
 import numpy as np
 
@@ -48,20 +48,26 @@ class RunningStandardizer:
 
     def push(self, values: Sequence[float]) -> np.ndarray | None:
         """Fold one frame's values into the statistics and return its
-        z-scores, or None for a warm-up frame. One loop updates each
-        channel's mean and M2 and, once warmed up, computes its z-score; one
-        array is built at the end."""
+        z-scores, or None for a warm-up frame. Warm-up and scored frames each
+        have their own loop over the channels, so no channel asks whether to
+        score; one array is built at the end."""
         if len(values) != self.dim:
             raise ValueError(f"expected {self.dim} values, got {len(values)}")
         self.count = n = self.count + 1
-        scoring = n > self.warmup  # so n >= 2 below
-        n1 = n - 1
         mean, m2 = self._mean, self._m2
+        if n <= self.warmup:
+            for i, x in enumerate(values):
+                delta = x - mean[i]
+                mean[i] = mu = mean[i] + delta / n
+                m2[i] += delta * (x - mu)
+            return None
+        n1 = n - 1  # n > warmup >= 1
         z = []
         for i, x in enumerate(values):
             delta = x - mean[i]
             mean[i] = mu = mean[i] + delta / n
             m2[i] = s = m2[i] + delta * (x - mu)
-            if scoring:
-                z.append((x - mu) / math.sqrt(max(s / n1, VAR_FLOOR)))
-        return np.array(z, dtype=float) if scoring else None
+            var = s / n1
+            # max(var, VAR_FLOOR), NaN included, without the builtin call
+            z.append((x - mu) / sqrt(VAR_FLOOR if var < VAR_FLOOR else var))
+        return np.array(z, dtype=float)

@@ -199,14 +199,22 @@ def labels_text(labels: list[LabeledEvent]) -> str:
 
 
 def read_labels(path: str | Path) -> list[LabeledEvent]:
+    """The labels ``labels_text`` wrote. A row that does not parse raises
+    ValueError naming its line; an unreadable file raises OSError."""
     labels = []
     lines = Path(path).read_text(encoding="utf-8").splitlines()
-    for line in lines[1:]:
+    for line_no, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
-        timestep, channels, note = line.split(",", 2)
-        parsed = tuple(int(c) for c in channels.split(";") if c != "")
-        labels.append(LabeledEvent(int(timestep), parsed, note))
+        try:
+            timestep, channels, note = line.split(",", 2)
+            parsed = tuple(int(c) for c in channels.split(";") if c != "")
+            labels.append(LabeledEvent(int(timestep), parsed, note))
+        except ValueError:
+            raise ValueError(
+                f"line {line_no}: expected timestep,channels,note with integer "
+                f"timestep and channels, got {line!r}"
+            ) from None
     return labels
 
 

@@ -283,6 +283,64 @@ def test_speedup_flag_must_be_positive(capsys, labeled_stream):
     assert "speedup" in err
 
 
+@pytest.mark.parametrize(
+    "argv,config,fragment",
+    [
+        ((), "poll_interval = inf\nspeedup = 1000\n", "poll_interval must be finite"),
+        (("--speedup", "1e-300"), "", "at most 86400 s (one day)"),
+    ],
+)
+def test_a_gap_pacing_cannot_sleep_exits_2(
+    tmp_path, capsys, labeled_stream, argv, config, fragment
+):
+    # Each once passed the check and died in time.sleep after the first
+    # frame, with an OverflowError traceback.
+    stream, _ = labeled_stream
+    cfg = tmp_path / "paced.cfg"
+    cfg.write_text(config)
+    out = tmp_path / "arch"
+    code, _, err = run(
+        capsys, "replay", str(stream), "--config", str(cfg), "--out", str(out), *argv
+    )
+    assert code == 2
+    assert err.startswith("config error:") and fragment in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--anomalies", "--seed"])
+def test_synth_refuses_a_negative_count_or_seed(tmp_path, capsys, flag):
+    stream = tmp_path / "s.csv"
+    code, out, err = run(capsys, "synth", flag, "-2", "--out", str(stream))
+    assert code == 2
+    assert out == ""
+    assert err == f"config error: {flag} must be >= 0, got -2\n"
+    assert not stream.exists()
+
+
+@pytest.mark.parametrize(
+    "content,fragment",
+    [
+        (None, "cannot read labels {path}: No such file or directory"),
+        ("timestep,channels,note\n130,1,ok\n\nabc,1,2\n", "bad label file {path}: line 4:"),
+        ("timestep,channels,note\n130;1\n", "bad label file {path}: line 2:"),
+        ("timestep,channels,note\n130,x,note\n", "bad label file {path}: line 2:"),
+    ],
+)
+def test_tune_reports_a_bad_label_file_in_one_line(
+    tmp_path, capsys, labeled_stream, content, fragment
+):
+    stream, _ = labeled_stream
+    labels = tmp_path / "bad.labels.csv"
+    if content is not None:
+        labels.write_text(content)
+    code, out, err = run(capsys, "tune", str(stream), "--labels", str(labels))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("source error: " + fragment.format(path=labels))
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("unbuffered", ["1", ""])
 def test_closed_stdout_ends_quietly(unbuffered):
     """``vitalwatch selftest | head -1`` once head has gone: the command

@@ -109,6 +109,9 @@ def test_bed_sources():
         ("counted_kinds = red1, purple\n", "unknown alarm kind", None),
         ("nu1 = 0.5\nnu2 = 0.2\n", "nu1 < nu2", None),
         ("speedup = 0\n", "speedup", None),
+        ("poll_interval = inf\nspeedup = 1000\n", "poll_interval must be finite", None),
+        ("poll_interval = 86401\nspeedup = 1\n", "at most 86400 s", None),
+        ("speedup = 1e-300\n", "got 1.2e+301 s", None),
         ("warmup = 0\n", "warmup", None),
         ("var_floor = 1e-6\n", "unknown setting 'var_floor'", 1),
         ("schema.use = 9\n", "use indices", None),
@@ -156,6 +159,20 @@ def test_six_beds_rejected():
 def test_check_refuses_a_bed_id_set_in_code():
     settings = Settings(beds=[BedSource("x/y", "synthetic", "1")])
     with pytest.raises(ConfigError, match="bed id must be"):
+        settings.check()
+
+
+def test_the_paced_gap_ceiling_is_one_day():
+    # The gap is poll_interval / speedup; with no pacing it is 0, whatever
+    # the nominal interval says.
+    for text in (
+        "poll_interval = 86400\nspeedup = 1\n",
+        "poll_interval = 1e9\nspeedup = 1e6\n",
+        "poll_interval = 1e300\n",
+    ):
+        parse_settings(text)
+    settings = Settings(poll_interval=12.0, speedup=1e-4)
+    with pytest.raises(ConfigError, match="got 120000 s"):
         settings.check()
 
 

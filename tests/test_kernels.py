@@ -48,6 +48,10 @@ def test_dimension_mismatch_raises():
         kernel_vector(np.zeros((2, 3)), np.zeros(2), SIGMA)
     with pytest.raises(ValueError):
         kernel_vector(np.zeros((2, 3)), np.zeros((5, 2)), SIGMA)
+    # (m, 1) - (4,) broadcasts without complaint, so only the width check
+    # stops a one-wide basis scoring a four-wide arrival
+    with pytest.raises(ValueError):
+        kernel_vector(np.zeros((3, 1)), np.zeros(4), SIGMA)
 
 
 def test_bandwidth_must_be_positive():
@@ -84,6 +88,30 @@ def test_kernel_vector_block_rows_equal_single_calls_bitwise():
             assert got.shape == (b, 37)
             for row, x in zip(got, block):
                 assert row.tobytes() == kernel_vector(basis, x, 2.5).tobytes()
+
+
+def test_kernel_vector_bytes_equal_the_public_einsum():
+    """The kernel row calls numpy's C einsum without its Python wrapper; a
+    numpy whose np.einsum("ij,ij->i", ...) sums differently fails here."""
+    rng = np.random.default_rng(17)
+    sigma = 2.5
+    scale = -(2.0 * sigma**2)
+
+    def reference(basis, x):
+        # every arrival's (m, d) differences, one arrival after another
+        diff = (basis - x[..., None, :]).reshape(-1, basis.shape[1])
+        sq = np.einsum("ij,ij->i", diff, diff)
+        return np.exp(sq / scale).reshape(x.shape[:-1] + (len(basis),))
+
+    for d in (1, 4, 7):
+        buffer = rng.normal(size=(50, d)) * 2
+        for m in (0, 1, 37, 50):
+            basis = buffer[:m]  # a leading view, as the engine's basis is
+            for x in (rng.normal(size=d) * 2, rng.normal(size=(16, d)) * 2):
+                got = kernel_vector(basis, x, sigma)
+                want = reference(basis, x)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
 
 
 def test_matches_independent_oracle():
