@@ -10,9 +10,9 @@ One binary, five subcommands:
 * ``synth``    write a synthetic stream plus its ground-truth label file
 * ``selftest`` quick built-in sanity checks, no test tooling needed
 
-Exit codes: 0 success, 1 runtime failure (bad source, failed selftest),
-2 configuration problems (reported with a line number when they come from
-a config file).
+Exit codes: 0 success, 1 runtime failure (bad source, unwritable output,
+failed selftest), 2 configuration problems (reported with a line number
+when they come from a config file).
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import argparse
 import math
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .config import ConfigError, Settings, check_bed_id, load_settings
@@ -85,22 +86,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _settings(args: argparse.Namespace) -> Settings:
     settings = load_settings(getattr(args, "config", None))
-    if getattr(args, "speedup", None) is not None:
-        settings.speedup = args.speedup
-    if getattr(args, "refresh", None) is not None:
-        settings.refresh = args.refresh
-    settings.check()
-    return settings
-
-
-def _read_stream_lines(path: str, settings: Settings) -> list[str]:
-    """Whole recorded file as wire lines, no pacing."""
-    source = ReplaySource(path, settings.password, speedup=math.inf)
-    return [line for line, _ in source.frames()]
+    flags = {name: getattr(args, name, None) for name in ("speedup", "refresh")}
+    flags = {name: value for name, value in flags.items() if value is not None}
+    return replace(settings, **flags) if flags else settings
 
 
 def cmd_monitor(args: argparse.Namespace) -> int:
     settings = _settings(args)
+    if args.duration is not None and not 0 <= args.duration < math.inf:
+        raise ConfigError(f"--duration must be finite and >= 0, got {args.duration}")
     out_dir = args.out or settings.archive_dir
     monitor_run(settings, out_dir=out_dir, duration=args.duration)
     return 0
@@ -121,15 +115,13 @@ def cmd_replay(args: argparse.Namespace) -> int:
         print(f"emitted {sent} frames to {args.emit}")
         return 0
     out_dir = args.out or settings.archive_dir
-    replay_run(
-        settings, args.stream, bed=args.bed, out_dir=out_dir, screen=sys.stdout
-    )
+    replay_run(settings, args.stream, bed=args.bed, out_dir=out_dir, screen=sys.stdout)
     return 0
 
 
 def cmd_tune(args: argparse.Namespace) -> int:
     settings = _settings(args)
-    lines = _read_stream_lines(args.stream, settings)
+    lines = [line for line, _ in ReplaySource(args.stream, settings.password).frames()]
     timesteps, vectors = standardized_stream(lines, settings)
     if len(vectors) <= settings.train_steps:
         raise ConfigError(
@@ -142,6 +134,13 @@ def cmd_tune(args: argparse.Namespace) -> int:
         raise SourceError(f"cannot read labels {args.labels}: {exc.strerror or exc}") from None
     except ValueError as exc:
         raise SourceError(f"bad label file {args.labels}: {exc}") from None
+    arity, frames = settings.schema().arity, len(lines)
+    for label in labels:
+        if not (0 <= label.timestep < frames and all(0 <= c < arity for c in label.channels)):
+            raise SourceError(
+                f"label file {args.labels}: timestep {label.timestep}, channels "
+                f"{list(label.channels)} outside the {frames} frames of {arity} columns"
+            )
     policy = settings.match_policy()
     reports, best = grid_search(
         settings.tuning_grid(),
@@ -231,6 +230,9 @@ def main(argv: list[str] | None = None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
+        return 1
+    except OSError as exc:  # sources and config report their own reads
+        print(f"output error: {exc}", file=sys.stderr)
         return 1
 
 

@@ -7,16 +7,17 @@ definition; each is set by a key of the same name, except ``lambda`` for
 ``lam``. Bed sources use dotted keys (bed.<id>.source = replay:path |
 tail:path | socket:host:port | synthetic:seed).
 
-Every value is checked in one place, ``Settings.check``, which builds what a
-run builds and reports any failure as a ``ConfigError``: ``parse_settings``
-ends with it, and the CLI calls it again after applying its flags.
+``Settings`` and ``BedSource`` are frozen and check themselves when made, so
+a value no run accepts fails as a ``ConfigError`` wherever the object is
+built: ``parse_settings`` builds each bed at its line, then one ``Settings``
+from the whole file, and the CLI applies its flags with ``replace``.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .board import MAX_BEDS
@@ -41,23 +42,50 @@ class ConfigError(Exception):
 BED_ID_RE = re.compile(r"[A-Za-z0-9_-]+")
 
 
-def check_bed_id(bed: str, line: int | None = None) -> None:
+def check_bed_id(bed: str) -> None:
     if not BED_ID_RE.fullmatch(bed):
-        raise ConfigError(
-            f"bed id must be ASCII letters, digits, '_' or '-', got {bed!r}", line
-        )
+        raise ConfigError(f"bed id must be ASCII letters, digits, '_' or '-', got {bed!r}")
+
+
+def _check_password(password: str) -> None:
+    if not password or "," in password:  # it is the first field of every frame
+        raise ConfigError("password must be a non-empty comma-free token")
+
+
+_SOURCE_KINDS = ("replay", "tail", "socket", "synthetic")
 
 
 @dataclass(frozen=True)
 class BedSource:
+    """Where one bed's frames come from; made only with an id, kind and target
+    a run accepts (a path target is first opened by the run)."""
+
     bed: str
     kind: str  # replay | tail | socket | synthetic
     target: str  # path, host:port, or seed
 
+    def __post_init__(self) -> None:
+        check_bed_id(self.bed)
+        if self.kind not in _SOURCE_KINDS:
+            raise ConfigError(f"source kind must be one of {', '.join(_SOURCE_KINDS)}")
+        if not self.target:
+            raise ConfigError("source needs a target after the colon")
+        if self.kind == "socket":
+            try:
+                socket_address(self.target)
+            except ValueError as exc:
+                raise ConfigError(f"bed {self.bed!r}: {exc}") from None
+        elif self.kind == "synthetic" and not re.fullmatch(r"[0-9]+", self.target):
+            raise ConfigError(
+                f"bed {self.bed!r}: synthetic source needs a non-negative "
+                f"integer seed, got {self.target!r}"
+            )
 
-@dataclass
+
+@dataclass(frozen=True)
 class Settings:
-    """Everything a run needs, with the documented defaults filled in."""
+    """Everything a run needs, with the documented defaults filled in. Made only
+    with values a run accepts; ``dataclasses.replace`` checks a change again."""
 
     password: str = "PW123"
     schema_names: tuple[str, ...] = ("hr", "spo2", "nbp_sys", "nbp_dia")
@@ -76,65 +104,15 @@ class Settings:
 
     window_w: int = 5
     counted_kinds: tuple[str, ...] = ("red1", "red2")
-    grid: tuple[tuple[float, float], ...] = (
-        (0.03, 0.08),
-        (0.07, 0.16),
-        (0.11, 0.24),
-    )
+    grid: tuple[tuple[float, float], ...] = ((0.03, 0.08), (0.07, 0.16), (0.11, 0.24))
     grid_sigma: tuple[float, ...] = ()
     grid_ell: tuple[int, ...] = ()
 
     archive_dir: str = "archives"
-    beds: list[BedSource] = field(default_factory=list)
+    beds: tuple[BedSource, ...] = ()
 
-    def schema(self) -> ParameterSchema:
-        return ParameterSchema(
-            names=self.schema_names,
-            use=self.schema_use,
-            zero_ok=frozenset(self.schema_zero_ok),
-        )
-
-    def standardizer(self) -> RunningStandardizer:
-        """A fresh standardizer for one bed; it owns the warm-up rule."""
-        return RunningStandardizer(self.schema().dim, self.warmup)
-
-    @property
-    def lead_in(self) -> int:
-        """Valid frames before a bed's first verdict: warm-up, then training."""
-        return self.warmup + self.train_steps
-
-    def threshold_config(self, **overrides) -> ThresholdConfig:
-        """The deployed detector config, with any fields replaced."""
-        try:
-            return replace(self.detector, **overrides)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-
-    def match_policy(self) -> MatchPolicy:
-        kinds = []
-        for name in self.counted_kinds:
-            try:
-                kinds.append(VerdictKind(name))
-            except ValueError:
-                raise ConfigError(f"unknown alarm kind {name!r}") from None
-        return MatchPolicy(window_w=self.window_w, counted_kinds=frozenset(kinds))
-
-    def tuning_grid(self) -> list[ThresholdConfig]:
-        """Cartesian product of threshold pairs with any sigma/ell sweeps."""
-        sigmas = self.grid_sigma or (self.detector.sigma,)
-        ells = self.grid_ell or (self.detector.ell,)
-        configs = []
-        for nu1, nu2 in self.grid:
-            for sigma in sigmas:
-                for ell in ells:
-                    configs.append(
-                        self.threshold_config(nu1=nu1, nu2=nu2, sigma=sigma, ell=ell)
-                    )
-        return configs
-
-    def check(self) -> None:
-        """Build what a run builds from these settings, so that a value no
-        run accepts fails here, as a ConfigError, before anything runs."""
+    def __post_init__(self) -> None:
+        """Build what a run builds, so that a value no run accepts fails here."""
         try:
             self.match_policy()
             grid = self.tuning_grid()
@@ -142,6 +120,9 @@ class Settings:
             FlagStreak(self.warn_threshold)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        if not self.grid:
+            raise ConfigError("grid must contain at least one nu1:nu2 pair")
+        _check_password(self.password)
         # A tracker raised at one arrival resolves within ell arrivals, so at
         # most ell trackers are open when an admission at capacity forces a
         # prune. With max_size > ell some element is always unprotected and
@@ -170,20 +151,50 @@ class Settings:
             raise ConfigError("train_steps must be >= 1")
         if len(self.beds) > MAX_BEDS:
             raise ConfigError(f"at most {MAX_BEDS} beds supported")
-        for bed in self.beds:
-            check_bed_id(bed.bed)
-            if bed.kind == "socket":
-                try:
-                    socket_address(bed.target)
-                except ValueError as exc:
-                    raise ConfigError(f"bed {bed.bed!r}: {exc}") from None
-            elif bed.kind == "synthetic" and not (
-                bed.target.isascii() and bed.target.isdigit()
-            ):
-                raise ConfigError(
-                    f"bed {bed.bed!r}: synthetic source needs a non-negative "
-                    f"integer seed, got {bed.target!r}"
-                )
+        if len({b.bed for b in self.beds}) < len(self.beds):
+            raise ConfigError("bed ids must be unique")
+
+    def schema(self) -> ParameterSchema:
+        return ParameterSchema(
+            names=self.schema_names,
+            use=self.schema_use,
+            zero_ok=frozenset(self.schema_zero_ok),
+        )
+
+    def standardizer(self) -> RunningStandardizer:
+        """A fresh standardizer for one bed; it owns the warm-up rule."""
+        return RunningStandardizer(self.schema().dim, self.warmup)
+
+    @property
+    def lead_in(self) -> int:
+        """Valid frames before a bed's first verdict: warm-up, then training."""
+        return self.warmup + self.train_steps
+
+    def threshold_config(self, **overrides) -> ThresholdConfig:
+        """The deployed detector config, with any fields replaced."""
+        return replace(self.detector, **overrides)
+
+    def match_policy(self) -> MatchPolicy:
+        kinds = []
+        for name in self.counted_kinds:
+            try:
+                kinds.append(VerdictKind(name))
+            except ValueError:
+                raise ConfigError(f"unknown alarm kind {name!r}") from None
+        return MatchPolicy(window_w=self.window_w, counted_kinds=frozenset(kinds))
+
+    def tuning_grid(self) -> list[ThresholdConfig]:
+        """Cartesian product of threshold pairs with any sigma/ell sweeps."""
+        sigmas = self.grid_sigma or (self.detector.sigma,)
+        ells = self.grid_ell or (self.detector.ell,)
+        configs = []
+        for nu1, nu2 in self.grid:
+            for sigma in sigmas:
+                for ell in ells:
+                    configs.append(
+                        self.threshold_config(nu1=nu1, nu2=nu2, sigma=sigma, ell=ell)
+                    )
+        return configs
 
 
 def _parse_float(raw: str, line: int) -> float:
@@ -207,8 +218,9 @@ def _parse_names(raw: str) -> tuple[str, ...]:
     return tuple(token.strip() for token in raw.split(",") if token.strip())
 
 
-def _parse_indices(raw: str, line: int) -> tuple[int, ...]:
-    return tuple(_parse_int(token.strip(), line) for token in raw.split(",") if token.strip())
+def _parse_list(raw: str, parse, line: int) -> tuple:
+    """Comma-separated values, each read by ``parse``."""
+    return tuple(parse(token.strip(), line) for token in raw.split(",") if token.strip())
 
 
 def _parse_grid(raw: str, line: int) -> tuple[tuple[float, float], ...]:
@@ -222,8 +234,6 @@ def _parse_grid(raw: str, line: int) -> tuple[tuple[float, float], ...]:
         if len(parts) != 2:
             raise ConfigError(f"grid entries look like nu1:nu2, got {chunk!r}", line)
         pairs.append((_parse_float(parts[0], line), _parse_float(parts[1], line)))
-    if not pairs:
-        raise ConfigError("grid must contain at least one nu1:nu2 pair", line)
     return tuple(pairs)
 
 
@@ -238,12 +248,19 @@ _DETECTOR_KEYS = {
 }
 _NUMBER_KEYS = {f.name: f for f in fields(Settings) if type(f.default) in (int, float)}
 
-_SOURCE_KINDS = ("replay", "tail", "socket", "synthetic")
+
+def _at_line(line_no: int, make, *args):
+    """``make(*args)``, giving any ConfigError it raises this line number."""
+    try:
+        return make(*args)
+    except ConfigError as exc:
+        raise ConfigError(str(exc), line_no) from None
 
 
 def parse_settings(text: str) -> Settings:
-    settings = Settings()
+    values: dict[str, object] = {}
     detector: dict[str, int | float] = {}
+    beds: dict[str, BedSource] = {}
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.strip()
         if not line or line.startswith("#"):
@@ -260,55 +277,44 @@ def parse_settings(text: str) -> Settings:
             f = _DETECTOR_KEYS[key]
             detector[f.name] = _parse_number(raw, f.default, line_no)
         elif key in _NUMBER_KEYS:
-            setattr(settings, key, _parse_number(raw, _NUMBER_KEYS[key].default, line_no))
+            values[key] = _parse_number(raw, _NUMBER_KEYS[key].default, line_no)
         elif key == "password":
-            if not raw or "," in raw:
-                raise ConfigError("password must be a non-empty comma-free token", line_no)
-            settings.password = raw
+            _at_line(line_no, _check_password, raw)
+            values["password"] = raw
         elif key == "schema.names":
-            names = _parse_names(raw)
-            if not names:
-                raise ConfigError("schema.names must list at least one name", line_no)
-            settings.schema_names = names
+            values["schema_names"] = _parse_names(raw)
         elif key == "schema.use":
-            settings.schema_use = _parse_indices(raw, line_no)
+            values["schema_use"] = _parse_list(raw, _parse_int, line_no)
         elif key == "schema.zero_ok":
-            settings.schema_zero_ok = _parse_indices(raw, line_no)
+            values["schema_zero_ok"] = _parse_list(raw, _parse_int, line_no)
         elif key == "counted_kinds":
-            settings.counted_kinds = _parse_names(raw)
+            values["counted_kinds"] = _parse_names(raw)
         elif key == "grid":
-            settings.grid = _parse_grid(raw, line_no)
+            values["grid"] = _parse_grid(raw, line_no)
         elif key == "grid_sigma":
-            settings.grid_sigma = tuple(
-                _parse_float(tok.strip(), line_no) for tok in raw.split(",") if tok.strip()
-            )
+            values["grid_sigma"] = _parse_list(raw, _parse_float, line_no)
         elif key == "grid_ell":
-            settings.grid_ell = _parse_indices(raw, line_no)
+            values["grid_ell"] = _parse_list(raw, _parse_int, line_no)
         elif key == "archive_dir":
-            settings.archive_dir = raw
+            values["archive_dir"] = raw
         elif key.startswith("bed."):
             parts = key.split(".")
             if len(parts) != 3 or parts[2] != "source":
                 raise ConfigError(f"unknown bed key {key!r}", line_no)
-            bed = parts[1]
-            check_bed_id(bed, line_no)
             kind, _, target = raw.partition(":")
-            if kind not in _SOURCE_KINDS:
-                raise ConfigError(
-                    f"source kind must be one of {', '.join(_SOURCE_KINDS)}", line_no
-                )
-            if not target:
-                raise ConfigError("source needs a target after the colon", line_no)
-            if any(b.bed == bed for b in settings.beds):
-                raise ConfigError(f"bed {bed!r} configured twice", line_no)
-            settings.beds.append(BedSource(bed=bed, kind=kind, target=target))
+            bed = _at_line(line_no, BedSource, parts[1], kind, target)
+            if bed.bed in beds:
+                raise ConfigError(f"bed {bed.bed!r} configured twice", line_no)
+            beds[bed.bed] = bed
         else:
             raise ConfigError(f"unknown setting {key!r}", line_no)
 
     # built once, from the whole file, so that nu1 < nu2 sees both lines
-    settings.detector = settings.threshold_config(**detector)
-    settings.check()
-    return settings
+    try:
+        values["detector"] = ThresholdConfig(**detector)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    return Settings(**values, beds=tuple(beds.values()))
 
 
 def load_settings(path: str | Path | None) -> Settings:

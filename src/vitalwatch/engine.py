@@ -125,8 +125,8 @@ class ThresholdConfig:
             raise ValueError(f"nu2 must be < 1, got {self.nu2}")
         if self.ell < 1:
             raise ValueError(f"ell must be >= 1, got {self.ell}")
-        if self.sigma <= 0:
-            raise ValueError(f"sigma must be > 0, got {self.sigma}")
+        if not 0 < self.sigma < math.inf:  # an infinite bandwidth sees no change
+            raise ValueError(f"sigma must be finite and > 0, got {self.sigma}")
         if not 0.0 < self.lam <= 1.0:
             raise ValueError(f"lambda must be in (0, 1], got {self.lam}")
         if not 0.0 < self.d_similar < 1.0:
@@ -135,7 +135,7 @@ class ThresholdConfig:
             raise ValueError(f"epsilon_frac must be in (0, 1), got {self.epsilon_frac}")
         if self.prune_period < 1:
             raise ValueError(f"prune_period must be >= 1, got {self.prune_period}")
-        if self.usage_floor < 0:
+        if not self.usage_floor >= 0:  # also refuses nan
             raise ValueError(f"usage_floor must be >= 0, got {self.usage_floor}")
         if self.max_size < 1:
             raise ValueError(f"max_size must be >= 1, got {self.max_size}")

@@ -194,23 +194,15 @@ def build_source(bed: BedSource, settings: Settings, stop: threading.Event):
     if bed.kind == "tail":
         return TailSource(bed.target, settings.poll_interval, stop=stop)
     if bed.kind == "socket":
-        try:
-            host, port = socket_address(bed.target)
-        except ValueError as exc:
-            raise SourceError(str(exc)) from None
-        return SocketSource(host, port, stop=stop)
-    if bed.kind == "synthetic":
-        spec = default_spec(
-            steps=10_000,
-            n_anomalies=20,
-            seed=int(bed.target),
-            dim=settings.schema().arity,
-            first_anomaly=max(300, 2 * settings.lead_in),
-        )
-        return SyntheticSource(
-            spec, settings.password, settings.poll_interval, settings.speedup
-        )
-    raise SourceError(f"unknown source kind {bed.kind!r}")
+        return SocketSource(*socket_address(bed.target), stop=stop)
+    spec = default_spec(  # synthetic, the one kind left
+        steps=10_000,
+        n_anomalies=20,
+        seed=int(bed.target),
+        dim=settings.schema().arity,
+        first_anomaly=max(300, 2 * settings.lead_in),
+    )
+    return SyntheticSource(spec, settings.password, settings.poll_interval, settings.speedup)
 
 
 class RunArtifacts:

@@ -141,9 +141,9 @@ def run_detector(
     vectors = np.asarray(vectors, dtype=float)
     if vectors.ndim != 2:
         raise ValueError(f"expected a (steps, dim) array, got {vectors.shape}")
-    if not 0 <= train_steps < len(vectors):
+    if not 1 <= train_steps < len(vectors):
         raise ValueError(
-            f"train_steps must be in [0, {len(vectors)}), got {train_steps}"
+            f"train_steps must be in [1, {len(vectors)}), got {train_steps}"
         )
     if timesteps is None:
         timesteps = list(range(len(vectors)))

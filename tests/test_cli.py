@@ -362,3 +362,67 @@ def test_closed_stdout_ends_quietly(unbuffered):
     assert "Traceback" not in err.decode()
     assert "BrokenPipeError" not in err.decode()
     assert proc.returncode == 1
+
+
+@pytest.mark.parametrize("row", ["-5,9,x", "99999,1,y", "300,0,z", "120,4,w", "120,-1,v"])
+def test_tune_refuses_a_label_outside_the_stream(tmp_path, capsys, labeled_stream, row):
+    # The fixture's stream has 300 frames of 4 columns; such a label can
+    # never match, so every grid row would silently count it missed.
+    stream, _ = labeled_stream
+    labels = tmp_path / "outside.labels.csv"
+    labels.write_text(f"timestep,channels,note\n130,1,ok\n{row}\n")
+    code, out, err = run(capsys, "tune", str(stream), "--labels", str(labels))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"source error: label file {labels}: ")
+    assert "outside the 300 frames of 4 columns" in err
+    assert err.count("\n") == 1
+
+
+def test_tune_accepts_labels_at_the_last_frame_and_column(tmp_path, capsys, labeled_stream):
+    stream, _ = labeled_stream
+    labels = tmp_path / "edge.labels.csv"
+    labels.write_text("timestep,channels,note\n0,0,first\n299,3,last\n")
+    code, _, err = run(capsys, "tune", str(stream), "--labels", str(labels))
+    assert code == 0, err
+
+
+def _unwritable_outputs(tmp_path, stream, labels):
+    afile = tmp_path / "afile"
+    afile.write_text("keep me\n")
+    missing = tmp_path / "no-such-dir"
+    return {
+        "tune": (["tune", str(stream), "--labels", str(labels),
+                  "--out", str(missing / "r.csv")], missing / "r.csv"),
+        "replay": (["replay", str(stream), "--out", str(afile)], afile),
+        "synth": (["synth", "--steps", "400", "--out", str(missing / "x.csv")],
+                  missing / "x.csv"),
+    }
+
+
+@pytest.mark.parametrize("command", ["tune", "replay", "synth"])
+def test_an_output_that_cannot_be_written_ends_in_one_line(
+    tmp_path, capsys, labeled_stream, command
+):
+    argv, path = _unwritable_outputs(tmp_path, *labeled_stream)[command]
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert err.startswith("output error: ") and str(path) in err
+    assert err.count("\n") == 1
+    if command == "replay":  # it fails before writing anything else
+        assert out == ""
+        assert (tmp_path / "afile").read_text() == "keep me\n"
+    assert not (tmp_path / "no-such-dir").exists()
+
+
+@pytest.mark.parametrize("duration", ["nan", "inf", "-1"])
+def test_monitor_refuses_a_duration_it_cannot_keep(tmp_path, capsys, duration):
+    cfg = tmp_path / "ward.cfg"
+    cfg.write_text("bed.bed1.source = socket:127.0.0.1:0\n")
+    out = tmp_path / "arch"
+    code, _, err = run(
+        capsys, "monitor", "--config", str(cfg), "--out", str(out), "--duration", duration
+    )
+    assert code == 2
+    assert err == f"config error: --duration must be finite and >= 0, got {float(duration)}\n"
+    assert not out.exists()

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
 
@@ -23,7 +23,7 @@ def test_empty_text_gives_documented_defaults():
     assert s.window_w == 5 and s.counted_kinds == ("red1", "red2")
     assert s.grid == ((0.03, 0.08), (0.07, 0.16), (0.11, 0.24))
     assert s.schema_names == ("hr", "spo2", "nbp_sys", "nbp_dia")
-    assert s.beds == []
+    assert s.beds == ()
 
 
 def test_comments_blanks_and_overrides():
@@ -86,11 +86,11 @@ def test_bed_sources():
         "bed.bed2.source = socket:0.0.0.0:9650\n"
         "bed.icu3.source = synthetic:42\n"
     )
-    assert s.beds == [
+    assert s.beds == (
         BedSource("bed1", "replay", "data/run1.csv"),
         BedSource("bed2", "socket", "0.0.0.0:9650"),
         BedSource("icu3", "synthetic", "42"),
-    ]
+    )
 
 
 @pytest.mark.parametrize(
@@ -117,11 +117,13 @@ def test_bed_sources():
         ("schema.use = 9\n", "use indices", None),
         ("schema.zero_ok = 7\n", "zero_ok indices", None),
         ("grid_sigma = 0\n", "sigma", None),
+        ("sigma = inf\n", "sigma must be finite and > 0, got inf", None),
         ("grid_ell = 0\n", "ell", None),
         ("max_size = 20\n", "max_size (20) must exceed ell (20)", None),
         ("grid_ell = 10, 60\n", "max_size (50) must exceed ell (60)", None),
-        ("bed.b1.source = socket:127.0.0.1:99999\n", "port in 0-65535", None),
+        ("bed.b1.source = socket:127.0.0.1:99999\n", "port in 0-65535", 1),
         ("bed.b1.source = synthetic:abc\n", "integer seed", None),
+        ("\nbed.b2.source = synthetic:abc\n", "integer seed", 2),
         ("bed.a,b.source = synthetic:1\n", "bed id must be", 1),
         ("\nbed.x/y.source = synthetic:1\n", "got 'x/y'", 2),
         ("bed..source = synthetic:1\n", "bed id must be", 1),
@@ -157,9 +159,56 @@ def test_six_beds_rejected():
 
 
 def test_check_refuses_a_bed_id_set_in_code():
-    settings = Settings(beds=[BedSource("x/y", "synthetic", "1")])
     with pytest.raises(ConfigError, match="bed id must be"):
-        settings.check()
+        Settings(beds=(BedSource("x/y", "synthetic", "1"),))
+
+
+@pytest.mark.parametrize(
+    "bed,kind,target,fragment",
+    [
+        ("x/y", "synthetic", "1", "bed id must be"),
+        ("a,b", "synthetic", "1", "bed id must be"),
+        ("", "replay", "run.csv", "bed id must be"),
+        ("bed1", "ftp", "host", "source kind must be one of"),
+        ("bed1", "replay", "", "needs a target"),
+        ("bed1", "socket", "nonsense", "host:port"),
+        ("bed1", "socket", "127.0.0.1:99999", "port in 0-65535"),
+        ("bed1", "synthetic", "-1", "integer seed"),
+        ("bed1", "synthetic", "\u0663", "integer seed"),  # a non-ASCII digit
+    ],
+)
+def test_bed_source_refuses_a_bad_bed_when_made(bed, kind, target, fragment):
+    with pytest.raises(ConfigError, match=fragment):
+        BedSource(bed, kind, target)
+
+
+@pytest.mark.parametrize(
+    "overrides,fragment",
+    [
+        ({"password": "a,b"}, "comma-free"),
+        ({"password": ""}, "comma-free"),
+        ({"grid": ()}, "at least one nu1:nu2 pair"),
+        ({"grid_sigma": (math.nan,)}, "sigma must be finite and > 0, got nan"),
+        ({"schema_names": ()}, "at least one parameter name"),
+        ({"beds": (BedSource("b1", "synthetic", "1"),) * 2}, "bed ids must be unique"),
+        ({"beds": tuple(BedSource(f"b{i}", "synthetic", "1") for i in range(6))}, "at most 5"),
+    ],
+)
+def test_settings_refuse_what_a_config_file_refuses(overrides, fragment):
+    with pytest.raises(ConfigError, match=fragment):
+        Settings(**overrides)
+
+
+def test_settings_are_frozen_and_a_replaced_copy_is_checked_again():
+    settings = Settings()
+    with pytest.raises(FrozenInstanceError):
+        settings.speedup = 0.0
+    assert replace(settings, speedup=60.0).speedup == 60.0
+    with pytest.raises(ConfigError, match="speedup must be > 0"):
+        replace(settings, speedup=0.0)
+    with pytest.raises(ConfigError, match="train_steps must be >= 1"):
+        replace(settings, train_steps=0)
+    assert math.isinf(settings.speedup)
 
 
 def test_the_paced_gap_ceiling_is_one_day():
@@ -171,9 +220,8 @@ def test_the_paced_gap_ceiling_is_one_day():
         "poll_interval = 1e300\n",
     ):
         parse_settings(text)
-    settings = Settings(poll_interval=12.0, speedup=1e-4)
     with pytest.raises(ConfigError, match="got 120000 s"):
-        settings.check()
+        Settings(poll_interval=12.0, speedup=1e-4)
 
 
 def test_load_settings_from_file(tmp_path):

@@ -266,4 +266,7 @@ def test_threshold_config_validation():
         ThresholdConfig(lam=0.0)
     with pytest.raises(ValueError):
         ThresholdConfig(ell=0)
+    for field, value in (("sigma", np.nan), ("sigma", np.inf), ("usage_floor", np.nan)):
+        with pytest.raises(ValueError, match=f"{field} must be"):
+            ThresholdConfig(**{field: value})
     assert ThresholdConfig().green_quota == 4  # ceil(0.2 * 20)

@@ -641,7 +641,7 @@ def test_max_size_above_ell_always_leaves_a_prunable_element():
     """A tracker resolves within ell arrivals, so an admission at capacity
     finds at most ell elements protected: with max_size > ell the forced
     prune always frees a slot. The same streams at ell = 20 run out, which
-    is why Settings.check refuses max_size <= ell."""
+    is why Settings refuses max_size <= ell."""
     exhausted = 0
     for seed in range(1, 30):
         z = standardized_synth(seed)

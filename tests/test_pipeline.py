@@ -2,6 +2,7 @@
 
 import io
 import time
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,7 +12,7 @@ import vitalwatch.pipeline as pipeline_module
 import vitalwatch.sources as sources_module
 from vitalwatch.board import BoardState, event_row
 from vitalwatch.cli import main
-from vitalwatch.config import BedSource, Settings, load_settings
+from vitalwatch.config import BedSource, ConfigError, Settings, load_settings
 from vitalwatch.engine import EngineError, KoadEngine, ThresholdConfig, Verdict, VerdictKind
 from vitalwatch.pipeline import (
     BedPipeline,
@@ -416,11 +417,10 @@ def _verdict_from_row(row: str) -> Verdict:
 
 class TestMonitorRun:
     def test_two_replay_beds_drain_and_archive(self, tmp_path, capture_file):
-        settings = Settings(warmup=10, train_steps=20)
-        settings.beds = [
+        settings = replace(Settings(warmup=10, train_steps=20), beds=(
             BedSource(bed="bed1", kind="replay", target=str(capture_file)),
             BedSource(bed="bed2", kind="replay", target=str(capture_file)),
-        ]
+        ))
         out = tmp_path / "out"
         screen = io.StringIO()
         counts = monitor_run(settings, out_dir=out, screen=screen)
@@ -432,11 +432,10 @@ class TestMonitorRun:
     def test_failed_source_degrades_bed_but_run_continues(
         self, tmp_path, capture_file
     ):
-        settings = Settings(warmup=10, train_steps=20)
-        settings.beds = [
+        settings = replace(Settings(warmup=10, train_steps=20), beds=(
             BedSource(bed="bed1", kind="replay", target=str(capture_file)),
             BedSource(bed="bed2", kind="replay", target=str(tmp_path / "missing.csv")),
-        ]
+        ))
         out = tmp_path / "out"
         screen = io.StringIO()
         counts = monitor_run(settings, out_dir=out, screen=screen)
@@ -463,11 +462,10 @@ class TestMonitorRun:
             return real_build(bed_cfg, settings, stop)
 
         monkeypatch.setattr(pipeline_module, "build_source", build)
-        settings = Settings(warmup=10, train_steps=20)
-        settings.beds = [
+        settings = replace(Settings(warmup=10, train_steps=20), beds=(
             BedSource(bed="bed1", kind="replay", target=str(capture_file)),
             BedSource(bed="bed2", kind="replay", target=str(capture_file)),
-        ]
+        ))
         out = tmp_path / "out"
         screen = io.StringIO()
         counts = monitor_run(settings, out_dir=out, screen=screen)
@@ -479,11 +477,10 @@ class TestMonitorRun:
     def test_engine_error_restarts_only_that_beds_detector(
         self, tmp_path, capture_file, monkeypatch
     ):
-        settings = Settings(warmup=10, train_steps=20)
-        settings.beds = [
+        settings = replace(Settings(warmup=10, train_steps=20), beds=(
             BedSource(bed="bed1", kind="replay", target=str(capture_file)),
             BedSource(bed="bed2", kind="replay", target=str(capture_file)),
-        ]
+        ))
 
         def rows(out, bed):
             text = drop_column((out / "events.csv").read_text(), 0)
@@ -561,9 +558,6 @@ class TestBuildSource:
         )
 
     def test_socket_target_must_be_host_port(self):
-        import threading
-
-        with pytest.raises(SourceError, match="host:port"):
-            build_source(
-                BedSource("bed1", "socket", "nonsense"), Settings(), threading.Event()
-            )
+        # refused when the bed is made, so build_source never receives it
+        with pytest.raises(ConfigError, match="host:port"):
+            BedSource("bed1", "socket", "nonsense")

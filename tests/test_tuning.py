@@ -225,6 +225,9 @@ def test_run_detector_validates_inputs():
     z = np.zeros((10, 2))
     with pytest.raises(ValueError):
         run_detector(z, ThresholdConfig(), train_steps=10)
+    # an empty dictionary scores every arrival Red1, so training is required
+    with pytest.raises(ValueError, match=r"train_steps must be in \[1, 10\), got 0"):
+        run_detector(z, ThresholdConfig(), train_steps=0)
     with pytest.raises(ValueError):
         run_detector(np.zeros(10), ThresholdConfig(), train_steps=2)
 
