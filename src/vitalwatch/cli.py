@@ -232,7 +232,9 @@ def main(argv: list[str] | None = None) -> int:
         os.close(devnull)
         return 1
     except OSError as exc:  # sources and config report their own reads
-        print(f"output error: {exc}", file=sys.stderr)
+        fits = exc.filename is not None and exc.strerror
+        reason = f"cannot write {exc.filename}: {exc.strerror}" if fits else exc
+        print(f"output error: {reason}", file=sys.stderr)
         return 1
 
 

@@ -17,13 +17,13 @@ scored live.
 Each half of the chain has one implementation. ``BedPipeline.screen`` is the
 front half, up to the standardized vector; ``KoadEngine.feed`` is the
 detector half, training then scoring. ``replay`` and ``monitor`` run both
-through ``feed_line`` and hand its events to ``deliver``; ``tune`` runs the
-front half once (``standardized_stream``) and the detector half once per
-grid row (``tuning.run_detector``, through ``KoadEngine.feed_run``, which
-scores blocks of arrivals from one kernel call per block, patched for each
-dictionary change inside it, and projects a block's arrivals in one stacked
-call until the dictionary changes, with verdicts bitwise equal to
-``feed``'s).
+through ``feed_line`` in one consumer, the ``Ward``, which owns what a run
+writes; ``tune`` runs the front half once (``standardized_stream``) and the
+detector half once per grid row (``tuning.run_detector``, through
+``KoadEngine.feed_run``, which scores blocks of arrivals from one kernel call
+per block, patched for each dictionary change inside it, and projects a
+block's arrivals in one stacked call until the dictionary changes, with
+verdicts bitwise equal to ``feed``'s).
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ import sys
 import threading
 import time
 import traceback
+from contextlib import ExitStack, suppress
 from pathlib import Path
 from queue import Empty, Full, Queue
 
@@ -205,37 +206,57 @@ def build_source(bed: BedSource, settings: Settings, stop: threading.Event):
     return SyntheticSource(spec, settings.password, settings.poll_interval, settings.speedup)
 
 
-class RunArtifacts:
-    """Where one run writes its outputs."""
+class Ward:
+    """One run's outputs: the board, each bed's ``BedPipeline`` with its
+    ``frames_<bed>.csv``, ``events.csv`` and the ``counts``; ``fresh`` first
+    removes a previous run's archives. Each event ``feed`` or ``fail``
+    produces is counted, applied to the board and archived, and a data
+    warning that names its cause gets a screen line."""
 
-    def __init__(self, out_dir: str | Path) -> None:
+    def __init__(self, settings: Settings, beds: list[str], out_dir: str | Path,
+                 fresh: bool = False, screen=None) -> None:
         self.out_dir = Path(out_dir)
         self.out_dir.mkdir(parents=True, exist_ok=True)
+        if fresh:
+            for path in [self.out_dir / "events.csv", *self.out_dir.glob("frames_*.csv")]:
+                path.unlink(missing_ok=True)
+        self.screen = screen
+        self.board = BoardState.for_beds(beds)
+        self.counts = {"frames": 0, "events": 0, "board": self.board}
+        self.pipelines: dict[str, BedPipeline] = {}
+        with ExitStack() as opened:
+            for bed in beds:
+                path = self.out_dir / f"frames_{bed}.csv"
+                frames = opened.enter_context(path.open("a", encoding="utf-8"))
+                self.pipelines[bed] = BedPipeline(bed, settings, frame_archive=frames)
+            self.archive = opened.enter_context(EventArchive(self.out_dir / "events.csv"))
+            self._opened = opened.pop_all()
 
-    def frame_archive_path(self, bed: str) -> Path:
-        return self.out_dir / f"frames_{bed}.csv"
+    def feed(self, bed: str, line: str, received_at: float) -> None:
+        self.counts["frames"] += 1
+        self._deliver(bed, self.pipelines[bed].feed_line(line, received_at), received_at)
 
-    @property
-    def event_archive_path(self) -> Path:
-        return self.out_dir / "events.csv"
+    def fail(self, bed: str, error: str) -> None:
+        reason = f"source for {bed} failed: {error}"
+        self._deliver(bed, [DataWarning(True, self.pipelines[bed].frame_index, reason)], None)
 
-    def fresh(self) -> None:
-        """Remove archives from previous runs (replay wants a clean slate)."""
-        for path in [self.event_archive_path, *self.out_dir.glob("frames_*.csv")]:
-            path.unlink(missing_ok=True)
+    def _deliver(self, bed: str, produced: list[Verdict | DataWarning],
+                 wall_time: float | None) -> None:
+        self.counts["events"] += len(produced)
+        for event in produced:
+            self.board.apply_event(bed, event, wall_time)
+            self.archive.append(bed, event, wall_time)
+            if self.screen is not None and isinstance(event, DataWarning) and event.reason:
+                self.screen.write(event.reason + "\n")
 
+    def close(self) -> None:
+        self._opened.close()
 
-def deliver(bed: str, produced: list[Verdict | DataWarning], wall_time: float | None,
-            board: BoardState, archive: EventArchive, counts: dict, screen=None) -> None:
-    """Hand one bed's events to a run's outputs: each is counted, applied to
-    the board and archived, and a data warning that names its cause gets a
-    screen line."""
-    counts["events"] += len(produced)
-    for event in produced:
-        board.apply_event(bed, event, wall_time)
-        archive.append(bed, event, wall_time)
-        if screen is not None and isinstance(event, DataWarning) and event.reason:
-            screen.write(event.reason + "\n")
+    def __enter__(self) -> "Ward":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
 
 def replay_run(
@@ -245,27 +266,18 @@ def replay_run(
     out_dir: str | Path = "archives",
     screen=None,
 ) -> dict:
-    """Synchronous single-bed replay; returns run counters."""
+    """Synchronous single-bed replay into a fresh ``Ward``; returns its counts."""
     source = ReplaySource(path, settings.password, settings.poll_interval, settings.speedup)
-    artifacts = RunArtifacts(out_dir)
-    artifacts.fresh()
-    board = BoardState.for_beds([bed])
-    counts = {"frames": 0, "events": 0}
-    with artifacts.frame_archive_path(bed).open("w", encoding="utf-8") as frames:
-        pipeline = BedPipeline(bed, settings, frame_archive=frames)
-        with EventArchive(artifacts.event_archive_path) as events:
-            for line, received_at in source.frames():
-                counts["frames"] += 1
-                produced = pipeline.feed_line(line, received_at)
-                deliver(bed, produced, received_at, board, events, counts, screen)
+    with Ward(settings, [bed], out_dir, fresh=True, screen=screen) as ward:
+        for line, received_at in source.frames():
+            ward.feed(bed, line, received_at)
     if screen is not None:
-        screen.write(render(board, phase=0))
+        screen.write(render(ward.board, phase=0))
         screen.write(
-            f"replayed {counts['frames']} frames, "
-            f"{counts['events']} events -> {artifacts.out_dir}\n"
+            f"replayed {ward.counts['frames']} frames, "
+            f"{ward.counts['events']} events -> {ward.out_dir}\n"
         )
-    counts["board"] = board
-    return counts
+    return ward.counts
 
 
 def monitor_run(
@@ -274,98 +286,83 @@ def monitor_run(
     duration: float | None = None,
     screen=None,
 ) -> dict:
-    """Threaded multi-bed monitor: one producer per source, one consumer.
+    """Threaded multi-bed monitor: one producer per source, one consumer,
+    the ``Ward``.
 
     Runs until every source ends, ``duration`` elapses, or Ctrl-C. A source
     failure of any kind, not only a ``SourceError``, degrades its bed
     (DataWarning badge, archive row, screen line) and the rest keep going.
     A bed whose detector raises gets a fresh engine inside ``feed_line``,
-    as in ``replay_run``.
+    as in ``replay_run``. A producer's frames and failure go through one
+    bounded hand-off that gives up once the run stops.
     """
     if not settings.beds:
         raise SourceError("monitor needs at least one bed.<id>.source entry")
     screen = screen or sys.stdout
-    artifacts = RunArtifacts(out_dir)
     stop = threading.Event()
     queue: Queue = Queue(maxsize=1024)
-    beds = [b.bed for b in settings.beds]
-    board = BoardState.for_beds(beds)
+
+    def offer(item: tuple) -> bool:
+        """Hand ``item`` to the consumer; False once the run has stopped."""
+        while not stop.is_set():
+            with suppress(Full):
+                queue.put(item, timeout=0.1)
+                return True
+        return False
 
     def pump(bed_cfg: BedSource) -> None:
         try:
             source = build_source(bed_cfg, settings, stop)
             for line, received_at in source.frames():
-                # bounded put: never block past shutdown
-                while not stop.is_set():
-                    try:
-                        queue.put((bed_cfg.bed, line, received_at), timeout=0.1)
-                        break
-                    except Full:
-                        continue
-                if stop.is_set():
+                if not offer((bed_cfg.bed, line, received_at)):
                     return
         except SourceError as exc:
-            if not stop.is_set():
-                queue.put((bed_cfg.bed, None, str(exc)))
+            offer((bed_cfg.bed, None, str(exc)))
         except Exception as exc:
             # Any other failure degrades only this bed too; it is not one the
             # source anticipated, so its traceback goes to stderr.
             traceback.print_exc(file=sys.stderr)
-            if not stop.is_set():
-                queue.put((bed_cfg.bed, None, f"{type(exc).__name__}: {exc}"))
+            offer((bed_cfg.bed, None, f"{type(exc).__name__}: {exc}"))
 
+    ward = Ward(settings, [b.bed for b in settings.beds], out_dir, screen=screen)
     threads = [
         threading.Thread(target=pump, args=(b,), daemon=True, name=f"src-{b.bed}")
         for b in settings.beds
     ]
-    frame_handles = {
-        bed: artifacts.frame_archive_path(bed).open("a", encoding="utf-8")
-        for bed in beds
-    }
-    pipelines = {
-        bed: BedPipeline(bed, settings, frame_archive=frame_handles[bed])
-        for bed in beds
-    }
-    counts = {"frames": 0, "events": 0}
     phase = 0
     try:
-        with EventArchive(artifacts.event_archive_path) as events:
-            for thread in threads:
-                thread.start()
-            deadline = None if duration is None else time.monotonic() + duration
-            last_render = time.monotonic()
-            while True:
-                if deadline is not None and time.monotonic() >= deadline:
-                    break
-                if all(not t.is_alive() for t in threads) and queue.empty():
-                    break
-                try:
-                    bed, line, meta = queue.get(timeout=0.05)
-                except Empty:
-                    bed = None
-                if bed is not None and line is None:
-                    # source died: flag the bed, keep the rest running
-                    reason = f"source for {bed} failed: {meta}"
-                    failed = DataWarning(True, pipelines[bed].frame_index, reason)
-                    deliver(bed, [failed], None, board, events, counts, screen)
-                elif bed is not None:
-                    counts["frames"] += 1
-                    produced = pipelines[bed].feed_line(line, meta)
-                    deliver(bed, produced, meta, board, events, counts, screen)
-                now = time.monotonic()
-                if now - last_render >= settings.refresh:
-                    screen.write(render(board, phase=phase))
-                    phase += 1
-                    last_render = now
+        for thread in threads:
+            thread.start()
+        deadline = None if duration is None else time.monotonic() + duration
+        last_render = time.monotonic()
+        while True:
+            if deadline is not None and time.monotonic() >= deadline:
+                break
+            if all(not t.is_alive() for t in threads) and queue.empty():
+                break
+            try:
+                bed, line, meta = queue.get(timeout=0.05)
+            except Empty:
+                pass
+            else:
+                if line is None:  # the source died: flag the bed, keep the rest
+                    ward.fail(bed, meta)
+                else:
+                    ward.feed(bed, line, meta)
+            now = time.monotonic()
+            if now - last_render >= settings.refresh:
+                screen.write(render(ward.board, phase=phase))
+                phase += 1
+                last_render = now
     except KeyboardInterrupt:
         pass
     finally:
         stop.set()
         for thread in threads:
             thread.join(timeout=2.0)
-        for handle in frame_handles.values():
-            handle.close()
-    screen.write(render(board, phase=phase))
-    screen.write(f"monitored {counts['frames']} frames, {counts['events']} events\n")
-    counts["board"] = board
-    return counts
+        ward.close()
+    screen.write(render(ward.board, phase=phase))
+    screen.write(
+        f"monitored {ward.counts['frames']} frames, {ward.counts['events']} events\n"
+    )
+    return ward.counts

@@ -1,8 +1,11 @@
 """End-to-end checks on the per-bed chain and the run drivers."""
 
+import gc
 import io
+import threading
 import time
 from dataclasses import replace
+from queue import Queue
 from types import SimpleNamespace
 
 import numpy as np
@@ -530,6 +533,80 @@ class TestMonitorRun:
         )
         assert "bed1,data-warning-raised,60,," in replay_rows
         assert replay_rows == monitor_rows
+
+    def test_one_bed_monitor_writes_the_archives_replay_writes(self, tmp_path, capture_file):
+        rows = capture_file.read_text(encoding="utf-8").splitlines()
+        # rows[i] is timestep i - 1: isolated flags in warm-up, training and
+        # scoring, and a run of four (40-43) that raises a data warning at 42
+        # and clears it at 44
+        for i in (5, 25, 80):
+            rows[i] = "-," + rows[i].split(",", 1)[1]
+        for i in range(41, 45):
+            rows[i] = "garbage"
+        capture_file.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        settings = replace(
+            Settings(warmup=10, train_steps=20, warn_threshold=3),
+            beds=(BedSource(bed="bed1", kind="replay", target=str(capture_file)),),
+        )
+        replayed, monitored = tmp_path / "replay", tmp_path / "monitor"
+        replay_run(settings, capture_file, out_dir=replayed)
+        monitor_run(settings, out_dir=monitored, screen=io.StringIO())
+        archives = [
+            (
+                drop_column((out / "frames_bed1.csv").read_text(), 2),
+                drop_column((out / "events.csv").read_text(), 0),
+            )
+            for out in (replayed, monitored)
+        ]
+        assert archives[0] == archives[1]
+        frames, events = archives[0]
+        flagged = [row.split(",")[1] for row in frames.splitlines()[1:] if row.split(",")[2]]
+        assert flagged == ["4", "24", "40", "41", "42", "43", "79"]
+        assert "bed1,data-warning-raised,42,," in events
+        assert "bed1,data-warning-cleared,44,," in events
+
+    def test_a_failure_report_never_blocks_its_producer(
+        self, tmp_path, capture_file, monkeypatch
+    ):
+        # A one-slot queue and a slow consumer: the source fails while its
+        # last frame still fills the queue, and the run stops before taking it.
+        class Failing:
+            def frames(self):
+                for i in range(3):
+                    yield "garbage", float(i)
+                raise SourceError("link lost")
+
+        feed_line = BedPipeline.feed_line
+
+        def slow_feed_line(self, line, received_at):
+            time.sleep(0.3)
+            return feed_line(self, line, received_at)
+
+        monkeypatch.setattr(pipeline_module, "build_source", lambda *_: Failing())
+        monkeypatch.setattr(pipeline_module, "Queue", lambda maxsize: Queue(maxsize=1))
+        monkeypatch.setattr(BedPipeline, "feed_line", slow_feed_line)
+        settings = replace(Settings(), beds=(
+            BedSource(bed="bed1", kind="replay", target=str(capture_file)),
+        ))
+        before = set(threading.enumerate())
+        monitor_run(settings, out_dir=tmp_path / "out", duration=0.5, screen=io.StringIO())
+        leaked = [
+            t.name for t in threading.enumerate()
+            if t.name.startswith("src-") and t not in before
+        ]
+        assert leaked == []
+
+    def test_an_event_archive_that_cannot_open_leaves_no_archive_open(
+        self, tmp_path, capture_file
+    ):
+        out = tmp_path / "out"
+        (out / "events.csv").mkdir(parents=True)
+        settings = replace(Settings(), beds=(
+            BedSource(bed="bed1", kind="replay", target=str(capture_file)),
+        ))
+        with pytest.raises(IsADirectoryError):
+            monitor_run(settings, out_dir=out, screen=io.StringIO())
+        gc.collect()  # an unclosed frame archive would warn here, failing the test
 
     def test_monitor_without_beds_is_an_error(self, tmp_path):
         with pytest.raises(SourceError, match="at least one bed"):
