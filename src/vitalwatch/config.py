@@ -258,6 +258,32 @@ def _at_line(line_no: int, make, *args):
 
 
 def parse_settings(text: str) -> Settings:
+    """The ``Settings`` of a config file's text. A refusal that only the
+    assembled file shows is about each line whose removal lifts or changes
+    it, and names the last of those lines."""
+    try:
+        return _parse(text)
+    except ConfigError as exc:
+        if exc.line is not None:
+            raise
+        refusal = str(exc)
+    rows = text.splitlines()
+    about = [
+        line_no for line_no in range(1, len(rows) + 1)
+        if _refusal([*rows[: line_no - 1], "", *rows[line_no:]]) != refusal
+    ]
+    raise ConfigError(refusal, max(about, default=None)) from None
+
+
+def _refusal(rows: list[str]) -> str | None:
+    try:
+        _parse("\n".join(rows))
+    except ConfigError as exc:
+        return str(exc)
+    return None
+
+
+def _parse(text: str) -> Settings:
     values: dict[str, object] = {}
     detector: dict[str, int | float] = {}
     beds: dict[str, BedSource] = {}

@@ -50,8 +50,11 @@ twice. The walk also projects a block's rows at once, one stacked
 matrix-vector product and one stacked dot for all of them, each row bitwise
 the one-row result; the stacked projections hold until the dictionary first
 changes inside the block, and the arrivals after that change are projected
-one at a time. Replay and monitor feed one arrival at a time, since a live
-bed has no lookahead. Every entry point refuses a bad arrival alike.
+one at a time. A quiet arrival, Green or Red1 from the stacked projection
+with no tracker open and no prune due, is scored inline by the walk: the
+usage decay, a Green's credit and the verdict, with no call to the scorer.
+Replay and monitor feed one arrival at a time, since a live bed has no
+lookahead. Every entry point refuses a bad arrival alike.
 """
 
 from __future__ import annotations
@@ -168,13 +171,19 @@ class Verdict(NamedTuple):
     resolves_timestep is set only on deferred outcomes (Red2 or the Green
     that closes an Orange) and names the timestep of the original Orange.
     A named tuple because every arrival builds one: it costs about a third
-    of a frozen dataclass to create and under half its memory.
+    of a frozen dataclass to create and under half its memory. The engine
+    builds its verdicts with ``tuple.__new__(Verdict, (kind, at_timestep,
+    delta, resolves_timestep))``, which gives the same value without the
+    Python-level ``__new__`` the named tuple generates.
     """
 
     kind: VerdictKind
     at_timestep: int
     delta: float
     resolves_timestep: int | None = None
+
+
+_tuple_new = tuple.__new__  # builds a Verdict from its four fields; see Verdict
 
 
 @dataclass(eq=False)
@@ -476,30 +485,61 @@ class KoadEngine:
         start; from the first change on, each arrival to the block's end is
         projected by ``_project``. A negative stacked delta also goes to
         ``_project``, for its clamp and re-inversion rules.
+
+        A quiet arrival takes a lane that does ``_score``'s work inline, in
+        ``_score``'s order: the usage decay, a Green's credit (a row of
+        ``np.abs`` of the stacked coefficients, taken once per block), the
+        verdict and the step count. An arrival is quiet when no tracker is
+        open, the engine is past training, the stacked projection holds,
+        its delta is at least 0 and below nu1 (Green) or above nu2 (Red1),
+        and its step is not a prune step. Every other arrival goes through
+        ``_train`` or ``_score``.
         """
         vectors = np.asarray(vectors, dtype=float)
         self._check_run(vectors, timesteps)
-        dictionary = self.dictionary
-        sigma = self.config.sigma
+        dictionary, trackers = self.dictionary, self.trackers
+        cfg = self.config
+        lam, nu1, nu2, period = cfg.lam, cfg.nu1, cfg.nu2, cfg.prune_period
         buffer = np.empty((BLOCK, dictionary.max_size))
         out: list[Verdict] = []
         for start in range(0, len(vectors), BLOCK):
             block = vectors[start : start + BLOCK]
             rows = buffer[: len(block)]
-            rows[:, : dictionary.size] = kernel_vector(dictionary.basis, block, sigma)
+            rows[:, : dictionary.size] = kernel_vector(dictionary.basis, block, cfg.sigma)
             self._block, self._rows = block, rows
-            changes = dictionary.changes
+            changes, usage, credits = dictionary.changes, dictionary.usage, None
             krows = rows[:, : dictionary.size]
             crows = np.matmul(dictionary.inv_gram, krows[..., None])[..., 0]
-            dots = np.vecdot(krows, crows).tolist()
-            for i in range(len(block)):
+            deltas = (1.0 - np.vecdot(krows, crows)).tolist()
+            for i, delta in enumerate(deltas):
+                t, seen = timesteps[start + i], self.steps_seen
+                if (
+                    not trackers
+                    and seen >= train_steps
+                    and dictionary.changes == changes
+                    and (0.0 <= delta < nu1 or delta > nu2)
+                    and (seen + 1) % period
+                ):
+                    # The quiet lane: _score's steps for this arrival. The
+                    # dictionary is the block's, so `usage` is still its view.
+                    usage *= lam
+                    if delta < nu1:
+                        if credits is None:
+                            credits = np.abs(crows)
+                        usage += credits[i]
+                        out.append(_tuple_new(Verdict, (_GREEN, t, delta, None)))
+                    else:
+                        out.append(_tuple_new(Verdict, (_RED1, t, delta, None)))
+                    self.last_timestep = t
+                    self.steps_seen = seen + 1
+                    continue
                 self._at = i
-                values, t = block[i], timesteps[start + i]
-                if dictionary.changes == changes and (delta := 1.0 - dots[i]) >= 0.0:
+                values = block[i]
+                if dictionary.changes == changes and delta >= 0.0:
                     coeffs, kvec = crows[i], krows[i]
                 else:
                     delta, coeffs, kvec = self._project(values, rows[i, : dictionary.size])
-                if self.steps_seen < train_steps:
+                if seen < train_steps:
                     self._train(values, t, delta, coeffs, kvec)
                 else:
                     immediate, resolutions = self._score(values, t, delta, coeffs, kvec)
@@ -560,13 +600,13 @@ class KoadEngine:
         usage = self.dictionary.usage
         usage *= cfg.lam
         if delta < cfg.nu1:
-            immediate = Verdict(_GREEN, t, delta)
+            immediate = _tuple_new(Verdict, (_GREEN, t, delta, None))
             usage += np.abs(coeffs)
         elif delta > cfg.nu2:
             # Anomaly: never admitted, dictionary basis untouched.
-            immediate = Verdict(_RED1, t, delta)
+            immediate = _tuple_new(Verdict, (_RED1, t, delta, None))
         else:
-            immediate = Verdict(_ORANGE, t, delta)
+            immediate = _tuple_new(Verdict, (_ORANGE, t, delta, None))
             idx = self._admit(values, t, delta, coeffs, kvec)
             trackers.append(OrangeTracker(t, t + cfg.ell, idx, delta))
 
@@ -587,9 +627,9 @@ class KoadEngine:
         keep the candidate or evict it."""
         t = tracker.deadline
         if tracker.explained_count >= self.config.green_quota:
-            return Verdict(_GREEN, t, tracker.delta, tracker.raised_at)
+            return _tuple_new(Verdict, (_GREEN, t, tracker.delta, tracker.raised_at))
         self._remove_element(tracker.dict_index)
-        return Verdict(_RED2, t, tracker.delta, tracker.raised_at)
+        return _tuple_new(Verdict, (_RED2, t, tracker.delta, tracker.raised_at))
 
     def _remove_element(self, index: int) -> None:
         m = self.dictionary.size

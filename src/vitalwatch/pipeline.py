@@ -294,20 +294,25 @@ def monitor_run(
     (DataWarning badge, archive row, screen line) and the rest keep going.
     A bed whose detector raises gets a fresh engine inside ``feed_line``,
     as in ``replay_run``. A producer's frames and failure go through one
-    bounded hand-off that gives up once the run stops.
+    bounded hand-off that stops waiting once the run stops; what was handed
+    over by then, the queue's backlog first, still reaches the ``Ward``
+    after the producers are joined.
     """
     if not settings.beds:
         raise SourceError("monitor needs at least one bed.<id>.source entry")
     screen = screen or sys.stdout
     stop = threading.Event()
     queue: Queue = Queue(maxsize=1024)
+    late: list[tuple] = []  # offered once the run had stopped
 
     def offer(item: tuple) -> bool:
-        """Hand ``item`` to the consumer; False once the run has stopped."""
+        """Hand ``item`` to the consumer; once the run has stopped, leave it
+        in ``late`` and return False."""
         while not stop.is_set():
             with suppress(Full):
                 queue.put(item, timeout=0.1)
                 return True
+        late.append(item)
         return False
 
     def pump(bed_cfg: BedSource) -> None:
@@ -324,43 +329,50 @@ def monitor_run(
             traceback.print_exc(file=sys.stderr)
             offer((bed_cfg.bed, None, f"{type(exc).__name__}: {exc}"))
 
+    def take(item: tuple) -> None:
+        bed, line, meta = item
+        if line is None:  # the source died: flag the bed, keep the rest
+            ward.fail(bed, meta)
+        else:
+            ward.feed(bed, line, meta)
+
     ward = Ward(settings, [b.bed for b in settings.beds], out_dir, screen=screen)
     threads = [
         threading.Thread(target=pump, args=(b,), daemon=True, name=f"src-{b.bed}")
         for b in settings.beds
     ]
     phase = 0
-    try:
-        for thread in threads:
-            thread.start()
-        deadline = None if duration is None else time.monotonic() + duration
-        last_render = time.monotonic()
-        while True:
-            if deadline is not None and time.monotonic() >= deadline:
-                break
-            if all(not t.is_alive() for t in threads) and queue.empty():
-                break
-            try:
-                bed, line, meta = queue.get(timeout=0.05)
-            except Empty:
-                pass
-            else:
-                if line is None:  # the source died: flag the bed, keep the rest
-                    ward.fail(bed, meta)
-                else:
-                    ward.feed(bed, line, meta)
-            now = time.monotonic()
-            if now - last_render >= settings.refresh:
-                screen.write(render(ward.board, phase=phase))
-                phase += 1
-                last_render = now
-    except KeyboardInterrupt:
-        pass
-    finally:
-        stop.set()
-        for thread in threads:
-            thread.join(timeout=2.0)
-        ward.close()
+    with ward:
+        try:
+            for thread in threads:
+                thread.start()
+            deadline = None if duration is None else time.monotonic() + duration
+            last_render = time.monotonic()
+            while True:
+                if deadline is not None and time.monotonic() >= deadline:
+                    break
+                if all(not t.is_alive() for t in threads) and queue.empty():
+                    break
+                with suppress(Empty):
+                    take(queue.get(timeout=0.05))
+                now = time.monotonic()
+                if now - last_render >= settings.refresh:
+                    screen.write(render(ward.board, phase=phase))
+                    phase += 1
+                    last_render = now
+        except KeyboardInterrupt:
+            pass
+        finally:
+            stop.set()
+            for thread in threads:
+                thread.join(timeout=2.0)
+        # Frames and failures the producers handed over but the loop never
+        # took: each was taken from its source, so each is scored and archived.
+        with suppress(Empty):
+            while True:
+                take(queue.get_nowait())
+        for item in late:
+            take(item)
     screen.write(render(ward.board, phase=phase))
     screen.write(
         f"monitored {ward.counts['frames']} frames, {ward.counts['events']} events\n"

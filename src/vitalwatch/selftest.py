@@ -183,17 +183,12 @@ def check_alarm_walk() -> CheckResult:
 
 
 def check_block_walk(steps: int = 600, train_steps: int = 50) -> CheckResult:
-    """``feed_run`` against one ``feed`` per arrival on a churning stream:
-    verdicts (with ``delta.hex()``) and the dictionary must match bit for
-    bit."""
+    """``feed_run`` against one ``feed`` per arrival on one stream, at a
+    churning config and at the default one, where most arrivals take the
+    walk's quiet lane: verdicts (with ``delta.hex()``) and the dictionary
+    must match bit for bit."""
     values, _ = generate(default_spec(steps=steps, n_anomalies=6, seed=8, dim=4))
     z = (values - values.mean(axis=0)) / values.std(axis=0)
-    config = ThresholdConfig(sigma=1.5, max_size=12)
-    walked, stepped = KoadEngine(4, config), KoadEngine(4, config)
-    got = walked.feed_run(z, list(range(steps)), train_steps)
-    expected = []
-    for t, row in enumerate(z):
-        expected += stepped.feed(MeasurementVector(row, t), train_steps)
 
     def key(engine: KoadEngine, verdicts) -> tuple:
         d = engine.dictionary
@@ -201,14 +196,23 @@ def check_block_walk(steps: int = 600, train_steps: int = 50) -> CheckResult:
         rows = [(v.kind, v.at_timestep, v.delta.hex(), v.resolves_timestep) for v in verdicts]
         return rows, arrays, d.timesteps
 
-    same = key(walked, got) == key(stepped, expected)
-    changes = walked.dictionary.changes  # few changes would leave the fallbacks untested
+    same, verdicts, changes = True, 0, []
+    for config in (ThresholdConfig(sigma=1.5, max_size=12), ThresholdConfig()):
+        walked, stepped = KoadEngine(4, config), KoadEngine(4, config)
+        got = walked.feed_run(z, list(range(steps)), train_steps)
+        expected = []
+        for t, row in enumerate(z):
+            expected += stepped.feed(MeasurementVector(row, t), train_steps)
+        same = same and key(walked, got) == key(stepped, expected)
+        verdicts += len(got)
+        changes.append(walked.dictionary.changes)
     return CheckResult(
         "block walk vs one feed per arrival",
-        same and changes >= 100,
-        f"{len(got)} verdicts and the dictionary "
-        f"{'bit-identical' if same else 'DIFFER'} over {steps} arrivals, "
-        f"{changes} dictionary changes (100 needed; numpy {np.__version__})",
+        same and changes[0] >= 100,  # few changes would leave the fallbacks untested
+        f"{verdicts} verdicts and the dictionaries "
+        f"{'bit-identical' if same else 'DIFFER'} over {steps} arrivals at 2 configs, "
+        f"{changes[0]} dictionary changes in the churning one (100 needed; "
+        f"numpy {np.__version__})",
     )
 
 

@@ -163,7 +163,7 @@ def test_config_that_can_exhaust_the_dictionary_exits_2(tmp_path, capsys):
     cfg.write_text("ell = 30\nmax_size = 30\n")
     code, _, err = run(capsys, "replay", "nowhere.csv", "--config", str(cfg))
     assert code == 2
-    assert "config error: max_size (30) must exceed ell (30)" in err
+    assert "config error: line 2: max_size (30) must exceed ell (30)" in err
     assert "Traceback" not in err
 
 

@@ -138,6 +138,42 @@ def test_errors_carry_line_numbers(text, fragment, line):
         assert f"line {line}:" in str(excinfo.value)
 
 
+@pytest.mark.parametrize(
+    "text,line",
+    [
+        ("counted_kinds = red1, purple\n", 1),
+        ("nu1 = 0.5\nnu2 = 0.2\n", 2),
+        ("nu2 = 0.1\n# the band\nnu1 = 0.2\n", 3),
+        ("speedup = 0\n", 1),
+        ("poll_interval = inf\nspeedup = 1000\n", 1),
+        ("poll_interval = 86401\nspeedup = 1\n", 2),
+        ("speedup = 1e-300\n", 1),
+        ("warmup = 0\n", 1),
+        ("warmup = 0\nspeedup = 5\n", 1),
+        ("speedup = 5\n\nwarmup = 0\n", 3),
+        ("speedup = 5\nspeedup = 0\n", 2),
+        ("schema.names =\n", 1),
+        ("schema.use = 9\n", 1),
+        ("schema.zero_ok = 7\n", 1),
+        ("grid =\n", 1),
+        ("grid_sigma = 0\n", 1),
+        ("sigma = -1\n", 1),
+        ("sigma = inf\n", 1),
+        ("grid_ell = 0\n", 1),
+        ("max_size = 20\n", 1),
+        ("ell = 30\nmax_size = 30\n", 2),
+        ("grid_ell = 10, 60\n", 1),
+        ("bed.b1.source = synthetic:abc\n", 1),
+    ],
+)
+def test_a_refusal_of_the_whole_file_names_the_line_it_is_about(text, line):
+    # Only the assembled Settings sees these; a rule over two lines names the later.
+    with pytest.raises(ConfigError) as excinfo:
+        parse_settings(text)
+    assert excinfo.value.line == line
+    assert str(excinfo.value).startswith(f"line {line}: ")
+
+
 def test_every_detector_field_is_set_by_its_key():
     values = {
         "nu1": 0.05, "nu2": 0.3, "ell": 7, "sigma": 1.5, "lam": 0.9,

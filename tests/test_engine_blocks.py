@@ -206,6 +206,10 @@ CONFIGS = {
     "sigma1.0": ThresholdConfig(sigma=1.0),
     "sigma1.5": ThresholdConfig(sigma=1.5),
     "max_size12": ThresholdConfig(sigma=1.5, max_size=12),
+    # Every prune evicts each element no tracker holds: the dictionary
+    # empties at t = 540, and the Red1 arrivals after it take the quiet
+    # lane with m = 0.
+    "empties": ThresholdConfig(usage_floor=1e9, prune_period=60),
 }
 
 
@@ -213,9 +217,28 @@ CONFIGS = {
 @pytest.mark.parametrize("block", [1, 2, 5, 16, 64])
 def test_walk_at_any_block_length(monkeypatch, block, config):
     # Over these 600 arrivals each config admits 73-100 times and removes
-    # 43-63 times; at max_size = 12, 28 admissions force a prune.
+    # 43-80 times; at max_size = 12, 28 admissions force a prune.
     monkeypatch.setattr(engine_module, "BLOCK", block)
     Run(monkeypatch, config).compare(stream(8, steps=600))
+
+
+def test_quiet_arrivals_skip_the_scorer(monkeypatch):
+    # At the default config most arrivals are Green or Red1 with no tracker
+    # open and no prune due: the walk scores them in its quiet lane, with
+    # no _score call, and still bitwise as one feed per arrival.
+    run = Run(monkeypatch, ThresholdConfig())
+    scored_at = set()
+    score = run.walked._score
+
+    def counting(values, t, delta, coeffs, kvec):
+        scored_at.add(t)
+        return score(values, t, delta, coeffs, kvec)
+
+    run.walked._score = counting
+    verdicts = run.compare(stream(8, steps=2000))
+    assert len(scored_at) < (2000 - TRAIN) / 2
+    quiet = {v.kind for v in verdicts if v.at_timestep not in scored_at}
+    assert quiet == {VerdictKind.GREEN, VerdictKind.RED1}
 
 
 @pytest.mark.parametrize("sigma", [1.0, 1.5])

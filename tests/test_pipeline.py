@@ -569,7 +569,8 @@ class TestMonitorRun:
         self, tmp_path, capture_file, monkeypatch
     ):
         # A one-slot queue and a slow consumer: the source fails while its
-        # last frame still fills the queue, and the run stops before taking it.
+        # last frame still fills the queue, and the run stops before taking
+        # it. Both still reach the archives once the producer is joined.
         class Failing:
             def frames(self):
                 for i in range(3):
@@ -589,12 +590,20 @@ class TestMonitorRun:
             BedSource(bed="bed1", kind="replay", target=str(capture_file)),
         ))
         before = set(threading.enumerate())
-        monitor_run(settings, out_dir=tmp_path / "out", duration=0.5, screen=io.StringIO())
+        out = tmp_path / "out"
+        screen = io.StringIO()
+        counts = monitor_run(settings, out_dir=out, duration=0.5, screen=screen)
         leaked = [
             t.name for t in threading.enumerate()
             if t.name.startswith("src-") and t not in before
         ]
         assert leaked == []
+        assert counts["frames"] == 3
+        assert len((out / "frames_bed1.csv").read_text().splitlines()[1:]) == 3
+        # The failure's warning, after the three frames; its cause goes to the screen.
+        events = drop_column((out / "events.csv").read_text(), 0).splitlines()[1:]
+        assert events == ["bed1,data-warning-raised,3,,"]
+        assert "source for bed1 failed: link lost\n" in screen.getvalue()
 
     def test_an_event_archive_that_cannot_open_leaves_no_archive_open(
         self, tmp_path, capture_file

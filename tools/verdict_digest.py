@@ -33,7 +33,8 @@ seeded inputs (``perfbench/``, imported and never written):
 With ``--against REV`` it extracts REV's ``src/`` with ``git archive`` into
 a temporary directory, computes the same digests with that package and with
 the working tree's, both from the working tree's ``perfbench/`` inputs, in
-one fresh process each, prints both sides and exits 1 on any mismatch.
+one fresh process each, prints both sides and exits 1 on any mismatch, or
+2 with one line on standard error when git cannot archive REV.
 """
 
 from __future__ import annotations
@@ -208,10 +209,13 @@ def digests_in_child(seeds: list[int], src: Path) -> list[str]:
 def against(rev: str, seeds: list[int]) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         archive = subprocess.run(
-            ["git", "-C", str(ROOT), "archive", rev, "src"],
-            check=True, capture_output=True,
-        ).stdout
-        subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
+            ["git", "-C", str(ROOT), "archive", rev, "src"], capture_output=True,
+        )
+        if archive.returncode:
+            message = archive.stderr.decode(errors="replace").strip().splitlines()
+            print(f"verdict_digest: cannot archive {rev}: {' '.join(message)}", file=sys.stderr)
+            return 2
+        subprocess.run(["tar", "-x", "-C", tmp], input=archive.stdout, check=True)
         theirs = digests_in_child(seeds, Path(tmp) / "src")
     ours = digests_in_child(seeds, ROOT / "src")
     mismatches = 0
