@@ -53,8 +53,12 @@ changes inside the block, and the arrivals after that change are projected
 one at a time. A quiet arrival, Green or Red1 from the stacked projection
 with no tracker open and no prune due, is scored inline by the walk: the
 usage decay, a Green's credit and the verdict, with no call to the scorer.
-Replay and monitor feed one arrival at a time, since a live bed has no
-lookahead. Every entry point refuses a bad arrival alike.
+The walk (``_walk``) can pause after any arrival: ``feed_run`` runs it to
+each block's end, and a replay at speedup = inf, whose recording is known
+in advance, moves it one arrival forward per frame
+(``BedPipeline.feed_recording``). A paced replay and monitor feed one
+arrival at a time, since a live bed has no lookahead. Every entry point
+refuses a bad arrival alike.
 """
 
 from __future__ import annotations
@@ -390,15 +394,15 @@ class KoadEngine:
         self.trackers: list[OrangeTracker] = []
         self.steps_seen = 0
         self.last_timestep = -1  # before any arrival: every timestep >= 0 follows it
-        # feed_run's current block: its arrivals, their kernel rows against
-        # the basis (max_size columns each, the leading ones in the
-        # dictionary's order) and the scored arrival's place in it. The rows
-        # after the scored arrival's are the ones still to be scored;
-        # _remove_element and _admit keep them in step with the dictionary.
-        # Outside feed_run the block is empty.
-        self._block = np.zeros((0, dim))
-        self._rows = np.zeros((0, self.config.max_size))
-        self._at = 0
+        # The walk's current block: its arrivals and their timesteps, their
+        # kernel rows against the basis (max_size columns each, the leading
+        # ones in the dictionary's order), the scored arrival's place in it,
+        # the next arrival to score, and the block's stacked projection and
+        # Green credits, both made when the walk first reaches the block.
+        # The rows after the scored arrival's are the ones still to be
+        # scored; _remove_element and _admit keep them in step with the
+        # dictionary. Outside a walk the block is empty.
+        self._unload()
 
     @property
     def dim(self) -> int:
@@ -470,21 +474,60 @@ class KoadEngine:
         per row.
 
         The run is checked whole before any row is used, and a bad row
-        raises what ``feed`` would raise on reaching it. The kernel rows of
-        each BLOCK arrivals against the basis come from one ``kernel_vector``
-        call, kept in a (BLOCK, max_size) buffer. A dictionary change inside
-        the block patches the rows of the arrivals still to come (see
-        ``_remove_element`` and ``_admit``), so every arrival is scored with
-        the row a fresh call against the basis of its turn would give.
+        raises what ``feed`` would raise on reaching it. The run is walked
+        in blocks of BLOCK arrivals: ``_load`` computes a block's kernel
+        rows, and ``_walk`` scores the block to its end.
+        """
+        vectors = np.asarray(vectors, dtype=float)
+        self._check_run(vectors, timesteps)
+        rows = np.empty((BLOCK, self.dictionary.max_size))
+        out: list[Verdict] = []
+        try:
+            for start in range(0, len(vectors), BLOCK):
+                self._load(vectors[start : start + BLOCK], timesteps[start : start + BLOCK], rows)
+                self._walk(out, train_steps)
+        finally:
+            self._unload()
+        return out
 
-        Each block's rows are also projected at once: ``np.matmul`` of the
-        inverse with the stacked rows and ``np.vecdot`` of the rows with the
-        coefficients, which numpy runs as one matrix-vector product and one
-        dot per row, each bitwise ``_project``'s. The stacked projections
-        hold while ``dictionary.changes`` stays where it was at the block's
-        start; from the first change on, each arrival to the block's end is
-        projected by ``_project``. A negative stacked delta also goes to
-        ``_project``, for its clamp and re-inversion rules.
+    def _load(self, block: np.ndarray, timesteps: list[int], rows: np.ndarray) -> None:
+        """Make the (B, dim) ``block``, arriving at ``timesteps``, the walk's
+        current block, B <= len(rows): its kernel rows against the basis go
+        into ``rows[:B]`` from one ``kernel_vector`` call, kept in a buffer
+        of max_size columns. A dictionary change inside the block patches
+        the rows of the arrivals still to come (see ``_remove_element`` and
+        ``_admit``), so every arrival is scored with the row a fresh call
+        against the basis of its turn would give."""
+        rows = rows[: len(block)]
+        rows[:, : self.dictionary.size] = kernel_vector(
+            self.dictionary.basis, block, self.config.sigma
+        )
+        self._block, self._times, self._rows = block, timesteps, rows
+        self._next, self._stacked, self._credits = 0, None, None
+
+    def _unload(self) -> None:
+        """An empty current block: no walk, and no hold on a run's memory."""
+        self._block, self._times = np.zeros((0, self.dim)), []
+        self._rows = np.zeros((0, self.config.max_size))
+        self._at = self._next = 0
+        self._stacked = self._credits = None
+
+    def _walk(self, out: list[Verdict], train_steps: int, one: bool = False) -> None:
+        """Walk the current block from its next arrival: to the block's end,
+        or with ``one`` that arrival alone, appending every verdict to
+        ``out`` in ``feed``'s order; arrivals before ``train_steps`` train.
+        A caller that pauses after each arrival, as a replay of a recording
+        does, and one that walks the block whole run this same loop.
+
+        On its first call for a block the walk projects the block's rows at
+        once: ``np.matmul`` of the inverse with the stacked rows and
+        ``np.vecdot`` of the rows with the coefficients, which numpy runs as
+        one matrix-vector product and one dot per row, each bitwise
+        ``_project``'s. The stacked projections hold while
+        ``dictionary.changes`` stays where it was then; from the first
+        change on, each arrival to the block's end is projected by
+        ``_project``. A negative stacked delta also goes to ``_project``,
+        for its clamp and re-inversion rules.
 
         A quiet arrival takes a lane that does ``_score``'s work inline, in
         ``_score``'s order: the usage decay, a Green's credit (a row of
@@ -495,60 +538,54 @@ class KoadEngine:
         and its step is not a prune step. Every other arrival goes through
         ``_train`` or ``_score``.
         """
-        vectors = np.asarray(vectors, dtype=float)
-        self._check_run(vectors, timesteps)
         dictionary, trackers = self.dictionary, self.trackers
-        cfg = self.config
-        lam, nu1, nu2, period = cfg.lam, cfg.nu1, cfg.nu2, cfg.prune_period
-        buffer = np.empty((BLOCK, dictionary.max_size))
-        out: list[Verdict] = []
-        for start in range(0, len(vectors), BLOCK):
-            block = vectors[start : start + BLOCK]
-            rows = buffer[: len(block)]
-            rows[:, : dictionary.size] = kernel_vector(dictionary.basis, block, cfg.sigma)
-            self._block, self._rows = block, rows
-            changes, usage, credits = dictionary.changes, dictionary.usage, None
-            krows = rows[:, : dictionary.size]
+        if self._stacked is None:
+            krows = self._rows[:, : dictionary.size]
             crows = np.matmul(dictionary.inv_gram, krows[..., None])[..., 0]
             deltas = (1.0 - np.vecdot(krows, crows)).tolist()
-            for i, delta in enumerate(deltas):
-                t, seen = timesteps[start + i], self.steps_seen
-                if (
-                    not trackers
-                    and seen >= train_steps
-                    and dictionary.changes == changes
-                    and (0.0 <= delta < nu1 or delta > nu2)
-                    and (seen + 1) % period
-                ):
-                    # The quiet lane: _score's steps for this arrival. The
-                    # dictionary is the block's, so `usage` is still its view.
-                    usage *= lam
-                    if delta < nu1:
-                        if credits is None:
-                            credits = np.abs(crows)
-                        usage += credits[i]
-                        out.append(_tuple_new(Verdict, (_GREEN, t, delta, None)))
-                    else:
-                        out.append(_tuple_new(Verdict, (_RED1, t, delta, None)))
-                    self.last_timestep = t
-                    self.steps_seen = seen + 1
-                    continue
-                self._at = i
-                values = block[i]
-                if dictionary.changes == changes and delta >= 0.0:
-                    coeffs, kvec = crows[i], krows[i]
+            self._stacked = dictionary.changes, dictionary.usage, krows, crows, deltas
+        changes, usage, krows, crows, deltas = self._stacked
+        cfg = self.config
+        lam, nu1, nu2, period = cfg.lam, cfg.nu1, cfg.nu2, cfg.prune_period
+        block, rows, timesteps, credits = self._block, self._rows, self._times, self._credits
+        start = self._next
+        stop = start + 1 if one else len(deltas)
+        for i in range(start, stop):
+            delta, t, seen = deltas[i], timesteps[i], self.steps_seen
+            if (
+                not trackers
+                and seen >= train_steps
+                and dictionary.changes == changes
+                and (0.0 <= delta < nu1 or delta > nu2)
+                and (seen + 1) % period
+            ):
+                # The quiet lane: _score's steps for this arrival. The
+                # dictionary is the block's, so `usage` is still its view.
+                usage *= lam
+                if delta < nu1:
+                    if credits is None:
+                        credits = self._credits = np.abs(crows)
+                    usage += credits[i]
+                    out.append(_tuple_new(Verdict, (_GREEN, t, delta, None)))
                 else:
-                    delta, coeffs, kvec = self._project(values, rows[i, : dictionary.size])
-                if seen < train_steps:
-                    self._train(values, t, delta, coeffs, kvec)
-                else:
-                    immediate, resolutions = self._score(values, t, delta, coeffs, kvec)
-                    out.append(immediate)
-                    if resolutions:
-                        out += resolutions
-        # No block outside feed_run, and no hold on the run's memory.
-        self._block, self._rows = np.zeros((0, self.dim)), buffer[:0]
-        return out
+                    out.append(_tuple_new(Verdict, (_RED1, t, delta, None)))
+                self.last_timestep = t
+                self.steps_seen = seen + 1
+                continue
+            self._at = i
+            values = block[i]
+            if dictionary.changes == changes and delta >= 0.0:
+                coeffs, kvec = crows[i], krows[i]
+            else:
+                delta, coeffs, kvec = self._project(values, rows[i, : dictionary.size])
+            if seen < train_steps:
+                self._train(values, t, delta, coeffs, kvec)
+            else:
+                immediate, resolutions = self._score(values, t, delta, coeffs, kvec)
+                out.append(immediate)
+                if resolutions:
+                    out += resolutions
+        self._next = stop
 
     def step(self, x: MeasurementVector) -> tuple[Verdict, list[Verdict]]:
         """Score one arrival; returns the immediate verdict plus any Orange

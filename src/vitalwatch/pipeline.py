@@ -15,23 +15,30 @@ The detector only scores once it has a model of normality: the first
 scored live.
 
 Each half of the chain has one implementation. ``BedPipeline.screen`` is the
-front half, up to the standardized vector; ``KoadEngine.feed`` is the
-detector half, training then scoring. ``replay`` and ``monitor`` run both
-through ``feed_line`` in one consumer, the ``Ward``, which owns what a run
-writes; ``tune`` runs the front half once (``standardized_stream``) and the
-detector half once per grid row (``tuning.run_detector``, through
-``KoadEngine.feed_run``, which scores blocks of arrivals from one kernel call
-per block, patched for each dictionary change inside it, and projects a
-block's arrivals in one stacked call until the dictionary changes, with
-verdicts bitwise equal to ``feed``'s).
+front half, up to the standardized vector; the detector half, training then
+scoring, is ``KoadEngine.feed`` for one arrival and the engine's block walk
+for arrivals known in advance (``feed_run``), which scores blocks of
+arrivals from one kernel call per block, patched for each dictionary change
+inside it, and projects a block's arrivals in one stacked call until the
+dictionary changes, with verdicts bitwise equal to ``feed``'s. ``replay``
+and ``monitor`` run both halves in one consumer, the ``Ward``, which owns
+what a run writes: a paced replay and ``monitor`` one frame at a time
+through ``feed_line``, and a replay at speedup = inf through
+``feed_recording``, which moves the walk one arrival forward per frame and
+gives each frame the events ``feed_line`` would. ``tune`` runs the front
+half once (``standardized_stream``) and the walk once per grid row
+(``tuning.run_detector``, through ``feed_run``).
 """
 
 from __future__ import annotations
 
+import math
 import sys
 import threading
 import time
 import traceback
+from collections import deque
+from collections.abc import Iterable, Iterator
 from contextlib import ExitStack, suppress
 from pathlib import Path
 from queue import Empty, Full, Queue
@@ -40,7 +47,7 @@ import numpy as np
 
 from .board import BoardState, EventArchive, needs_flush, render
 from .config import BedSource, Settings
-from .engine import EngineError, KoadEngine, MeasurementVector, Verdict
+from .engine import BLOCK, EngineError, KoadEngine, MeasurementVector, Verdict
 from .sources import (
     ReplaySource,
     SocketSource,
@@ -137,31 +144,143 @@ class BedPipeline:
         return None if result.vector is None else result.vector.tolist()
 
     def feed_line(self, line: str, received_at: float) -> list[Verdict | DataWarning]:
-        """Process one raw record; returns the events it produced. A detector
-        that raises ``EngineError`` gives way to a fresh engine, reported by a
-        data warning that its first verdict clears, unless a streak's clear
-        comes first (the badge is one flag). The frame archive is flushed at
-        the first event that ``needs_flush``; a frame whose only event is a
-        Green verdict makes one test."""
+        """Process one raw record; returns the events it produced (see
+        ``_events``). A detector that raises ``EngineError`` gives way to a
+        fresh engine."""
         warning, x = self.screen(line, received_at)
-        events: list[Verdict | DataWarning] = []
-        if warning is not None:
-            events.append(warning)
-            if not warning.active:
-                self._restart_warning = False
-        if x is not None:
-            try:
-                verdicts = self.engine.feed(x, self.settings.train_steps)
-            except EngineError as exc:
-                self.engine = KoadEngine(self.schema.dim, self.settings.threshold_config())
-                self._restart_warning = True
-                reason = f"detector for {self.bed} restarted: {exc}"
-                events.append(DataWarning(True, x.timestep, reason))
-            else:
-                if verdicts and self._restart_warning:
+        if x is None:
+            return self._events(warning, None, None)
+        try:
+            outcome = self.engine.feed(x, self.settings.train_steps)
+        except EngineError as exc:
+            self.engine = KoadEngine(self.schema.dim, self.settings.threshold_config())
+            outcome = exc
+        return self._events(warning, x.timestep, outcome)
+
+    def feed_recording(
+        self, frames: Iterable[tuple[str, float]]
+    ) -> Iterator[tuple[list[Verdict | DataWarning], float]]:
+        """``feed_line`` over a recording known in advance: yields each
+        frame's events, equal to ``feed_line``'s, with the frame's own
+        ``received_at``, in frame order.
+
+        The detector walks the recording in blocks of ``BLOCK`` arrivals
+        (``KoadEngine._walk``, the loop of ``feed_run``) and keeps up to two
+        blocks behind the screen. For each frame taken from ``frames`` the
+        frame is screened, its vector goes into the next block's buffer
+        once the engine's ``_checked`` accepts it, and the walk moves one
+        arrival forward, so that every frame's turn costs about the same:
+        the next block's kernel rows are computed right after the current
+        block's last arrival, and its stacked projection with its first
+        arrival. A frame's events are yielded once its arrival is scored,
+        so its archive row is written before them, with the rows of up to
+        2 * BLOCK later arrivals in between. The check's order test compares
+        with the last arrival the walk scored, not the last one screened;
+        a bed's timesteps rise by construction, so both pass. An arrival that
+        ``_checked`` refuses, or on which the walk raises ``EngineError``,
+        restarts the detector as ``feed_line`` does when the walk reaches
+        it, and the fresh engine walks the rest of that block and
+        everything after. Between two frames it yields, nothing else may
+        feed this pipeline: the engine holds the walk's block.
+        """
+        train, dim = self.settings.train_steps, self.schema.dim
+        filling, spare = np.empty((BLOCK, dim)), np.empty((BLOCK, dim))
+        rows = np.empty((BLOCK, self.engine.config.max_size))
+        times: list[int] = []  # the filling block's timesteps
+        pending: deque = deque()  # (received_at, warning, timestep or None) per frame
+        refused: dict[int, EngineError] = {}  # by timestep, what _checked raised
+        source = iter(frames)
+        engine = self.engine
+        try:
+            while True:
+                frame = next(source, None)
+                if frame is not None:
+                    line, received_at = frame
+                    warning, x = self.screen(line, received_at)
+                    if x is None:
+                        pending.append((received_at, warning, None))
+                    else:
+                        t = x.timestep
+                        pending.append((received_at, warning, t))
+                        try:
+                            filling[len(times)] = engine._checked(x)
+                        except EngineError as exc:
+                            refused[t] = exc
+                            filling[len(times)] = 0.0
+                        times.append(t)
+                elif not pending:
+                    return
+                # Move the walk one arrival forward, or load the next block.
+                walked = outcome = None
+                if engine._next < len(engine._block):
+                    walked = engine._times[engine._next]
+                    out: list[Verdict] = []
+                    try:
+                        if refused and walked in refused:
+                            raise refused.pop(walked)
+                        engine._walk(out, train, True)
+                        outcome = out
+                    except EngineError as exc:
+                        # The fresh engine walks the rest of the failed block.
+                        failed, rest = engine, engine._next + 1
+                        engine = self.engine = KoadEngine(dim, failed.config)
+                        engine._load(failed._block[rest:], failed._times[rest:], rows)
+                        outcome = exc
+                    if engine._next == len(engine._block) and len(times) == BLOCK:
+                        engine._load(filling, times, rows)
+                        filling, spare, times = spare, filling, []
+                elif len(times) == BLOCK or (frame is None and times):
+                    engine._load(filling[: len(times)], times, rows)
+                    filling, spare, times = spare, filling, []
+                elif frame is None:  # a frame waits for an arrival never walked
+                    raise AssertionError("feed_recording lost an arrival")
+                # Yield every frame that is done, in order.
+                while pending:
+                    received_at, warning, t = pending[0]
+                    if t is None:
+                        events = self._events(warning, None, None)
+                    elif t == walked:
+                        events, walked = self._events(warning, t, outcome), None
+                    else:
+                        break
+                    pending.popleft()
+                    yield events, received_at
+        finally:
+            engine._unload()
+
+    def _events(
+        self,
+        warning: DataWarning | None,
+        timestep: int | None,
+        outcome: list[Verdict] | EngineError | None,
+    ) -> list[Verdict | DataWarning]:
+        """One frame's events, the one assembly behind ``feed_line`` and
+        ``feed_recording``: the streak's warning transition, if any, then
+        the detector's outcome for the frame's arrival at ``timestep`` (none
+        for a frame without one). That is its verdicts, or the
+        ``EngineError`` after which a fresh engine replaced the detector,
+        reported by a data warning that the fresh engine's first verdict
+        clears, unless a streak's clear comes first (the badge is one flag).
+        The frame archive is flushed at the first event that
+        ``needs_flush``; a frame whose only event is a Green verdict makes
+        one test."""
+        if warning is None and type(outcome) is list and not self._restart_warning:
+            events = outcome  # the common frame: its verdicts alone
+        else:
+            events = []
+            if warning is not None:
+                events.append(warning)
+                if not warning.active:
                     self._restart_warning = False
-                    events.append(DataWarning(active=False, at_timestep=x.timestep))
-                events += verdicts
+            if type(outcome) is list:
+                if outcome and self._restart_warning:
+                    self._restart_warning = False
+                    events.append(DataWarning(active=False, at_timestep=timestep))
+                events += outcome
+            elif outcome is not None:
+                self._restart_warning = True
+                reason = f"detector for {self.bed} restarted: {outcome}"
+                events.append(DataWarning(True, timestep, reason))
         if self._archive is not None:
             for event in events:
                 if needs_flush(event):
@@ -236,6 +355,13 @@ class Ward:
         self.counts["frames"] += 1
         self._deliver(bed, self.pipelines[bed].feed_line(line, received_at), received_at)
 
+    def replay(self, bed: str, frames: Iterable[tuple[str, float]]) -> None:
+        """``feed`` for every frame of a recording known in advance, through
+        its bed's ``BedPipeline.feed_recording``."""
+        for events, received_at in self.pipelines[bed].feed_recording(frames):
+            self.counts["frames"] += 1
+            self._deliver(bed, events, received_at)
+
     def fail(self, bed: str, error: str) -> None:
         reason = f"source for {bed} failed: {error}"
         self._deliver(bed, [DataWarning(True, self.pipelines[bed].frame_index, reason)], None)
@@ -266,11 +392,17 @@ def replay_run(
     out_dir: str | Path = "archives",
     screen=None,
 ) -> dict:
-    """Synchronous single-bed replay into a fresh ``Ward``; returns its counts."""
+    """Synchronous single-bed replay into a fresh ``Ward``; returns its
+    counts. At ``speedup = inf`` the whole recording is known before its
+    first frame, so it goes through ``Ward.replay``; a paced replay feeds
+    one frame at a time, as a live bed does."""
     source = ReplaySource(path, settings.password, settings.poll_interval, settings.speedup)
     with Ward(settings, [bed], out_dir, fresh=True, screen=screen) as ward:
-        for line, received_at in source.frames():
-            ward.feed(bed, line, received_at)
+        if math.isinf(settings.speedup):
+            ward.replay(bed, source.frames())
+        else:
+            for line, received_at in source.frames():
+                ward.feed(bed, line, received_at)
     if screen is not None:
         screen.write(render(ward.board, phase=0))
         screen.write(

@@ -1,6 +1,6 @@
 """Built-in sanity suite, runnable on any install without test tooling.
 
-Four checks, each independent of the code path it verifies:
+Five checks, each independent of the code path it verifies:
 
 * projection errors and the maintained inverse Gram against fresh dense
   linear solves on randomized admission/removal sequences, and the kept
@@ -11,6 +11,9 @@ Four checks, each independent of the code path it verifies:
   bit for bit, on a stream that churns the dictionary: the walk projects
   stacked rows, so a numpy whose stacked arithmetic differs from its
   one-row arithmetic fails here rather than letting tune and replay drift,
+* a replay at speedup = inf (``BedPipeline.feed_recording``, that walk kept
+  behind the screen) against the per-frame chain (``feed_line``), bit for
+  bit, on a seeded capture with flagged frames and a data-warning burst,
 * the frame validity table and the consecutive-flag warning counter.
 
 Kept deliberately small (about a second); the full development suite lives
@@ -19,20 +22,24 @@ in the repository's tests directory.
 
 from __future__ import annotations
 
+import io
 import sys
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
+from .config import Settings
 from .engine import (
     KoadEngine,
     MeasurementVector,
     ThresholdConfig,
+    Verdict,
     VerdictKind,
 )
 from .kernels import gram_matrix, kernel_vector
-from .synth import default_spec, generate
+from .pipeline import BedPipeline
+from .synth import capture_text, default_spec, generate
 from .validity import (
     FlagStreak,
     ParameterSchema,
@@ -216,6 +223,51 @@ def check_block_walk(steps: int = 600, train_steps: int = 50) -> CheckResult:
     )
 
 
+def check_recording_replay(steps: int = 600) -> CheckResult:
+    """``feed_recording`` against one ``feed_line`` per frame over the same
+    wire lines, at a churning config: each frame's events (verdicts with
+    ``delta.hex()``), its ``received_at`` and the frame archive must match
+    bit for bit."""
+    password = "PW123"
+    settings = Settings(
+        password=password, warmup=10, train_steps=20, warn_threshold=3,
+        detector=ThresholdConfig(sigma=1.5, max_size=12, ell=10),
+    )
+    spec = default_spec(steps=steps, n_anomalies=6, seed=8, dim=4)
+    lines = [f"{password},{row}" for row in capture_text(spec).splitlines()[1:]]
+    for at in (15, 40, 333):  # flagged frames in warm-up, training and scoring
+        lines[at] = f"{password},72,-,118,76"
+    lines[200:205] = ["garbage"] * 5  # a data warning raised and cleared
+    frames = [(line, 1000.0 + 12.0 * t) for t, line in enumerate(lines)]
+
+    def key(event) -> tuple:
+        if type(event) is Verdict:
+            kind, at, delta, resolves = event
+            return kind.value, at, delta.hex(), resolves
+        return event.active, event.at_timestep, event.reason
+
+    def replay(per_frame: bool) -> tuple:
+        sink = io.StringIO()
+        pipe = BedPipeline("bed1", settings, frame_archive=sink)
+        if per_frame:
+            produced = [(pipe.feed_line(line, at), at) for line, at in frames]
+        else:
+            produced = list(pipe.feed_recording(frames))
+        rows = [(at, [key(event) for event in events]) for events, at in produced]
+        return rows, sink.getvalue(), pipe.engine.dictionary.changes
+
+    walked, fed = replay(per_frame=False), replay(per_frame=True)
+    same = walked == fed
+    events = sum(len(keys) for _, keys in walked[0])
+    return CheckResult(
+        "replay at speedup = inf vs the per-frame chain",
+        same and walked[2] >= 50,  # few changes would leave the block patches untested
+        f"{events} events over {len(frames)} frames and the frame archive "
+        f"{'bit-identical' if same else 'DIFFER'}, {walked[2]} dictionary changes "
+        "(50 needed)",
+    )
+
+
 def check_validity_table() -> CheckResult:
     schema = ParameterSchema(names=("hr", "spo2", "nbp_sys", "nbp_dia"))
     password = "PW123"
@@ -259,6 +311,7 @@ def run_all() -> list[CheckResult]:
         check_projection_oracle(),
         check_alarm_walk(),
         check_block_walk(),
+        check_recording_replay(),
         check_validity_table(),
     ]
 

@@ -147,7 +147,8 @@ def test_monitor_drains_replay_beds(tmp_path, capsys, labeled_stream):
 def test_selftest_passes_on_clean_build(capsys):
     code, out, _ = run(capsys, "selftest")
     assert code == 0
-    assert "all 4 checks passed" in out
+    assert "all 5 checks passed" in out
+    assert "[  ok] replay at speedup = inf vs the per-frame chain: " in out
 
 
 def test_bad_config_exits_2_with_line_number(tmp_path, capsys):

@@ -1,9 +1,17 @@
 """End-to-end checks on the per-bed chain and the run drivers."""
 
 import gc
+import importlib.util
 import io
+import itertools
+import math
+import os
+import signal
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 from dataclasses import replace
 from queue import Queue
 from types import SimpleNamespace
@@ -16,7 +24,14 @@ import vitalwatch.sources as sources_module
 from vitalwatch.board import BoardState, event_row
 from vitalwatch.cli import main
 from vitalwatch.config import BedSource, ConfigError, Settings, load_settings
-from vitalwatch.engine import EngineError, KoadEngine, ThresholdConfig, Verdict, VerdictKind
+from vitalwatch.engine import (
+    BLOCK,
+    EngineError,
+    KoadEngine,
+    ThresholdConfig,
+    Verdict,
+    VerdictKind,
+)
 from vitalwatch.pipeline import (
     BedPipeline,
     build_source,
@@ -25,7 +40,7 @@ from vitalwatch.pipeline import (
     standardized_stream,
 )
 from vitalwatch.sources import ReplaySource, SocketSource, SourceError, TailSource
-from vitalwatch.synth import default_spec, read_labels, write_stream
+from vitalwatch.synth import capture_text, default_spec, read_labels, write_stream
 from vitalwatch.tuning import grid_search, run_detector, score_run
 from vitalwatch.validity import (
     DataWarning,
@@ -60,18 +75,29 @@ def steady_line(rng) -> str:
     return wire(*(f"{v:.3f}" for v in 70.0 + rng.standard_normal(3)))
 
 
-def inject_engine_fault(monkeypatch, at: int) -> list[BedPipeline]:
+def inject_engine_fault(monkeypatch, at: int, where: str = "check") -> list[BedPipeline]:
     """Make bed1's first detector raise ``EngineError`` when fed the frame at
     timestep ``at``; the engine that replaces it is sound. Returns bed1's
     pipelines as they are made, each keeping its first detector as
-    ``first_engine``."""
+    ``first_engine``.
+
+    By default the fault is raised by the engine's arrival check, which
+    ``feed`` makes on every arrival and a replay at speedup = inf on every
+    vector it hands the walk. With ``where="score"`` it is raised inside
+    the walk, by the scorer, which every arrival that is not quiet (an
+    Orange, for one) reaches on both paths."""
     made = []
 
     class FlakyEngine(KoadEngine):
-        def feed(self, x, train_steps):
-            if x.timestep == at:
+        def _checked(self, x):
+            if where == "check" and x.timestep == at:
                 raise EngineError("injected fault")
-            return super().feed(x, train_steps)
+            return super()._checked(x)
+
+        def _score(self, values, t, *projected):
+            if where == "score" and t == at:
+                raise EngineError("injected fault")
+            return super()._score(values, t, *projected)
 
     class FlakyBed1(BedPipeline):
         def __init__(self, bed, settings, frame_archive=None):
@@ -346,6 +372,196 @@ class TestReplayRun:
         assert bed1.engine is not bed1.first_engine
         tile = counts["board"].tiles["bed1"]
         assert tile.open_orange_count == len(bed1.engine.trackers)
+
+
+def load_verdict_digest():
+    """tools/verdict_digest.py as a module, for its EDGE_LINES."""
+    path = Path(__file__).resolve().parents[1] / "tools" / "verdict_digest.py"
+    spec = importlib.util.spec_from_file_location("verdict_digest", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# warm-up, then training, then a churning detector, so that dictionary
+# changes land inside the walk's blocks
+RECORDING_SETTINGS = Settings(
+    password=PW, warmup=10, train_steps=20, warn_threshold=3,
+    detector=ThresholdConfig(sigma=1.5, ell=10),
+)
+
+
+def recording(tmp_path, steps: int, splices: dict[int, list[str]] | None = None) -> Path:
+    """A wire file of ``steps`` synthetic frames, with ``splices[i]``
+    inserted before frame i (indexes of the unspliced stream)."""
+    anomalies = 6 if steps >= 300 else 0
+    spec = default_spec(steps=steps, n_anomalies=anomalies, seed=13, dim=4,
+                        first_anomaly=60, min_gap=30)
+    body = capture_text(spec).splitlines()[1:]
+    lines = [f"{PW},{row}" for row in body]
+    for at in sorted(splices or {}, reverse=True):
+        lines[at:at] = splices[at]
+    path = tmp_path / "recording.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+def replay_both_ways(tmp_path, monkeypatch, path: Path, settings: Settings) -> list[tuple]:
+    """``replay_run`` over ``path`` at speedup = inf and through the
+    per-frame chain (a paced replay whose gap is a few nanoseconds), each
+    under one clock that stamps every frame 0.25 s after the one before;
+    returns each run's counts and the bytes of both archives."""
+    runs = []
+    for speedup in (math.inf, 1e9):
+        stamps = itertools.count()
+        clock = SimpleNamespace(
+            time=lambda: 1.7e9 + 0.25 * next(stamps), monotonic=time.monotonic, sleep=time.sleep
+        )
+        monkeypatch.setattr(sources_module, "time", clock)
+        out = tmp_path / f"speedup-{speedup}"
+        counts = replay_run(replace(settings, speedup=speedup), path, out_dir=out)
+        archives = [(out / name).read_bytes() for name in ("events.csv", "frames_bed1.csv")]
+        runs.append((counts, archives))
+    return runs
+
+
+class TestReplayAtInfiniteSpeedup:
+    """At speedup = inf ``replay_run`` hands the recording to
+    ``BedPipeline.feed_recording``, which scores it through the block walk;
+    its archives and counts must be the per-frame chain's, byte for byte."""
+
+    @pytest.mark.parametrize(
+        "steps,splices",
+        [
+            (40, None),  # 30 arrivals: less than one block
+            (300, None),  # 290 arrivals: ends mid-block
+            (25, None),  # never past warm-up and training
+            (
+                400,
+                {  # flag runs that raise and clear data warnings in warm-up,
+                    # training and scoring, and one longer than two blocks
+                    5: ["garbage"] * 4, 22: ["garbage"] * 3, 150: ["garbage"] * 5,
+                    200: ["-,1,2,3,4"] * (2 * BLOCK + 7), 260: ["garbage"] * 3,
+                },
+            ),
+            ("edge", None),
+        ],
+        ids=["shorter-than-a-block", "ends-mid-block", "shorter-than-training",
+             "data-warning-bursts", "edge-spellings"],
+    )
+    def test_archives_and_counts_match_the_per_frame_chain(
+        self, tmp_path, monkeypatch, steps, splices
+    ):
+        if steps == "edge":
+            # the wire spellings and flag kinds tools/verdict_digest.py
+            # splices in, at the same three phases
+            edge = [line.format(pw=PW) for line in load_verdict_digest().EDGE_LINES]
+            steps, splices = 400, {300: edge, 25: edge, 5: edge}
+        path = recording(tmp_path, steps, splices)
+        (fast, fast_archives), (paced, paced_archives) = replay_both_ways(
+            tmp_path, monkeypatch, path, RECORDING_SETTINGS
+        )
+        assert fast_archives == paced_archives
+        assert fast == paced
+        lines = [line for line in path.read_text().splitlines() if line.strip()]
+        assert fast["frames"] == len(lines)
+        assert fast_archives[1].count(b"\n") == len(lines) + 1  # header and one row per frame
+
+    @pytest.mark.parametrize(
+        "arrival",
+        [5, BLOCK, BLOCK + BLOCK // 2, 2 * BLOCK - 1],
+        ids=["in-training", "first-of-a-block", "mid-block", "last-of-a-block"],
+    )
+    def test_a_refused_arrival_restarts_the_detector_as_the_per_frame_chain_does(
+        self, tmp_path, monkeypatch, capture_file, arrival
+    ):
+        # capture_file's frames are all clean, so arrival j is frame 10 + j
+        at = 10 + arrival
+        made = inject_engine_fault(monkeypatch, at=at)
+        settings = Settings(warmup=10, train_steps=20)
+        (fast, fast_archives), (paced, paced_archives) = replay_both_ways(
+            tmp_path, monkeypatch, capture_file, settings
+        )
+        assert fast_archives == paced_archives
+        assert fast == paced
+        assert f",bed1,data-warning-raised,{at},,".encode() in fast_archives[0]
+        assert all(pipe.engine is not pipe.first_engine for pipe in made)
+        assert [pipe.first_engine.last_timestep for pipe in made] == [at - 1, at - 1]
+
+    def test_a_fault_inside_the_walk_restarts_the_detector_as_the_per_frame_chain_does(
+        self, tmp_path, monkeypatch
+    ):
+        path = recording(tmp_path, 400)
+        clean = replay_both_ways(tmp_path / "clean", monkeypatch, path, RECORDING_SETTINGS)
+        oranges = [
+            int(row.split(",")[3])
+            for row in clean[0][1][0].decode().splitlines()
+            if ",orange," in row
+        ]
+        # an Orange is never quiet, so the walk scores it through _score
+        at = next(t for t in oranges if t > 150 and (t - 10) % BLOCK not in (0, BLOCK - 1))
+        inject_engine_fault(monkeypatch, at=at, where="score")
+        (fast, fast_archives), (paced, paced_archives) = replay_both_ways(
+            tmp_path, monkeypatch, path, RECORDING_SETTINGS
+        )
+        assert fast_archives == paced_archives
+        assert fast == paced
+        assert f",bed1,data-warning-raised,{at},,".encode() in fast_archives[0]
+
+    @pytest.mark.parametrize("kill_at", [700, 1111, 1905])
+    def test_a_killed_replay_leaves_each_alarm_behind_its_frame(self, tmp_path, kill_at):
+        # A fresh process replays at speedup = inf and sends itself SIGKILL
+        # when the source is about to hand out frame kill_at.
+        spec = default_spec(steps=2400, n_anomalies=20, seed=3, dim=4)
+        path = tmp_path / "stream.csv"
+        write_stream(spec, path, tmp_path / "labels.csv")
+        rows = path.read_text(encoding="utf-8").splitlines()
+        for start in (400, 1100, 1890):
+            rows[start : start + 6] = ["garbage"] * 6
+        path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        config = tmp_path / "run.cfg"
+        config.write_text("warmup = 10\ntrain_steps = 20\nwarn_threshold = 3\n")
+        script = (
+            "import os, signal, sys\n"
+            "import vitalwatch.sources as sources\n"
+            "from vitalwatch.cli import main\n"
+            "original = sources.ReplaySource.frames\n"
+            "def frames(self):\n"
+            "    for i, item in enumerate(original(self)):\n"
+            "        if i == int(sys.argv[1]):\n"
+            "            os.kill(os.getpid(), signal.SIGKILL)\n"
+            "        yield item\n"
+            "sources.ReplaySource.frames = frames\n"
+            "sys.exit(main(sys.argv[2:]))\n"
+        )
+        src = Path(pipeline_module.__file__).resolve().parents[1]  # the package under test
+        killed, whole = tmp_path / "killed", tmp_path / "whole"
+        argv = ["replay", str(path), "--config", str(config), "--out", str(killed)]
+        done = subprocess.run(
+            [sys.executable, "-c", script, str(kill_at), *argv],
+            env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, timeout=120,
+        )
+        assert done.returncode == -signal.SIGKILL, done.stderr
+        replay_run(load_settings(config), path, out_dir=whole)
+
+        def complete_rows(out: Path, name: str, wall: int) -> list[str]:
+            """The file's whole lines, its wall-clock column dropped."""
+            text = (out / name).read_text(encoding="utf-8")
+            lines = text.split("\n")[:-1]  # a cut last line has no newline
+            return [drop_column(line, wall) for line in lines]
+
+        frames = complete_rows(killed, "frames_bed1.csv", 2)
+        events = complete_rows(killed, "events.csv", 0)
+        whole_frames = complete_rows(whole, "frames_bed1.csv", 2)
+        assert frames == whole_frames[: len(frames)]
+        assert events == complete_rows(whole, "events.csv", 0)[: len(events)]
+        assert 1 < len(frames) <= kill_at + 1 < len(whole_frames)
+        on_disk = {int(row.split(",")[1]) for row in frames[1:]}
+        # every row but a plain Green verdict is flushed as it is written
+        flushed = [row for row in events[1:] if ",green," not in row or not row.endswith(",")]
+        assert any(",red" in row for row in flushed)
+        for row in flushed:
+            assert int(row.split(",")[2]) in on_disk, row
 
 
 class TestTuneAgreesWithReplay:
