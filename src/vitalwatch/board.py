@@ -17,10 +17,16 @@ from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
-from .engine import _GREEN, _ORANGE, Verdict, VerdictKind
+from .engine import Verdict, VerdictKind
 from .validity import DataWarning
 
 MAX_BEDS = 5  # the display shows up to five patient statuses
+
+# Module-level names for the kinds every event is tested against: reading
+# one is a global lookup, where VerdictKind.GREEN is an Enum class attribute
+# lookup.
+_GREEN = VerdictKind.GREEN
+_ORANGE = VerdictKind.ORANGE
 
 
 class TileState(Enum):

@@ -54,16 +54,22 @@ one at a time. A quiet arrival, Green or Red1 from the stacked projection
 with no tracker open and no prune due, is scored inline by the walk: the
 usage decay, a Green's credit and the verdict, with no call to the scorer.
 The walk (``_walk``) can pause after any arrival: ``feed_run`` runs it to
-each block's end, and a replay at speedup = inf, whose recording is known
-in advance, moves it one arrival forward per frame
-(``BedPipeline.feed_recording``). A paced replay and monitor feed one
-arrival at a time, since a live bed has no lookahead. Every entry point
-refuses a bad arrival alike.
+each block's end, and ``feed_recording``, a coroutine sent one frame at a
+time (a replay at speedup = inf, through ``BedPipeline.feed_recording``),
+moves it one arrival forward per frame, with the block buffers and their
+loading its own. A paced replay and monitor feed one arrival at a time,
+since a live bed has no lookahead. Every entry point refuses a bad arrival
+alike. ``restart`` is the one definition of a fresh detector: ``__init__``
+calls it, ``feed_recording`` calls it after an arrival that raises
+``EngineError`` and goes on walking, and the pipeline calls it when
+``feed`` raises.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
+from collections.abc import Generator
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -188,6 +194,9 @@ class Verdict(NamedTuple):
 
 
 _tuple_new = tuple.__new__  # builds a Verdict from its four fields; see Verdict
+
+# What ``KoadEngine.feed_recording`` is sent once its recording has ended.
+END_OF_RECORDING = object()
 
 
 @dataclass(eq=False)
@@ -389,11 +398,8 @@ class KoadEngine:
 
     def __init__(self, dim: int, config: ThresholdConfig | None = None) -> None:
         self.config = config or ThresholdConfig()
-        self.dictionary = DictionaryState(dim, self.config.max_size)
         self._shape = (dim,)  # an arrival's shape, for _checked's compare
-        self.trackers: list[OrangeTracker] = []
-        self.steps_seen = 0
-        self.last_timestep = -1  # before any arrival: every timestep >= 0 follows it
+        self.restart()
         # The walk's current block: its arrivals and their timesteps, their
         # kernel rows against the basis (max_size columns each, the leading
         # ones in the dictionary's order), the scored arrival's place in it,
@@ -406,7 +412,21 @@ class KoadEngine:
 
     @property
     def dim(self) -> int:
-        return self.dictionary.dim
+        return self._shape[0]
+
+    def restart(self) -> None:
+        """Become a fresh detector in place: an empty dictionary, no
+        trackers, no arrival seen, so the next arrival trains as a fresh
+        engine's first would. A walk paused between arrivals goes on from
+        its next arrival: its stacked projection and credits are dropped,
+        and the rows still to come need no kernel call, since the empty
+        basis has no columns and ``_admit`` patches each later row as the
+        dictionary grows again."""
+        self.dictionary = DictionaryState(self.dim, self.config.max_size)
+        self.trackers: list[OrangeTracker] = []
+        self.steps_seen = 0
+        self.last_timestep = -1  # before any arrival: every timestep >= 0 follows it
+        self._stacked = self._credits = None
 
     # -- scoring ---------------------------------------------------------
 
@@ -489,6 +509,62 @@ class KoadEngine:
         finally:
             self._unload()
         return out
+
+    def feed_recording(self, train_steps: int) -> Generator[tuple, object, None]:
+        """``feed`` over a recording that arrives one frame at a time, walked
+        in blocks of BLOCK arrivals as ``feed_run`` walks a run: a coroutine,
+        primed with ``next``, that is sent each frame's arrival (None for a
+        frame without one) and, once the recording has ended,
+        END_OF_RECORDING until every arrival is walked. Each send moves the
+        walk one arrival forward and returns that arrival's timestep and its
+        verdicts, or the ``EngineError`` it raised, after which the detector
+        has restarted and the walk goes on from the next arrival; a send
+        that walks no arrival returns (None, None).
+
+        The walk runs up to 2 * BLOCK arrivals behind the frames sent, and
+        every send costs about one arrival's work: an arrival's vector goes
+        into the filling block when it is sent, the next block's kernel rows
+        are computed right after the current block's last arrival, and its
+        stacked projection with its own first arrival. Each arrival is
+        checked on its own turn, as ``feed`` checks it, so the order test
+        compares with the last arrival walked. Closing the coroutine empties
+        the block; until then nothing else may feed this engine.
+        """
+        filling, spare = np.empty((BLOCK, self.dim)), np.empty((BLOCK, self.dim))
+        rows = np.empty((BLOCK, self.config.max_size))
+        times: list[int] = []  # the filling block's timesteps
+        unchecked: deque[MeasurementVector] = deque()  # the arrivals not yet walked
+        walked = None, None
+        try:
+            while True:
+                x = yield walked
+                walked, end = (None, None), x is END_OF_RECORDING
+                if x is not None and not end:
+                    filling[len(times)] = x.values
+                    times.append(x.timestep)
+                    unchecked.append(x)
+                # Move the walk one arrival forward, then load the next block
+                # once the current one is walked and the filling one is full
+                # or the last.
+                i = self._next
+                if i < len(self._times):
+                    t = self._times[i]
+                    out: list[Verdict] = []
+                    try:
+                        self._checked(unchecked.popleft())
+                        self._walk(out, train_steps, True)
+                        walked = t, out
+                    except EngineError as exc:
+                        self.restart()
+                        self._next = i + 1
+                        walked = t, exc
+                elif end and not times:
+                    raise AssertionError("END_OF_RECORDING sent with no arrival left to walk")
+                if self._next == len(self._times) and (len(times) == BLOCK or end and times):
+                    self._load(filling[: len(times)], times, rows)
+                    filling, spare, times = spare, filling, []
+        finally:
+            self._unload()
 
     def _load(self, block: np.ndarray, timesteps: list[int], rows: np.ndarray) -> None:
         """Make the (B, dim) ``block``, arriving at ``timesteps``, the walk's

@@ -24,9 +24,12 @@ dictionary changes, with verdicts bitwise equal to ``feed``'s. ``replay``
 and ``monitor`` run both halves in one consumer, the ``Ward``, which owns
 what a run writes: a paced replay and ``monitor`` one frame at a time
 through ``feed_line``, and a replay at speedup = inf through
-``feed_recording``, which moves the walk one arrival forward per frame and
-gives each frame the events ``feed_line`` would. ``tune`` runs the front
-half once (``standardized_stream``) and the walk once per grid row
+``feed_recording``, which screens each frame, sends its arrival to the
+engine's recording walk (``KoadEngine.feed_recording``) and gives each
+frame the events ``feed_line`` would. On both paths a detector that raises
+``EngineError`` restarts in place (``KoadEngine.restart``), so a bed keeps
+one engine for its whole run. ``tune`` runs the front half once
+(``standardized_stream``) and the walk once per grid row
 (``tuning.run_detector``, through ``feed_run``).
 """
 
@@ -40,6 +43,7 @@ import traceback
 from collections import deque
 from collections.abc import Iterable, Iterator
 from contextlib import ExitStack, suppress
+from itertools import chain, repeat
 from pathlib import Path
 from queue import Empty, Full, Queue
 
@@ -47,7 +51,7 @@ import numpy as np
 
 from .board import BoardState, EventArchive, needs_flush, render
 from .config import BedSource, Settings
-from .engine import BLOCK, EngineError, KoadEngine, MeasurementVector, Verdict
+from .engine import END_OF_RECORDING, EngineError, KoadEngine, MeasurementVector, Verdict
 from .sources import (
     ReplaySource,
     SocketSource,
@@ -145,15 +149,14 @@ class BedPipeline:
 
     def feed_line(self, line: str, received_at: float) -> list[Verdict | DataWarning]:
         """Process one raw record; returns the events it produced (see
-        ``_events``). A detector that raises ``EngineError`` gives way to a
-        fresh engine."""
+        ``_events``). A detector that raises ``EngineError`` restarts."""
         warning, x = self.screen(line, received_at)
         if x is None:
             return self._events(warning, None, None)
         try:
             outcome = self.engine.feed(x, self.settings.train_steps)
         except EngineError as exc:
-            self.engine = KoadEngine(self.schema.dim, self.settings.threshold_config())
+            self.engine.restart()
             outcome = exc
         return self._events(warning, x.timestep, outcome)
 
@@ -164,76 +167,31 @@ class BedPipeline:
         frame's events, equal to ``feed_line``'s, with the frame's own
         ``received_at``, in frame order.
 
-        The detector walks the recording in blocks of ``BLOCK`` arrivals
-        (``KoadEngine._walk``, the loop of ``feed_run``) and keeps up to two
-        blocks behind the screen. For each frame taken from ``frames`` the
-        frame is screened, its vector goes into the next block's buffer
-        once the engine's ``_checked`` accepts it, and the walk moves one
-        arrival forward, so that every frame's turn costs about the same:
-        the next block's kernel rows are computed right after the current
-        block's last arrival, and its stacked projection with its first
-        arrival. A frame's events are yielded once its arrival is scored,
-        so its archive row is written before them, with the rows of up to
-        2 * BLOCK later arrivals in between. The check's order test compares
-        with the last arrival the walk scored, not the last one screened;
-        a bed's timesteps rise by construction, so both pass. An arrival that
-        ``_checked`` refuses, or on which the walk raises ``EngineError``,
-        restarts the detector as ``feed_line`` does when the walk reaches
-        it, and the fresh engine walks the rest of that block and
-        everything after. Between two frames it yields, nothing else may
-        feed this pipeline: the engine holds the walk's block.
+        Each frame taken from ``frames`` is screened and its arrival, if it
+        has one, is sent to the engine's recording walk
+        (``KoadEngine.feed_recording``), which walks one arrival per frame
+        and keeps up to two blocks of arrivals behind the screen. A frame's
+        events are yielded once its arrival is walked, so its archive row is
+        written before them, with the rows of the later frames the walk has
+        not reached in between. An arrival on which the detector raises
+        ``EngineError`` restarts it, as in ``feed_line``. Between two frames
+        it yields, nothing else may feed this pipeline: the engine holds the
+        walk's block.
         """
-        train, dim = self.settings.train_steps, self.schema.dim
-        filling, spare = np.empty((BLOCK, dim)), np.empty((BLOCK, dim))
-        rows = np.empty((BLOCK, self.engine.config.max_size))
-        times: list[int] = []  # the filling block's timesteps
+        walk = self.engine.feed_recording(self.settings.train_steps)
+        next(walk)
         pending: deque = deque()  # (received_at, warning, timestep or None) per frame
-        refused: dict[int, EngineError] = {}  # by timestep, what _checked raised
-        source = iter(frames)
-        engine = self.engine
         try:
-            while True:
-                frame = next(source, None)
+            for frame in chain(frames, repeat(None)):
                 if frame is not None:
                     line, received_at = frame
                     warning, x = self.screen(line, received_at)
-                    if x is None:
-                        pending.append((received_at, warning, None))
-                    else:
-                        t = x.timestep
-                        pending.append((received_at, warning, t))
-                        try:
-                            filling[len(times)] = engine._checked(x)
-                        except EngineError as exc:
-                            refused[t] = exc
-                            filling[len(times)] = 0.0
-                        times.append(t)
-                elif not pending:
+                    pending.append((received_at, warning, None if x is None else x.timestep))
+                    walked, outcome = walk.send(x)
+                elif pending:
+                    walked, outcome = walk.send(END_OF_RECORDING)
+                else:
                     return
-                # Move the walk one arrival forward, or load the next block.
-                walked = outcome = None
-                if engine._next < len(engine._block):
-                    walked = engine._times[engine._next]
-                    out: list[Verdict] = []
-                    try:
-                        if refused and walked in refused:
-                            raise refused.pop(walked)
-                        engine._walk(out, train, True)
-                        outcome = out
-                    except EngineError as exc:
-                        # The fresh engine walks the rest of the failed block.
-                        failed, rest = engine, engine._next + 1
-                        engine = self.engine = KoadEngine(dim, failed.config)
-                        engine._load(failed._block[rest:], failed._times[rest:], rows)
-                        outcome = exc
-                    if engine._next == len(engine._block) and len(times) == BLOCK:
-                        engine._load(filling, times, rows)
-                        filling, spare, times = spare, filling, []
-                elif len(times) == BLOCK or (frame is None and times):
-                    engine._load(filling[: len(times)], times, rows)
-                    filling, spare, times = spare, filling, []
-                elif frame is None:  # a frame waits for an arrival never walked
-                    raise AssertionError("feed_recording lost an arrival")
                 # Yield every frame that is done, in order.
                 while pending:
                     received_at, warning, t = pending[0]
@@ -246,7 +204,7 @@ class BedPipeline:
                     pending.popleft()
                     yield events, received_at
         finally:
-            engine._unload()
+            walk.close()
 
     def _events(
         self,
@@ -258,12 +216,11 @@ class BedPipeline:
         ``feed_recording``: the streak's warning transition, if any, then
         the detector's outcome for the frame's arrival at ``timestep`` (none
         for a frame without one). That is its verdicts, or the
-        ``EngineError`` after which a fresh engine replaced the detector,
-        reported by a data warning that the fresh engine's first verdict
-        clears, unless a streak's clear comes first (the badge is one flag).
-        The frame archive is flushed at the first event that
-        ``needs_flush``; a frame whose only event is a Green verdict makes
-        one test."""
+        ``EngineError`` after which the detector restarted, reported by a
+        data warning that the restarted detector's first verdict clears,
+        unless a streak's clear comes first (the badge is one flag). The
+        frame archive is flushed at the first event that ``needs_flush``; a
+        frame whose only event is a Green verdict makes one test."""
         if warning is None and type(outcome) is list and not self._restart_warning:
             events = outcome  # the common frame: its verdicts alone
         else:
@@ -424,7 +381,7 @@ def monitor_run(
     Runs until every source ends, ``duration`` elapses, or Ctrl-C. A source
     failure of any kind, not only a ``SourceError``, degrades its bed
     (DataWarning badge, archive row, screen line) and the rest keep going.
-    A bed whose detector raises gets a fresh engine inside ``feed_line``,
+    A bed whose detector raises restarts it inside ``feed_line``,
     as in ``replay_run``. A producer's frames and failure go through one
     bounded hand-off that stops waiting once the run stops; what was handed
     over by then, the queue's backlog first, still reaches the ``Ward``

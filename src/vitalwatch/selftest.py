@@ -39,7 +39,8 @@ from .engine import (
 )
 from .kernels import gram_matrix, kernel_vector
 from .pipeline import BedPipeline
-from .synth import capture_text, default_spec, generate
+from .sources import wire_line
+from .synth import default_spec, generate
 from .validity import (
     FlagStreak,
     ParameterSchema,
@@ -233,8 +234,8 @@ def check_recording_replay(steps: int = 600) -> CheckResult:
         password=password, warmup=10, train_steps=20, warn_threshold=3,
         detector=ThresholdConfig(sigma=1.5, max_size=12, ell=10),
     )
-    spec = default_spec(steps=steps, n_anomalies=6, seed=8, dim=4)
-    lines = [f"{password},{row}" for row in capture_text(spec).splitlines()[1:]]
+    values, _ = generate(default_spec(steps=steps, n_anomalies=6, seed=8, dim=4))
+    lines = [wire_line(password, row) for row in values]
     for at in (15, 40, 333):  # flagged frames in warm-up, training and scoring
         lines[at] = f"{password},72,-,118,76"
     lines[200:205] = ["garbage"] * 5  # a data warning raised and cleared

@@ -19,7 +19,7 @@ import time
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator
 
-from .synth import SyntheticSpec, capture_text
+from .synth import SyntheticSpec, generate
 from .validity import DECIMAL_RE
 
 DEFAULT_POLL_INTERVAL = 12.0  # seconds between frames from a bedside unit
@@ -137,8 +137,8 @@ class SyntheticSource:
         self.speedup = speedup
 
     def frames(self) -> Iterator[tuple[str, float]]:
-        body = capture_text(self.spec).splitlines()[1:]  # drop the header
-        lines = [f"{self.password},{row}" for row in body]
+        values, _ = generate(self.spec)
+        lines = [wire_line(self.password, row) for row in values]
         yield from _pace(lines, self.poll_interval, self.speedup)
 
 

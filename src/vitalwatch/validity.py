@@ -31,7 +31,7 @@ import numpy as np
 # pattern from this one's text, so a flag would not carry over.
 DECIMAL_RE = re.compile(r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)")
 
-# Values above this are transmission garbage, not physiology.
+# Values whose magnitude exceeds this are transmission garbage, not physiology.
 VALUE_LIMIT = 10000.0
 
 # Index used for flags that concern the whole frame rather than one field.
@@ -152,7 +152,7 @@ def _check_field(token: str, index: int, schema: ParameterSchema) -> float | Fla
     value = float(stripped)
     if value == 0.0 and index not in schema.zero_ok:
         return FlagReason.ZERO
-    if value > VALUE_LIMIT:
+    if abs(value) > VALUE_LIMIT:
         return FlagReason.OVER_LIMIT
     return value
 
@@ -208,7 +208,7 @@ def frame_matcher(
         if found is None:
             return None
         values = list(map(float, found.groups()))
-        if max(values) > VALUE_LIMIT:
+        if max(values) > VALUE_LIMIT or min(values) < -VALUE_LIMIT:
             return None
         if 0.0 in (values if zero_checked is None else [values[i] for i in zero_checked]):
             return None

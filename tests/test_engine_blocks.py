@@ -21,6 +21,7 @@ import pytest
 
 import vitalwatch.engine as engine_module
 from vitalwatch.engine import (
+    BLOCK,
     EngineError,
     KoadEngine,
     MeasurementVector,
@@ -498,3 +499,83 @@ def test_a_copied_engine_continues_bitwise():
     assert key(got) == key(expected)
     assert key(walked) == key(expected)
     assert state(unpickled) == state(original)
+
+
+# capacity prunes and Red2 evictions, and never every element under a tracker
+CHURNING = ThresholdConfig(sigma=1.5, max_size=12, ell=10)
+
+
+def test_a_restarted_engine_is_a_fresh_one():
+    z = stream(8)
+    restarted, fresh = KoadEngine(4, CHURNING), KoadEngine(4, CHURNING)
+    # part way through z: a walked prefix, then arrivals fed one at a time
+    restarted.feed_run(z[:400], list(range(400)), TRAIN)
+    for t in range(400, 600):
+        restarted.feed(MeasurementVector(z[t], t), TRAIN)
+    assert restarted.trackers and restarted.dictionary.changes > 100
+    restarted.restart()
+    assert state(restarted) == state(fresh)
+    got, expected = [], []
+    for t in range(600, len(z)):
+        got += restarted.feed(MeasurementVector(z[t], t), TRAIN)
+        expected += fresh.feed(MeasurementVector(z[t], t), TRAIN)
+    assert key(got) == key(expected)
+    assert state(restarted) == state(fresh)
+
+
+def walk_recording(engine: KoadEngine, z: np.ndarray, restart_after: int | None = None) -> dict:
+    """Send ``z`` to ``engine.feed_recording``, one frame per arrival and a
+    frame without one after every third; restart the engine right after
+    the walk hands back ``restart_after``. Returns each arrival's outcome
+    by timestep."""
+    walk = engine.feed_recording(TRAIN)
+    next(walk)
+    walked = {}
+
+    def take(result):
+        t, outcome = result
+        if t is not None:
+            walked[t] = outcome
+            if t == restart_after:
+                engine.restart()
+
+    for t, row in enumerate(z):
+        take(walk.send(MeasurementVector(row, t)))
+        if t % 3 == 2:
+            take(walk.send(None))
+    while len(walked) < len(z):
+        take(walk.send(engine_module.END_OF_RECORDING))
+    walk.close()
+    return walked
+
+
+@pytest.mark.parametrize("block", [1, 5, 32])
+def test_recording_walk_equals_one_feed_per_arrival(monkeypatch, block):
+    monkeypatch.setattr(engine_module, "BLOCK", block)
+    z = stream(8, steps=600)
+    walked, stepped = KoadEngine(4, CHURNING), KoadEngine(4, CHURNING)
+    got = walk_recording(walked, z)
+    assert list(got) == list(range(len(z)))
+    for t, row in enumerate(z):
+        assert key(got[t]) == key(stepped.feed(MeasurementVector(row, t), TRAIN))
+    assert state(walked) == state(stepped)
+    assert (walked._next, walked._times) == (0, [])  # closing the walk unloads it
+
+
+@pytest.mark.parametrize("at", [3, 300, 318, 319, 320, "flat"])
+def test_a_restart_inside_the_recording_walk_goes_on_as_a_fresh_engine(at):
+    # Arrival t is number t % BLOCK of its block (BLOCK = 32): the restart
+    # follows a block's middle, second-last, last and first arrival, or one
+    # in training
+    z = stream(8, steps=900)
+    if at == "flat":
+        # The first block repeats one vector, so the second block's stacked
+        # projection is made after one dictionary change; the restarted
+        # dictionary's first admission makes one too, and a stacked
+        # projection kept across the restart would be taken as current.
+        z[:BLOCK], at = z[0], BLOCK
+    walked, fresh = KoadEngine(4, CHURNING), KoadEngine(4, CHURNING)
+    got = walk_recording(walked, z, restart_after=at)
+    for t in range(at + 1, len(z)):
+        assert key(got[t]) == key(fresh.feed(MeasurementVector(z[t], t), TRAIN))
+    assert state(walked) == state(fresh)

@@ -76,27 +76,38 @@ def steady_line(rng) -> str:
 
 
 def inject_engine_fault(monkeypatch, at: int, where: str = "check") -> list[BedPipeline]:
-    """Make bed1's first detector raise ``EngineError`` when fed the frame at
-    timestep ``at``; the engine that replaces it is sound. Returns bed1's
-    pipelines as they are made, each keeping its first detector as
-    ``first_engine``.
+    """Make bed1's detector raise ``EngineError`` when fed the frame at
+    timestep ``at``; after its restart it is sound. Returns bed1's pipelines
+    as they are made. Their detector keeps, as ``fault``, its number of open
+    trackers and its last timestep when it raised, and counts its
+    ``restart()`` calls after construction in ``restarts``.
 
     By default the fault is raised by the engine's arrival check, which
-    ``feed`` makes on every arrival and a replay at speedup = inf on every
-    vector it hands the walk. With ``where="score"`` it is raised inside
-    the walk, by the scorer, which every arrival that is not quiet (an
-    Orange, for one) reaches on both paths."""
+    ``feed`` makes on every arrival and the recording walk of a replay at
+    speedup = inf on every arrival at its turn. With ``where="score"`` it is
+    raised inside the walk, by the scorer, which every arrival that is not
+    quiet (an Orange, for one) reaches on both paths."""
     made = []
 
     class FlakyEngine(KoadEngine):
+        fault, restarts = None, -1  # construction calls restart() once
+
+        def restart(self):
+            self.restarts += 1
+            super().restart()
+
+        def _raise(self):
+            self.fault = len(self.trackers), self.last_timestep
+            raise EngineError("injected fault")
+
         def _checked(self, x):
             if where == "check" and x.timestep == at:
-                raise EngineError("injected fault")
+                self._raise()
             return super()._checked(x)
 
         def _score(self, values, t, *projected):
             if where == "score" and t == at:
-                raise EngineError("injected fault")
+                self._raise()
             return super()._score(values, t, *projected)
 
     class FlakyBed1(BedPipeline):
@@ -104,7 +115,6 @@ def inject_engine_fault(monkeypatch, at: int, where: str = "check") -> list[BedP
             super().__init__(bed, settings, frame_archive)
             if bed == "bed1":
                 self.engine = FlakyEngine(self.schema.dim, settings.threshold_config())
-                self.first_engine = self.engine
                 made.append(self)
 
     monkeypatch.setattr(pipeline_module, "BedPipeline", FlakyBed1)
@@ -365,11 +375,12 @@ class TestReplayRun:
         write_stream(spec, capture, tmp_path / "labels.csv")
         made = inject_engine_fault(monkeypatch, at=251)
         counts = replay_run(Settings(), capture, out_dir=tmp_path / "out")
-        # The failed detector had three Orange windows open; its replacement
-        # never resolves them, so the tile counts only the fresh detector's.
+        # The detector had three Orange windows open when it failed; after
+        # its restart it never resolves them, so the tile counts only the
+        # windows it opened since.
         (bed1,) = made
-        assert len(bed1.first_engine.trackers) == 3
-        assert bed1.engine is not bed1.first_engine
+        assert bed1.engine.fault[0] == 3
+        assert bed1.engine.restarts == 1
         tile = counts["board"].tiles["bed1"]
         assert tile.open_orange_count == len(bed1.engine.trackers)
 
@@ -485,8 +496,8 @@ class TestReplayAtInfiniteSpeedup:
         assert fast_archives == paced_archives
         assert fast == paced
         assert f",bed1,data-warning-raised,{at},,".encode() in fast_archives[0]
-        assert all(pipe.engine is not pipe.first_engine for pipe in made)
-        assert [pipe.first_engine.last_timestep for pipe in made] == [at - 1, at - 1]
+        assert [pipe.engine.restarts for pipe in made] == [1, 1]
+        assert [pipe.engine.fault[1] for pipe in made] == [at - 1, at - 1]
 
     def test_a_fault_inside_the_walk_restarts_the_detector_as_the_per_frame_chain_does(
         self, tmp_path, monkeypatch
@@ -507,6 +518,23 @@ class TestReplayAtInfiniteSpeedup:
         assert fast_archives == paced_archives
         assert fast == paced
         assert f",bed1,data-warning-raised,{at},,".encode() in fast_archives[0]
+
+    def test_a_huge_negative_field_is_flagged_and_blinds_nothing(self, tmp_path, monkeypatch):
+        spec = default_spec(steps=400, n_anomalies=0, seed=3, dim=4)
+        lines = [f"{PW},{row}" for row in capture_text(spec).splitlines()[1:]]
+        # parses as -inf: passed on, it made SpO2's running mean nan and
+        # every later arrival a refused one
+        lines[100] = f"{PW},72,-{'9' * 400},118,76"
+        path = tmp_path / "stream.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        settings = Settings(warmup=10, train_steps=20)
+        for counts, (events, frames) in replay_both_ways(tmp_path, monkeypatch, path, settings):
+            row = frames.decode().splitlines()[101].split(",")  # after the header
+            assert (row[1], row[3]) == ("100", "1:over-limit")
+            assert b"data-warning" not in events
+            assert events.decode().splitlines()[-1].split(",")[3] == "399"
+            assert counts["events"] == 402
+            assert counts["board"].tiles["bed1"].data_warning is False
 
     @pytest.mark.parametrize("kill_at", [700, 1111, 1905])
     def test_a_killed_replay_leaves_each_alarm_behind_its_frame(self, tmp_path, kill_at):

@@ -21,7 +21,7 @@ from vitalwatch.sources import (
     emit_lines,
     wire_line,
 )
-from vitalwatch.synth import ChannelBaseline, SyntheticSpec
+from vitalwatch.synth import ChannelBaseline, SyntheticSpec, capture_text, default_spec
 
 PW = "PW123"
 
@@ -101,6 +101,14 @@ def test_synthetic_source_emits_wire_records():
     assert len(got) == 4
     assert all(line.split(",")[0] == PW for line in got)
     assert all(len(line.split(",")) == 3 for line in got)
+
+
+def test_synthetic_source_lines_are_the_capture_rows_behind_the_password():
+    spec = default_spec(steps=500, n_anomalies=5, seed=11, dim=4)
+    rows = capture_text(spec).splitlines()[1:]  # the header dropped
+    assert [line for line, _ in SyntheticSource(spec, PW).frames()] == [
+        f"{PW},{row}" for row in rows
+    ]
 
 
 def test_tail_source_sees_only_appended_lines(tmp_path):

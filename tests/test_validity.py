@@ -74,6 +74,7 @@ def test_valid_frame_yields_parsed_vector():
         # one frame can carry several flags, in field order
         (["0", "98", "-", "99999"], [(0, FlagReason.ZERO), (2, FlagReason.HYPHEN),
                                      (3, FlagReason.OVER_LIMIT)]),
+        (["72", "98", "-10000.5", "80"], [(2, FlagReason.OVER_LIMIT)]),
     ],
 )
 def test_field_level_flags(fields, expected):
@@ -85,6 +86,8 @@ def test_field_level_flags(fields, expected):
 def test_limit_is_strictly_greater_than():
     assert validate(frame(["72", "98", "10000", "80"]), PW, SCHEMA).ok
     assert not validate(frame(["72", "98", "10000.01", "80"]), PW, SCHEMA).ok
+    assert validate(frame(["72", "98", "-10000", "80"]), PW, SCHEMA).ok
+    assert not validate(frame(["72", "98", "-10000.01", "80"]), PW, SCHEMA).ok
 
 
 def test_bad_password_flags_whole_frame_regardless_of_fields():
@@ -205,17 +208,27 @@ def test_matcher_passes_a_clean_frame_with_its_values():
     match = frame_matcher(PW, SCHEMA)
     assert match("PW123, 72 ,+.25,7.,\t-3.5") == [72.0, 0.25, 7.0, -3.5]
     assert match("PW123,72,98,120,10000") == [72.0, 98.0, 120.0, 10000.0]
+    assert match("PW123,72,98,120,-10000") == [72.0, 98.0, 120.0, -10000.0]
 
 
 @pytest.mark.parametrize(
     "record",
     ["PW123,72,98,120,10000.01", "PW123,72,0,120,80", "PW123,72,-0,120,80",
      "PW123,72,98,1e3,80", "PW123,72,98,nan,80", "PW123,72,98,120", "",
-     "PW1234,72,98,120,80", "PW123 ,72,98,120,80", "PW123,72,98,1 20,80"],
+     "PW1234,72,98,120,80", "PW123 ,72,98,120,80", "PW123,72,98,1 20,80",
+     "PW123,72,98,120,-10000.01"],
 )
 def test_matcher_rejects_what_the_classifier_flags(record):
     assert frame_matcher(PW, SCHEMA)(record) is None
     assert not validate(parse_frame(record), PW, SCHEMA).ok
+
+
+def test_a_huge_negative_field_is_over_the_limit():
+    # "-" and 400 nines parses as -inf, which a test of the upper limit
+    # alone passed on to the standardizer
+    record = "PW123,72,-" + "9" * 400 + ",118,76"
+    assert frame_matcher(PW, SCHEMA)(record) is None
+    assert validate(parse_frame(record), PW, SCHEMA).flags == ((1, FlagReason.OVER_LIMIT),)
 
 
 def test_matcher_passes_no_frame_for_a_password_with_a_comma():
@@ -237,7 +250,7 @@ DECIMAL = st.builds(
 SPECIAL = st.sampled_from([
     "", "null", "NULL", "-", "0", "-0", "0.0", "+0.", "1e3", "1E3", "nan",
     "inf", "0x1F", "1_000", "--", "abc", "7x12", "\u0667\u0662", "\uff17\uff12",
-    "\u00b2", "10000", "10000.0", "10000.001", "99999", "1" * 400,
+    "\u00b2", "10000", "10000.0", "10000.001", "99999", "1" * 400, "-" + "1" * 400,
 ])
 FIELD = st.builds(lambda left, core, right: left + core + right,
                   BLANKS, st.one_of(DECIMAL, SPECIAL), BLANKS)
