@@ -54,22 +54,23 @@ one at a time. A quiet arrival, Green or Red1 from the stacked projection
 with no tracker open and no prune due, is scored inline by the walk: the
 usage decay, a Green's credit and the verdict, with no call to the scorer.
 The walk (``_walk``) can pause after any arrival: ``feed_run`` runs it to
-each block's end, and ``feed_recording``, a coroutine sent one frame at a
-time (a replay at speedup = inf, through ``BedPipeline.feed_recording``),
-moves it one arrival forward per frame, with the block buffers and their
-loading its own. A paced replay and monitor feed one arrival at a time,
-since a live bed has no lookahead. Every entry point refuses a bad arrival
-alike. ``restart`` is the one definition of a fresh detector: ``__init__``
-calls it, ``feed_recording`` calls it after an arrival that raises
-``EngineError`` and goes on walking, and the pipeline calls it when
-``feed`` raises.
+each block's end, and ``feed_recording``, a generator that pulls a
+recording's frames one at a time (a replay at speedup = inf, through
+``BedPipeline.feed_recording``), moves it one arrival forward per frame
+taken and hands each frame back in order, with the block buffers, their
+loading and the frames not yet handed back its own. A paced replay and
+monitor feed one arrival at a time, since a live bed has no lookahead.
+Every entry point refuses a bad arrival alike. ``restart`` is the one
+definition of a fresh detector: ``__init__`` calls it, ``feed_recording``
+calls it after an arrival that raises ``EngineError`` and goes on walking,
+and the pipeline calls it when ``feed`` raises.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from collections.abc import Generator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -194,9 +195,6 @@ class Verdict(NamedTuple):
 
 
 _tuple_new = tuple.__new__  # builds a Verdict from its four fields; see Verdict
-
-# What ``KoadEngine.feed_recording`` is sent once its recording has ended.
-END_OF_RECORDING = object()
 
 
 @dataclass(eq=False)
@@ -510,59 +508,64 @@ class KoadEngine:
             self._unload()
         return out
 
-    def feed_recording(self, train_steps: int) -> Generator[tuple, object, None]:
-        """``feed`` over a recording that arrives one frame at a time, walked
-        in blocks of BLOCK arrivals as ``feed_run`` walks a run: a coroutine,
-        primed with ``next``, that is sent each frame's arrival (None for a
-        frame without one) and, once the recording has ended,
-        END_OF_RECORDING until every arrival is walked. Each send moves the
-        walk one arrival forward and returns that arrival's timestep and its
-        verdicts, or the ``EngineError`` it raised, after which the detector
-        has restarted and the walk goes on from the next arrival; a send
-        that walks no arrival returns (None, None).
+    def feed_recording(self, frames: Iterable[tuple], train_steps: int) -> Iterator[tuple]:
+        """``feed`` over a recording taken one frame at a time, walked in
+        blocks of BLOCK arrivals as ``feed_run`` walks a run. ``frames``
+        gives one (arrival or None, tag) pair per frame; this yields one
+        (tag, outcome) pair per frame, in frame order. The outcome is the
+        arrival's verdicts, or the ``EngineError`` after which the detector
+        restarted and the walk went on, or None for a frame without one.
 
-        The walk runs up to 2 * BLOCK arrivals behind the frames sent, and
-        every send costs about one arrival's work: an arrival's vector goes
-        into the filling block when it is sent, the next block's kernel rows
-        are computed right after the current block's last arrival, and its
-        stacked projection with its own first arrival. Each arrival is
-        checked on its own turn, as ``feed`` checks it, so the order test
-        compares with the last arrival walked. Closing the coroutine empties
-        the block; until then nothing else may feed this engine.
+        Each frame taken moves the walk at most one arrival forward, up to
+        2 * BLOCK arrivals behind: an arrival goes into the filling block,
+        its width checked, when its frame is taken, the next block's kernel
+        rows are computed right after the current block's last arrival, and
+        its stacked projection with its own first arrival. The rest of
+        ``feed``'s checks are made on an arrival's own turn, so the order
+        test compares with the last arrival walked. Until the walk ends or
+        is closed, which empties the block, nothing else may feed this
+        engine.
         """
         filling, spare = np.empty((BLOCK, self.dim)), np.empty((BLOCK, self.dim))
         rows = np.empty((BLOCK, self.config.max_size))
         times: list[int] = []  # the filling block's timesteps
-        unchecked: deque[MeasurementVector] = deque()  # the arrivals not yet walked
-        walked = None, None
+        # The frames taken and not yet handed back; once the frames that are
+        # done have been, the head is the next arrival to walk.
+        pending: deque[tuple[MeasurementVector | None, object]] = deque()
+        frames, taking = iter(frames), True
         try:
-            while True:
-                x = yield walked
-                walked, end = (None, None), x is END_OF_RECORDING
-                if x is not None and not end:
-                    filling[len(times)] = x.values
-                    times.append(x.timestep)
-                    unchecked.append(x)
+            while taking or pending:
+                frame = next(frames, None) if taking else None
+                if frame is not None:
+                    x = frame[0]
+                    if x is not None:
+                        self._check_width(np.shape(x.values))
+                        filling[len(times)] = x.values
+                        times.append(x.timestep)
+                    pending.append(frame)
+                taking = frame is not None
                 # Move the walk one arrival forward, then load the next block
                 # once the current one is walked and the filling one is full
                 # or the last.
                 i = self._next
                 if i < len(self._times):
-                    t = self._times[i]
-                    out: list[Verdict] = []
+                    x, tag = pending.popleft()
+                    out: list[Verdict] | EngineError = []
                     try:
-                        self._checked(unchecked.popleft())
+                        self._checked(x)
                         self._walk(out, train_steps, True)
-                        walked = t, out
                     except EngineError as exc:
                         self.restart()
                         self._next = i + 1
-                        walked = t, exc
-                elif end and not times:
-                    raise AssertionError("END_OF_RECORDING sent with no arrival left to walk")
-                if self._next == len(self._times) and (len(times) == BLOCK or end and times):
+                        out = exc
+                    yield tag, out
+                if self._next == len(self._times) and (
+                    len(times) == BLOCK or not taking and times
+                ):
                     self._load(filling[: len(times)], times, rows)
                     filling, spare, times = spare, filling, []
+                while pending and pending[0][0] is None:
+                    yield pending.popleft()[1], None
         finally:
             self._unload()
 

@@ -24,11 +24,11 @@ dictionary changes, with verdicts bitwise equal to ``feed``'s. ``replay``
 and ``monitor`` run both halves in one consumer, the ``Ward``, which owns
 what a run writes: a paced replay and ``monitor`` one frame at a time
 through ``feed_line``, and a replay at speedup = inf through
-``feed_recording``, which screens each frame, sends its arrival to the
-engine's recording walk (``KoadEngine.feed_recording``) and gives each
-frame the events ``feed_line`` would. On both paths a detector that raises
-``EngineError`` restarts in place (``KoadEngine.restart``), so a bed keeps
-one engine for its whole run. ``tune`` runs the front half once
+``feed_recording``, whose frames the engine's recording walk
+(``KoadEngine.feed_recording``) pulls through the screen and hands back in
+order, each given the events ``feed_line`` would. On both paths a detector
+that raises ``EngineError`` restarts in place (``KoadEngine.restart``), so
+a bed keeps one engine for its whole run. ``tune`` runs the front half once
 (``standardized_stream``) and the walk once per grid row
 (``tuning.run_detector``, through ``feed_run``).
 """
@@ -40,10 +40,8 @@ import sys
 import threading
 import time
 import traceback
-from collections import deque
 from collections.abc import Iterable, Iterator
 from contextlib import ExitStack, suppress
-from itertools import chain, repeat
 from pathlib import Path
 from queue import Empty, Full, Queue
 
@@ -51,7 +49,7 @@ import numpy as np
 
 from .board import BoardState, EventArchive, needs_flush, render
 from .config import BedSource, Settings
-from .engine import END_OF_RECORDING, EngineError, KoadEngine, MeasurementVector, Verdict
+from .engine import EngineError, KoadEngine, MeasurementVector, Verdict
 from .sources import (
     ReplaySource,
     SocketSource,
@@ -167,44 +165,25 @@ class BedPipeline:
         frame's events, equal to ``feed_line``'s, with the frame's own
         ``received_at``, in frame order.
 
-        Each frame taken from ``frames`` is screened and its arrival, if it
-        has one, is sent to the engine's recording walk
-        (``KoadEngine.feed_recording``), which walks one arrival per frame
-        and keeps up to two blocks of arrivals behind the screen. A frame's
-        events are yielded once its arrival is walked, so its archive row is
-        written before them, with the rows of the later frames the walk has
-        not reached in between. An arrival on which the detector raises
-        ``EngineError`` restarts it, as in ``feed_line``. Between two frames
-        it yields, nothing else may feed this pipeline: the engine holds the
-        walk's block.
+        Each frame is screened as the engine's recording walk
+        (``KoadEngine.feed_recording``) takes it; the walk moves one arrival
+        forward per frame taken and keeps up to two blocks of arrivals
+        behind the screen. A frame's events are yielded once the walk hands
+        it back, so its archive row is written before them, with the rows
+        of the later frames the walk has not reached in between. An arrival
+        on which the detector raises ``EngineError`` restarts it, as in
+        ``feed_line``. Between two frames it yields, nothing else may feed
+        this pipeline: the engine holds the walk's block.
         """
-        walk = self.engine.feed_recording(self.settings.train_steps)
-        next(walk)
-        pending: deque = deque()  # (received_at, warning, timestep or None) per frame
-        try:
-            for frame in chain(frames, repeat(None)):
-                if frame is not None:
-                    line, received_at = frame
-                    warning, x = self.screen(line, received_at)
-                    pending.append((received_at, warning, None if x is None else x.timestep))
-                    walked, outcome = walk.send(x)
-                elif pending:
-                    walked, outcome = walk.send(END_OF_RECORDING)
-                else:
-                    return
-                # Yield every frame that is done, in order.
-                while pending:
-                    received_at, warning, t = pending[0]
-                    if t is None:
-                        events = self._events(warning, None, None)
-                    elif t == walked:
-                        events, walked = self._events(warning, t, outcome), None
-                    else:
-                        break
-                    pending.popleft()
-                    yield events, received_at
-        finally:
-            walk.close()
+
+        def screened():
+            for line, received_at in frames:
+                warning, x = self.screen(line, received_at)
+                yield x, (warning, None if x is None else x.timestep, received_at)
+
+        walk = self.engine.feed_recording(screened(), self.settings.train_steps)
+        for (warning, timestep, received_at), outcome in walk:
+            yield self._events(warning, timestep, outcome), received_at
 
     def _events(
         self,
@@ -272,12 +251,15 @@ def build_source(bed: BedSource, settings: Settings, stop: threading.Event):
         return TailSource(bed.target, settings.poll_interval, stop=stop)
     if bed.kind == "socket":
         return SocketSource(*socket_address(bed.target), stop=stop)
-    spec = default_spec(  # synthetic, the one kind left
-        steps=10_000,
+    # synthetic, the one kind left: 9700 steps from the first anomaly on,
+    # 10 000 in all at the default lead-in
+    first_anomaly = max(300, 2 * settings.lead_in)
+    spec = default_spec(
+        steps=first_anomaly + 9_700,
         n_anomalies=20,
         seed=int(bed.target),
         dim=settings.schema().arity,
-        first_anomaly=max(300, 2 * settings.lead_in),
+        first_anomaly=first_anomaly,
     )
     return SyntheticSource(spec, settings.password, settings.poll_interval, settings.speedup)
 

@@ -11,9 +11,10 @@ Five checks, each independent of the code path it verifies:
   bit for bit, on a stream that churns the dictionary: the walk projects
   stacked rows, so a numpy whose stacked arithmetic differs from its
   one-row arithmetic fails here rather than letting tune and replay drift,
-* a replay at speedup = inf (``BedPipeline.feed_recording``, that walk kept
-  behind the screen) against the per-frame chain (``feed_line``), bit for
-  bit, on a seeded capture with flagged frames and a data-warning burst,
+* a replay at speedup = inf (``BedPipeline.feed_recording``, whose walk
+  pulls each frame through the screen) against the per-frame chain
+  (``feed_line``), bit for bit, on a seeded capture with flagged frames and
+  a data-warning burst,
 * the frame validity table and the consecutive-flag warning counter.
 
 Kept deliberately small (about a second); the full development suite lives

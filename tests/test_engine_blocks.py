@@ -524,28 +524,21 @@ def test_a_restarted_engine_is_a_fresh_one():
 
 
 def walk_recording(engine: KoadEngine, z: np.ndarray, restart_after: int | None = None) -> dict:
-    """Send ``z`` to ``engine.feed_recording``, one frame per arrival and a
-    frame without one after every third; restart the engine right after
-    the walk hands back ``restart_after``. Returns each arrival's outcome
-    by timestep."""
-    walk = engine.feed_recording(TRAIN)
-    next(walk)
+    """Walk ``z`` through ``engine.feed_recording``, one frame per arrival
+    and a frame without one after every third; restart the engine right
+    after the walk hands back ``restart_after``. Returns each arrival's
+    outcome by timestep."""
+    frames = []
+    for t, row in enumerate(z):
+        frames.append((MeasurementVector(row, t), t))
+        if t % 3 == 2:
+            frames.append((None, None))
     walked = {}
-
-    def take(result):
-        t, outcome = result
+    for t, outcome in engine.feed_recording(frames, TRAIN):
         if t is not None:
             walked[t] = outcome
             if t == restart_after:
                 engine.restart()
-
-    for t, row in enumerate(z):
-        take(walk.send(MeasurementVector(row, t)))
-        if t % 3 == 2:
-            take(walk.send(None))
-    while len(walked) < len(z):
-        take(walk.send(engine_module.END_OF_RECORDING))
-    walk.close()
     return walked
 
 
@@ -579,3 +572,50 @@ def test_a_restart_inside_the_recording_walk_goes_on_as_a_fresh_engine(at):
     for t in range(at + 1, len(z)):
         assert key(got[t]) == key(fresh.feed(MeasurementVector(z[t], t), TRAIN))
     assert state(walked) == state(fresh)
+
+
+def test_the_recording_walk_keeps_its_pace():
+    """Each frame taken moves the walk at most one arrival forward, the walk
+    runs at most 2 * BLOCK arrivals behind the frames taken, and every frame
+    comes back once, in frame order; frames without an arrival are mixed in,
+    singly and in a run longer than a block."""
+    z = stream(8, steps=600)
+    frames, t = [], 0
+    for row in z:
+        frames.append((MeasurementVector(row, t), t))
+        gaps = 2 * BLOCK + 5 if t == 300 else int(t % 7 == 3)
+        frames += [(None, t + 1 + k) for k in range(gaps)]
+        t += 1 + gaps
+    taken = {"frames": 0, "arrivals": 0}
+    handed: list[int] = []
+    walked_at: list[int] = []  # the frames taken when each arrival came back
+
+    def source():
+        for frame in frames:
+            taken["frames"] += 1
+            taken["arrivals"] += frame[0] is not None
+            assert taken["arrivals"] - len(walked_at) <= 2 * BLOCK
+            yield frame
+
+    for tag, outcome in KoadEngine(4, CHURNING).feed_recording(source(), TRAIN):
+        handed.append(tag)
+        if outcome is not None:
+            walked_at.append(taken["frames"])
+    assert handed == list(range(len(frames)))
+    assert len(walked_at) == len(z)
+    while_taking = [n for n in walked_at if n < len(frames)]
+    assert len(while_taking) == len(set(while_taking))
+
+
+@pytest.mark.parametrize("entry", ["feed", "feed_run", "feed_recording"])
+def test_every_entry_point_refuses_a_wrong_width_arrival_alike(entry):
+    engine = KoadEngine(4)
+    x = MeasurementVector(np.zeros(3), 0)
+    calls = {
+        "feed": lambda: engine.feed(x, TRAIN),
+        "feed_run": lambda: engine.feed_run(x.values[None], [0], TRAIN),
+        "feed_recording": lambda: list(engine.feed_recording([(x, 0)], TRAIN)),
+    }
+    with pytest.raises(ValueError) as refused:
+        calls[entry]()
+    assert str(refused.value) == "expected shape (4,), got (3,)"

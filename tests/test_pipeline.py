@@ -887,6 +887,23 @@ class TestBuildSource:
             SocketSource,
         )
 
+    def test_the_default_synthetic_bed_keeps_its_stream(self):
+        source = build_source(BedSource("bed1", "synthetic", "3"), Settings(), threading.Event())
+        assert source.spec == default_spec(
+            steps=10_000, n_anomalies=20, seed=3, dim=4, first_anomaly=300
+        )
+
+    def test_a_long_lead_in_lengthens_the_synthetic_stream(self):
+        # At a fixed 10 000 steps the anomalies after a lead-in of 5050
+        # frames did not fit, and the bed died before its first frame.
+        settings = Settings(warmup=5000)
+        source = build_source(BedSource("bed1", "synthetic", "3"), settings, threading.Event())
+        first = 2 * settings.lead_in
+        assert source.spec.steps == first + 9_700
+        assert len(source.spec.anomalies) == 20
+        assert source.spec.anomalies[0].timestep >= first
+        assert sum(1 for _ in source.frames()) == source.spec.steps
+
     def test_socket_target_must_be_host_port(self):
         # refused when the bed is made, so build_source never receives it
         with pytest.raises(ConfigError, match="host:port"):
