@@ -11,8 +11,8 @@ One binary, five subcommands:
 * ``selftest`` quick built-in sanity checks, no test tooling needed
 
 Exit codes: 0 success, 1 runtime failure (bad source, unwritable output,
-failed selftest), 2 configuration problems (reported with a line number
-when they come from a config file).
+failed selftest), 2 configuration problems (one from a config file names the
+line from which on the file is refused).
 """
 
 from __future__ import annotations

@@ -1,16 +1,17 @@
 """Flat key-value configuration: one `key = value` per line, # comments.
 
 Every tunable is overridable here; unknown keys are errors so typos fail
-loudly, with the line number in the message. The detector's parameters are
-the fields of ``engine.ThresholdConfig``, whose defaults are their only
-definition; each is set by a key of the same name, except ``lambda`` for
-``lam``. Bed sources use dotted keys (bed.<id>.source = replay:path |
-tail:path | socket:host:port | synthetic:seed).
+loudly, and a refused file names the line from which on it is refused. The
+detector's parameters are the fields of ``engine.ThresholdConfig``, whose
+defaults are their only definition; each is set by a key of the same name,
+except ``lambda`` for ``lam``. Bed sources use dotted keys (bed.<id>.source =
+replay:path | tail:path | socket:host:port | synthetic:seed).
 
 ``Settings`` and ``BedSource`` are frozen and check themselves when made, so
 a value no run accepts fails as a ``ConfigError`` wherever the object is
-built: ``parse_settings`` builds each bed at its line, then one ``Settings``
-from the whole file, and the CLI applies its flags with ``replace``.
+built: ``parse_settings`` builds each bed as it reads its row, then one
+``Settings`` from the whole file, and the CLI applies its flags with
+``replace``.
 """
 
 from __future__ import annotations
@@ -197,49 +198,46 @@ class Settings:
         return configs
 
 
-def _parse_float(raw: str, line: int) -> float:
+def _parse_float(raw: str) -> float:
     try:
         value = float(raw)
     except ValueError:
-        raise ConfigError(f"expected a number, got {raw!r}", line) from None
+        raise ConfigError(f"expected a number, got {raw!r}") from None
     if math.isnan(value):
-        raise ConfigError("nan is not a valid setting", line)
+        raise ConfigError("nan is not a valid setting")
     return value
 
 
-def _parse_int(raw: str, line: int) -> int:
+def _parse_int(raw: str) -> int:
     try:
         return int(raw)
     except ValueError:
-        raise ConfigError(f"expected an integer, got {raw!r}", line) from None
+        raise ConfigError(f"expected an integer, got {raw!r}") from None
 
 
 def _parse_names(raw: str) -> tuple[str, ...]:
     return tuple(token.strip() for token in raw.split(",") if token.strip())
 
 
-def _parse_list(raw: str, parse, line: int) -> tuple:
+def _parse_list(raw: str, parse) -> tuple:
     """Comma-separated values, each read by ``parse``."""
-    return tuple(parse(token.strip(), line) for token in raw.split(",") if token.strip())
+    return tuple(parse(token) for token in _parse_names(raw))
 
 
-def _parse_grid(raw: str, line: int) -> tuple[tuple[float, float], ...]:
+def _parse_grid(raw: str) -> tuple[tuple[float, float], ...]:
     """Threshold pairs like `0.03:0.08, 0.07:0.16, 0.11:0.24`."""
     pairs = []
-    for chunk in raw.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
+    for chunk in _parse_names(raw):
         parts = chunk.split(":")
         if len(parts) != 2:
-            raise ConfigError(f"grid entries look like nu1:nu2, got {chunk!r}", line)
-        pairs.append((_parse_float(parts[0], line), _parse_float(parts[1], line)))
+            raise ConfigError(f"grid entries look like nu1:nu2, got {chunk!r}")
+        pairs.append((_parse_float(parts[0]), _parse_float(parts[1])))
     return tuple(pairs)
 
 
-def _parse_number(raw: str, default: int | float, line: int) -> int | float:
+def _parse_number(raw: str, default: int | float) -> int | float:
     """A value of the same type as the setting's default."""
-    return _parse_int(raw, line) if isinstance(default, int) else _parse_float(raw, line)
+    return _parse_int(raw) if isinstance(default, int) else _parse_float(raw)
 
 
 # Numeric keys, each with the field it sets; `lambda` is a Python keyword.
@@ -249,30 +247,21 @@ _DETECTOR_KEYS = {
 _NUMBER_KEYS = {f.name: f for f in fields(Settings) if type(f.default) in (int, float)}
 
 
-def _at_line(line_no: int, make, *args):
-    """``make(*args)``, giving any ConfigError it raises this line number."""
-    try:
-        return make(*args)
-    except ConfigError as exc:
-        raise ConfigError(str(exc), line_no) from None
-
-
 def parse_settings(text: str) -> Settings:
-    """The ``Settings`` of a config file's text. A refusal that only the
-    assembled file shows is about each line whose removal lifts or changes
-    it, and names the last of those lines."""
+    """The ``Settings`` of a config file's text. A refusal names the line from
+    which on the file raises it: rows are dropped from the end while the rest
+    still raises the same refusal, and the last row left is named. So a rule
+    over two lines, such as nu1 < nu2, names the later, and a blank or comment
+    row is never named."""
     try:
         return _parse(text)
     except ConfigError as exc:
-        if exc.line is not None:
-            raise
         refusal = str(exc)
     rows = text.splitlines()
-    about = [
-        line_no for line_no in range(1, len(rows) + 1)
-        if _refusal([*rows[: line_no - 1], "", *rows[line_no:]]) != refusal
-    ]
-    raise ConfigError(refusal, max(about, default=None)) from None
+    line = len(rows)
+    while _refusal(rows[: line - 1]) == refusal:
+        line -= 1
+    raise ConfigError(refusal, line) from None
 
 
 def _refusal(rows: list[str]) -> str | None:
@@ -287,53 +276,53 @@ def _parse(text: str) -> Settings:
     values: dict[str, object] = {}
     detector: dict[str, int | float] = {}
     beds: dict[str, BedSource] = {}
-    for line_no, raw_line in enumerate(text.splitlines(), start=1):
+    for raw_line in text.splitlines():
         line = raw_line.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise ConfigError("expected `key = value`", line_no)
+            raise ConfigError("expected `key = value`")
         key, _, raw = line.partition("=")
         key = key.strip()
         raw = raw.strip()
         if not key:
-            raise ConfigError("missing key before `=`", line_no)
+            raise ConfigError("missing key before `=`")
 
         if key in _DETECTOR_KEYS:
             f = _DETECTOR_KEYS[key]
-            detector[f.name] = _parse_number(raw, f.default, line_no)
+            detector[f.name] = _parse_number(raw, f.default)
         elif key in _NUMBER_KEYS:
-            values[key] = _parse_number(raw, _NUMBER_KEYS[key].default, line_no)
+            values[key] = _parse_number(raw, _NUMBER_KEYS[key].default)
         elif key == "password":
-            _at_line(line_no, _check_password, raw)
+            _check_password(raw)
             values["password"] = raw
         elif key == "schema.names":
             values["schema_names"] = _parse_names(raw)
         elif key == "schema.use":
-            values["schema_use"] = _parse_list(raw, _parse_int, line_no)
+            values["schema_use"] = _parse_list(raw, _parse_int)
         elif key == "schema.zero_ok":
-            values["schema_zero_ok"] = _parse_list(raw, _parse_int, line_no)
+            values["schema_zero_ok"] = _parse_list(raw, _parse_int)
         elif key == "counted_kinds":
             values["counted_kinds"] = _parse_names(raw)
         elif key == "grid":
-            values["grid"] = _parse_grid(raw, line_no)
+            values["grid"] = _parse_grid(raw)
         elif key == "grid_sigma":
-            values["grid_sigma"] = _parse_list(raw, _parse_float, line_no)
+            values["grid_sigma"] = _parse_list(raw, _parse_float)
         elif key == "grid_ell":
-            values["grid_ell"] = _parse_list(raw, _parse_int, line_no)
+            values["grid_ell"] = _parse_list(raw, _parse_int)
         elif key == "archive_dir":
             values["archive_dir"] = raw
         elif key.startswith("bed."):
             parts = key.split(".")
             if len(parts) != 3 or parts[2] != "source":
-                raise ConfigError(f"unknown bed key {key!r}", line_no)
+                raise ConfigError(f"unknown bed key {key!r}")
             kind, _, target = raw.partition(":")
-            bed = _at_line(line_no, BedSource, parts[1], kind, target)
+            bed = BedSource(parts[1], kind, target)
             if bed.bed in beds:
-                raise ConfigError(f"bed {bed.bed!r} configured twice", line_no)
+                raise ConfigError(f"bed {bed.bed!r} configured twice")
             beds[bed.bed] = bed
         else:
-            raise ConfigError(f"unknown setting {key!r}", line_no)
+            raise ConfigError(f"unknown setting {key!r}")
 
     # built once, from the whole file, so that nu1 < nu2 sees both lines
     try:
@@ -347,7 +336,7 @@ def load_settings(path: str | Path | None) -> Settings:
     if path is None:
         return Settings()
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return parse_settings(text)

@@ -107,7 +107,7 @@ class ReplaySource:
 
     def _read_lines(self) -> list[str]:
         try:
-            raw = self.path.read_text(encoding="utf-8")
+            raw = self.path.read_text(encoding="utf-8-sig")
         except OSError as exc:
             raise SourceError(f"cannot read {self.path}: {exc}") from exc
         lines = [line for line in raw.splitlines() if line.strip() != ""]

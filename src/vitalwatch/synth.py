@@ -153,11 +153,12 @@ def default_spec(
         slack = span - (n_anomalies - 1) * min_gap
         cuts = np.sort(rng.integers(0, slack + 1, size=n_anomalies))
         times = [int(first_anomaly + cuts[i] + i * min_gap) for i in range(n_anomalies)]
+        most = min(dim, 2)  # channels one anomaly hits; a one-column schema has one
         anomalies = tuple(
             InjectedAnomaly(
                 timestep=t,
                 channels=tuple(
-                    sorted(rng.choice(dim, size=int(rng.integers(1, 3)), replace=False))
+                    sorted(rng.choice(dim, size=int(rng.integers(1, most + 1)), replace=False))
                 ),
                 magnitude_sigma=magnitude_sigma,
             )

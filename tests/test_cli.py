@@ -103,6 +103,20 @@ def test_synth_places_anomalies_after_a_long_lead_in(tmp_path, capsys):
     assert len(labels) == 9
     assert min(ev.timestep for ev in labels) >= 200
 
+def test_synth_writes_a_one_column_stream(tmp_path, capsys):
+    cfg = tmp_path / "hr.cfg"
+    cfg.write_text("schema.names = hr\n")
+    stream = tmp_path / "s.csv"
+    code, _, err = run(
+        capsys, "synth", "--steps", "400", "--anomalies", "5",
+        "--config", str(cfg), "--out", str(stream),
+    )
+    assert (code, err) == (0, "")
+    assert stream.read_text().splitlines()[0] == "hr"
+    labels = read_labels(tmp_path / "s.csv.labels.csv")
+    assert [ev.channels for ev in labels] == [(0,)] * 5
+
+
 def test_replay_writes_archives_and_board(tmp_path, capsys, labeled_stream):
     stream, _ = labeled_stream
     out_dir = tmp_path / "arch"

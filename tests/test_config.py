@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import FrozenInstanceError, fields, replace
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vitalwatch.config import BedSource, ConfigError, Settings, load_settings, parse_settings
 from vitalwatch.engine import ThresholdConfig, VerdictKind
@@ -164,6 +168,9 @@ def test_errors_carry_line_numbers(text, fragment, line):
         ("ell = 30\nmax_size = 30\n", 2),
         ("grid_ell = 10, 60\n", 1),
         ("bed.b1.source = synthetic:abc\n", 1),
+        ("warmup = 0\nwarmup = 0\n", 1),
+        ("schema.use = 9\nschema.use = 9\n", 1),
+        ("speedup = 0\nell = 10\ntrain_steps = 0\nmax_size = 20\n", 1),
     ],
 )
 def test_a_refusal_of_the_whole_file_names_the_line_it_is_about(text, line):
@@ -172,6 +179,35 @@ def test_a_refusal_of_the_whole_file_names_the_line_it_is_about(text, line):
         parse_settings(text)
     assert excinfo.value.line == line
     assert str(excinfo.value).startswith(f"line {line}: ")
+
+
+# Rows that pass the check of their own line, though the assembled file may
+# refuse them, and rows whose own line check refuses them.
+_LINE_PASSES = [
+    "", "# a note", "warmup = 0", "warmup = 10", "nu1 = 0.5", "nu2 = 0.2",
+    "speedup = 0", "ell = 30", "max_size = 20", "schema.use = 9", "grid =",
+    "grid_ell = 0", "counted_kinds = purple", "password = PW9",
+    "bed.a.source = synthetic:1", "bed.b.source = replay:b.csv",
+]
+_LINE_FAILS = [
+    "nu1 = abc", "ell = 2.5", "no_equals_here", "= 3", "grid = 0.03-0.08",
+    "bed.b1.speed = 2", "bed.b1.source = ftp:host", "password = a,b",
+    "bogus = 1", "sigma = nan", "bed.x/y.source = synthetic:1", "schema.use = 1.5",
+    "bed.c.source = synthetic:abc",
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    # unique, since a bed configured twice is refused at its second row
+    before=st.lists(st.sampled_from(_LINE_PASSES), max_size=5, unique=True),
+    bad=st.sampled_from(_LINE_FAILS),
+    after=st.lists(st.sampled_from(_LINE_PASSES + _LINE_FAILS), max_size=5),
+)
+def test_a_row_its_own_check_refuses_is_the_line_named(before, bad, after):
+    with pytest.raises(ConfigError) as excinfo:
+        parse_settings("\n".join([*before, bad, *after]) + "\n")
+    assert excinfo.value.line == len(before) + 1
 
 
 def test_every_detector_field_is_set_by_its_key():
@@ -268,3 +304,18 @@ def test_load_settings_from_file(tmp_path):
     assert load_settings(None) == Settings()
     with pytest.raises(ConfigError, match="cannot read"):
         load_settings(tmp_path / "missing.conf")
+
+
+def test_load_settings_reads_past_a_byte_order_mark(tmp_path):
+    path = tmp_path / "run.conf"
+    path.write_text("password = PW9\nnu1 = 0.05\n", encoding="utf-8-sig")
+    s = load_settings(path)
+    assert (s.password, s.detector.nu1) == ("PW9", 0.05)
+
+
+def test_the_readme_config_example_loads_as_the_defaults_plus_its_beds():
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    (example,) = re.findall(r"```ini\n(.*?)```", readme, re.S)
+    s = parse_settings(example)
+    assert [bed.bed for bed in s.beds] == ["icu1", "icu2", "icu3", "icu4"]
+    assert replace(s, beds=()) == Settings()

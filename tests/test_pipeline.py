@@ -893,6 +893,13 @@ class TestBuildSource:
             steps=10_000, n_anomalies=20, seed=3, dim=4, first_anomaly=300
         )
 
+    def test_a_one_column_synthetic_bed_streams_its_frames(self):
+        settings = Settings(schema_names=("hr",))
+        source = build_source(BedSource("bed1", "synthetic", "3"), settings, threading.Event())
+        assert len(source.spec.channels) == 1
+        assert {anomaly.channels for anomaly in source.spec.anomalies} == {(0,)}
+        assert sum(1 for _ in source.frames()) == source.spec.steps
+
     def test_a_long_lead_in_lengthens_the_synthetic_stream(self):
         # At a fixed 10 000 steps the anomalies after a lead-in of 5050
         # frames did not fit, and the bed died before its first frame.

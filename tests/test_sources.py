@@ -66,6 +66,15 @@ def test_replay_tells_a_capture_by_its_header(tmp_path, text, captured):
     assert got == ([f"{PW},{line}" for line in lines[1:]] if captured else lines)
 
 
+@pytest.mark.parametrize("rows", [[f"{PW},1,2", f"{PW},3,4"], ["hr,spo2", "1,2", "3,4"]])
+def test_replay_reads_past_a_byte_order_mark(tmp_path, rows):
+    # A file saved with a UTF-8 BOM reads as the same file without one.
+    path = tmp_path / "stream.csv"
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8-sig")
+    got = [line for line, _ in ReplaySource(path, PW).frames()]
+    assert got == [f"{PW},1,2", f"{PW},3,4"]
+
+
 def test_replay_skips_blank_lines(tmp_path):
     path = tmp_path / "stream.csv"
     path.write_text(f"{PW},1\n\n{PW},2\n\n", encoding="utf-8")
