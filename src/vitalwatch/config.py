@@ -339,4 +339,8 @@ def load_settings(path: str | Path | None) -> Settings:
         text = Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:  # typed by a person: refused, not repaired
+        line = exc.object[: exc.start].count(b"\n") + 1
+        bad = exc.object[exc.start]
+        raise ConfigError(f"not UTF-8: {exc.reason} 0x{bad:02x}", line) from None
     return parse_settings(text)

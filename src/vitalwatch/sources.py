@@ -24,7 +24,7 @@ from .validity import DECIMAL_RE
 
 DEFAULT_POLL_INTERVAL = 12.0  # seconds between frames from a bedside unit
 
-# Longest record a tail or socket source keeps; a valid frame is about 40 bytes.
+# Longest record a source keeps; a valid frame is about 40 bytes.
 MAX_RECORD_BYTES = 4096
 
 
@@ -85,6 +85,7 @@ class ReplaySource:
     files (header row of parameter names, value-only rows, no password); a
     capture is recognised by its header (``_is_capture``), and its rows are
     rewritten into wire form so the rest of the pipeline sees one format.
+    The file's bytes are one ``records`` stream, its end ending the last record.
     """
 
     def __init__(
@@ -107,13 +108,11 @@ class ReplaySource:
 
     def _read_lines(self) -> list[str]:
         try:
-            raw = self.path.read_text(encoding="utf-8-sig")
+            data = self.path.read_bytes()
         except OSError as exc:
             raise SourceError(f"cannot read {self.path}: {exc}") from exc
-        lines = [line for line in raw.splitlines() if line.strip() != ""]
-        if not lines:
-            return []
-        if _is_capture(lines, self.password):
+        lines = list(records([data, b"\n"]))
+        if lines and _is_capture(lines, self.password):
             return [f"{self.password},{line}" for line in lines[1:]]
         return lines
 
@@ -143,51 +142,52 @@ class SyntheticSource:
 
 
 def records(chunks: Iterable[bytes]) -> Iterator[str]:
-    """Split a byte stream into newline-delimited records, blank ones skipped.
+    """Split a byte stream into records: the one rule of every source.
 
-    A record longer than MAX_RECORD_BYTES is yielded once as an empty line,
-    which screening flags, and dropped through its newline (or the end of
-    the stream), so a writer that never sends a newline costs bounded
-    memory. Bytes that are not UTF-8 decode to U+FFFD, so a corrupt record
-    is flagged by screening instead of ending the source.
+    A record ends at ``\n`` and loses a trailing ``\r`` and a leading
+    byte-order mark; blank ones are skipped, and so is an unterminated last
+    one. Bytes that are not UTF-8 decode to U+FFFD, so a corrupt record is
+    flagged by screening instead of ending the source. A record longer than
+    MAX_RECORD_BYTES is yielded once as an empty line, which screening flags,
+    and dropped through its newline (or the end of the stream), so a writer
+    that never sends a newline costs bounded memory. Chunk cuts never matter.
     """
     buffer = b""
     skipping = False  # inside an overlong record
     for chunk in chunks:
         *complete, buffer = (buffer + chunk).split(b"\n")
-        for raw in complete:
+        # no multi-byte character holds a b"\n", so text splits as bytes do
+        texts = b"\n".join(complete).decode("utf-8", errors="replace").split("\n")
+        for raw, line in zip(complete, texts):
             if skipping:
                 skipping = False
             elif len(raw) > MAX_RECORD_BYTES:
                 yield ""
             else:
-                line = raw.decode("utf-8", errors="replace").rstrip("\r")
+                line = line.rstrip("\r").removeprefix("\ufeff")
                 if line.strip() != "":
                     yield line
         if len(buffer) > MAX_RECORD_BYTES:
-            buffer = b""
             if not skipping:
-                skipping = True
                 yield ""
+            buffer, skipping = b"", True
 
 
 class TailSource:
     """Follow a growing file from its current end, like tail -F.
 
-    Polls for appended bytes; stops when ``stop`` is set. A partial line (no
-    terminator yet) is held until completed, and records are split and
-    bounded by ``records``.
-
-    Log rotation is checked for when a poll finds nothing new, so the old
-    file is read to its end first. A file truncated in place (copytruncate)
-    is read again from its start. So is one rewritten in place, even past
+    Polls for appended bytes until ``stop`` is set. Each file is one
+    ``records`` stream: from the end at open, and from the start after a
+    rewind or a replacement, so a partial line waits for its end but is
+    never glued to what follows a rewind. A file truncated in place
+    (copytruncate) is rewound, and so is one rewritten in place, even past
     the old offset before the next poll: every poll compares the file's
-    first record with the one taken at open (or when the first record
-    arrived, if the file was empty). A rewrite that keeps the first record
-    byte-identical looks like plain growth and is still missed. When
-    another file takes the path (rename rotation, logrotate's ``create``),
-    that file is read from its start; while the path is missing, the source
-    keeps waiting.
+    first record with the one taken when the file first had one. A rewrite
+    that keeps the first record byte-identical looks like plain growth and
+    is still missed. Rotation is checked for when a poll finds nothing new,
+    so the old file is read to its end first; when another file takes the
+    path (rename rotation, logrotate's ``create``), that file is read from
+    its start, and while the path is missing the source keeps waiting.
     """
 
     def __init__(
@@ -201,37 +201,36 @@ class TailSource:
         self.stop = stop or threading.Event()
 
     def frames(self) -> Iterator[tuple[str, float]]:
-        for line in records(self._appended()):
-            yield line, time.time()
-
-    def _appended(self) -> Iterator[bytes]:
         try:
             handle = self.path.open("rb")
         except OSError as exc:
             raise SourceError(f"cannot open {self.path}: {exc}") from exc
         handle.seek(0, 2)
-        first: bytes | None = None  # its first record, taken at the first poll
-        # short sleeps keep shutdown responsive regardless of cadence
-        nap = min(self.poll_interval, 0.05)
-        try:
+
+        def appended() -> Iterator[bytes]:  # until a rewind or a replacement
+            nonlocal handle
+            first: bytes | None = None  # its first record, taken once it has one
             while not self.stop.is_set():
-                if first is None:
-                    first = _first_record(handle)
-                elif os.pread(handle.fileno(), len(first), 0) != first:
-                    handle.seek(0)  # rewritten in place
-                    first = None
+                first = first or _first_record(handle)
+                if os.fstat(handle.fileno()).st_size < handle.tell() or (
+                    first and os.pread(handle.fileno(), len(first), 0) != first
+                ):
+                    handle.seek(0)  # truncated, or rewritten in place
+                    return
                 chunk = handle.read(4096)
                 if chunk:
                     yield chunk
-                elif os.fstat(handle.fileno()).st_size < handle.tell():
-                    handle.seek(0)  # truncated in place
-                    first = None
                 elif (replacement := self._replacement(handle)) is not None:
                     handle.close()
                     handle = replacement
-                    first = None
-                else:
-                    time.sleep(nap)
+                    return
+                else:  # short naps keep shutdown responsive at any cadence
+                    time.sleep(min(self.poll_interval, 0.05))
+
+        try:
+            while not self.stop.is_set():
+                for line in records(appended()):
+                    yield line, time.time()
         finally:
             handle.close()
 

@@ -173,6 +173,37 @@ def test_bad_config_exits_2_with_line_number(tmp_path, capsys):
     assert "line 2" in err
 
 
+@pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"])
+def test_a_config_that_is_not_utf8_exits_2_naming_its_line(tmp_path, capsys, bom):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(bom + b"warmup = 10\n# 5\xe9\nwarmup = 5\xff0\n")
+    code, _, err = run(capsys, "replay", "nowhere.csv", "--config", str(cfg))
+    assert code == 2
+    assert "config error: line 2: not UTF-8: " in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "record, field",
+    [(b"PW123,7\xff2,98,118,76", 0), (b"PW123,72,9\x0c8,118,76", 1)],
+)
+def test_replay_flags_a_corrupt_record_as_one_frame(tmp_path, capsys, record, field):
+    # An undecodable byte or a form feed inside a record is one flagged
+    # frame, as a live bed reads it, and the frames after it keep their
+    # timesteps.
+    stream = tmp_path / "stream.csv"
+    stream.write_bytes(b"PW123,72,98,118,76\n" + record + b"\nPW123,73,97,119,77\n")
+    out_dir = tmp_path / "arch"
+    code, out, _ = run(capsys, "replay", str(stream), "--out", str(out_dir))
+    assert code == 0
+    assert "replayed 3 frames" in out
+    archive = (out_dir / "frames_bed1.csv").read_text(encoding="utf-8")
+    rows = [row.split(",") for row in archive.split("\n")[1:-1]]
+    assert [(row[1], row[3]) for row in rows] == [
+        ("0", ""), ("1", f"{field}:non-numeric"), ("2", ""),
+    ]
+
+
 def test_config_that_can_exhaust_the_dictionary_exits_2(tmp_path, capsys):
     cfg = tmp_path / "small.cfg"
     cfg.write_text("ell = 30\nmax_size = 30\n")

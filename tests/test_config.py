@@ -319,3 +319,11 @@ def test_the_readme_config_example_loads_as_the_defaults_plus_its_beds():
     s = parse_settings(example)
     assert [bed.bed for bed in s.beds] == ["icu1", "icu2", "icu3", "icu4"]
     assert replace(s, beds=()) == Settings()
+
+
+def test_every_readme_python_example_runs():
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    examples = re.findall(r"```python\n(.*?)```", readme, re.S)
+    assert examples
+    for example in examples:
+        exec(compile(example, "README.md", "exec"), {})

@@ -9,6 +9,8 @@ import threading
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import vitalwatch.sources as sources
 from vitalwatch.sources import (
@@ -19,6 +21,7 @@ from vitalwatch.sources import (
     SyntheticSource,
     TailSource,
     emit_lines,
+    records,
     wire_line,
 )
 from vitalwatch.synth import ChannelBaseline, SyntheticSpec, capture_text, default_spec
@@ -73,6 +76,54 @@ def test_replay_reads_past_a_byte_order_mark(tmp_path, rows):
     path.write_text("\n".join(rows) + "\n", encoding="utf-8-sig")
     got = [line for line, _ in ReplaySource(path, PW).frames()]
     assert got == [f"{PW},1,2", f"{PW},3,4"]
+
+
+# Pieces of a byte stream: wire records, CRLF endings and blank lines, bytes
+# that other line rules split at (form feed, U+2028) or cannot decode, a
+# byte-order mark, a partial record, and records over MAX_RECORD_BYTES in
+# ASCII and in two-byte characters.
+_PIECES = [
+    f"{PW},72,98,118,76\n".encode(),
+    f"{PW},73,97,119,77\r\n".encode(),
+    b"\n",
+    b" \r\n",
+    f"{PW},72,9\x0c8,118,76\n".encode(),
+    f"{PW},72,\u20289\n".encode(),
+    f"{PW},7".encode() + b"\xff2\n",
+    "\ufeff".encode(),
+    f"\ufeff{PW},1,2\n".encode(),
+    f"{PW},74".encode(),
+    b"9" * 5000,
+    "\u00e9".encode() * 3000,
+]
+
+
+def records_one_by_one(whole: bytes) -> list[str]:
+    """The record rule applied to each record of a whole stream on its own."""
+    *complete, rest = whole.split(b"\n")
+    got = []
+    for raw in complete:
+        line = raw.decode("utf-8", errors="replace").rstrip("\r").removeprefix("\ufeff")
+        if len(raw) > MAX_RECORD_BYTES:
+            got.append("")
+        elif line.strip():
+            got.append(line)
+    return got + [""] * (len(rest) > MAX_RECORD_BYTES)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pieces=st.lists(st.sampled_from(_PIECES), max_size=10), data=st.data())
+def test_every_source_reads_a_stream_by_one_rule(tmp_path_factory, pieces, data):
+    whole = b"".join(pieces)
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(whole)), max_size=6)))
+    chunks = [whole[a:b] for a, b in zip([0, *cuts], [*cuts, len(whole)])]
+    assert list(records(chunks)) == list(records([whole])) == records_one_by_one(whole)
+
+    # replay reads a file as one stream, its end ending the last record
+    path = tmp_path_factory.getbasetemp() / "one_rule.csv"
+    path.write_bytes(f"{PW},1,2\n".encode() + whole)
+    got = [line for line, _ in ReplaySource(path, PW).frames()]
+    assert got == list(records([path.read_bytes(), b"\n"]))
 
 
 def test_replay_skips_blank_lines(tmp_path):
@@ -275,6 +326,45 @@ def test_tail_source_survives_bytes_that_are_not_utf8(tmp_path):
     path.touch()
     payload = f"{PW},70\n{PW},".encode() + b"\xff\n" + f"{PW},71\n".encode()
     assert tail(path, payload, 3) == [f"{PW},70", f"{PW},\ufffd", f"{PW},71"]
+
+
+def test_tail_drops_a_byte_order_mark_written_to_an_empty_file(tmp_path):
+    path = tmp_path / "live.csv"
+    path.touch()
+    payload = f"\ufeff{PW},1,2\n{PW},3,4\n".encode()
+    assert tail(path, payload, 2) == [f"{PW},1,2", f"{PW},3,4"]
+
+
+def test_tail_truncated_mid_record_starts_the_new_file_afresh(tmp_path):
+    # The unterminated record of the old file must not swallow the new
+    # file's first record.
+    path = tmp_path / "live.csv"
+    path.touch()
+    stop = threading.Event()
+    got = []
+
+    def run():
+        for line, _ in TailSource(path, poll_interval=0.2, stop=stop).frames():
+            got.append(line)
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    time.sleep(0.2)
+    with path.open("ab") as handle:
+        handle.write(f"{PW},1,2\n{PW},3".encode())
+    time.sleep(0.3)  # the partial record is read and held
+    path.write_bytes(b"")
+    time.sleep(0.3)
+    with path.open("ab") as handle:
+        handle.write(f"{PW},5,6\n{PW},7,8\n".encode())
+    deadline = time.monotonic() + 5.0
+    while len(got) < 3 and time.monotonic() < deadline:
+        time.sleep(0.02)
+    time.sleep(0.1)
+    stop.set()
+    thread.join(timeout=5.0)
+    assert not thread.is_alive()
+    assert got == [f"{PW},1,2", f"{PW},5,6", f"{PW},7,8"]
 
 
 def test_socket_roundtrip_and_reconnect():
