@@ -23,8 +23,9 @@ from pathlib import Path
 
 from .board import MAX_BEDS
 from .engine import ThresholdConfig, VerdictKind
-from .sources import DEFAULT_POLL_INTERVAL, socket_address
+from .sources import DEFAULT_POLL_INTERVAL, capture_header, socket_address
 from .standardize import RunningStandardizer
+from .synth import read_text
 from .tuning import MatchPolicy
 from .validity import FlagStreak, ParameterSchema
 
@@ -124,6 +125,11 @@ class Settings:
         if not self.grid:
             raise ConfigError("grid must contain at least one nu1:nu2 pair")
         _check_password(self.password)
+        if not capture_header(self.schema_names, self.password):  # what synth writes
+            raise ConfigError(
+                "schema.names must be able to head a capture file: no name a "
+                "decimal, and the first not the password"
+            )
         # A tracker raised at one arrival resolves within ell arrivals, so at
         # most ell trackers are open when an admission at capacity forces a
         # prune. With max_size > ell some element is always unprotected and
@@ -248,16 +254,16 @@ _NUMBER_KEYS = {f.name: f for f in fields(Settings) if type(f.default) in (int, 
 
 
 def parse_settings(text: str) -> Settings:
-    """The ``Settings`` of a config file's text. A refusal names the line from
-    which on the file raises it: rows are dropped from the end while the rest
-    still raises the same refusal, and the last row left is named. So a rule
-    over two lines, such as nu1 < nu2, names the later, and a blank or comment
-    row is never named."""
+    """The ``Settings`` of a config file's text, one row per LF-ended line. A
+    refusal names the row from which on the file raises it: rows are dropped
+    from the end while the rest still raises the same refusal, and the last
+    row left is named. So a rule over two lines, such as nu1 < nu2, names the
+    later, and a blank or comment row is never named."""
+    rows = text.split("\n")
     try:
-        return _parse(text)
+        return _parse(rows)
     except ConfigError as exc:
         refusal = str(exc)
-    rows = text.splitlines()
     line = len(rows)
     while _refusal(rows[: line - 1]) == refusal:
         line -= 1
@@ -266,17 +272,17 @@ def parse_settings(text: str) -> Settings:
 
 def _refusal(rows: list[str]) -> str | None:
     try:
-        _parse("\n".join(rows))
+        _parse(rows)
     except ConfigError as exc:
         return str(exc)
     return None
 
 
-def _parse(text: str) -> Settings:
+def _parse(rows: list[str]) -> Settings:
     values: dict[str, object] = {}
     detector: dict[str, int | float] = {}
     beds: dict[str, BedSource] = {}
-    for raw_line in text.splitlines():
+    for raw_line in rows:
         line = raw_line.strip()
         if not line or line.startswith("#"):
             continue
@@ -336,11 +342,9 @@ def load_settings(path: str | Path | None) -> Settings:
     if path is None:
         return Settings()
     try:
-        text = Path(path).read_text(encoding="utf-8-sig")
+        text = read_text(path)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:  # typed by a person: refused, not repaired
-        line = exc.object[: exc.start].count(b"\n") + 1
-        bad = exc.object[exc.start]
-        raise ConfigError(f"not UTF-8: {exc.reason} 0x{bad:02x}", line) from None
+    except ValueError as exc:  # a line that is not UTF-8
+        raise ConfigError(str(exc)) from None
     return parse_settings(text)

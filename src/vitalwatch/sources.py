@@ -17,7 +17,7 @@ import socket
 import threading
 import time
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator
+from typing import BinaryIO, Iterable, Iterator, Sequence
 
 from .synth import SyntheticSpec, generate
 from .validity import DECIMAL_RE
@@ -65,15 +65,21 @@ def _pace(lines: list[str], interval: float, speedup: float) -> Iterator[tuple[s
         yield line, time.time()
 
 
+def capture_header(names: Sequence[str], password: str) -> bool:
+    """Whether ``names`` can head a capture: none blank, none a decimal, and
+    the first not the password."""
+    return names[0] != password and all(n and not DECIMAL_RE.fullmatch(n) for n in names)
+
+
 def _is_capture(lines: list[str], password: str) -> bool:
     """Whether a recorded file's non-blank lines are a capture: the first is
-    a header of parameter names (no field blank or a decimal, the first not
-    the password) and the second, if any, is not a wire record (it does not
-    start with the password). A corrupt first record of a wire file (bad
-    password, garbage, an empty field) fails one of these tests, so it stays
-    a record that the screen flags alone."""
+    a ``capture_header`` of parameter names, blanks around each stripped, and
+    the second, if any, is not a wire record (it does not start with the
+    password). A corrupt first record of a wire file (bad password, garbage,
+    an empty field) fails one of these tests, so it stays a record that the
+    screen flags alone."""
     fields = [field.strip() for field in lines[0].split(",")]
-    if fields[0] == password or not all(f and not DECIMAL_RE.fullmatch(f) for f in fields):
+    if not capture_header(fields, password):
         return False
     return len(lines) == 1 or lines[1].split(",", 1)[0] != password
 

@@ -10,6 +10,7 @@ what makes supervised threshold tuning testable without patient data.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -171,14 +172,26 @@ def default_spec(
 
 # -- file formats ------------------------------------------------------------
 
-def capture_text(spec: SyntheticSpec, names: tuple[str, ...] | None = None) -> str:
-    """Capture-style CSV: header of parameter names, one row per poll."""
-    values, _ = generate(spec)
-    return _capture_text(values, names)
+LABELS_HEADER = "timestep,channels,note"
 
 
-def _capture_text(values: np.ndarray, names: tuple[str, ...] | None) -> str:
-    """``capture_text`` of a stream already generated, (steps, dim)."""
+def read_text(path: str | Path) -> str:
+    """A hand-edited file's text as text mode reads it: a leading byte-order
+    mark dropped, and each line end (LF, CRLF or a lone CR) read as LF. Bytes
+    that are not UTF-8 raise ValueError naming their line; an unreadable file
+    raises OSError."""
+    try:
+        return Path(path).read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as exc:  # typed by a person: refused, not repaired
+        before = exc.object[: exc.start]
+        line = len(re.findall(rb"\r\n?|\n", before)) + 1
+        bad = exc.object[exc.start]
+        raise ValueError(f"line {line}: not UTF-8: {exc.reason} 0x{bad:02x}") from None
+
+
+def capture_text(values: np.ndarray, names: tuple[str, ...] | None = None) -> str:
+    """Capture-style CSV of a (steps, dim) stream: a header of parameter
+    names (``ch0``, ``ch1``, ... when none are given), one row per poll."""
     dim = values.shape[1]
     if names is None:
         names = tuple(f"ch{i}" for i in range(dim))
@@ -191,7 +204,7 @@ def _capture_text(values: np.ndarray, names: tuple[str, ...] | None) -> str:
 
 
 def labels_text(labels: list[LabeledEvent]) -> str:
-    lines = ["timestep,channels,note"]
+    lines = [LABELS_HEADER]
     for ev in labels:
         lines.append(
             ",".join([str(ev.timestep), ";".join(map(str, ev.channels)), ev.note])
@@ -200,10 +213,13 @@ def labels_text(labels: list[LabeledEvent]) -> str:
 
 
 def read_labels(path: str | Path) -> list[LabeledEvent]:
-    """The labels ``labels_text`` wrote. A row that does not parse raises
-    ValueError naming its line; an unreadable file raises OSError."""
+    """The labels ``labels_text`` wrote, line 1 its ``LABELS_HEADER``, each
+    later line one label, read as ``read_text`` reads. A header or row that does
+    not parse raises ValueError naming its line; an unreadable file OSError."""
+    lines = read_text(path).split("\n")
+    if lines[0] != LABELS_HEADER:
+        raise ValueError(f"line 1: expected the header {LABELS_HEADER!r}, got {lines[0]!r}")
     labels = []
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
     for line_no, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -213,7 +229,7 @@ def read_labels(path: str | Path) -> list[LabeledEvent]:
             labels.append(LabeledEvent(int(timestep), parsed, note))
         except ValueError:
             raise ValueError(
-                f"line {line_no}: expected timestep,channels,note with integer "
+                f"line {line_no}: expected {LABELS_HEADER} with integer "
                 f"timestep and channels, got {line!r}"
             ) from None
     return labels
@@ -226,6 +242,6 @@ def write_stream(
     names: tuple[str, ...] | None = None,
 ) -> list[LabeledEvent]:
     values, labels = generate(spec)
-    Path(stream_path).write_text(_capture_text(values, names), encoding="utf-8")
+    Path(stream_path).write_text(capture_text(values, names), encoding="utf-8")
     Path(labels_path).write_text(labels_text(labels), encoding="utf-8")
     return labels

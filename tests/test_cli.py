@@ -473,3 +473,61 @@ def test_monitor_refuses_a_duration_it_cannot_keep(tmp_path, capsys, duration):
     assert code == 2
     assert err == f"config error: --duration must be finite and >= 0, got {float(duration)}\n"
     assert not out.exists()
+
+
+@pytest.fixture()
+def synth_600(tmp_path, capsys):
+    """``synth --steps 600 --anomalies 5 --seed 3``: the stream and its labels."""
+    stream = tmp_path / "s.csv"
+    code, _, _ = run(capsys, "synth", "--steps", "600", "--anomalies", "5",
+                     "--seed", "3", "--out", str(stream))
+    assert code == 0
+    return stream, tmp_path / "s.csv.labels.csv"
+
+
+def test_tune_reads_a_label_note_holding_a_form_feed(tmp_path, capsys, synth_600):
+    stream, labels = synth_600
+    lines = labels.read_text(encoding="utf-8").split("\n")
+    lines[2] += "\x0cbreak"
+    ff = tmp_path / "ff.csv"
+    ff.write_text("\n".join(lines), encoding="utf-8")
+    code, out, err = run(capsys, "tune", str(stream), "--labels", str(ff))
+    assert (code, err) == (0, "")
+    assert out.endswith("(detected 5, missed 0, false alarms 15)\n")
+    assert read_labels(ff)[1].note == "5sigma\x0cbreak"
+
+
+def test_tune_refuses_a_label_file_without_its_header(tmp_path, capsys, synth_600):
+    stream, labels = synth_600
+    nohdr = tmp_path / "nohdr.csv"
+    nohdr.write_text(labels.read_text(encoding="utf-8").split("\n", 1)[1], encoding="utf-8")
+    code, out, err = run(capsys, "tune", str(stream), "--labels", str(nohdr))
+    assert (code, out) == (1, "")
+    assert err == (
+        f"source error: bad label file {nohdr}: line 1: expected the header "
+        "'timestep,channels,note', got '328,0;2,5sigma'\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "names, refused", [("1, 2, 3, 4", True), ("PW123, b", True), ("1a, b2, -c, +.e", False)]
+)
+def test_what_synth_writes_replay_reads_back(tmp_path, capsys, names, refused):
+    cfg = tmp_path / "names.cfg"
+    cfg.write_text(f"warmup = 10\nschema.names = {names}\n")
+    stream = tmp_path / "n.csv"
+    code, _, err = run(capsys, "synth", "--config", str(cfg), "--steps", "200",
+                       "--anomalies", "3", "--out", str(stream))
+    if refused:
+        assert code == 2
+        assert err.startswith("config error: line 2: schema.names must be able to head")
+        assert not stream.exists()
+        return
+    assert (code, err) == (0, "")
+    out = tmp_path / "arch"
+    code, text, _ = run(capsys, "replay", str(stream), "--config", str(cfg), "--out", str(out))
+    assert code == 0
+    assert "replayed 200 frames" in text
+    frames = (out / "frames_bed1.csv").read_text(encoding="utf-8").split("\n")[1:-1]
+    assert len(frames) == 200
+    assert all(row.split(",")[3] == "" for row in frames)

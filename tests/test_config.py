@@ -327,3 +327,59 @@ def test_every_readme_python_example_runs():
     assert examples
     for example in examples:
         exec(compile(example, "README.md", "exec"), {})
+
+
+# Characters ``str.splitlines`` breaks a line at but an editor does not.
+NOT_LINE_ENDS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+_FILLER = st.text(alphabet=NOT_LINE_ENDS + "ab 9_", max_size=8)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    rows=st.lists(st.tuples(st.sampled_from(["# ", "archive_dir = "]), _FILLER), max_size=6),
+    bad_at=st.none() | st.integers(0, 6),
+    end=st.sampled_from(["\n", "\r\n", "\r"]),
+)
+def test_config_rows_are_the_files_lines(tmp_path_factory, rows, bad_at, end):
+    lines = [key + filler for key, filler in rows]
+    if bad_at is not None:
+        lines.insert(min(bad_at, len(lines)), "bogus = 1")
+    path = tmp_path_factory.mktemp("cfg") / "run.cfg"
+    path.write_bytes(end.join(lines).encode() + end.encode())
+    reads = [lambda: load_settings(path)]
+    if end != "\r":  # text mode makes a lone CR a line end; parse_settings reads text
+        reads.append(lambda: parse_settings(end.join(lines) + end))
+    for read in reads:
+        if bad_at is None:
+            values = [filler.strip() for key, filler in rows if key == "archive_dir = "]
+            assert read().archive_dir == (values or ["archives"])[-1]
+        else:
+            with pytest.raises(ConfigError, match="unknown setting 'bogus'") as excinfo:
+                read()
+            assert excinfo.value.line == min(bad_at, len(rows)) + 1
+
+
+@pytest.mark.parametrize(
+    "text", ["warmup = 10\n# ward 3\x0c east wing\ntrain_steps = 20\n",
+             "# ward 3\u2028east wing\nwarmup = 10\ntrain_steps = 20\n"],
+)
+def test_a_separator_inside_a_comment_stays_in_its_line(tmp_path, text):
+    path = tmp_path / "run.cfg"
+    path.write_text(text, encoding="utf-8")
+    s = load_settings(path)
+    assert (s.warmup, s.train_steps) == (10, 20)
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("schema.names = 1, 2, 3, 4\n", 1),
+        ("password = PW9\nschema.names = hr, 2.5, x\n", 2),
+        ("schema.names = PW9, spo2\npassword = PW9\n", 2),
+        ("password = hr\n", 1),
+    ],
+)
+def test_schema_names_a_capture_header_cannot_hold_are_refused(text, line):
+    with pytest.raises(ConfigError, match="schema.names must be able to head a capture") as excinfo:
+        parse_settings(text)
+    assert excinfo.value.line == line

@@ -40,7 +40,7 @@ from vitalwatch.pipeline import (
     standardized_stream,
 )
 from vitalwatch.sources import ReplaySource, SocketSource, SourceError, TailSource
-from vitalwatch.synth import capture_text, default_spec, read_labels, write_stream
+from vitalwatch.synth import capture_text, default_spec, generate, read_labels, write_stream
 from vitalwatch.tuning import grid_search, run_detector, score_run
 from vitalwatch.validity import (
     DataWarning,
@@ -408,7 +408,7 @@ def recording(tmp_path, steps: int, splices: dict[int, list[str]] | None = None)
     anomalies = 6 if steps >= 300 else 0
     spec = default_spec(steps=steps, n_anomalies=anomalies, seed=13, dim=4,
                         first_anomaly=60, min_gap=30)
-    body = capture_text(spec).splitlines()[1:]
+    body = capture_text(generate(spec)[0]).splitlines()[1:]
     lines = [f"{PW},{row}" for row in body]
     for at in sorted(splices or {}, reverse=True):
         lines[at:at] = splices[at]
@@ -521,7 +521,7 @@ class TestReplayAtInfiniteSpeedup:
 
     def test_a_huge_negative_field_is_flagged_and_blinds_nothing(self, tmp_path, monkeypatch):
         spec = default_spec(steps=400, n_anomalies=0, seed=3, dim=4)
-        lines = [f"{PW},{row}" for row in capture_text(spec).splitlines()[1:]]
+        lines = [f"{PW},{row}" for row in capture_text(generate(spec)[0]).splitlines()[1:]]
         # parses as -inf: passed on, it made SpO2's running mean nan and
         # every later arrival a refused one
         lines[100] = f"{PW},72,-{'9' * 400},118,76"

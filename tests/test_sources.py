@@ -24,7 +24,7 @@ from vitalwatch.sources import (
     records,
     wire_line,
 )
-from vitalwatch.synth import ChannelBaseline, SyntheticSpec, capture_text, default_spec
+from vitalwatch.synth import ChannelBaseline, SyntheticSpec, capture_text, default_spec, generate
 
 PW = "PW123"
 
@@ -165,7 +165,7 @@ def test_synthetic_source_emits_wire_records():
 
 def test_synthetic_source_lines_are_the_capture_rows_behind_the_password():
     spec = default_spec(steps=500, n_anomalies=5, seed=11, dim=4)
-    rows = capture_text(spec).splitlines()[1:]  # the header dropped
+    rows = capture_text(generate(spec)[0]).splitlines()[1:]  # the header dropped
     assert [line for line, _ in SyntheticSource(spec, PW).frames()] == [
         f"{PW},{row}" for row in rows
     ]

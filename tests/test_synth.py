@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import vitalwatch.synth as synth_module
 from vitalwatch.synth import (
@@ -36,7 +38,7 @@ def test_zero_anomalies_means_zero_labels():
 
 def test_same_seed_is_byte_identical():
     spec = small_spec(seed=42)
-    assert capture_text(spec) == capture_text(spec)
+    assert capture_text(generate(spec)[0]) == capture_text(generate(spec)[0])
     a, _ = generate(spec)
     b, _ = generate(spec)
     np.testing.assert_array_equal(a, b)
@@ -104,7 +106,7 @@ def test_spec_validation():
 
 
 def test_capture_text_shape_and_header():
-    text = capture_text(small_spec(steps=3), names=("hr", "spo2"))
+    text = capture_text(generate(small_spec(steps=3))[0], names=("hr", "spo2"))
     lines = text.splitlines()
     assert lines[0] == "hr,spo2"
     assert len(lines) == 4
@@ -133,7 +135,7 @@ def test_write_stream_writes_both_files(tmp_path):
 
 def test_write_stream_generates_once(tmp_path, monkeypatch):
     spec = default_spec(steps=300, n_anomalies=3, seed=4, first_anomaly=100, min_gap=10)
-    want_stream, (_, want_labels) = capture_text(spec), generate(spec)
+    want_stream, (_, want_labels) = capture_text(generate(spec)[0]), generate(spec)
     calls = []
 
     def counting(spec):
@@ -146,3 +148,44 @@ def test_write_stream_generates_once(tmp_path, monkeypatch):
     assert calls == [spec]
     assert stream.read_bytes() == want_stream.encode("utf-8")
     assert labels_file.read_bytes() == labels_text(want_labels).encode("utf-8")
+
+
+# Characters ``str.splitlines`` breaks a line at but an editor does not.
+NOT_LINE_ENDS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    notes=st.lists(st.text(alphabet=NOT_LINE_ENDS + "ab ,;9", max_size=8), max_size=6),
+    bad_at=st.none() | st.integers(0, 6),
+    end=st.sampled_from(["\n", "\r\n"]),
+)
+def test_label_rows_are_the_files_lines(tmp_path_factory, notes, bad_at, end):
+    labels = [LabeledEvent(10 * i, (i % 3,), note) for i, note in enumerate(notes)]
+    lines = labels_text(labels).split("\n")
+    if bad_at is not None:
+        lines.insert(1 + min(bad_at, len(labels)), "break")
+    path = tmp_path_factory.mktemp("labels") / "labels.csv"
+    path.write_bytes(end.join(lines).encode())
+    if bad_at is None:
+        assert read_labels(path) == labels
+    else:
+        with pytest.raises(ValueError, match=f"^line {min(bad_at, len(labels)) + 2}: "):
+            read_labels(path)
+
+
+def test_a_label_file_with_a_byte_order_mark_still_reads(tmp_path):
+    labels = [LabeledEvent(20, (0, 2), "5sigma"), LabeledEvent(45, (1,), "drop")]
+    path = tmp_path / "labels.csv"
+    path.write_text(labels_text(labels), encoding="utf-8-sig")
+    assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert read_labels(path) == labels
+
+
+@pytest.mark.parametrize("end", [b"\n", b"\r\n", b"\r"])
+def test_a_label_file_that_is_not_utf8_names_its_line(tmp_path, end):
+    path = tmp_path / "labels.csv"
+    path.write_bytes(end.join([b"timestep,channels,note", b"20,0,ok", b"45,1,caf\xff", b""]))
+    with pytest.raises(ValueError) as excinfo:
+        read_labels(path)
+    assert str(excinfo.value) == "line 3: not UTF-8: invalid start byte 0xff"

@@ -5,6 +5,7 @@ Run from the repository root:
 
     python3 tools/verdict_digest.py --seeds 201 7
     python3 tools/verdict_digest.py --seeds 201 7 --against HEAD~1
+    python3 tools/verdict_digest.py --seeds 201 7 --against HEAD~1 --changes walk
 
 For each seed it prints five SHA-256 digests, built from the benchmark's own
 seeded inputs (``perfbench/``, imported and never written):
@@ -33,8 +34,12 @@ seeded inputs (``perfbench/``, imported and never written):
 With ``--against REV`` it extracts REV's ``src/`` with ``git archive`` into
 a temporary directory, computes the same digests with that package and with
 the working tree's, both from the working tree's ``perfbench/`` inputs, in
-one fresh process each, prints both sides and exits 1 on any mismatch, or
-2 with one line on standard error when git cannot archive REV.
+one fresh process each, and prints both sides. ``--changes`` names the
+digests the change means to move, comma-separated (CI passes the names that
+the change's new lines in ``tools/verdict_changes.txt`` declare). The run
+exits 1 when a digest that is not named differs on any seed, or a named one
+is identical on every seed, and 2 with one line on standard error when git
+cannot archive REV.
 """
 
 from __future__ import annotations
@@ -49,6 +54,7 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
+DIGESTS = ("tune", "state", "replay", "edge", "walk")
 
 
 def tune_digest(seed: int, work: Path) -> tuple[str, str, int, int]:
@@ -206,7 +212,19 @@ def digests_in_child(seeds: list[int], src: Path) -> list[str]:
     return subprocess.run(argv, check=True, capture_output=True, text=True).stdout.splitlines()
 
 
-def against(rev: str, seeds: list[int]) -> int:
+def undeclared(theirs: list[str], ours: list[str], declared: set[str]) -> list[str]:
+    """Why the two sides' ``print_digests`` lines fail the check: each digest
+    that differs on some seed but is not declared, and each declared digest
+    that is identical on every seed. Empty when the check passes."""
+    changed = {a.split()[2] for a, b in zip(theirs, ours, strict=True) if a != b}
+    return [
+        f"{name}: {'changed, not declared' if name in changed else 'declared, unchanged'}"
+        for name in DIGESTS
+        if (name in changed) != (name in declared)
+    ]
+
+
+def against(rev: str, seeds: list[int], declared: set[str]) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         archive = subprocess.run(
             ["git", "-C", str(ROOT), "archive", rev, "src"], capture_output=True,
@@ -225,7 +243,10 @@ def against(rev: str, seeds: list[int]) -> int:
         print(f"{rev}:    {line_theirs}")
         print(f"working: {line_ours}{'' if same else '   MISMATCH'}")
     print(f"{mismatches} mismatch(es) against {rev}")
-    return 1 if mismatches else 0
+    problems = undeclared(theirs, ours, declared)
+    for problem in problems:
+        print(problem)
+    return 1 if problems else 0
 
 
 def main(argv: list[str]) -> int:
@@ -235,10 +256,17 @@ def main(argv: list[str]) -> int:
         "--against", metavar="REV",
         help="compare with the digests of this git revision's src/",
     )
+    parser.add_argument(
+        "--changes", default="", metavar="NAMES",
+        help=f"digests the change moves on purpose, comma-separated, of {', '.join(DIGESTS)}",
+    )
     parser.add_argument("--src", type=Path, default=ROOT / "src", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
+    declared = {name.strip() for name in args.changes.split(",") if name.strip()}
+    if declared - set(DIGESTS):
+        parser.error(f"--changes names no digest: {', '.join(sorted(declared - set(DIGESTS)))}")
     if args.against:
-        return against(args.against, args.seeds)
+        return against(args.against, args.seeds, declared)
     print_digests(args.seeds, args.src)
     return 0
 
