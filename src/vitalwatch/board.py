@@ -187,8 +187,9 @@ def needs_flush(event: Verdict | DataWarning) -> bool:
 class EventArchive:
     """Append-only CSV log of every verdict and data-warning transition.
 
-    Every event ``needs_flush`` names is flushed as soon as it is written,
-    so an alarm or data warning survives a killed process.
+    The caller flushes every event ``needs_flush`` names as it is written,
+    so an alarm or data warning survives a killed process; it decides once
+    per event, for this archive and any other it keeps in step with.
     """
 
     def __init__(self, path: str | Path) -> None:
@@ -197,10 +198,12 @@ class EventArchive:
             self._handle.write(EVENT_HEADER + "\n")
 
     def append(
-        self, bed: str, event: Verdict | DataWarning, wall_time: float | None = None
+        self, bed: str, event: Verdict | DataWarning, wall_time: float | None, flush: bool
     ) -> None:
+        """Write the event's row, stamped ``wall_time`` (now, if None), and
+        with ``flush`` flush it to the file at once."""
         self._handle.write(event_row(bed, event, wall_time) + "\n")
-        if needs_flush(event):
+        if flush:
             self._handle.flush()
 
     def close(self) -> None:

@@ -53,17 +53,23 @@ changes inside the block, and the arrivals after that change are projected
 one at a time. A quiet arrival, Green or Red1 from the stacked projection
 with no tracker open and no prune due, is scored inline by the walk: the
 usage decay, a Green's credit and the verdict, with no call to the scorer.
-The walk (``_walk``) can pause after any arrival: ``feed_run`` runs it to
-each block's end, and ``feed_recording``, a generator that pulls a
-recording's frames one at a time (a replay at speedup = inf, through
-``BedPipeline.feed_recording``), moves it one arrival forward per frame
-taken and hands each frame back in order, with the block buffers, their
-loading and the frames not yet handed back its own. A paced replay and
+The walk (``_walk``) is a generator that can pause after any arrival:
+``feed_run`` runs it to each block's end without pausing, and
+``feed_recording``, a generator that pulls a recording's frames one at a
+time (a replay at speedup = inf, through ``BedPipeline.feed_recording``),
+resumes the block's paused walk once per frame taken, so that a frame's
+turn neither sets the walk up again nor re-reads its state, and hands each
+frame back in order, with the block buffers, their loading and the frames
+not yet handed back its own. It checks each block's arrivals once: the
+width as a frame is taken, and finiteness for the whole block as it is
+loaded, so that a clean arrival's turn costs one order compare; an arrival
+that fails it goes through the check ``feed`` makes. A paced replay and
 monitor feed one arrival at a time, since a live bed has no lookahead.
-Every entry point refuses a bad arrival alike. ``restart`` is the one
-definition of a fresh detector: ``__init__`` calls it, ``feed_recording``
-calls it after an arrival that raises ``EngineError`` and goes on walking,
-and the pipeline calls it when ``feed`` raises.
+Every entry point refuses a bad arrival alike, with the same type and
+message at the same arrival. ``restart`` is the one definition of a fresh
+detector: ``__init__`` calls it, ``feed_recording`` calls it after an
+arrival that raises ``EngineError`` and goes on walking, and the pipeline
+calls it when ``feed`` raises.
 """
 
 from __future__ import annotations
@@ -401,11 +407,10 @@ class KoadEngine:
         # The walk's current block: its arrivals and their timesteps, their
         # kernel rows against the basis (max_size columns each, the leading
         # ones in the dictionary's order), the scored arrival's place in it,
-        # the next arrival to score, and the block's stacked projection and
-        # Green credits, both made when the walk first reaches the block.
-        # The rows after the scored arrival's are the ones still to be
-        # scored; _remove_element and _admit keep them in step with the
-        # dictionary. Outside a walk the block is empty.
+        # the next arrival to score, and a recording walk's paused generator
+        # (see _walk). The rows after the scored arrival's are the ones still
+        # to be scored; _remove_element and _admit keep them in step with
+        # the dictionary. Outside a walk the block is empty.
         self._unload()
 
     @property
@@ -416,15 +421,15 @@ class KoadEngine:
         """Become a fresh detector in place: an empty dictionary, no
         trackers, no arrival seen, so the next arrival trains as a fresh
         engine's first would. A walk paused between arrivals goes on from
-        its next arrival: its stacked projection and credits are dropped,
-        and the rows still to come need no kernel call, since the empty
-        basis has no columns and ``_admit`` patches each later row as the
-        dictionary grows again."""
+        its next arrival: its generator, which holds the old dictionary and
+        the block's stacked projection, is dropped, and the rows still to
+        come need no kernel call, since the empty basis has no columns and
+        ``_admit`` patches each later row as the dictionary grows again."""
         self.dictionary = DictionaryState(self.dim, self.config.max_size)
         self.trackers: list[OrangeTracker] = []
         self.steps_seen = 0
         self.last_timestep = -1  # before any arrival: every timestep >= 0 follows it
-        self._stacked = self._credits = None
+        self._walking = None
 
     # -- scoring ---------------------------------------------------------
 
@@ -503,7 +508,7 @@ class KoadEngine:
         try:
             for start in range(0, len(vectors), BLOCK):
                 self._load(vectors[start : start + BLOCK], timesteps[start : start + BLOCK], rows)
-                self._walk(out, train_steps)
+                next(self._walk(out, train_steps), None)  # unpaused: to the block's end
         finally:
             self._unload()
         return out
@@ -511,27 +516,33 @@ class KoadEngine:
     def feed_recording(self, frames: Iterable[tuple], train_steps: int) -> Iterator[tuple]:
         """``feed`` over a recording taken one frame at a time, walked in
         blocks of BLOCK arrivals as ``feed_run`` walks a run. ``frames``
-        gives one (arrival or None, tag) pair per frame; this yields one
-        (tag, outcome) pair per frame, in frame order. The outcome is the
-        arrival's verdicts, or the ``EngineError`` after which the detector
-        restarted and the walk went on, or None for a frame without one.
+        gives one tuple per frame, its arrival or None first; this yields
+        one (frame, outcome) pair per frame, in frame order. The outcome is
+        the arrival's verdicts, or the ``EngineError`` after which the
+        detector restarted and the walk went on, or None for a frame without
+        one.
 
         Each frame taken moves the walk at most one arrival forward, up to
         2 * BLOCK arrivals behind: an arrival goes into the filling block,
-        its width checked, when its frame is taken, the next block's kernel
-        rows are computed right after the current block's last arrival, and
-        its stacked projection with its own first arrival. The rest of
-        ``feed``'s checks are made on an arrival's own turn, so the order
-        test compares with the last arrival walked. Until the walk ends or
-        is closed, which empties the block, nothing else may feed this
-        engine.
+        its width checked, when its frame is taken, and the next block's
+        kernel rows are computed right after the current block's last
+        arrival, with ``feed``'s other checks for all of its arrivals at
+        once (``_order_keys``), so that a clean arrival's turn makes one
+        compare with the last arrival walked. An arrival that fails it goes
+        through ``_checked``, which refuses it as ``feed`` would. The block
+        is walked by one paused generator (``_walk``), which makes the
+        stacked projection on the block's first turn and is resumed once a
+        turn. Until the walk ends or is closed, which empties the block,
+        nothing else may feed this engine.
         """
+        shape = self._shape
         filling, spare = np.empty((BLOCK, self.dim)), np.empty((BLOCK, self.dim))
         rows = np.empty((BLOCK, self.config.max_size))
         times: list[int] = []  # the filling block's timesteps
+        keys: list[int] = []  # the current block's, from _order_keys
         # The frames taken and not yet handed back; once the frames that are
         # done have been, the head is the next arrival to walk.
-        pending: deque[tuple[MeasurementVector | None, object]] = deque()
+        pending: deque[tuple] = deque()
         frames, taking = iter(frames), True
         try:
             while taking or pending:
@@ -539,8 +550,10 @@ class KoadEngine:
                 if frame is not None:
                     x = frame[0]
                     if x is not None:
-                        self._check_width(np.shape(x.values))
-                        filling[len(times)] = x.values
+                        values = x.values
+                        if type(values) is not np.ndarray or values.shape != shape:
+                            self._check_width(np.shape(values))
+                        filling[len(times)] = values
                         times.append(x.timestep)
                     pending.append(frame)
                 taking = frame is not None
@@ -548,26 +561,37 @@ class KoadEngine:
                 # once the current one is walked and the filling one is full
                 # or the last.
                 i = self._next
-                if i < len(self._times):
-                    x, tag = pending.popleft()
-                    out: list[Verdict] | EngineError = []
+                if i < len(keys):
+                    head = pending.popleft()
                     try:
-                        self._checked(x)
-                        self._walk(out, train_steps, True)
+                        if keys[i] <= self.last_timestep:
+                            self._checked(head[0])
+                        walk = self._walking
+                        if walk is None:
+                            walk = self._walking = self._walk([], train_steps, True)
+                        out = next(walk)
                     except EngineError as exc:
                         self.restart()
                         self._next = i + 1
                         out = exc
-                    yield tag, out
-                if self._next == len(self._times) and (
-                    len(times) == BLOCK or not taking and times
-                ):
-                    self._load(filling[: len(times)], times, rows)
+                    yield head, out
+                if self._next == len(keys) and (len(times) == BLOCK or not taking and times):
+                    block = filling[: len(times)]
+                    self._load(block, times, rows)
+                    keys = self._order_keys(block, times)
                     filling, spare, times = spare, filling, []
                 while pending and pending[0][0] is None:
-                    yield pending.popleft()[1], None
+                    yield pending.popleft(), None
         finally:
             self._unload()
+
+    def _order_keys(self, block: np.ndarray, timesteps: list[int]) -> list[int]:
+        """Each arrival's timestep, or -1 for one with a non-finite
+        component: an arrival of the right width passes ``feed``'s checks
+        exactly when its key exceeds the last timestep walked, which is at
+        least -1. Finiteness is tested for the whole block in one call."""
+        finite = np.isfinite(block).all(axis=1).tolist()
+        return [t if ok else -1 for t, ok in zip(timesteps, finite)]
 
     def _load(self, block: np.ndarray, timesteps: list[int], rows: np.ndarray) -> None:
         """Make the (B, dim) ``block``, arriving at ``timesteps``, the walk's
@@ -582,26 +606,31 @@ class KoadEngine:
             self.dictionary.basis, block, self.config.sigma
         )
         self._block, self._times, self._rows = block, timesteps, rows
-        self._next, self._stacked, self._credits = 0, None, None
+        self._next, self._walking = 0, None
 
     def _unload(self) -> None:
         """An empty current block: no walk, and no hold on a run's memory."""
         self._block, self._times = np.zeros((0, self.dim)), []
         self._rows = np.zeros((0, self.config.max_size))
         self._at = self._next = 0
-        self._stacked = self._credits = None
+        self._walking = None
 
-    def _walk(self, out: list[Verdict], train_steps: int, one: bool = False) -> None:
-        """Walk the current block from its next arrival: to the block's end,
-        or with ``one`` that arrival alone, appending every verdict to
-        ``out`` in ``feed``'s order; arrivals before ``train_steps`` train.
-        A caller that pauses after each arrival, as a replay of a recording
-        does, and one that walks the block whole run this same loop.
+    def _walk(
+        self, out: list[Verdict], train_steps: int, paused: bool = False
+    ) -> Iterator[list[Verdict]]:
+        """A generator that walks the current block from its next arrival to
+        its end, appending every verdict to ``out`` in ``feed``'s order;
+        arrivals before ``train_steps`` train. Unpaused, it yields nothing,
+        so one ``next`` runs it to the block's end. ``paused``, it yields
+        ``out`` after each arrival, and each resumption walks the next one
+        into a new list: a recording's walk keeps its place, and the
+        block's state, between frames. Unpaused, the loop makes no test per
+        arrival for the pause.
 
-        On its first call for a block the walk projects the block's rows at
-        once: ``np.matmul`` of the inverse with the stacked rows and
-        ``np.vecdot`` of the rows with the coefficients, which numpy runs as
-        one matrix-vector product and one dot per row, each bitwise
+        On its first step the walk projects the block's rows at once:
+        ``np.matmul`` of the inverse with the stacked rows and ``np.vecdot``
+        of the rows with the coefficients, which numpy runs as one
+        matrix-vector product and one dot per row, each bitwise
         ``_project``'s. The stacked projections hold while
         ``dictionary.changes`` stays where it was then; from the first
         change on, each arrival to the block's end is projected by
@@ -618,53 +647,57 @@ class KoadEngine:
         ``_train`` or ``_score``.
         """
         dictionary, trackers = self.dictionary, self.trackers
-        if self._stacked is None:
-            krows = self._rows[:, : dictionary.size]
-            crows = np.matmul(dictionary.inv_gram, krows[..., None])[..., 0]
-            deltas = (1.0 - np.vecdot(krows, crows)).tolist()
-            self._stacked = dictionary.changes, dictionary.usage, krows, crows, deltas
-        changes, usage, krows, crows, deltas = self._stacked
+        changes, usage = dictionary.changes, dictionary.usage
+        krows = self._rows[:, : dictionary.size]
+        crows = np.matmul(dictionary.inv_gram, krows[..., None])[..., 0]
+        deltas = (1.0 - np.vecdot(krows, crows)).tolist()
+        credits = None
         cfg = self.config
         lam, nu1, nu2, period = cfg.lam, cfg.nu1, cfg.nu2, cfg.prune_period
-        block, rows, timesteps, credits = self._block, self._rows, self._times, self._credits
+        block, rows, timesteps = self._block, self._rows, self._times
         start = self._next
-        stop = start + 1 if one else len(deltas)
-        for i in range(start, stop):
-            delta, t, seen = deltas[i], timesteps[i], self.steps_seen
-            if (
-                not trackers
-                and seen >= train_steps
-                and dictionary.changes == changes
-                and (0.0 <= delta < nu1 or delta > nu2)
-                and (seen + 1) % period
-            ):
-                # The quiet lane: _score's steps for this arrival. The
-                # dictionary is the block's, so `usage` is still its view.
-                usage *= lam
-                if delta < nu1:
-                    if credits is None:
-                        credits = self._credits = np.abs(crows)
-                    usage += credits[i]
-                    out.append(_tuple_new(Verdict, (_GREEN, t, delta, None)))
+        stop = start + 1 if paused else len(deltas)
+        while True:
+            for i in range(start, stop):
+                delta, t, seen = deltas[i], timesteps[i], self.steps_seen
+                if (
+                    not trackers
+                    and seen >= train_steps
+                    and dictionary.changes == changes
+                    and (0.0 <= delta < nu1 or delta > nu2)
+                    and (seen + 1) % period
+                ):
+                    # The quiet lane: _score's steps for this arrival. The
+                    # dictionary is the block's, so `usage` is still its view.
+                    usage *= lam
+                    if delta < nu1:
+                        if credits is None:
+                            credits = np.abs(crows)
+                        usage += credits[i]
+                        out.append(_tuple_new(Verdict, (_GREEN, t, delta, None)))
+                    else:
+                        out.append(_tuple_new(Verdict, (_RED1, t, delta, None)))
+                    self.last_timestep = t
+                    self.steps_seen = seen + 1
+                    continue
+                self._at = i
+                values = block[i]
+                if dictionary.changes == changes and delta >= 0.0:
+                    coeffs, kvec = crows[i], krows[i]
                 else:
-                    out.append(_tuple_new(Verdict, (_RED1, t, delta, None)))
-                self.last_timestep = t
-                self.steps_seen = seen + 1
-                continue
-            self._at = i
-            values = block[i]
-            if dictionary.changes == changes and delta >= 0.0:
-                coeffs, kvec = crows[i], krows[i]
-            else:
-                delta, coeffs, kvec = self._project(values, rows[i, : dictionary.size])
-            if seen < train_steps:
-                self._train(values, t, delta, coeffs, kvec)
-            else:
-                immediate, resolutions = self._score(values, t, delta, coeffs, kvec)
-                out.append(immediate)
-                if resolutions:
-                    out += resolutions
-        self._next = stop
+                    delta, coeffs, kvec = self._project(values, rows[i, : dictionary.size])
+                if seen < train_steps:
+                    self._train(values, t, delta, coeffs, kvec)
+                else:
+                    immediate, resolutions = self._score(values, t, delta, coeffs, kvec)
+                    out.append(immediate)
+                    if resolutions:
+                        out += resolutions
+            self._next = stop
+            if not paused:
+                return
+            yield out
+            out, start, stop = [], stop, stop + 1
 
     def step(self, x: MeasurementVector) -> tuple[Verdict, list[Verdict]]:
         """Score one arrival; returns the immediate verdict plus any Orange

@@ -26,9 +26,13 @@ what a run writes: a paced replay and ``monitor`` one frame at a time
 through ``feed_line``, and a replay at speedup = inf through
 ``feed_recording``, whose frames the engine's recording walk
 (``KoadEngine.feed_recording``) pulls through the screen and hands back in
-order, each given the events ``feed_line`` would. On both paths a detector
-that raises ``EngineError`` restarts in place (``KoadEngine.restart``), so
-a bed keeps one engine for its whole run. ``tune`` runs the front half once
+order, each with its arrival and the screen's warning, and each given the
+events ``feed_line`` would. The ``Ward`` delivers a frame's events to the
+board and the event archive, and decides each event's flush once: one
+``needs_flush`` test flushes the bed's frame archive before the event's
+row, then the row. On both paths a detector that raises ``EngineError``
+restarts in place (``KoadEngine.restart``), so a bed keeps one engine for
+its whole run. ``tune`` runs the front half once
 (``standardized_stream``) and the walk once per grid row
 (``tuning.run_detector``, through ``feed_run``).
 """
@@ -75,9 +79,11 @@ class BedPipeline:
     """Single-writer chain turning raw lines into verdicts for one bed.
 
     The frame archive, when given, gets one row per record. It is flushed
-    after a flagged frame's row and after a frame whose events include one
-    that ``needs_flush``, so the frames behind an alarm or a data warning
-    survive a killed process.
+    after a flagged frame's row, and so that the frames behind an alarm or
+    a data warning survive a killed process, ``feed_line`` flushes it after
+    a frame with an event that ``needs_flush``. ``feed_recording`` leaves
+    that flush to its caller, which archives the events: the ``Ward``
+    makes it before each such event's row.
     """
 
     def __init__(self, bed: str, settings: Settings, frame_archive=None) -> None:
@@ -149,14 +155,17 @@ class BedPipeline:
         """Process one raw record; returns the events it produced (see
         ``_events``). A detector that raises ``EngineError`` restarts."""
         warning, x = self.screen(line, received_at)
-        if x is None:
-            return self._events(warning, None, None)
-        try:
-            outcome = self.engine.feed(x, self.settings.train_steps)
-        except EngineError as exc:
-            self.engine.restart()
-            outcome = exc
-        return self._events(warning, x.timestep, outcome)
+        outcome = None
+        if x is not None:
+            try:
+                outcome = self.engine.feed(x, self.settings.train_steps)
+            except EngineError as exc:
+                self.engine.restart()
+                outcome = exc
+        events = self._events(warning, x, outcome)
+        if self._archive is not None and any(map(needs_flush, events)):
+            self._archive.flush()
+        return events
 
     def feed_recording(
         self, frames: Iterable[tuple[str, float]]
@@ -170,58 +179,52 @@ class BedPipeline:
         forward per frame taken and keeps up to two blocks of arrivals
         behind the screen. A frame's events are yielded once the walk hands
         it back, so its archive row is written before them, with the rows
-        of the later frames the walk has not reached in between. An arrival
-        on which the detector raises ``EngineError`` restarts it, as in
-        ``feed_line``. Between two frames it yields, nothing else may feed
-        this pipeline: the engine holds the walk's block.
+        of the later frames the walk has not reached in between; the caller
+        that archives the events flushes the frame archive before each row
+        that ``needs_flush``. An arrival on which the detector raises
+        ``EngineError`` restarts it, as in ``feed_line``. Between two frames
+        it yields, nothing else may feed this pipeline: the engine holds the
+        walk's block.
         """
 
         def screened():
             for line, received_at in frames:
                 warning, x = self.screen(line, received_at)
-                yield x, (warning, None if x is None else x.timestep, received_at)
+                yield x, warning, received_at
 
         walk = self.engine.feed_recording(screened(), self.settings.train_steps)
-        for (warning, timestep, received_at), outcome in walk:
-            yield self._events(warning, timestep, outcome), received_at
+        for (x, warning, received_at), outcome in walk:
+            yield self._events(warning, x, outcome), received_at
 
     def _events(
         self,
         warning: DataWarning | None,
-        timestep: int | None,
+        x: MeasurementVector | None,
         outcome: list[Verdict] | EngineError | None,
     ) -> list[Verdict | DataWarning]:
         """One frame's events, the one assembly behind ``feed_line`` and
         ``feed_recording``: the streak's warning transition, if any, then
-        the detector's outcome for the frame's arrival at ``timestep`` (none
-        for a frame without one). That is its verdicts, or the
-        ``EngineError`` after which the detector restarted, reported by a
-        data warning that the restarted detector's first verdict clears,
-        unless a streak's clear comes first (the badge is one flag). The
-        frame archive is flushed at the first event that ``needs_flush``; a
-        frame whose only event is a Green verdict makes one test."""
+        the detector's outcome for the frame's arrival ``x`` (none for a
+        frame without one). That is its verdicts, or the ``EngineError``
+        after which the detector restarted, reported by a data warning that
+        the restarted detector's first verdict clears, unless a streak's
+        clear comes first (the badge is one flag)."""
         if warning is None and type(outcome) is list and not self._restart_warning:
-            events = outcome  # the common frame: its verdicts alone
-        else:
-            events = []
-            if warning is not None:
-                events.append(warning)
-                if not warning.active:
-                    self._restart_warning = False
-            if type(outcome) is list:
-                if outcome and self._restart_warning:
-                    self._restart_warning = False
-                    events.append(DataWarning(active=False, at_timestep=timestep))
-                events += outcome
-            elif outcome is not None:
-                self._restart_warning = True
-                reason = f"detector for {self.bed} restarted: {outcome}"
-                events.append(DataWarning(True, timestep, reason))
-        if self._archive is not None:
-            for event in events:
-                if needs_flush(event):
-                    self._archive.flush()
-                    break
+            return outcome  # the common frame: its verdicts alone
+        events = []
+        if warning is not None:
+            events.append(warning)
+            if not warning.active:
+                self._restart_warning = False
+        if type(outcome) is list:
+            if outcome and self._restart_warning:
+                self._restart_warning = False
+                events.append(DataWarning(active=False, at_timestep=x.timestep))
+            events += outcome
+        elif outcome is not None:
+            self._restart_warning = True
+            reason = f"detector for {self.bed} restarted: {outcome}"
+            events.append(DataWarning(True, x.timestep, reason))
         return events
 
 
@@ -282,10 +285,12 @@ class Ward:
         self.board = BoardState.for_beds(beds)
         self.counts = {"frames": 0, "events": 0, "board": self.board}
         self.pipelines: dict[str, BedPipeline] = {}
+        self._frame_archives = {}
         with ExitStack() as opened:
             for bed in beds:
                 path = self.out_dir / f"frames_{bed}.csv"
                 frames = opened.enter_context(path.open("a", encoding="utf-8"))
+                self._frame_archives[bed] = frames
                 self.pipelines[bed] = BedPipeline(bed, settings, frame_archive=frames)
             self.archive = opened.enter_context(EventArchive(self.out_dir / "events.csv"))
             self._opened = opened.pop_all()
@@ -307,10 +312,17 @@ class Ward:
 
     def _deliver(self, bed: str, produced: list[Verdict | DataWarning],
                  wall_time: float | None) -> None:
+        """Count, show and archive one frame's events. One ``needs_flush``
+        test per event serves both archives: the bed's frame archive is
+        flushed before the event's row, so every alarm or data warning on
+        disk has its frame on disk, and the row is flushed as written."""
         self.counts["events"] += len(produced)
         for event in produced:
             self.board.apply_event(bed, event, wall_time)
-            self.archive.append(bed, event, wall_time)
+            flush = needs_flush(event)
+            if flush:
+                self._frame_archives[bed].flush()
+            self.archive.append(bed, event, wall_time, flush)
             if self.screen is not None and isinstance(event, DataWarning) and event.reason:
                 self.screen.write(event.reason + "\n")
 

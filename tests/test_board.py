@@ -289,8 +289,8 @@ def test_event_rows_and_archive(tmp_path):
 
     written = tmp_path / "written.csv"
     with EventArchive(written) as archive:
-        archive.append("bed1", green(1), wall_time=0.5)
-        archive.append("bed1", red1(2), wall_time=1.0)
+        archive.append("bed1", green(1), 0.5, needs_flush(green(1)))
+        archive.append("bed1", red1(2), 1.0, needs_flush(red1(2)))
     lines = written.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "timestamp,bed,kind,timestep,delta,resolves_timestep"
     assert lines[1] == "0.500,bed1,green,1,0.010000,"
@@ -298,9 +298,9 @@ def test_event_rows_and_archive(tmp_path):
 
     path = tmp_path / "events.csv"
     with EventArchive(path) as archive:
-        archive.append("bed1", green(1), wall_time=0.5)
+        archive.append("bed1", green(1), 0.5, needs_flush(green(1)))
     with EventArchive(path) as archive:  # append mode: no duplicate header
-        archive.append("bed1", green(2), wall_time=1.5)
+        archive.append("bed1", green(2), 1.5, needs_flush(green(2)))
     lines = path.read_text(encoding="utf-8").splitlines()
     assert len(lines) == 3
     assert lines[0] == "timestamp,bed,kind,timestep,delta,resolves_timestep"
@@ -310,10 +310,11 @@ def test_alarms_reach_the_file_before_the_archive_closes(tmp_path):
     path = tmp_path / "events.csv"
     archive = EventArchive(path)
     try:
-        archive.append("bed1", red1(2), wall_time=1.0)
+        archive.append("bed1", red1(2), 1.0, needs_flush(red1(2)))
         # a second handle sees what a killed process would have left behind
         assert "1.000,bed1,red1,2," in path.read_text(encoding="utf-8")
-        archive.append("bed1", DataWarning(active=True, at_timestep=3), wall_time=2.0)
+        warning = DataWarning(active=True, at_timestep=3)
+        archive.append("bed1", warning, 2.0, needs_flush(warning))
         assert "bed1,data-warning-raised,3" in path.read_text(encoding="utf-8")
     finally:
         archive.close()

@@ -18,6 +18,8 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import vitalwatch.engine as engine_module
 from vitalwatch.engine import (
@@ -534,7 +536,7 @@ def walk_recording(engine: KoadEngine, z: np.ndarray, restart_after: int | None 
         if t % 3 == 2:
             frames.append((None, None))
     walked = {}
-    for t, outcome in engine.feed_recording(frames, TRAIN):
+    for (_, t), outcome in engine.feed_recording(frames, TRAIN):
         if t is not None:
             walked[t] = outcome
             if t == restart_after:
@@ -597,7 +599,7 @@ def test_the_recording_walk_keeps_its_pace():
             assert taken["arrivals"] - len(walked_at) <= 2 * BLOCK
             yield frame
 
-    for tag, outcome in KoadEngine(4, CHURNING).feed_recording(source(), TRAIN):
+    for (_, tag), outcome in KoadEngine(4, CHURNING).feed_recording(source(), TRAIN):
         handed.append(tag)
         if outcome is not None:
             walked_at.append(taken["frames"])
@@ -619,3 +621,87 @@ def test_every_entry_point_refuses_a_wrong_width_arrival_alike(entry):
     with pytest.raises(ValueError) as refused:
         calls[entry]()
     assert str(refused.value) == "expected shape (4,), got (3,)"
+
+
+# Recordings for the property test: at max_size 2-12 with ell below it an
+# admission at capacity forces a prune, and with ell at or above it a
+# prune can find every element under a tracker, which raises EngineError.
+PROPERTY_CONFIGS = [
+    ThresholdConfig(sigma=1.5, max_size=4, ell=3),
+    ThresholdConfig(sigma=1.0, max_size=2, ell=1, prune_period=7, usage_floor=0.05),
+    ThresholdConfig(sigma=1.5, max_size=5, ell=6),
+    ThresholdConfig(sigma=2.5, max_size=12, ell=10),
+]
+# Faults a recording's arrival can carry: a non-finite component, or a
+# timestep that repeats the last, goes back, jumps ahead or is negative. A
+# clean arrival's timestep is the last one's plus 1.
+FAULTS = ["nan", "inf", "-inf", "repeat", "back", "gap", "negative"]
+
+
+@st.composite
+def recordings(draw):
+    n = draw(st.integers(0, 300))
+    faults = draw(st.dictionaries(st.integers(0, max(n - 1, 0)), st.sampled_from(FAULTS), max_size=8))
+    none_share = draw(st.sampled_from([0.0, 0.1, 0.5]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    frames, t = [], -1
+    for tag in range(n):
+        if rng.random() < none_share:
+            frames.append((None, tag))
+            continue
+        fault = faults.get(tag)
+        step = {"repeat": 0, "back": -2, "gap": 9}.get(fault, 1)
+        t = -1 - int(rng.integers(3)) if fault == "negative" else t + step
+        values = rng.standard_normal(4) * rng.choice([0.3, 1.0, 1.0, 4.0])
+        if fault in ("nan", "inf", "-inf"):
+            values[rng.integers(4)] = float(fault)
+        frames.append((MeasurementVector(values, t), tag))
+    return frames
+
+
+def outcome_key(outcome):
+    if isinstance(outcome, Exception):
+        return type(outcome), str(outcome)
+    return None if outcome is None else key(outcome)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    frames=recordings(),
+    config=st.sampled_from(PROPERTY_CONFIGS),
+    train=st.integers(0, 20),
+    block=st.sampled_from([1, 3, BLOCK]),
+)
+def test_the_recording_walk_is_feed_arrival_by_arrival(frames, config, train, block):
+    """Per frame, ``feed_recording``'s outcome is one ``feed`` call's under
+    the pipeline's rule (an ``EngineError`` restarts the detector and the
+    walk goes on); a ``ValueError`` ends both at the same frame, with the
+    same message; both engines end in the same state."""
+    expected = []
+    stepped = KoadEngine(4, config)
+    for x, tag in frames:
+        if x is None:
+            expected.append((tag, None))
+            continue
+        try:
+            outcome = stepped.feed(x, train)
+        except EngineError as exc:
+            stepped.restart()
+            outcome = exc
+        except ValueError as exc:
+            expected.append(("ended", outcome_key(exc)))
+            break
+        expected.append((tag, outcome_key(outcome)))
+    walked = KoadEngine(4, config)
+    got = []
+    original_block = engine_module.BLOCK
+    engine_module.BLOCK = block
+    try:
+        for (_, tag), outcome in walked.feed_recording(frames, train):
+            got.append((tag, outcome_key(outcome)))
+    except ValueError as exc:
+        got.append(("ended", outcome_key(exc)))
+    finally:
+        engine_module.BLOCK = original_block
+    assert got == expected
+    assert state(walked) == state(stepped)

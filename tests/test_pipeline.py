@@ -82,11 +82,14 @@ def inject_engine_fault(monkeypatch, at: int, where: str = "check") -> list[BedP
     trackers and its last timestep when it raised, and counts its
     ``restart()`` calls after construction in ``restarts``.
 
-    By default the fault is raised by the engine's arrival check, which
-    ``feed`` makes on every arrival and the recording walk of a replay at
-    speedup = inf on every arrival at its turn. With ``where="score"`` it is
-    raised inside the walk, by the scorer, which every arrival that is not
-    quiet (an Orange, for one) reaches on both paths."""
+    By default the fault is raised by the engine's arrival check:
+    ``_checked``, which ``feed`` makes on every arrival, and which the
+    recording walk of a replay at speedup = inf makes at an arrival's turn
+    when the arrival fails the compare with the key its block's check
+    (``_order_keys``) gave it, as the arrival at ``at`` is made to. With
+    ``where="score"`` it is raised inside the walk, by the scorer, which
+    every arrival that is not quiet (an Orange, for one) reaches on both
+    paths."""
     made = []
 
     class FlakyEngine(KoadEngine):
@@ -104,6 +107,12 @@ def inject_engine_fault(monkeypatch, at: int, where: str = "check") -> list[BedP
             if where == "check" and x.timestep == at:
                 self._raise()
             return super()._checked(x)
+
+        def _order_keys(self, block, timesteps):
+            keys = super()._order_keys(block, timesteps)
+            if where == "check" and at in timesteps:
+                keys[timesteps.index(at)] = -1  # no arrival passes: _checked runs
+            return keys
 
         def _score(self, values, t, *projected):
             if where == "score" and t == at:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib.util
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -69,3 +70,103 @@ def test_verdict_digest_refuses_a_change_naming_no_digest():
     )
     assert done.returncode == 2
     assert done.stderr.splitlines()[-1].endswith("--changes names no digest: verdicts")
+
+
+def _perf_pairs():
+    spec = importlib.util.spec_from_file_location("perf_pairs", ROOT / "tools" / "perf_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _record(correct=True, failed=0, **values):
+    metrics = {name: {"value": value, "unit": "u"} for name, value in values.items()}
+    return {"correct": correct, "attempted": 100, "failed": failed, "metrics": metrics}
+
+
+@pytest.mark.parametrize(
+    "returncode, stdout, refusal",
+    [
+        (0, "notes\n" + '{"correct": true, "attempted": 1, "failed": 0, "metrics": {}}', None),
+        (1, "check failed: x\n" + '{"correct": false, "attempted": 1, "failed": 1}', "exit 1, correct: false"),
+        (0, '{"correct": false, "attempted": 1, "failed": 1}', "exit 0, correct: false"),
+        (2, "perfbench: tests/_oracles.py not found", "exit 2, no result line"),
+        (1, "", "exit 1, no result line"),
+    ],
+    ids=["correct", "failed-check", "incorrect-exit-0", "no-checkout", "no-output"],
+)
+def test_a_run_counts_only_when_it_exits_0_and_is_correct(returncode, stdout, refusal):
+    tool = _perf_pairs()
+    if refusal is None:
+        assert tool.run_record(returncode, stdout)["correct"] is True
+    else:
+        with pytest.raises(tool.RunFailed, match=f"^{refusal}$"):
+            tool.run_record(returncode, stdout)
+
+
+LATENCY = {"name": "latency_p50_ms", "unit": "ms", "better": "lower", "bound": 0.25}
+RATE = {"name": "frames_per_s", "unit": "frames/s", "better": "higher", "bound": 0.2}
+
+
+@pytest.mark.parametrize(
+    "metric, base, change, wins, verdict",
+    [
+        # a tie counts for neither side
+        (LATENCY, [10, 10, 10, 10], [9, 10, 11, 9], 2, "within bound"),
+        (LATENCY, [10, 10, 10, 10], [14, 13, 14, 13], 0, "worse than bound"),
+        (RATE, [100, 100, 100, 100], [70, 90, 75, 72], 0, "worse than bound"),
+        (RATE, [100, 100, 100, 100], [85, 90, 101, 95], 1, "within bound"),
+        # the base's quartiles 7.5 and 17 lie more than 0.25 x 12 apart
+        (LATENCY, [6, 8, 16, 20], [18, 17, 16, 21], 0, "unresolved (base spread wider than bound)"),
+        # as wide, but every change run reads better than every base run
+        (LATENCY, [6, 8, 16, 20], [5, 4, 5, 3], 4, "within bound"),
+    ],
+    ids=["ties", "worse", "worse-higher-better", "within-higher-better", "unresolved", "all-better"],
+)
+def test_each_metric_is_judged_against_its_bound(metric, base, change, wins, verdict):
+    judged = _perf_pairs().judge(metric, base, change)
+    assert (judged["wins"], judged["verdict"]) == (wins, verdict)
+
+
+@pytest.mark.parametrize(
+    "change, met",
+    [
+        ([0.90] * 9 + [1.05], True),  # 9 of 10, gap 0.1 against a spread of 0.02
+        ([0.90] * 8 + [1.05] * 2, False),  # 8 of 10
+        ([0.99] * 10, False),  # 10 of 10, but the gap 0.01 is inside the spread
+    ],
+    ids=["met", "too-few-wins", "gap-inside-spread"],
+)
+def test_a_claim_needs_nine_tenths_of_the_pairs_and_a_gap_wider_than_the_base_spread(
+    change, met
+):
+    tool = _perf_pairs()
+    base = [0.99, 1.0, 1.01, 1.0, 0.98, 1.02, 1.0, 1.0, 0.99, 1.01]
+    judged = tool.judge(LATENCY, base, change)
+    assert tool.claim_met(judged, len(base)) is met
+
+
+def test_the_report_names_every_end_to_end_metric():
+    tool = _perf_pairs()
+    metrics = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
+    base = [_record(**{m["name"]: 2.0 for m in metrics}) for _ in range(3)]
+    change = [_record(failed=2, **{m["name"]: 2.0 for m in metrics}) for _ in range(3)]
+    lines = tool.table(metrics, base, change, "latency_p50_ms")
+    for metric in metrics:
+        (row,) = [line for line in lines if line.split()[0] == metric["name"]]
+        assert row.split()[-4:] == ["1.000", "0/3", "within", "bound"]
+    assert "base: 0 of 300 operations failed" in lines
+    assert "change: 6 of 300 operations failed" in lines
+    assert lines[-1] == "claim latency_p50_ms: not met"
+
+
+def test_perf_pairs_refuses_a_revision_git_cannot_archive():
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "perf_pairs.py"), "--base", "no-such-rev",
+         "--change", "HEAD", "--workload", "replay-archive", "--pairs", "1", "--seconds", "1"],
+        capture_output=True, text=True, cwd=ROOT,
+    )
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.startswith("perf_pairs: cannot archive no-such-rev: ")
+    assert len(done.stderr.splitlines()) == 1
