@@ -172,10 +172,16 @@ def event_row(
     kind, t, delta, resolves = event
     # _value_ is the member's plain attribute; .value is a Python-level
     # property, and a dict keyed by kind would call Enum.__hash__.
-    return (
-        f"{wall_time:.3f},{bed},{kind._value_},{t},{delta:.6f},"
-        f"{'' if resolves is None else resolves}"
-    )
+    return _verdict_line(wall_time, bed, kind._value_, t, delta, resolves)[:-1]
+
+
+def _verdict_line(
+    wall_time: float, bed: str, kind: str, t: int, delta: float, resolves: int | None
+) -> str:
+    """A verdict's line in the event archive, its end included: the one
+    format behind ``event_row`` and ``EventArchive.deliver_green``."""
+    resolved = "" if resolves is None else resolves
+    return f"{wall_time:.3f},{bed},{kind},{t},{delta:.6f},{resolved}\n"
 
 
 def needs_flush(event: Verdict | DataWarning) -> bool:
@@ -189,7 +195,9 @@ class EventArchive:
 
     The caller flushes every event ``needs_flush`` names as it is written,
     so an alarm or data warning survives a killed process; it decides once
-    per event, for this archive and any other it keeps in step with.
+    per event, for this archive and any other it keeps in step with. A
+    plain Green verdict, the commonest event, needs no such decision: its
+    caller hands it to ``deliver_green``, which also shows it on its tile.
     """
 
     def __init__(self, path: str | Path) -> None:
@@ -205,6 +213,17 @@ class EventArchive:
         self._handle.write(event_row(bed, event, wall_time) + "\n")
         if flush:
             self._handle.flush()
+
+    def deliver_green(self, tile: BedTile, verdict: Verdict, wall_time: float) -> None:
+        """Deliver a plain Green verdict, one that resolves no Orange, to its
+        bed's ``tile`` and to this archive, stamped ``wall_time``: in one
+        call, what ``BoardState.apply_event`` and ``append`` do with it. The
+        tile takes its delta and age and nothing else, since a plain Green
+        opens, closes and latches nothing, and its row is written without a
+        flush, since ``needs_flush`` names no Green verdict."""
+        _, t, delta, _ = verdict
+        tile.last_delta, tile.last_update = delta, wall_time
+        self._handle.write(_verdict_line(wall_time, tile.bed, _GREEN._value_, t, delta, None))
 
     def close(self) -> None:
         self._handle.close()

@@ -60,10 +60,11 @@ time (a replay at speedup = inf, through ``BedPipeline.feed_recording``),
 resumes the block's paused walk once per frame taken, so that a frame's
 turn neither sets the walk up again nor re-reads its state, and hands each
 frame back in order, with the block buffers, their loading and the frames
-not yet handed back its own. It checks each block's arrivals once: the
-width as a frame is taken, and finiteness for the whole block as it is
-loaded, so that a clean arrival's turn costs one order compare; an arrival
-that fails it goes through the check ``feed`` makes. A paced replay and
+not yet handed back its own. A frame's arrival is written into the filling
+block as it is taken, a row of NaN in place of one of the wrong width, and
+each block's arrivals are checked once, for finiteness, as it is loaded,
+so that a clean arrival's turn costs one order compare; an arrival that
+fails it goes through the check ``feed`` makes, at its turn. A paced replay and
 monitor feed one arrival at a time, since a live bed has no lookahead.
 Every entry point refuses a bad arrival alike, with the same type and
 message at the same arrival. ``restart`` is the one definition of a fresh
@@ -106,9 +107,13 @@ class EngineError(Exception):
 
 class MeasurementVector(NamedTuple):
     """One timestep's (standardized) vital-sign reading, a plain record the
-    engine checks; equal and hash-equal only to itself, not by its arrays."""
+    engine checks; equal and hash-equal only to itself, not by its values.
+    The values are a float array or a list of floats, as the pipeline's
+    screen makes them; the engine converts a list once, where it needs an
+    array. The screen builds its vectors with ``tuple.__new__``, as the
+    engine builds its verdicts (see ``Verdict``)."""
 
-    values: np.ndarray
+    values: np.ndarray | list[float]
     timestep: int
 
     __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
@@ -523,20 +528,22 @@ class KoadEngine:
         one.
 
         Each frame taken moves the walk at most one arrival forward, up to
-        2 * BLOCK arrivals behind: an arrival goes into the filling block,
-        its width checked, when its frame is taken, and the next block's
-        kernel rows are computed right after the current block's last
-        arrival, with ``feed``'s other checks for all of its arrivals at
-        once (``_order_keys``), so that a clean arrival's turn makes one
-        compare with the last arrival walked. An arrival that fails it goes
-        through ``_checked``, which refuses it as ``feed`` would. The block
+        2 * BLOCK arrivals behind: an arrival goes into the filling block
+        when its frame is taken, by one row assignment for a list of the
+        right length (the screen's z-scores) or an array of the right
+        shape, and the next block's kernel rows are computed right after
+        the current block's last arrival, with ``feed``'s checks for all of
+        its arrivals at once (``_order_keys``), so that a clean arrival's
+        turn makes one compare with the last arrival walked. An arrival that
+        fails it goes through ``_checked``, which refuses it as ``feed``
+        would, at its turn, after every earlier frame is handed back. The block
         is walked by one paused generator (``_walk``), which makes the
         stacked projection on the block's first turn and is resumed once a
         turn. Until the walk ends or is closed, which empties the block,
         nothing else may feed this engine.
         """
-        shape = self._shape
-        filling, spare = np.empty((BLOCK, self.dim)), np.empty((BLOCK, self.dim))
+        shape, dim = self._shape, self.dim
+        filling, spare = np.empty((BLOCK, dim)), np.empty((BLOCK, dim))
         rows = np.empty((BLOCK, self.config.max_size))
         times: list[int] = []  # the filling block's timesteps
         keys: list[int] = []  # the current block's, from _order_keys
@@ -550,10 +557,17 @@ class KoadEngine:
                 if frame is not None:
                     x = frame[0]
                     if x is not None:
-                        values = x.values
-                        if type(values) is not np.ndarray or values.shape != shape:
-                            self._check_width(np.shape(values))
-                        filling[len(times)] = values
+                        values, n = x.values, len(times)
+                        try:
+                            if type(values) is list and len(values) == dim or (
+                                type(values) is np.ndarray and values.shape == shape
+                            ):
+                                filling[n] = values
+                            else:
+                                values = np.asarray(values, dtype=float)
+                                filling[n] = values if values.shape == shape else math.nan
+                        except (TypeError, ValueError):
+                            filling[n] = math.nan  # refused at its turn; see _order_keys
                         times.append(x.timestep)
                     pending.append(frame)
                 taking = frame is not None
@@ -587,9 +601,11 @@ class KoadEngine:
 
     def _order_keys(self, block: np.ndarray, timesteps: list[int]) -> list[int]:
         """Each arrival's timestep, or -1 for one with a non-finite
-        component: an arrival of the right width passes ``feed``'s checks
-        exactly when its key exceeds the last timestep walked, which is at
-        least -1. Finiteness is tested for the whole block in one call."""
+        component: an arrival passes ``feed``'s checks exactly when its key
+        exceeds the last timestep walked, which is at least -1. Finiteness
+        is tested for the whole block in one call. An arrival that ``feed``
+        refuses for its width or its type is a row of NaN in the block, so
+        its key fails and ``_checked`` refuses it at its turn."""
         finite = np.isfinite(block).all(axis=1).tolist()
         return [t if ok else -1 for t, ok in zip(timesteps, finite)]
 

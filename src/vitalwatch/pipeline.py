@@ -27,14 +27,18 @@ through ``feed_line``, and a replay at speedup = inf through
 ``feed_recording``, whose frames the engine's recording walk
 (``KoadEngine.feed_recording``) pulls through the screen and hands back in
 order, each with its arrival and the screen's warning, and each given the
-events ``feed_line`` would. The ``Ward`` delivers a frame's events to the
-board and the event archive, and decides each event's flush once: one
-``needs_flush`` test flushes the bed's frame archive before the event's
-row, then the row. On both paths a detector that raises ``EngineError``
-restarts in place (``KoadEngine.restart``), so a bed keeps one engine for
-its whole run. ``tune`` runs the front half once
-(``standardized_stream``) and the walk once per grid row
-(``tuning.run_detector``, through ``feed_run``).
+events ``feed_line`` would. The screen hands the detector its z-scores as
+the standardizer's list of floats, which the recording walk writes into
+its block row and ``feed`` converts once. The ``Ward`` delivers a frame's
+events to the board and the event archive, on both paths, and decides
+each event's flush once: a plain Green verdict takes one short delivery
+with no flush test (``EventArchive.deliver_green``), and for any other
+event one ``needs_flush`` test flushes the bed's frame archive before the
+event's row, then the row. On both paths a detector that raises
+``EngineError`` restarts in place (``KoadEngine.restart``), so a bed keeps
+one engine for its whole run. ``tune`` runs the front half once
+(``standardized_stream``, which returns the vectors as one array) and the
+walk once per grid row (``tuning.run_detector``, through ``feed_run``).
 """
 
 from __future__ import annotations
@@ -53,7 +57,7 @@ import numpy as np
 
 from .board import BoardState, EventArchive, needs_flush, render
 from .config import BedSource, Settings
-from .engine import EngineError, KoadEngine, MeasurementVector, Verdict
+from .engine import EngineError, KoadEngine, MeasurementVector, Verdict, VerdictKind
 from .sources import (
     ReplaySource,
     SocketSource,
@@ -74,6 +78,11 @@ from .validity import (
     validate,
 )
 
+# Read on every event: a global lookup, where VerdictKind.GREEN is an Enum
+# class attribute lookup.
+_GREEN = VerdictKind.GREEN
+_tuple_new = tuple.__new__  # builds a MeasurementVector; see MeasurementVector
+
 
 class BedPipeline:
     """Single-writer chain turning raw lines into verdicts for one bed.
@@ -81,9 +90,11 @@ class BedPipeline:
     The frame archive, when given, gets one row per record. It is flushed
     after a flagged frame's row, and so that the frames behind an alarm or
     a data warning survive a killed process, ``feed_line`` flushes it after
-    a frame with an event that ``needs_flush``. ``feed_recording`` leaves
-    that flush to its caller, which archives the events: the ``Ward``
-    makes it before each such event's row.
+    a frame with an event that ``needs_flush``, while ``flushes_for_events``
+    holds. A ``Ward``, which archives the events, clears it on the
+    pipelines it makes and flushes the frame archive itself, before each
+    such event's row, on both paths: ``feed_recording`` always leaves that
+    flush to its caller.
     """
 
     def __init__(self, bed: str, settings: Settings, frame_archive=None) -> None:
@@ -97,6 +108,7 @@ class BedPipeline:
         self._match = frame_matcher(settings.password, self.schema)
         self._fields_at = len(settings.password) + 1  # a clean record's fields start here
         self._archive = frame_archive
+        self.flushes_for_events = frame_archive is not None
         # a restart's data warning is up and waits for the next verdict
         self._restart_warning = False
         if frame_archive is not None and frame_archive.tell() == 0:
@@ -114,8 +126,9 @@ class BedPipeline:
         its row is flushed.
 
         Returns the streak's warning transition, if this frame caused one,
-        and the standardized vector for the detector, or None for a flagged
-        or warm-up frame.
+        and the standardized vector for the detector, its values the
+        standardizer's list of floats, or None for a flagged or warm-up
+        frame.
         """
         timestep = self.frame_index
         self.frame_index += 1
@@ -135,7 +148,7 @@ class BedPipeline:
         z = self.standardizer.push(values)
         if z is None:  # a warm-up frame
             return warning, None
-        return warning, MeasurementVector(z, timestep)
+        return warning, _tuple_new(MeasurementVector, (z, timestep))
 
     def _classify(self, line: str, timestep: int, received_at: float) -> list[float] | None:
         """The field-by-field screen for a frame the matcher rejected: archive
@@ -163,7 +176,7 @@ class BedPipeline:
                 self.engine.restart()
                 outcome = exc
         events = self._events(warning, x, outcome)
-        if self._archive is not None and any(map(needs_flush, events)):
+        if self.flushes_for_events and any(map(needs_flush, events)):
             self._archive.flush()
         return events
 
@@ -230,19 +243,20 @@ class BedPipeline:
 
 def standardized_stream(
     lines: list[str], settings: Settings, bed: str = "bed1"
-) -> tuple[list[int], list[np.ndarray]]:
+) -> tuple[list[int], np.ndarray]:
     """Run only the front half of a fresh ``BedPipeline``; returns the
-    model-space vectors with their original stream timesteps (for the
-    tuner)."""
+    original stream timesteps of the model-space vectors and the vectors as
+    one (n, dim) array (for the tuner). A line yields at most one vector,
+    so the rows are written into an array of a row per line."""
     pipe = BedPipeline(bed, settings)
     timesteps: list[int] = []
-    vectors: list[np.ndarray] = []
+    vectors = np.empty((len(lines), pipe.schema.dim))
     for line in lines:
         _, x = pipe.screen(line, 0.0)
         if x is not None:
+            vectors[len(timesteps)] = x.values
             timesteps.append(x.timestep)
-            vectors.append(x.values)
-    return timesteps, vectors
+    return timesteps, vectors[: len(timesteps)]
 
 
 def build_source(bed: BedSource, settings: Settings, stop: threading.Event):
@@ -291,7 +305,8 @@ class Ward:
                 path = self.out_dir / f"frames_{bed}.csv"
                 frames = opened.enter_context(path.open("a", encoding="utf-8"))
                 self._frame_archives[bed] = frames
-                self.pipelines[bed] = BedPipeline(bed, settings, frame_archive=frames)
+                pipe = self.pipelines[bed] = BedPipeline(bed, settings, frame_archive=frames)
+                pipe.flushes_for_events = False  # _deliver flushes it before each row
             self.archive = opened.enter_context(EventArchive(self.out_dir / "events.csv"))
             self._opened = opened.pop_all()
 
@@ -312,12 +327,21 @@ class Ward:
 
     def _deliver(self, bed: str, produced: list[Verdict | DataWarning],
                  wall_time: float | None) -> None:
-        """Count, show and archive one frame's events. One ``needs_flush``
-        test per event serves both archives: the bed's frame archive is
-        flushed before the event's row, so every alarm or data warning on
-        disk has its frame on disk, and the row is flushed as written."""
+        """Count, show and archive one frame's events, stamped ``wall_time``
+        (now, if None: a source failure's warning, the one event without a
+        frame). A plain Green verdict, one that resolves no Orange, takes
+        the short delivery, ``EventArchive.deliver_green``, with no flush
+        test. For any other event one ``needs_flush`` test serves both
+        archives: the bed's frame archive is flushed before the event's
+        row, so every alarm or data warning on disk has its frame on disk,
+        and the row is flushed as written."""
         self.counts["events"] += len(produced)
         for event in produced:
+            if type(event) is Verdict and event.resolves_timestep is None and (
+                event.kind is _GREEN
+            ):
+                self.archive.deliver_green(self.board.tiles[bed], event, wall_time)
+                continue
             self.board.apply_event(bed, event, wall_time)
             flush = needs_flush(event)
             if flush:

@@ -22,7 +22,10 @@ class RunningStandardizer:
     The statistics are Python floats, one per channel: a frame has only a
     handful of channels, and numpy's per-call overhead would dominate. Each
     channel runs the same IEEE operations an array update would, so the
-    transform is bit-identical to the numpy float64 version.
+    transform is bit-identical to the numpy float64 version. The z-scores
+    come back as that list of floats too: the pipeline's next step writes
+    them into the detector's block row, or converts them once, and an array
+    built here would be unpacked or copied there.
     """
 
     def __init__(self, dim: int, warmup: int = 50) -> None:
@@ -46,11 +49,11 @@ class RunningStandardizer:
         n1 = self.count - 1
         return np.array([max(m2 / n1, VAR_FLOOR) for m2 in self._m2])
 
-    def push(self, values: Sequence[float]) -> np.ndarray | None:
+    def push(self, values: Sequence[float]) -> list[float] | None:
         """Fold one frame's values into the statistics and return its
-        z-scores, or None for a warm-up frame. Warm-up and scored frames each
-        have their own loop over the channels, so no channel asks whether to
-        score; one array is built at the end."""
+        z-scores as a list of floats, or None for a warm-up frame. Warm-up
+        and scored frames each have their own loop over the channels, so no
+        channel asks whether to score."""
         if len(values) != self.dim:
             raise ValueError(f"expected {self.dim} values, got {len(values)}")
         self.count = n = self.count + 1
@@ -70,4 +73,4 @@ class RunningStandardizer:
             var = s / n1
             # max(var, VAR_FLOOR), NaN included, without the builtin call
             z.append((x - mu) / sqrt(VAR_FLOOR if var < VAR_FLOOR else var))
-        return np.array(z, dtype=float)
+        return z

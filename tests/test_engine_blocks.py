@@ -632,10 +632,11 @@ PROPERTY_CONFIGS = [
     ThresholdConfig(sigma=1.5, max_size=5, ell=6),
     ThresholdConfig(sigma=2.5, max_size=12, ell=10),
 ]
-# Faults a recording's arrival can carry: a non-finite component, or a
-# timestep that repeats the last, goes back, jumps ahead or is negative. A
-# clean arrival's timestep is the last one's plus 1.
-FAULTS = ["nan", "inf", "-inf", "repeat", "back", "gap", "negative"]
+# Faults a recording's arrival can carry: a non-finite component, a width
+# of 3 or 5 where the engine's is 4, or a timestep that repeats the last,
+# goes back, jumps ahead or is negative. A clean arrival's timestep is the
+# last one's plus 1.
+FAULTS = ["nan", "inf", "-inf", "narrow", "wide", "repeat", "back", "gap", "negative"]
 
 
 @st.composite
@@ -643,6 +644,9 @@ def recordings(draw):
     n = draw(st.integers(0, 300))
     faults = draw(st.dictionaries(st.integers(0, max(n - 1, 0)), st.sampled_from(FAULTS), max_size=8))
     none_share = draw(st.sampled_from([0.0, 0.1, 0.5]))
+    # the share of arrivals whose values are a list of floats, as the
+    # pipeline's screen makes them, rather than an array
+    list_share = draw(st.sampled_from([0.0, 0.5, 1.0]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     frames, t = [], -1
     for tag in range(n):
@@ -652,9 +656,12 @@ def recordings(draw):
         fault = faults.get(tag)
         step = {"repeat": 0, "back": -2, "gap": 9}.get(fault, 1)
         t = -1 - int(rng.integers(3)) if fault == "negative" else t + step
-        values = rng.standard_normal(4) * rng.choice([0.3, 1.0, 1.0, 4.0])
+        width = {"narrow": 3, "wide": 5}.get(fault, 4)
+        values = rng.standard_normal(width) * rng.choice([0.3, 1.0, 1.0, 4.0])
         if fault in ("nan", "inf", "-inf"):
             values[rng.integers(4)] = float(fault)
+        if rng.random() < list_share:
+            values = values.tolist()
         frames.append((MeasurementVector(values, t), tag))
     return frames
 
@@ -675,8 +682,9 @@ def outcome_key(outcome):
 def test_the_recording_walk_is_feed_arrival_by_arrival(frames, config, train, block):
     """Per frame, ``feed_recording``'s outcome is one ``feed`` call's under
     the pipeline's rule (an ``EngineError`` restarts the detector and the
-    walk goes on); a ``ValueError`` ends both at the same frame, with the
-    same message; both engines end in the same state."""
+    walk goes on); a ``ValueError``, a wrong width's among them, ends both
+    at the same frame, with the same message, after every earlier frame is
+    handed back; both engines end in the same state."""
     expected = []
     stepped = KoadEngine(4, config)
     for x, tag in frames:

@@ -15,13 +15,17 @@ from pathlib import Path
 from dataclasses import replace
 from queue import Queue
 from types import SimpleNamespace
+from unittest import mock
 
+import hypothesis
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import vitalwatch.pipeline as pipeline_module
 import vitalwatch.sources as sources_module
-from vitalwatch.board import BoardState, event_row
+from vitalwatch.board import EVENT_HEADER, BoardState, event_row, needs_flush
 from vitalwatch.cli import main
 from vitalwatch.config import BedSource, ConfigError, Settings, load_settings
 from vitalwatch.engine import (
@@ -34,6 +38,7 @@ from vitalwatch.engine import (
 )
 from vitalwatch.pipeline import (
     BedPipeline,
+    Ward,
     build_source,
     monitor_run,
     replay_run,
@@ -254,15 +259,18 @@ class TestStandardizedStream:
         timesteps, vectors = standardized_stream(lines, settings)
         # 18 valid frames, first 4 feed the standardizer only
         assert timesteps == [4, 5, 6] + list(range(9, 20))
-        assert len(vectors) == len(timesteps)
-        assert all(np.isfinite(v).all() for v in vectors)
+        # one float array, a row per vector
+        assert (type(vectors), vectors.dtype, vectors.shape) == (np.ndarray, float, (14, 3))
+        assert np.isfinite(vectors).all()
 
     def test_vectors_use_masked_columns(self):
         settings = small_settings(schema_use=(0, 2))
         rng = np.random.default_rng(6)
         lines = [steady_line(rng) for _ in range(10)]
         _, vectors = standardized_stream(lines, settings)
-        assert vectors[0].shape == (2,)
+        assert vectors.shape == (6, 2)
+        # nothing past the standardizer's warm-up: no rows, the same width
+        assert standardized_stream(lines[:4], settings)[1].shape == (0, 2)
 
 
 @pytest.fixture()
@@ -599,6 +607,119 @@ class TestReplayAtInfiniteSpeedup:
         assert any(",red" in row for row in flushed)
         for row in flushed:
             assert int(row.split(",")[2]) in on_disk, row
+
+
+class LoggedFile:
+    """A file that logs each write and flush, in order, into a log that
+    several files share, as (name, call, text)."""
+
+    def __init__(self, handle, name: str, log: list) -> None:
+        self.handle, self.name, self.log = handle, name, log
+
+    def write(self, text: str) -> int:
+        self.log.append((self.name, "write", text))
+        return self.handle.write(text)
+
+    def flush(self) -> None:
+        self.log.append((self.name, "flush", ""))
+        self.handle.flush()
+
+    def tell(self) -> int:
+        return self.handle.tell()
+
+    def close(self) -> None:
+        self.handle.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
+GREEN, ORANGE, RED1, RED2 = (VerdictKind[k] for k in ("GREEN", "ORANGE", "RED1", "RED2"))
+
+
+@st.composite
+def event_frames(draw):
+    """Each frame's events: any mix of plain and resolving Greens, Orange,
+    Red1, Red2, and data warnings raised or cleared, with and without a
+    reason, at the frame's timestep."""
+    frames = []
+    for t in range(draw(st.integers(1, 30))):
+        events = []
+        for kind in draw(st.lists(st.integers(0, 6), max_size=3)):
+            delta = draw(st.floats(0.0, 1.0))
+            if kind < 5:
+                verdict_kind = [GREEN, GREEN, ORANGE, RED1, RED2][kind]
+                resolves = t - 3 if kind in (1, 4) else None
+                events.append(Verdict(verdict_kind, t, delta, resolves))
+            else:
+                reason = draw(st.sampled_from(["", "source for bed1 failed: gone"]))
+                events.append(DataWarning(kind == 5, t, reason))
+        frames.append(events)
+    return frames
+
+
+class TestWardDelivery:
+    """The ``Ward``'s delivery of a frame's events is, event by event,
+    ``BoardState.apply_event`` and ``event_row``, whichever form it takes;
+    the frame archive is flushed, once, before every row ``needs_flush``
+    names, and that row is flushed as written, on both of the ``Ward``'s
+    paths."""
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @given(frames=event_frames(), path=st.sampled_from(["feed", "replay"]))
+    def test_delivery_is_apply_event_and_event_row(self, tmp_path_factory, frames, path):
+        rng = np.random.default_rng(len(frames))
+        lines = [steady_line(rng) for _ in frames]
+        walls = [1.7e9 + 0.25 * t for t in range(len(frames))]
+        log: list[tuple[str, str, str]] = []
+        opened = Path.open
+
+        def logged_open(self, *args, **kwargs):
+            name = "events" if self.name == "events.csv" else "frames"
+            return LoggedFile(opened(self, *args, **kwargs), name, log)
+
+        out = tmp_path_factory.mktemp("ward")
+        with mock.patch.object(Path, "open", logged_open):
+            with Ward(small_settings(), ["bed1"], out) as ward:
+                script = iter(frames)
+                ward.pipelines["bed1"]._events = lambda warning, x, outcome: next(script)
+                if path == "feed":
+                    for line, wall in zip(lines, walls):
+                        ward.feed("bed1", line, wall)
+                else:
+                    ward.replay("bed1", zip(lines, walls))
+
+        board = BoardState.for_beds(["bed1"])
+        rows, delivered = [EVENT_HEADER], []
+        for events, wall in zip(frames, walls):
+            for event in events:
+                board.apply_event("bed1", event, wall)
+                rows.append(event_row("bed1", event, wall))
+                delivered.append(event)
+        assert ward.board == board
+        assert ward.counts["events"] == len(delivered)
+        assert (out / "events.csv").read_text(encoding="utf-8").splitlines() == rows
+
+        frames_unflushed = False
+        event_calls = []
+        for name, call, text in log:
+            if name == "frames":
+                frames_unflushed = call == "write"
+                continue
+            if text == EVENT_HEADER + "\n":
+                continue
+            if call == "write" and needs_flush(delivered[event_calls.count("write")]):
+                assert not frames_unflushed
+            event_calls.append(call)
+        expected_calls = []
+        for event in delivered:
+            expected_calls += ["write", "flush"] if needs_flush(event) else ["write"]
+        assert event_calls == expected_calls
+        frame_flushes = sum(entry[:2] == ("frames", "flush") for entry in log)
+        assert frame_flushes == sum(map(needs_flush, delivered))
 
 
 class TestTuneAgreesWithReplay:
