@@ -60,12 +60,13 @@ time (a replay at speedup = inf, through ``BedPipeline.feed_recording``),
 resumes the block's paused walk once per frame taken, so that a frame's
 turn neither sets the walk up again nor re-reads its state, and hands each
 frame back in order, with the block buffers, their loading and the frames
-not yet handed back its own. A frame's arrival is written into the filling
-block as it is taken, a row of NaN in place of one of the wrong width, and
-each block's arrivals are checked once, for finiteness, as it is loaded,
-so that a clean arrival's turn costs one order compare; an arrival that
-fails it goes through the check ``feed`` makes, at its turn. A paced replay and
-monitor feed one arrival at a time, since a live bed has no lookahead.
+not yet handed back its own. A frame's arrival is written into the
+filling block as it is taken, a row of NaN in place of one of the wrong
+width, and each block's arrivals are checked once, for finiteness, as it
+is loaded, so that a clean arrival's turn costs one order compare; an
+arrival that fails it goes through the check ``feed`` makes, at its turn.
+A paced replay and monitor feed one arrival at a time, since a live bed
+has no lookahead.
 Every entry point refuses a bad arrival alike, with the same type and
 message at the same arrival. ``restart`` is the one definition of a fresh
 detector: ``__init__`` calls it, ``feed_recording`` calls it after an
@@ -534,13 +535,13 @@ class KoadEngine:
         shape, and the next block's kernel rows are computed right after
         the current block's last arrival, with ``feed``'s checks for all of
         its arrivals at once (``_order_keys``), so that a clean arrival's
-        turn makes one compare with the last arrival walked. An arrival that
-        fails it goes through ``_checked``, which refuses it as ``feed``
-        would, at its turn, after every earlier frame is handed back. The block
-        is walked by one paused generator (``_walk``), which makes the
-        stacked projection on the block's first turn and is resumed once a
-        turn. Until the walk ends or is closed, which empties the block,
-        nothing else may feed this engine.
+        turn makes one compare with the last arrival walked. An arrival
+        that fails it goes through ``_checked``, which refuses it as
+        ``feed`` would, at its turn, after every earlier frame is handed
+        back. The block is walked by one paused generator (``_walk``),
+        which makes the stacked projection on the block's first turn and is
+        resumed once a turn. Until the walk ends or is closed, which empties
+        the block, nothing else may feed this engine.
         """
         shape, dim = self._shape, self.dim
         filling, spare = np.empty((BLOCK, dim)), np.empty((BLOCK, dim))
@@ -559,7 +560,7 @@ class KoadEngine:
                     if x is not None:
                         values, n = x.values, len(times)
                         try:
-                            if type(values) is list and len(values) == dim or (
+                            if (type(values) is list and len(values) == dim) or (
                                 type(values) is np.ndarray and values.shape == shape
                             ):
                                 filling[n] = values

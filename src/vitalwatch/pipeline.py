@@ -247,7 +247,7 @@ def standardized_stream(
     """Run only the front half of a fresh ``BedPipeline``; returns the
     original stream timesteps of the model-space vectors and the vectors as
     one (n, dim) array (for the tuner). A line yields at most one vector,
-    so the rows are written into an array of a row per line."""
+    so an array with a row per line has room for every one."""
     pipe = BedPipeline(bed, settings)
     timesteps: list[int] = []
     vectors = np.empty((len(lines), pipe.schema.dim))
@@ -337,8 +337,10 @@ class Ward:
         and the row is flushed as written."""
         self.counts["events"] += len(produced)
         for event in produced:
-            if type(event) is Verdict and event.resolves_timestep is None and (
-                event.kind is _GREEN
+            if (
+                type(event) is Verdict
+                and event.resolves_timestep is None
+                and event.kind is _GREEN
             ):
                 self.archive.deliver_green(self.board.tiles[bed], event, wall_time)
                 continue
