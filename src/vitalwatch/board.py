@@ -99,7 +99,10 @@ class BoardState:
         kind, _, tile.last_delta, resolves = event
         tile.last_update = time.time() if now is None else now
         if kind is _GREEN and resolves is None:
-            return  # a plain Green opens, closes and latches nothing
+            # A plain Green opens, closes and latches nothing. The Ward hands
+            # it to EventArchive.deliver_green instead, which repeats these
+            # two assignments; this branch is the definition tests hold it to.
+            return
         if kind is _ORANGE:
             tile.open_orange_count += 1
         elif resolves is not None:

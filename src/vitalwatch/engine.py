@@ -62,7 +62,7 @@ turn neither sets the walk up again nor re-reads its state, and hands each
 frame back in order, with the block buffers, their loading and the frames
 not yet handed back its own. A frame's arrival is written into the
 filling block as it is taken, a row of NaN in place of one of the wrong
-width, and each block's arrivals are checked once, for finiteness, as it
+width or one that no float array holds, and each block's arrivals are checked once, for finiteness, as it
 is loaded, so that a clean arrival's turn costs one order compare; an
 arrival that fails it goes through the check ``feed`` makes, at its turn.
 A paced replay and monitor feed one arrival at a time, since a live bed
@@ -567,7 +567,7 @@ class KoadEngine:
                             else:
                                 values = np.asarray(values, dtype=float)
                                 filling[n] = values if values.shape == shape else math.nan
-                        except (TypeError, ValueError):
+                        except (TypeError, ValueError, OverflowError):
                             filling[n] = math.nan  # refused at its turn; see _order_keys
                         times.append(x.timestep)
                     pending.append(frame)

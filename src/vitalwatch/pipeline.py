@@ -90,11 +90,9 @@ class BedPipeline:
     The frame archive, when given, gets one row per record. It is flushed
     after a flagged frame's row, and so that the frames behind an alarm or
     a data warning survive a killed process, ``feed_line`` flushes it after
-    a frame with an event that ``needs_flush``, while ``flushes_for_events``
-    holds. A ``Ward``, which archives the events, clears it on the
-    pipelines it makes and flushes the frame archive itself, before each
-    such event's row, on both paths: ``feed_recording`` always leaves that
-    flush to its caller.
+    a frame with an event that ``needs_flush``. ``feed_recording`` leaves
+    that flush to its caller, which archives the events: the ``Ward``
+    makes it before each such event's row.
     """
 
     def __init__(self, bed: str, settings: Settings, frame_archive=None) -> None:
@@ -108,7 +106,6 @@ class BedPipeline:
         self._match = frame_matcher(settings.password, self.schema)
         self._fields_at = len(settings.password) + 1  # a clean record's fields start here
         self._archive = frame_archive
-        self.flushes_for_events = frame_archive is not None
         # a restart's data warning is up and waits for the next verdict
         self._restart_warning = False
         if frame_archive is not None and frame_archive.tell() == 0:
@@ -176,7 +173,7 @@ class BedPipeline:
                 self.engine.restart()
                 outcome = exc
         events = self._events(warning, x, outcome)
-        if self.flushes_for_events and any(map(needs_flush, events)):
+        if self._archive is not None and any(map(needs_flush, events)):
             self._archive.flush()
         return events
 
@@ -305,8 +302,7 @@ class Ward:
                 path = self.out_dir / f"frames_{bed}.csv"
                 frames = opened.enter_context(path.open("a", encoding="utf-8"))
                 self._frame_archives[bed] = frames
-                pipe = self.pipelines[bed] = BedPipeline(bed, settings, frame_archive=frames)
-                pipe.flushes_for_events = False  # _deliver flushes it before each row
+                self.pipelines[bed] = BedPipeline(bed, settings, frame_archive=frames)
             self.archive = opened.enter_context(EventArchive(self.out_dir / "events.csv"))
             self._opened = opened.pop_all()
 

@@ -636,7 +636,9 @@ PROPERTY_CONFIGS = [
 # of 3 or 5 where the engine's is 4, or a timestep that repeats the last,
 # goes back, jumps ahead or is negative. A clean arrival's timestep is the
 # last one's plus 1.
-FAULTS = ["nan", "inf", "-inf", "narrow", "wide", "repeat", "back", "gap", "negative"]
+FAULTS = [
+    "nan", "inf", "-inf", "narrow", "wide", "repeat", "back", "gap", "negative", "huge",
+]
 
 
 @st.composite
@@ -662,6 +664,11 @@ def recordings(draw):
             values[rng.integers(4)] = float(fault)
         if rng.random() < list_share:
             values = values.tolist()
+        if fault == "huge":  # an int no float holds: converting it overflows
+            values = list(values)
+            values[rng.integers(4)] = 10**400
+            if rng.random() < 0.5:
+                values = np.array(values, dtype=object)
         frames.append((MeasurementVector(values, t), tag))
     return frames
 
@@ -682,9 +689,10 @@ def outcome_key(outcome):
 def test_the_recording_walk_is_feed_arrival_by_arrival(frames, config, train, block):
     """Per frame, ``feed_recording``'s outcome is one ``feed`` call's under
     the pipeline's rule (an ``EngineError`` restarts the detector and the
-    walk goes on); a ``ValueError``, a wrong width's among them, ends both
-    at the same frame, with the same message, after every earlier frame is
-    handed back; both engines end in the same state."""
+    walk goes on); a ``ValueError``, a wrong width's among them, or an
+    ``OverflowError``, from a value no float holds, ends both at the same
+    frame, with the same message, after every earlier frame is handed back;
+    both engines end in the same state."""
     expected = []
     stepped = KoadEngine(4, config)
     for x, tag in frames:
@@ -696,7 +704,7 @@ def test_the_recording_walk_is_feed_arrival_by_arrival(frames, config, train, bl
         except EngineError as exc:
             stepped.restart()
             outcome = exc
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:
             expected.append(("ended", outcome_key(exc)))
             break
         expected.append((tag, outcome_key(outcome)))
@@ -707,7 +715,7 @@ def test_the_recording_walk_is_feed_arrival_by_arrival(frames, config, train, bl
     try:
         for (_, tag), outcome in walked.feed_recording(frames, train):
             got.append((tag, outcome_key(outcome)))
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         got.append(("ended", outcome_key(exc)))
     finally:
         engine_module.BLOCK = original_block

@@ -664,9 +664,9 @@ def event_frames(draw):
 class TestWardDelivery:
     """The ``Ward``'s delivery of a frame's events is, event by event,
     ``BoardState.apply_event`` and ``event_row``, whichever form it takes;
-    the frame archive is flushed, once, before every row ``needs_flush``
-    names, and that row is flushed as written, on both of the ``Ward``'s
-    paths."""
+    the frame archive is flushed before every row ``needs_flush`` names,
+    and that row is flushed as written, on both of the ``Ward``'s paths.
+    A guard: the short delivery of a plain Green must keep all of this."""
 
     @hypothesis.settings(max_examples=60, deadline=None)
     @given(frames=event_frames(), path=st.sampled_from(["feed", "replay"]))
@@ -718,8 +718,6 @@ class TestWardDelivery:
         for event in delivered:
             expected_calls += ["write", "flush"] if needs_flush(event) else ["write"]
         assert event_calls == expected_calls
-        frame_flushes = sum(entry[:2] == ("frames", "flush") for entry in log)
-        assert frame_flushes == sum(map(needs_flush, delivered))
 
 
 class TestTuneAgreesWithReplay:
