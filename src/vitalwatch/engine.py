@@ -60,18 +60,17 @@ time (a replay at speedup = inf, through ``BedPipeline.feed_recording``),
 resumes the block's paused walk once per frame taken, so that a frame's
 turn neither sets the walk up again nor re-reads its state, and hands each
 frame back in order, with the block buffers, their loading and the frames
-not yet handed back its own. A frame's arrival is written into the
-filling block as it is taken, a row of NaN in place of one of the wrong
-width or one that no float array holds, and each block's arrivals are checked once, for finiteness, as it
-is loaded, so that a clean arrival's turn costs one order compare; an
-arrival that fails it goes through the check ``feed`` makes, at its turn.
-A paced replay and monitor feed one arrival at a time, since a live bed
-has no lookahead.
-Every entry point refuses a bad arrival alike, with the same type and
-message at the same arrival. ``restart`` is the one definition of a fresh
-detector: ``__init__`` calls it, ``feed_recording`` calls it after an
-arrival that raises ``EngineError`` and goes on walking, and the pipeline
-calls it when ``feed`` raises.
+not yet handed back its own. A paced replay and monitor feed one arrival
+at a time, since a live bed has no lookahead.
+An arrival has one way in: one conversion (``_as_row``) for every entry
+point, and one order key (``_order_keys``) that passes a walk's clean
+arrivals with one compare each. Every other arrival goes through
+``feed``'s check (``_checked``) at its turn, so every entry point refuses
+a bad arrival alike, with the same type and message at the same arrival,
+after scoring the arrivals before it. ``restart`` is the one definition
+of a fresh detector: ``__init__`` calls it, ``feed_recording`` calls it
+after an arrival that raises ``EngineError`` and goes on walking, and the
+pipeline calls it when ``feed`` raises.
 """
 
 from __future__ import annotations
@@ -99,7 +98,6 @@ ROUNDOFF_TOL = 1e-9
 # grid's 18 configs, engine time at 16, 32 and 64 was 0.92, 0.90 and 0.90
 # of that of 16-arrival blocks ended by every change; 64 gains nothing more.
 BLOCK = 32
-_FLOAT64 = np.dtype(float)  # _checked converts values of any other dtype object
 
 
 class EngineError(Exception):
@@ -109,10 +107,10 @@ class EngineError(Exception):
 class MeasurementVector(NamedTuple):
     """One timestep's (standardized) vital-sign reading, a plain record the
     engine checks; equal and hash-equal only to itself, not by its values.
-    The values are a float array or a list of floats, as the pipeline's
-    screen makes them; the engine converts a list once, where it needs an
-    array. The screen builds its vectors with ``tuple.__new__``, as the
-    engine builds its verdicts (see ``Verdict``)."""
+    The values are any sequence of numbers, such as a float array or the
+    screen's list of floats; every entry point converts them by one rule
+    (``KoadEngine._as_row``). The screen builds its vectors with
+    ``tuple.__new__``, as the engine builds its verdicts (see ``Verdict``)."""
 
     values: np.ndarray | list[float]
     timestep: int
@@ -408,7 +406,7 @@ class KoadEngine:
 
     def __init__(self, dim: int, config: ThresholdConfig | None = None) -> None:
         self.config = config or ThresholdConfig()
-        self._shape = (dim,)  # an arrival's shape, for _checked's compare
+        self._shape = (dim,)  # an arrival's shape, for _as_row's compare
         self.restart()
         # The walk's current block: its arrivals and their timesteps, their
         # kernel rows against the basis (max_size columns each, the leading
@@ -445,9 +443,7 @@ class KoadEngine:
         Negative deltas within roundoff clamp to zero; anything more negative
         triggers the full re-inversion fallback and a single recompute.
         """
-        values = np.asarray(values, dtype=float)
-        self._check_width(values.shape)
-        delta, coeffs, _ = self._project(values)
+        delta, coeffs, _ = self._project(self._as_row(values))
         return delta, coeffs
 
     def _project(
@@ -500,23 +496,34 @@ class KoadEngine:
     ) -> list[Verdict]:
         """``feed`` over a whole run, row i arriving at timesteps[i]; returns
         every verdict in emission order, bitwise equal to one ``feed`` call
-        per row.
-
-        The run is checked whole before any row is used, and a bad row
-        raises what ``feed`` would raise on reaching it. The run is walked
-        in blocks of BLOCK arrivals: ``_load`` computes a block's kernel
-        rows, and ``_walk`` scores the block to its end.
+        per row, and stops where ``feed`` stops: the first row whose order
+        key (``_order_keys``) does not exceed the one before it, or the last
+        timestep walked for row 0, goes through ``_checked`` after the rows
+        before it are walked, in blocks of BLOCK arrivals: ``_load``
+        computes a block's kernel rows, and ``_walk`` scores the block to
+        its end. The run's width is ``_as_row``'s test of its first row.
         """
         vectors = np.asarray(vectors, dtype=float)
-        self._check_run(vectors, timesteps)
+        if len(timesteps) != len(vectors):
+            raise ValueError("timesteps and vectors must have equal length")
+        n = len(vectors)
+        if n:
+            self._as_row(vectors[0])
+            keys = self._order_keys(vectors, timesteps)
+            refused = np.flatnonzero(keys <= np.append(self.last_timestep, keys[:-1]))
+            if len(refused):
+                n = int(refused[0])
         rows = np.empty((BLOCK, self.dictionary.max_size))
         out: list[Verdict] = []
         try:
-            for start in range(0, len(vectors), BLOCK):
-                self._load(vectors[start : start + BLOCK], timesteps[start : start + BLOCK], rows)
+            for start in range(0, n, BLOCK):
+                stop = min(start + BLOCK, n)
+                self._load(vectors[start:stop], timesteps[start:stop], rows)
                 next(self._walk(out, train_steps), None)  # unpaused: to the block's end
         finally:
             self._unload()
+        if n < len(vectors):
+            self._checked(MeasurementVector(vectors[n], timesteps[n]))
         return out
 
     def feed_recording(self, frames: Iterable[tuple], train_steps: int) -> Iterator[tuple]:
@@ -531,19 +538,19 @@ class KoadEngine:
         Each frame taken moves the walk at most one arrival forward, up to
         2 * BLOCK arrivals behind: an arrival goes into the filling block
         when its frame is taken, by one row assignment for a list of the
-        right length (the screen's z-scores) or an array of the right
-        shape, and the next block's kernel rows are computed right after
-        the current block's last arrival, with ``feed``'s checks for all of
-        its arrivals at once (``_order_keys``), so that a clean arrival's
-        turn makes one compare with the last arrival walked. An arrival
-        that fails it goes through ``_checked``, which refuses it as
-        ``feed`` would, at its turn, after every earlier frame is handed
-        back. The block is walked by one paused generator (``_walk``),
-        which makes the stacked projection on the block's first turn and is
-        resumed once a turn. Until the walk ends or is closed, which empties
+        engine's width (the screen's z-scores) and through ``_as_row`` for
+        anything else, a row of NaN in place of one that ``_as_row``
+        refuses. The next block's kernel rows are computed right after the
+        current block's last arrival, with its order keys
+        (``_order_keys``), so that a clean arrival's turn makes one compare
+        with the last arrival walked. An arrival that fails it goes through
+        ``_checked``, which refuses it as ``feed`` would, at its turn, after
+        every earlier frame is handed back. The block is walked by one
+        paused generator (``_walk``), which makes the stacked projection on
+        the block's first turn and is resumed once a turn. Until the walk ends or is closed, which empties
         the block, nothing else may feed this engine.
         """
-        shape, dim = self._shape, self.dim
+        dim = self.dim
         filling, spare = np.empty((BLOCK, dim)), np.empty((BLOCK, dim))
         rows = np.empty((BLOCK, self.config.max_size))
         times: list[int] = []  # the filling block's timesteps
@@ -560,13 +567,10 @@ class KoadEngine:
                     if x is not None:
                         values, n = x.values, len(times)
                         try:
-                            if (type(values) is list and len(values) == dim) or (
-                                type(values) is np.ndarray and values.shape == shape
-                            ):
+                            if type(values) is list and len(values) == dim:
                                 filling[n] = values
                             else:
-                                values = np.asarray(values, dtype=float)
-                                filling[n] = values if values.shape == shape else math.nan
+                                filling[n] = self._as_row(values)
                         except (TypeError, ValueError, OverflowError):
                             filling[n] = math.nan  # refused at its turn; see _order_keys
                         times.append(x.timestep)
@@ -593,22 +597,21 @@ class KoadEngine:
                 if self._next == len(keys) and (len(times) == BLOCK or not taking and times):
                     block = filling[: len(times)]
                     self._load(block, times, rows)
-                    keys = self._order_keys(block, times)
+                    keys = self._order_keys(block, times).tolist()
                     filling, spare, times = spare, filling, []
                 while pending and pending[0][0] is None:
                     yield pending.popleft(), None
         finally:
             self._unload()
 
-    def _order_keys(self, block: np.ndarray, timesteps: list[int]) -> list[int]:
+    def _order_keys(self, block: np.ndarray, timesteps: list[int]) -> np.ndarray:
         """Each arrival's timestep, or -1 for one with a non-finite
-        component: an arrival passes ``feed``'s checks exactly when its key
-        exceeds the last timestep walked, which is at least -1. Finiteness
-        is tested for the whole block in one call. An arrival that ``feed``
-        refuses for its width or its type is a row of NaN in the block, so
-        its key fails and ``_checked`` refuses it at its turn."""
-        finite = np.isfinite(block).all(axis=1).tolist()
-        return [t if ok else -1 for t, ok in zip(timesteps, finite)]
+        component: the one test of which arrivals of a walk's block or run
+        pass ``feed``'s checks, those whose key exceeds the last timestep
+        walked before them (at least -1). The rest go through ``_checked``
+        at their turn; a recording's arrival that ``_as_row`` refuses is a
+        row of NaN, so its key fails too."""
+        return np.where(np.isfinite(block).all(axis=1), timesteps, -1)
 
     def _load(self, block: np.ndarray, timesteps: list[int], rows: np.ndarray) -> None:
         """Make the (B, dim) ``block``, arriving at ``timesteps``, the walk's
@@ -864,42 +867,26 @@ class KoadEngine:
 
     # -- input checks ----------------------------------------------------
 
-    def _check_width(self, shape: tuple[int, ...]) -> None:
-        if shape != self._shape:
-            raise ValueError(f"expected shape ({self.dim},), got {shape}")
+    def _as_row(self, values) -> np.ndarray:
+        """An arrival's values as a (dim,) float array: the one conversion
+        of every entry point. A float array is returned as it is."""
+        values = np.asarray(values, dtype=float)
+        if values.shape != self._shape:
+            raise ValueError(f"expected shape ({self.dim},), got {values.shape}")
+        return values
 
     def _checked(self, x: MeasurementVector) -> np.ndarray:
-        """x's values as a float array, refused as ``_check_width`` and
-        ``_check_arrival`` refuse them. An accepted arrival calls neither: a
-        finite sum means finite components, and a sum that overflows from
-        finite ones goes to ``_check_arrival``, which passes it."""
+        """x's values as ``_as_row`` converts them, refused as
+        ``_check_arrival`` refuses them: ``feed``'s check, made on every
+        arrival of ``step`` and ``warm_start`` and on each one whose order
+        key a walk fails. A finite sum means finite components, so an
+        accepted arrival calls ``_check_arrival`` only when the sum of its
+        finite components overflows, and it passes."""
         values, t = x
-        if type(values) is not np.ndarray or values.dtype is not _FLOAT64:
-            values = np.asarray(values, dtype=float)
-        if values.shape != self._shape:
-            self._check_width(values.shape)
+        values = self._as_row(values)
         if not (math.isfinite(sum(values.tolist())) and t > self.last_timestep):
             _check_arrival(all(map(math.isfinite, values.tolist())), t, self.last_timestep)
         return values
-
-    def _check_run(self, vectors: np.ndarray, timesteps: list[int]) -> None:
-        """The checks ``feed`` makes on each arrival, made on a whole run at
-        once before any of it is scored: the first bad row raises what
-        ``feed`` would raise on reaching it."""
-        if len(timesteps) != len(vectors):
-            raise ValueError("timesteps and vectors must have equal length")
-        if not len(vectors):
-            return
-        self._check_width(vectors.shape[1:])
-        finite = np.isfinite(vectors).all(axis=1)
-        # Each timestep must exceed the one before it, the first the engine's last.
-        steps = np.asarray(timesteps)
-        good = finite & (steps > np.concatenate(([self.last_timestep], steps[:-1])))
-        if good.all():
-            return
-        i = int(np.argmin(good))
-        last = timesteps[i - 1] if i else self.last_timestep
-        _check_arrival(bool(finite[i]), timesteps[i], last)
 
 
 def _check_arrival(finite: bool, t: int, last: int) -> None:

@@ -56,7 +56,7 @@ from queue import Empty, Full, Queue
 import numpy as np
 
 from .board import BoardState, EventArchive, needs_flush, render
-from .config import BedSource, Settings
+from .config import BedSource, ConfigError, Settings
 from .engine import EngineError, KoadEngine, MeasurementVector, Verdict, VerdictKind
 from .sources import (
     ReplaySource,
@@ -238,14 +238,13 @@ class BedPipeline:
         return events
 
 
-def standardized_stream(
-    lines: list[str], settings: Settings, bed: str = "bed1"
-) -> tuple[list[int], np.ndarray]:
+def standardized_stream(lines: list[str], settings: Settings) -> tuple[list[int], np.ndarray]:
     """Run only the front half of a fresh ``BedPipeline``; returns the
     original stream timesteps of the model-space vectors and the vectors as
     one (n, dim) array (for the tuner). A line yields at most one vector,
-    so an array with a row per line has room for every one."""
-    pipe = BedPipeline(bed, settings)
+    so an array with a row per line has room for every one. The pipeline
+    archives nothing, so its bed id names nothing the result depends on."""
+    pipe = BedPipeline("bed1", settings)
     timesteps: list[int] = []
     vectors = np.empty((len(lines), pipe.schema.dim))
     for line in lines:
@@ -404,7 +403,7 @@ def monitor_run(
     after the producers are joined.
     """
     if not settings.beds:
-        raise SourceError("monitor needs at least one bed.<id>.source entry")
+        raise ConfigError("monitor needs at least one bed.<id>.source entry")
     screen = screen or sys.stdout
     stop = threading.Event()
     queue: Queue = Queue(maxsize=1024)

@@ -5,8 +5,8 @@ record. Replay and synthetic sources pace themselves from a nominal polling
 interval divided by a speedup factor (rows carry no timestamps, so the
 cadence is the configured nominal one). The socket source accepts plain
 newline-delimited records on a listening port; the matching emitter connects
-out and retries with bounded exponential backoff, so a flaky link shows up
-downstream as missing frames rather than a crash.
+out and retries with exponential backoff a bounded number of times, so a
+flaky link shows up downstream as missing frames rather than a crash.
 """
 
 from __future__ import annotations
@@ -26,6 +26,9 @@ DEFAULT_POLL_INTERVAL = 12.0  # seconds between frames from a bedside unit
 
 # Longest record a source keeps; a valid frame is about 40 bytes.
 MAX_RECORD_BYTES = 4096
+# Connection attempts the emitter makes per line, backing off from 0.1 s
+# and doubling after each failure: 12.7 s of sleep before it gives up.
+EMIT_ATTEMPTS = 8
 
 
 class SourceError(Exception):
@@ -322,22 +325,17 @@ class SocketSource:
             yield chunk
 
 
-def emit_lines(
-    lines: Iterable[str],
-    host: str,
-    port: int,
-    max_backoff: float = 30.0,
-    attempts_per_line: int = 8,
-) -> int:
-    """Send records to a SocketSource peer, reconnecting with bounded
-    exponential backoff. Returns the number of lines delivered."""
+def emit_lines(lines: Iterable[str], host: str, port: int) -> int:
+    """Send records to a SocketSource peer, reconnecting with exponential
+    backoff, at most ``EMIT_ATTEMPTS`` times per line. Returns the number of
+    lines delivered."""
     sent = 0
     conn: socket.socket | None = None
     try:
         for line in lines:
             payload = (line.rstrip("\r\n") + "\n").encode("utf-8")
             backoff = 0.1
-            for attempt in range(attempts_per_line):
+            for attempt in range(EMIT_ATTEMPTS):
                 try:
                     if conn is None:
                         conn = socket.create_connection((host, port), timeout=5.0)
@@ -348,13 +346,13 @@ def emit_lines(
                     if conn is not None:
                         conn.close()
                         conn = None
-                    if attempt == attempts_per_line - 1:
+                    if attempt == EMIT_ATTEMPTS - 1:
                         raise SourceError(
                             f"giving up sending to {host}:{port} after "
-                            f"{attempts_per_line} attempts"
+                            f"{EMIT_ATTEMPTS} attempts"
                         )
                     time.sleep(backoff)
-                    backoff = min(backoff * 2.0, max_backoff)
+                    backoff *= 2.0
     finally:
         if conn is not None:
             conn.close()

@@ -475,6 +475,16 @@ def test_monitor_refuses_a_duration_it_cannot_keep(tmp_path, capsys, duration):
     assert not out.exists()
 
 
+def test_monitor_without_beds_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "ward.cfg"
+    cfg.write_text("warmup = 10\n")
+    out = tmp_path / "arch"
+    code, _, err = run(capsys, "monitor", "--config", str(cfg), "--out", str(out))
+    assert code == 2
+    assert err == "config error: monitor needs at least one bed.<id>.source entry\n"
+    assert not out.exists()
+
+
 @pytest.fixture()
 def synth_600(tmp_path, capsys):
     """``synth --steps 600 --anomalies 5 --seed 3``: the stream and its labels."""

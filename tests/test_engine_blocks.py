@@ -641,10 +641,30 @@ FAULTS = [
 ]
 
 
+# The faults a row of a run, a (n, 4) array, can carry.
+RUN_FAULTS = ["nan", "inf", "-inf", "repeat", "back", "gap", "negative"]
+
+
+def arrival(rng, t: int, fault: str | None) -> tuple[np.ndarray, int]:
+    """The values and timestep of the arrival after one at ``t``, carrying
+    ``fault`` (None: a clean arrival)."""
+    step = {"repeat": 0, "back": -2, "gap": 9}.get(fault, 1)
+    t = -1 - int(rng.integers(3)) if fault == "negative" else t + step
+    width = {"narrow": 3, "wide": 5}.get(fault, 4)
+    values = rng.standard_normal(width) * rng.choice([0.3, 1.0, 1.0, 4.0])
+    if fault in ("nan", "inf", "-inf"):
+        values[rng.integers(4)] = float(fault)
+    return values, t
+
+
+def draw_faults(draw, n: int, faults: list[str]) -> dict[int, str]:
+    return draw(st.dictionaries(st.integers(0, max(n - 1, 0)), st.sampled_from(faults), max_size=8))
+
+
 @st.composite
 def recordings(draw):
     n = draw(st.integers(0, 300))
-    faults = draw(st.dictionaries(st.integers(0, max(n - 1, 0)), st.sampled_from(FAULTS), max_size=8))
+    faults = draw_faults(draw, n, FAULTS)
     none_share = draw(st.sampled_from([0.0, 0.1, 0.5]))
     # the share of arrivals whose values are a list of floats, as the
     # pipeline's screen makes them, rather than an array
@@ -656,12 +676,7 @@ def recordings(draw):
             frames.append((None, tag))
             continue
         fault = faults.get(tag)
-        step = {"repeat": 0, "back": -2, "gap": 9}.get(fault, 1)
-        t = -1 - int(rng.integers(3)) if fault == "negative" else t + step
-        width = {"narrow": 3, "wide": 5}.get(fault, 4)
-        values = rng.standard_normal(width) * rng.choice([0.3, 1.0, 1.0, 4.0])
-        if fault in ("nan", "inf", "-inf"):
-            values[rng.integers(4)] = float(fault)
+        values, t = arrival(rng, t, fault)
         if rng.random() < list_share:
             values = values.tolist()
         if fault == "huge":  # an int no float holds: converting it overflows
@@ -717,6 +732,52 @@ def test_the_recording_walk_is_feed_arrival_by_arrival(frames, config, train, bl
             got.append((tag, outcome_key(outcome)))
     except (ValueError, OverflowError) as exc:
         got.append(("ended", outcome_key(exc)))
+    finally:
+        engine_module.BLOCK = original_block
+    assert got == expected
+    assert state(walked) == state(stepped)
+
+
+@st.composite
+def runs(draw) -> tuple[np.ndarray, list[int]]:
+    n = draw(st.integers(0, 300))
+    faults = draw_faults(draw, n, RUN_FAULTS)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    vectors, timesteps, t = np.empty((n, 4)), [], -1
+    for i in range(n):
+        vectors[i], t = arrival(rng, t, faults.get(i))
+        timesteps.append(t)
+    return vectors, timesteps
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    run=runs(),
+    config=st.sampled_from(PROPERTY_CONFIGS),
+    train=st.integers(0, 20),
+    block=st.sampled_from([1, 3, BLOCK]),
+)
+def test_feed_run_is_feed_row_by_row(run, config, train, block):
+    """``feed_run`` returns the verdicts of one ``feed`` call per row, or
+    raises what ``feed`` raises, with the same message, at the first row
+    that ``feed`` refuses, after scoring every row before it; both engines
+    end in the same state."""
+    vectors, timesteps = run
+    stepped = KoadEngine(4, config)
+    verdicts = []
+    try:
+        for row, t in zip(vectors, timesteps):
+            verdicts += stepped.feed(MeasurementVector(row, t), train)
+        expected = key(verdicts)
+    except (EngineError, ValueError) as exc:
+        expected = outcome_key(exc)
+    walked = KoadEngine(4, config)
+    original_block = engine_module.BLOCK
+    engine_module.BLOCK = block
+    try:
+        got = key(walked.feed_run(vectors, timesteps, train))
+    except (EngineError, ValueError) as exc:
+        got = outcome_key(exc)
     finally:
         engine_module.BLOCK = original_block
     assert got == expected

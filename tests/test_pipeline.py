@@ -89,9 +89,9 @@ def inject_engine_fault(monkeypatch, at: int, where: str = "check") -> list[BedP
 
     By default the fault is raised by the engine's arrival check:
     ``_checked``, which ``feed`` makes on every arrival, and which the
-    recording walk of a replay at speedup = inf makes at an arrival's turn
-    when the arrival fails the compare with the key its block's check
-    (``_order_keys``) gave it, as the arrival at ``at`` is made to. With
+    recording walk of a replay at speedup = inf (and ``feed_run``) makes at
+    an arrival's turn when the arrival fails the compare with its order key
+    (``_order_keys``), as the arrival at ``at`` is made to. With
     ``where="score"`` it is raised inside the walk, by the scorer, which
     every arrival that is not quiet (an Orange, for one) reaches on both
     paths."""
@@ -990,7 +990,7 @@ class TestMonitorRun:
         gc.collect()  # an unclosed frame archive would warn here, failing the test
 
     def test_monitor_without_beds_is_an_error(self, tmp_path):
-        with pytest.raises(SourceError, match="at least one bed"):
+        with pytest.raises(ConfigError, match="at least one bed"):
             monitor_run(Settings(), out_dir=tmp_path / "out")
 
 
