@@ -3,17 +3,16 @@
 A tile's clinical state follows the verdict stream: Orange while any Orange
 window is open, Green otherwise, and Red after any Red1/Red2. A data warning
 that names its cause (a restarted detector or a failed source) closes every
-open window, since none of them will resolve. Red latches
-until an operator acknowledges it; an unacknowledged emergency that silently
-clears is the one failure mode this display must never have. Data warnings
-are a separate badge that co-displays with the clinical state and drives the
-shared console warning.
+open window, since none of them will resolve. Red latches for the rest of
+the run: an emergency that silently clears is the one failure mode this
+display must never have. Data warnings are a separate badge that
+co-displays with the clinical state and drives the shared console warning.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
@@ -63,8 +62,6 @@ class BedTile:
 class BoardState:
     tiles: dict[str, BedTile]
     detected: int = 0  # emergency events seen (Red1 + Red2)
-    addressed: int = 0  # emergencies acknowledged by an operator
-    notices: list[str] = field(default_factory=list)
 
     @classmethod
     def for_beds(cls, beds: list[str]) -> "BoardState":
@@ -112,16 +109,6 @@ class BoardState:
             self.detected += 1
             tile.red_latched = True
 
-    def acknowledge(self, bed: str) -> bool:
-        """Clear a latched Red; returns False (with a notice) if none was lit."""
-        tile = self._tile(bed)
-        if not tile.red_latched:
-            self.notices.append(f"{bed}: nothing to acknowledge")
-            return False
-        tile.red_latched = False
-        self.addressed += 1
-        return True
-
 
 # -- rendering ---------------------------------------------------------------
 
@@ -153,7 +140,7 @@ def render(board: BoardState, phase: int = 0, now: float | None = None) -> str:
             age = f"{max(0.0, now - tile.last_update):.0f}s"
         badge = "DATA-WARNING" if tile.data_warning else ""
         lines.append(f"{bed:<8} {word:<11} {delta:>8} {age:>6}  {badge}")
-    lines.append(f"emergencies detected: {board.detected}  addressed: {board.addressed}")
+    lines.append(f"emergencies detected: {board.detected}")
     if board.console_warning:
         lines.append("!! DATA WARNING: one or more beds sending unreliable data !!")
     return "\n".join(lines) + "\n"

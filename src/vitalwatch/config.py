@@ -130,11 +130,12 @@ class Settings:
                 "schema.names must be able to head a capture file: no name a "
                 "decimal, and the first not the password"
             )
-        # A tracker raised at one arrival resolves within ell arrivals, so at
-        # most ell trackers are open when an admission at capacity forces a
-        # prune. With max_size > ell some element is always unprotected and
-        # the prune can free a slot; otherwise the engine may raise
-        # EngineError mid-stream.
+        # A tracker resolves ell timesteps after the one it was raised at, and
+        # at most one is raised per timestep, so at most ell trackers are
+        # open when an admission at capacity forces a prune. With
+        # max_size > ell some element is always unprotected and the prune
+        # can free a slot; otherwise the engine may raise EngineError
+        # mid-stream.
         for config in (self.detector, *grid):
             if config.max_size <= config.ell:
                 raise ConfigError(

@@ -127,7 +127,10 @@ class ThresholdConfig:
     d_similar and epsilon_frac operationalize Orange resolution: an arrival
     counts as "explained" by a candidate when their kernel similarity is at
     least d_similar, and the candidate survives when at least
-    ceil(epsilon_frac * ell) of the ell subsequent arrivals are explained.
+    ceil(epsilon_frac * ell) of the arrivals in the ell timesteps after it
+    are explained. As in KOAD, ell counts timesteps, not arrivals: flagged
+    frames keep their timestep slots, so a gap of flagged frames shortens an
+    Orange's window in arrivals.
     """
 
     nu1: float = 0.07

@@ -5,8 +5,6 @@ from __future__ import annotations
 from collections.abc import Sequence
 from math import sqrt
 
-import numpy as np
-
 # Floor on a channel's variance, so a constant channel maps to z = 0.
 VAR_FLOOR = 1e-6
 
@@ -38,16 +36,6 @@ class RunningStandardizer:
         self.count = 0
         self._mean = [0.0] * dim
         self._m2 = [0.0] * dim
-
-    @property
-    def mean(self) -> np.ndarray:
-        return np.array(self._mean)
-
-    def variance(self) -> np.ndarray:
-        if self.count < 2:
-            return np.full(self.dim, VAR_FLOOR)
-        n1 = self.count - 1
-        return np.array([max(m2 / n1, VAR_FLOOR) for m2 in self._m2])
 
     def push(self, values: Sequence[float]) -> list[float] | None:
         """Fold one frame's values into the statistics and return its

@@ -1,4 +1,4 @@
-"""Board semantics: stickiness, badges, summary counts, deterministic render."""
+"""Board semantics: the Red latch, badges, summary counts, deterministic render."""
 
 from __future__ import annotations
 
@@ -47,35 +47,26 @@ def test_green_then_red1_goes_red_and_counts():
     assert b.detected == 1
 
 
-def test_red_is_sticky_until_acknowledged():
+def test_red_stays_latched_through_later_greens():
     b = board()
     b.apply_event("bed1", red1(1), now=0.0)
     b.apply_event("bed1", green(2), now=1.0)
+    b.apply_event("bed1", green(3), now=2.0)
     assert b.tiles["bed1"].state is TileState.RED
-    assert b.acknowledge("bed1")
-    assert b.tiles["bed1"].state is TileState.GREEN
-    assert b.addressed == 1
+    assert b.detected == 1
 
 
-def test_acknowledge_returns_to_orange_when_window_still_open():
+def test_a_latched_red_keeps_counting_orange_windows():
     b = board()
     b.apply_event("bed1", orange(1), now=0.0)
     b.apply_event("bed1", red1(2), now=1.0)
-    assert b.tiles["bed1"].state is TileState.RED
-    b.acknowledge("bed1")
+    tile = b.tiles["bed1"]
+    assert tile.state is TileState.RED
     # the Orange raised at t=1 has not resolved yet
-    assert b.tiles["bed1"].state is TileState.ORANGE
+    assert tile.open_orange_count == 1
     b.apply_event("bed1", green(21, resolves=1), now=2.0)
-    assert b.tiles["bed1"].state is TileState.GREEN
-
-
-def test_acknowledging_non_red_is_a_noop_with_notice():
-    b = board()
-    b.apply_event("bed1", green(1), now=0.0)
-    assert not b.acknowledge("bed1")
-    assert b.tiles["bed1"].state is TileState.GREEN
-    assert b.addressed == 0
-    assert b.notices == ["bed1: nothing to acknowledge"]
+    assert tile.open_orange_count == 0
+    assert tile.state is TileState.RED
 
 
 def test_orange_opens_and_green_resolution_closes():
@@ -98,8 +89,6 @@ def test_red2_closes_its_window_and_latches():
     assert tile.state is TileState.RED
     assert tile.open_orange_count == 0
     assert b.detected == 1
-    b.acknowledge("bed1")
-    assert tile.state is TileState.GREEN
 
 
 def test_data_warning_badge_and_console_or():
@@ -122,23 +111,24 @@ def test_a_restart_leaves_no_orange_window_open_forever():
         b.apply_event("bed1", orange(t), now=0.0)
     b.apply_event("bed1", red1(4), now=1.0)
     b.apply_event("bed1", DataWarning(True, 5, "detector for bed1 restarted: boom"), now=2.0)
-    b.acknowledge("bed1")
     tile = b.tiles["bed1"]
-    assert tile.state is TileState.GREEN
+    assert tile.open_orange_count == 0
+    assert tile.state is TileState.RED
     assert tile.data_warning
     # the fresh detector's windows count from zero
     b.apply_event("bed1", orange(30), now=3.0)
     assert tile.open_orange_count == 1
 
 
-def test_red_with_data_warning_keeps_badge_after_acknowledge():
+def test_data_warning_badge_co_displays_with_red():
     b = board()
     b.apply_event("bed1", red1(3), now=0.0)
     b.apply_event("bed1", DataWarning(active=True, at_timestep=4), now=1.0)
-    b.acknowledge("bed1")
     tile = b.tiles["bed1"]
-    assert tile.state is TileState.GREEN
+    assert tile.state is TileState.RED
     assert tile.data_warning
+    screen = render(b, phase=0, now=1.0)
+    assert "*** RED ***" in screen and "DATA-WARNING" in screen
 
 
 def test_summary_counts_every_red_event():
@@ -184,7 +174,7 @@ def test_render_empty_board_lists_unoccupied_tiles():
     b = BoardState.for_beds(["bed1", "bed2", "bed3", "bed4", "bed5"])
     screen = render(b, phase=0, now=0.0)
     assert screen.count("unoccupied") == 5
-    assert "emergencies detected: 0  addressed: 0" in screen
+    assert screen.splitlines()[-1] == "emergencies detected: 0"
     assert "DATA WARNING" not in screen
 
 

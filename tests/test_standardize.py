@@ -11,10 +11,13 @@ from _oracles import ArrayStandardizer
 
 
 def test_warmup_frame_is_folded_in_and_returns_none():
-    s = RunningStandardizer(dim=3, warmup=50)
+    s = RunningStandardizer(dim=3, warmup=1)
     assert s.push(np.array([100.0, 98.0, 72.0])) is None
     assert s.count == 1
-    np.testing.assert_array_equal(s.mean, [100.0, 98.0, 72.0])
+    # the next frame is z-scored against both: mean [101, 98, 71], variance
+    # [2, floor, 2]
+    z = s.push(np.array([102.0, 98.0, 70.0]))
+    np.testing.assert_allclose(z, [2**-0.5, 0.0, -(2**-0.5)], rtol=0, atol=1e-15)
 
 
 def test_warmup_frames_return_none_then_zscoring_begins():
@@ -75,25 +78,32 @@ def test_dimension_and_parameter_validation():
 @pytest.mark.parametrize("warmup", [1, 3, 50])
 def test_push_is_bit_identical_to_the_array_welford(warmup):
     # Vital-sign scale values rounded like the wire's 3 decimals, a channel
-    # near zero (where every rounding of the mean update shows), and a
-    # constant channel whose variance sits on the floor. The comparison
-    # starts at the first push, where count < 2 reads the floor too. The
-    # pipeline pushes a list of Python floats; an array gives the same bits.
+    # near zero (where every rounding of the mean update shows), a constant
+    # channel, and one whose variance, about 1e-10, the floor replaces, so
+    # its z-scores divide by sqrt(VAR_FLOOR). Every scored frame's z-scores
+    # read the running mean and m2 of every frame so far, warm-up ones
+    # included, so equal bits pin the statistics. The pipeline pushes a list
+    # of Python floats; an array gives the same bits.
     rng = np.random.default_rng(11)
     frames = rng.normal([72.0, 98.0, 118.0, 0.2], [9.0, 1.5, 14.0, 1.0], size=(400, 4))
-    frames = np.column_stack([np.round(frames, 3), np.full(len(frames), 80.0)])
-    got = RunningStandardizer(dim=5, warmup=warmup)
-    from_floats = RunningStandardizer(dim=5, warmup=warmup)
-    want = ArrayStandardizer(dim=5, warmup=warmup, var_floor=VAR_FLOOR)
+    frames = np.column_stack([
+        np.round(frames, 3),
+        np.full(len(frames), 80.0),
+        80.0 + rng.normal(0.0, 1e-5, size=len(frames)),
+    ])
+    got = RunningStandardizer(dim=6, warmup=warmup)
+    from_floats = RunningStandardizer(dim=6, warmup=warmup)
+    want = ArrayStandardizer(dim=6, warmup=warmup, var_floor=VAR_FLOOR)
+    scored = 0
     for frame in frames:
-        assert np.array_equal(got.variance(), want.variance())
         expected = want.push(frame)
         outs = [got.push(frame), from_floats.push(frame.tolist())]
         if expected is None:  # a warm-up frame
             assert outs == [None, None]
         else:
             assert all(np.array_equal(out, expected) for out in outs)
-        assert np.array_equal(got.mean, want.mean)
-        assert np.array_equal(from_floats.mean, want.mean)
+            assert outs[0][4] == 0.0  # the constant channel, over the floor
+            assert want.variance()[5] == VAR_FLOOR == 1e-6
+            scored += 1
         assert got.count == from_floats.count == want.count
-    assert got.variance()[4] == from_floats.variance()[4] == VAR_FLOOR == 1e-6
+    assert scored == len(frames) - warmup

@@ -170,3 +170,89 @@ def test_perf_pairs_refuses_a_revision_git_cannot_archive():
     assert done.stdout == ""
     assert done.stderr.startswith("perf_pairs: cannot archive no-such-rev: ")
     assert len(done.stderr.splitlines()) == 1
+
+
+def _census():
+    spec = importlib.util.spec_from_file_location("census", ROOT / "tools" / "census.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+TOY = '''\
+def used():
+    return helper()
+
+
+def helper():
+    return 1
+
+
+def unused():
+    return [x for x in range(2)]
+
+
+class Tile:
+    def shown(self):
+        return (lambda: 1)()
+'''
+
+
+def test_the_census_reports_an_unrun_function_unless_declared(tmp_path):
+    census = _census()
+    path = tmp_path / "toy.py"
+    path.write_text(TOY, encoding="utf-8")
+    spec = importlib.util.spec_from_file_location("toy", path)
+    toy = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(toy)
+    defined = census.functions({"toy": path})
+    # lambdas and comprehensions are not functions of their own
+    assert list(defined) == ["toy:used", "toy:helper", "toy:unused", "toy:Tile.shown"]
+    with census.profiled() as seen:
+        toy.used()
+        toy.Tile().shown()
+    unrun = census.unrun(defined, seen)
+    assert unrun == ["toy:unused"]
+    assert census.judge(defined, unrun, {}) == [
+        "not run by any command, not declared: toy:unused"
+    ]
+    assert census.judge(defined, unrun, {"toy:unused": "library"}) == []
+
+
+def test_the_census_reports_a_stale_entry_and_an_unknown_category():
+    census = _census()
+    defined = {"toy:used": ("toy.py", [1]), "toy:unused": ("toy.py", [5])}
+    entries = {"toy:unused": "pickle", "toy:used": "library", "toy:gone": "fallback"}
+    assert census.judge(defined, ["toy:unused"], entries) == [
+        "declared, but names no function: toy:gone",
+        "declared, but a command runs it: toy:used",
+    ]
+    text = (
+        "# kept on purpose\n"
+        "\n"
+        "toy:unused  pickle: copies rebuild their views\n"
+        "toy:used  dead: nothing calls it\n"
+        "toy:helper  library\n"
+        "toy:unused  fallback: twice\n"
+    )
+    assert census.parse_allowlist(text) == ({"toy:unused": "pickle"}, [
+        "line 4: unknown category 'dead'",
+        "line 5: expected `module:qualname  category: reason`",
+        "line 6: toy:unused declared twice",
+    ])
+
+
+def test_the_census_allowlist_parses_and_each_reason_holds():
+    census = _census()
+    entries, problems = census.parse_allowlist(census.ALLOWLIST.read_text(encoding="utf-8"))
+    assert problems == []
+    assert entries
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    library_use = readme[readme.index("## Library use"):]
+    perfbench = "".join(p.read_text(encoding="utf-8") for p in (ROOT / "perfbench").glob("*.py"))
+    for name, category in entries.items():
+        qualname = name.partition(":")[2]
+        if category == "library":
+            assert f"`{qualname}`" in library_use, name
+        elif category == "perfbench":
+            assert f'"{qualname}"' in perfbench, name

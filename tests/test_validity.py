@@ -127,12 +127,15 @@ def test_non_ascii_digits_are_non_numeric():
 
 
 def test_schema_projection_masks_columns():
-    settings = Settings(password=PW, schema_names=SCHEMA.names, schema_use=(0, 1, 3))
+    settings = Settings(
+        password=PW, schema_names=SCHEMA.names, schema_use=(0, 1, 3), warmup=1
+    )
     assert settings.schema().dim == 3
     pipe = BedPipeline("bed1", settings)
-    pipe.screen("PW123,72,98,120,80", 0.0)
-    # one frame: the standardizer's mean is that frame's modeled columns
-    np.testing.assert_array_equal(pipe.standardizer.mean, [72.0, 98.0, 80.0])
+    assert pipe.screen("PW123,72,98,120,80", 0.0) == (None, None)  # warm-up
+    # the masked column 2 stays constant, the modeled column 3 moves
+    _, x = pipe.screen("PW123,74,98,120,84", 1.0)
+    np.testing.assert_allclose(x.values, [2**-0.5, 0.0, 2**-0.5], rtol=0, atol=1e-15)
 
 
 def test_schema_rejects_bad_indices():
