@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
-from .engine import Verdict, VerdictKind
+from .engine import ALARM_KINDS, Verdict, VerdictKind
 from .validity import DataWarning
 
 MAX_BEDS = 5  # the display shows up to five patient statuses
@@ -61,7 +61,7 @@ class BedTile:
 @dataclass
 class BoardState:
     tiles: dict[str, BedTile]
-    detected: int = 0  # emergency events seen (Red1 + Red2)
+    detected: int = 0  # emergency events seen, each an ALARM_KINDS verdict
 
     @classmethod
     def for_beds(cls, beds: list[str]) -> "BoardState":
@@ -105,7 +105,7 @@ class BoardState:
         elif resolves is not None:
             # a Green or Red2 resolution closes the Orange window it judged
             tile.open_orange_count = max(0, tile.open_orange_count - 1)
-        if kind in (VerdictKind.RED1, VerdictKind.RED2):
+        if kind in ALARM_KINDS:
             self.detected += 1
             tile.red_latched = True
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .board import MAX_BEDS
-from .engine import ThresholdConfig, VerdictKind
+from .engine import ThresholdConfig
 from .sources import DEFAULT_POLL_INTERVAL, capture_header, socket_address
 from .standardize import RunningStandardizer
 from .synth import read_text
@@ -105,7 +105,6 @@ class Settings:
     refresh: float = 2.0
 
     window_w: int = 5
-    counted_kinds: tuple[str, ...] = ("red1", "red2")
     grid: tuple[tuple[float, float], ...] = ((0.03, 0.08), (0.07, 0.16), (0.11, 0.24))
     grid_sigma: tuple[float, ...] = ()
     grid_ell: tuple[int, ...] = ()
@@ -147,8 +146,8 @@ class Settings:
                 raise ConfigError(f"{name} must be > 0")
         if math.isinf(self.poll_interval):
             raise ConfigError("poll_interval must be finite")
-        # A paced source sleeps this long between frames; a day is past any
-        # cadence a bedside unit keeps, and far inside what time.sleep takes.
+        # A paced source waits this long between frames; a day is past any
+        # cadence a bedside unit keeps, and far inside what Event.wait takes.
         gap = self.poll_interval / self.speedup
         if gap > 86400.0:
             raise ConfigError(
@@ -183,13 +182,7 @@ class Settings:
         return replace(self.detector, **overrides)
 
     def match_policy(self) -> MatchPolicy:
-        kinds = []
-        for name in self.counted_kinds:
-            try:
-                kinds.append(VerdictKind(name))
-            except ValueError:
-                raise ConfigError(f"unknown alarm kind {name!r}") from None
-        return MatchPolicy(window_w=self.window_w, counted_kinds=frozenset(kinds))
+        return MatchPolicy(window_w=self.window_w)
 
     def tuning_grid(self) -> list[ThresholdConfig]:
         """Cartesian product of threshold pairs with any sigma/ell sweeps."""
@@ -309,8 +302,6 @@ def _parse(rows: list[str]) -> Settings:
             values["schema_use"] = _parse_list(raw, _parse_int)
         elif key == "schema.zero_ok":
             values["schema_zero_ok"] = _parse_list(raw, _parse_int)
-        elif key == "counted_kinds":
-            values["counted_kinds"] = _parse_names(raw)
         elif key == "grid":
             values["grid"] = _parse_grid(raw)
         elif key == "grid_sigma":

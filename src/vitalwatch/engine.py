@@ -180,6 +180,12 @@ class VerdictKind(Enum):
     RED2 = "red2"
 
 
+# What an alarm is, as in KOAD: a Red1, or a Red2 (an Orange that ell
+# timesteps of evidence did not explain). The board counts these as
+# emergencies and the tuner scores these against labels; an Orange is never
+# one, since its resolution is the verdict that judges it.
+ALARM_KINDS = (VerdictKind.RED1, VerdictKind.RED2)
+
 # Module-level names for the kinds the scorer emits: reading one is a
 # global lookup, where VerdictKind.GREEN is an Enum class attribute lookup.
 _GREEN = VerdictKind.GREEN

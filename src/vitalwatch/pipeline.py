@@ -87,12 +87,11 @@ _tuple_new = tuple.__new__  # builds a MeasurementVector; see MeasurementVector
 class BedPipeline:
     """Single-writer chain turning raw lines into verdicts for one bed.
 
-    The frame archive, when given, gets one row per record. It is flushed
-    after a flagged frame's row, and so that the frames behind an alarm or
-    a data warning survive a killed process, ``feed_line`` flushes it after
-    a frame with an event that ``needs_flush``. ``feed_recording`` leaves
-    that flush to its caller, which archives the events: the ``Ward``
-    makes it before each such event's row.
+    The frame archive, when given, gets one row per record, and is flushed
+    after a flagged frame's row. The flush behind an event is its caller's,
+    which archives the events: the ``Ward`` flushes the frame archive before
+    the row of each event that ``needs_flush``, so the frames behind an
+    alarm or a data warning survive a killed process.
     """
 
     def __init__(self, bed: str, settings: Settings, frame_archive=None) -> None:
@@ -172,10 +171,7 @@ class BedPipeline:
             except EngineError as exc:
                 self.engine.restart()
                 outcome = exc
-        events = self._events(warning, x, outcome)
-        if self._archive is not None and any(map(needs_flush, events)):
-            self._archive.flush()
-        return events
+        return self._events(warning, x, outcome)
 
     def feed_recording(
         self, frames: Iterable[tuple[str, float]]
@@ -189,12 +185,10 @@ class BedPipeline:
         forward per frame taken and keeps up to two blocks of arrivals
         behind the screen. A frame's events are yielded once the walk hands
         it back, so its archive row is written before them, with the rows
-        of the later frames the walk has not reached in between; the caller
-        that archives the events flushes the frame archive before each row
-        that ``needs_flush``. An arrival on which the detector raises
-        ``EngineError`` restarts it, as in ``feed_line``. Between two frames
-        it yields, nothing else may feed this pipeline: the engine holds the
-        walk's block.
+        of the later frames the walk has not reached in between. An arrival
+        on which the detector raises ``EngineError`` restarts it, as in
+        ``feed_line``. Between two frames it yields, nothing else may feed
+        this pipeline: the engine holds the walk's block.
         """
 
         def screened():
@@ -258,7 +252,8 @@ def standardized_stream(lines: list[str], settings: Settings) -> tuple[list[int]
 def build_source(bed: BedSource, settings: Settings, stop: threading.Event):
     if bed.kind == "replay":
         return ReplaySource(
-            bed.target, settings.password, settings.poll_interval, settings.speedup
+            bed.target, settings.password, settings.poll_interval, settings.speedup,
+            stop=stop,
         )
     if bed.kind == "tail":
         return TailSource(bed.target, settings.poll_interval, stop=stop)
@@ -274,7 +269,9 @@ def build_source(bed: BedSource, settings: Settings, stop: threading.Event):
         dim=settings.schema().arity,
         first_anomaly=first_anomaly,
     )
-    return SyntheticSource(spec, settings.password, settings.poll_interval, settings.speedup)
+    return SyntheticSource(
+        spec, settings.password, settings.poll_interval, settings.speedup, stop=stop
+    )
 
 
 class Ward:

@@ -50,8 +50,11 @@ def socket_address(target: str) -> tuple[str, int]:
     return host, int(port)
 
 
-def _pace(lines: list[str], interval: float, speedup: float) -> Iterator[tuple[str, float]]:
-    """Yield each line on an absolute schedule interval/speedup apart."""
+def _pace(
+    lines: list[str], interval: float, speedup: float, stop: threading.Event
+) -> Iterator[tuple[str, float]]:
+    """Yield each line on an absolute schedule interval/speedup apart, and
+    return once ``stop`` is set, without waiting out the gap."""
     if speedup <= 0:
         raise ValueError(f"speedup must be > 0, got {speedup}")
     gap = 0.0 if math.isinf(speedup) else interval / speedup
@@ -64,7 +67,9 @@ def _pace(lines: list[str], interval: float, speedup: float) -> Iterator[tuple[s
         due = start + i * gap
         delay = due - time.monotonic()
         if delay > 0:
-            time.sleep(delay)
+            stop.wait(delay)
+        if stop.is_set():
+            return
         yield line, time.time()
 
 
@@ -95,6 +100,7 @@ class ReplaySource:
     capture is recognised by its header (``_is_capture``), and its rows are
     rewritten into wire form so the rest of the pipeline sees one format.
     The file's bytes are one ``records`` stream, its end ending the last record.
+    A paced replay ends early once ``stop`` is set.
     """
 
     def __init__(
@@ -103,6 +109,7 @@ class ReplaySource:
         password: str,
         poll_interval: float = DEFAULT_POLL_INTERVAL,
         speedup: float = math.inf,
+        stop: threading.Event | None = None,
     ) -> None:
         if poll_interval <= 0:
             raise ValueError(f"poll_interval must be > 0, got {poll_interval}")
@@ -114,6 +121,7 @@ class ReplaySource:
         self.password = password
         self.poll_interval = poll_interval
         self.speedup = speedup
+        self.stop = stop or threading.Event()
 
     def _read_lines(self) -> list[str]:
         try:
@@ -126,11 +134,12 @@ class ReplaySource:
         return lines
 
     def frames(self) -> Iterator[tuple[str, float]]:
-        yield from _pace(self._read_lines(), self.poll_interval, self.speedup)
+        yield from _pace(self._read_lines(), self.poll_interval, self.speedup, self.stop)
 
 
 class SyntheticSource:
-    """Generate-and-pace wrapper around the synthetic stream builder."""
+    """Generate-and-pace wrapper around the synthetic stream builder; a paced
+    one ends early once ``stop`` is set."""
 
     def __init__(
         self,
@@ -138,16 +147,18 @@ class SyntheticSource:
         password: str,
         poll_interval: float = DEFAULT_POLL_INTERVAL,
         speedup: float = math.inf,
+        stop: threading.Event | None = None,
     ) -> None:
         self.spec = spec
         self.password = password
         self.poll_interval = poll_interval
         self.speedup = speedup
+        self.stop = stop or threading.Event()
 
     def frames(self) -> Iterator[tuple[str, float]]:
         values, _ = generate(self.spec)
         lines = [wire_line(self.password, row) for row in values]
-        yield from _pace(lines, self.poll_interval, self.speedup)
+        yield from _pace(lines, self.poll_interval, self.speedup, self.stop)
 
 
 def records(chunks: Iterable[bytes]) -> Iterator[str]:

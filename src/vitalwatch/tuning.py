@@ -1,8 +1,9 @@
 """Supervised threshold selection: score alarm streams against labels and
 grid-search (nu1, nu2) pairs, optionally sweeping the horizon and bandwidth.
 
-Matching is greedy one-to-one in time order: each label grabs the earliest
-unmatched counted alarm within +/- window_w timesteps. For interval matching
+An alarm is a verdict of ``engine.ALARM_KINDS``, Red1 or Red2, as on the
+board. Matching is greedy one-to-one in time order: each label grabs the
+earliest unmatched alarm within +/- window_w timesteps. For interval matching
 on a line this greedy rule attains maximum cardinality, so detected counts
 are the best achievable under the policy (verified against a brute-force
 matcher in the tests).
@@ -15,31 +16,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import KoadEngine, ThresholdConfig, Verdict, VerdictKind
+from .engine import ALARM_KINDS, KoadEngine, ThresholdConfig, Verdict, VerdictKind
 # Not called here; imported so that perfbench's workloads can patch
 # vitalwatch.tuning.MeasurementVector.
 from .engine import MeasurementVector  # noqa: F401
 from .synth import LabeledEvent
 
-DEFAULT_COUNTED_KINDS = frozenset({VerdictKind.RED1, VerdictKind.RED2})
-
 
 @dataclass(frozen=True)
 class MatchPolicy:
-    """How alarms are matched to labels: time window and which kinds count.
-
-    Orange is excluded by default because it is provisional by design; its
-    resolution (Green or Red2) is the verdict that should be judged.
-    """
+    """How alarms are matched to labels: the time window."""
 
     window_w: int = 5
-    counted_kinds: frozenset[VerdictKind] = DEFAULT_COUNTED_KINDS
 
     def __post_init__(self) -> None:
         if self.window_w < 0:
             raise ValueError(f"window_w must be >= 0, got {self.window_w}")
-        if not self.counted_kinds:
-            raise ValueError("at least one alarm kind must count")
 
 
 @dataclass(frozen=True)
@@ -71,15 +63,16 @@ class DetectionReport:
         return math.nan if self.config is None else self.config.ell
 
 
-def alarm_times(verdicts: list[Verdict], policy: MatchPolicy) -> list[int]:
-    """Effective timestep of every counted alarm, sorted.
+def alarm_times(verdicts: list[Verdict]) -> list[int]:
+    """Effective timestep of every alarm, sorted.
 
     A Red2 is pinned to the timestep of the Orange it resolves (that is when
-    the anomaly happened); everything else counts where it fired.
+    the anomaly happened); a Red1 counts where it fired.
     """
-    # A tuple test matches the Enum members by identity; a frozenset test
+    # Bound to a local, each verdict's test is a local lookup; and a tuple
+    # test matches the Enum members by identity, where a frozenset test
     # hashes each verdict's kind first.
-    counted = tuple(policy.counted_kinds)
+    counted = ALARM_KINDS
     red2 = VerdictKind.RED2
     times = []
     for kind, at, _, resolves in verdicts:
@@ -94,10 +87,10 @@ def score_run(
     policy: MatchPolicy | None = None,
     config: ThresholdConfig | None = None,
 ) -> DetectionReport:
-    """Match a run's counted alarms to its labels; the report's threshold
+    """Match a run's alarms to its labels; the report's threshold
     pair comes from ``config``, NaN without one."""
     policy = policy or MatchPolicy()
-    alarms = alarm_times(verdicts, policy)
+    alarms = alarm_times(verdicts)
     label_times = sorted(ev.timestep for ev in labels)
     w = policy.window_w
     matches = []
@@ -188,7 +181,7 @@ def grid_search(
 
 def render_table(reports: list[DetectionReport], policy: MatchPolicy) -> str:
     """Aligned plain-text table, one row per detector config."""
-    kinds = ",".join(sorted(k.value for k in policy.counted_kinds))
+    kinds = ",".join(sorted(k.value for k in ALARM_KINDS))
     header = (
         f"match window +/-{policy.window_w} timesteps; counted kinds: {kinds}"
     )

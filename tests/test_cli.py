@@ -204,6 +204,19 @@ def test_replay_flags_a_corrupt_record_as_one_frame(tmp_path, capsys, record, fi
     ]
 
 
+def test_a_config_naming_counted_kinds_exits_2(tmp_path, capsys, labeled_stream):
+    # An alarm is a Red1 or a Red2 (engine.ALARM_KINDS); no key redefines it.
+    stream, labels = labeled_stream
+    cfg = tmp_path / "kinds.cfg"
+    cfg.write_text("counted_kinds = red1\n")
+    code, out, err = run(
+        capsys, "tune", str(stream), "--labels", str(labels), "--config", str(cfg)
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "config error: line 1: unknown setting 'counted_kinds'\n"
+
+
 def test_config_that_can_exhaust_the_dictionary_exits_2(tmp_path, capsys):
     cfg = tmp_path / "small.cfg"
     cfg.write_text("ell = 30\nmax_size = 30\n")

@@ -12,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vitalwatch.config import BedSource, ConfigError, Settings, load_settings, parse_settings
-from vitalwatch.engine import ThresholdConfig, VerdictKind
+from vitalwatch.engine import ThresholdConfig
+from vitalwatch.tuning import MatchPolicy
 
 
 def test_empty_text_gives_documented_defaults():
@@ -24,7 +25,7 @@ def test_empty_text_gives_documented_defaults():
     assert s.detector.max_size == 50
     assert s.warmup == 50 and s.train_steps == 50 and s.warn_threshold == 5
     assert s.poll_interval == 12.0 and math.isinf(s.speedup)
-    assert s.window_w == 5 and s.counted_kinds == ("red1", "red2")
+    assert s.window_w == 5
     assert s.grid == ((0.03, 0.08), (0.07, 0.16), (0.11, 0.24))
     assert s.schema_names == ("hr", "spo2", "nbp_sys", "nbp_dia")
     assert s.beds == ()
@@ -75,13 +76,8 @@ def test_grid_and_sweeps():
     assert {c.ell for c in configs} == {10, 20}
 
 
-def test_counted_kinds_parse_to_policy():
-    s = parse_settings("counted_kinds = red1, red2, orange\nwindow_w = 3\n")
-    policy = s.match_policy()
-    assert policy.window_w == 3
-    assert policy.counted_kinds == frozenset(
-        {VerdictKind.RED1, VerdictKind.RED2, VerdictKind.ORANGE}
-    )
+def test_window_w_parses_to_policy():
+    assert parse_settings("window_w = 3\n").match_policy() == MatchPolicy(window_w=3)
 
 
 def test_bed_sources():
@@ -110,7 +106,7 @@ def test_bed_sources():
         ("bed.b1.source = replay:\n", "target", 1),
         ("bed.b1.source = replay:a\nbed.b1.source = replay:b\n", "twice", 2),
         ("password = a,b\n", "comma-free", 1),
-        ("counted_kinds = red1, purple\n", "unknown alarm kind", None),
+        ("counted_kinds = red1\n", "unknown setting 'counted_kinds'", 1),
         ("nu1 = 0.5\nnu2 = 0.2\n", "nu1 < nu2", None),
         ("speedup = 0\n", "speedup", None),
         ("poll_interval = inf\nspeedup = 1000\n", "poll_interval must be finite", None),
@@ -145,7 +141,6 @@ def test_errors_carry_line_numbers(text, fragment, line):
 @pytest.mark.parametrize(
     "text,line",
     [
-        ("counted_kinds = red1, purple\n", 1),
         ("nu1 = 0.5\nnu2 = 0.2\n", 2),
         ("nu2 = 0.1\n# the band\nnu1 = 0.2\n", 3),
         ("speedup = 0\n", 1),
@@ -186,14 +181,14 @@ def test_a_refusal_of_the_whole_file_names_the_line_it_is_about(text, line):
 _LINE_PASSES = [
     "", "# a note", "warmup = 0", "warmup = 10", "nu1 = 0.5", "nu2 = 0.2",
     "speedup = 0", "ell = 30", "max_size = 20", "schema.use = 9", "grid =",
-    "grid_ell = 0", "counted_kinds = purple", "password = PW9",
+    "grid_ell = 0", "password = PW9",
     "bed.a.source = synthetic:1", "bed.b.source = replay:b.csv",
 ]
 _LINE_FAILS = [
     "nu1 = abc", "ell = 2.5", "no_equals_here", "= 3", "grid = 0.03-0.08",
     "bed.b1.speed = 2", "bed.b1.source = ftp:host", "password = a,b",
     "bogus = 1", "sigma = nan", "bed.x/y.source = synthetic:1", "schema.use = 1.5",
-    "bed.c.source = synthetic:abc",
+    "bed.c.source = synthetic:abc", "counted_kinds = red1",
 ]
 
 

@@ -46,7 +46,7 @@ from vitalwatch.pipeline import (
 )
 from vitalwatch.sources import ReplaySource, SocketSource, SourceError, TailSource
 from vitalwatch.synth import capture_text, default_spec, generate, read_labels, write_stream
-from vitalwatch.tuning import grid_search, run_detector, score_run
+from vitalwatch.tuning import alarm_times, grid_search, run_detector, score_run
 from vitalwatch.validity import (
     DataWarning,
     archive_header,
@@ -195,25 +195,17 @@ class TestBedPipeline:
         assert len(rows) == 3
         assert rows[2].startswith("bed1,1,2.000,1:hyphen,")
 
-    def test_frames_behind_alarms_reach_the_file_before_the_archive_closes(
-        self, tmp_path
-    ):
+    def test_a_flagged_frame_reaches_the_file_before_the_archive_closes(self, tmp_path):
+        # The flush behind an event is the Ward's (TestWardDelivery).
         path = tmp_path / "frames_bed1.csv"
         rng = np.random.default_rng(2)
-
-        def last_row_on_disk() -> str:
-            return path.read_text(encoding="utf-8").splitlines()[-1]
-
         with path.open("w", encoding="utf-8") as sink:
             pipe = BedPipeline("bed1", small_settings(warmup=10, train_steps=20), sink)
             for i in range(60):
                 pipe.feed_line(steady_line(rng), float(i))
             pipe.feed_line(wire("72", "-", "118"), 60.0)
-            assert last_row_on_disk().startswith("bed1,60,60.000,1:hyphen,")
-            events = pipe.feed_line(wire("300", "5", "400"), 61.0)
-            assert events[0].kind in (VerdictKind.RED1, VerdictKind.ORANGE)
-            assert last_row_on_disk().startswith("bed1,61,61.000,,")
-
+            last_row = path.read_text(encoding="utf-8").splitlines()[-1]
+            assert last_row.startswith("bed1,60,60.000,1:hyphen,")
 
     def test_screen_writes_the_classifiers_archive_rows(self):
         # A clean frame's row comes from the matched record, any other from
@@ -719,6 +711,27 @@ class TestWardDelivery:
             expected_calls += ["write", "flush"] if needs_flush(event) else ["write"]
         assert event_calls == expected_calls
 
+    def test_an_alarms_frame_row_is_on_disk_before_its_event_row(self, tmp_path):
+        rng = np.random.default_rng(2)
+        seen = []  # (event, wall time, the frame archive's last row on disk)
+        frames = tmp_path / "frames_bed1.csv"
+        with Ward(small_settings(warmup=10, train_steps=20), ["bed1"], tmp_path) as ward:
+            append = ward.archive.append
+
+            def append_after_reading_the_frames(bed, event, wall_time, flush):
+                last_row = frames.read_text(encoding="utf-8").splitlines()[-1]
+                seen.append((event, wall_time, last_row))
+                append(bed, event, wall_time, flush)
+
+            ward.archive.append = append_after_reading_the_frames
+            for i in range(60):
+                ward.feed("bed1", steady_line(rng), float(i))
+            ward.feed("bed1", wire("300", "5", "400"), 60.0)
+        spike = [(event, row) for event, wall, row in seen if wall == 60.0]
+        assert spike[0][0].kind in (VerdictKind.RED1, VerdictKind.ORANGE)
+        for _, row in spike:
+            assert row.startswith("bed1,60,60.000,,")
+
 
 class TestTuneAgreesWithReplay:
     """``tune`` runs the front half once and the detector half per grid row;
@@ -779,6 +792,26 @@ class TestTuneAgreesWithReplay:
         assert row == score_run(
             [_verdict_from_row(r) for r in replayed], labels, policy, config=deployed
         )
+
+
+    def test_the_board_counts_the_alarms_the_tuner_counts(self, tmp_path, faulty_capture):
+        path, _ = faulty_capture
+        settings = Settings(
+            warmup=10, train_steps=20, warn_threshold=3,
+            detector=ThresholdConfig(sigma=1.5, ell=10),
+        )
+        out = tmp_path / "out"
+        counts = replay_run(settings, path, out_dir=out)
+        verdicts = [
+            _verdict_from_row(row.split(",", 1)[1])
+            for row in (out / "events.csv").read_text(encoding="utf-8").splitlines()[1:]
+            if ",data-warning-" not in row
+        ]
+        # every kind whose counting the two could disagree on occurs
+        assert {VerdictKind.ORANGE, VerdictKind.RED1, VerdictKind.RED2} <= {
+            v.kind for v in verdicts
+        }
+        assert counts["board"].detected == len(alarm_times(verdicts)) > 0
 
 
 def _verdict_from_row(row: str) -> Verdict:
@@ -992,6 +1025,19 @@ class TestMonitorRun:
     def test_monitor_without_beds_is_an_error(self, tmp_path):
         with pytest.raises(ConfigError, match="at least one bed"):
             monitor_run(Settings(), out_dir=tmp_path / "out")
+
+    def test_paced_sources_stop_when_the_run_stops(self, tmp_path, capture_file):
+        # At the default 12 s cadence each paced source waits for its next
+        # frame when the 0.5 s run ends; it must not wait the gap out.
+        beds = ("paced1", "paced2", "paced3")
+        settings = replace(Settings(speedup=1.0), beds=(
+            BedSource(bed=beds[0], kind="replay", target=str(capture_file)),
+            BedSource(bed=beds[1], kind="replay", target=str(capture_file)),
+            BedSource(bed=beds[2], kind="synthetic", target="7"),
+        ))
+        monitor_run(settings, out_dir=tmp_path / "out", duration=0.5, screen=io.StringIO())
+        alive = [t.name for t in threading.enumerate() if t.name.startswith("src-paced")]
+        assert alive == []
 
 
 class TestBuildSource:

@@ -40,7 +40,7 @@ def _digest_lines(moved=()):
     ``moved`` (name, seed) changed."""
     return [
         f"seed {seed} {name} {'1' if (name, seed) in moved else '0'}{name} (9 verdicts)"
-        for seed in (201, 7) for name in ("tune", "state", "replay", "edge", "walk")
+        for seed in (201, 7) for name in ("tune", "state", "report", "replay", "edge", "walk")
     ]
 
 

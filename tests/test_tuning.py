@@ -78,15 +78,16 @@ def test_red2_matches_at_its_raise_timestep():
     assert (report.detected, report.missed, report.false_alarms) == (1, 0, 0)
 
 
-def test_orange_not_counted_by_default():
+def test_an_orange_is_never_an_alarm():
     labels = [label(10)]
-    verdicts = [Verdict(VerdictKind.ORANGE, 10, 0.1)]
-    report = score_run(verdicts, labels)
+    orange = Verdict(VerdictKind.ORANGE, 10, 0.1)
+    report = score_run([orange], labels)
     assert (report.detected, report.missed, report.false_alarms) == (0, 1, 0)
-    counting = MatchPolicy(
-        counted_kinds=frozenset({VerdictKind.ORANGE, VerdictKind.RED1})
-    )
-    assert score_run(verdicts, labels, counting).detected == 1
+    # Its resolution judges it: a Green is no alarm, a Red2 is one at the
+    # Orange's timestep.
+    green = Verdict(VerdictKind.GREEN, 30, 0.01, 10)
+    assert alarm_times([orange]) == alarm_times([orange, green]) == []
+    assert alarm_times([orange, red2(resolved_at=30, raised_at=10)]) == [10]
 
 
 def test_greedy_matching_equals_brute_force_optimum():
@@ -131,7 +132,7 @@ def test_flood_row_matches_the_rescanning_greedy():
     labels = [label(t) for t in label_times]
     for w in (0, 2, 5):
         policy = MatchPolicy(window_w=w)
-        alarms = alarm_times(verdicts, policy)
+        alarms = alarm_times(verdicts)
         report = score_run(verdicts, labels, policy)
         assert report.matches == rescanning_greedy(label_times, alarms, w)
         assert report.detected + report.missed == len(labels)
@@ -146,7 +147,7 @@ def test_alarm_times_sorted_and_filtered():
         red2(resolved_at=25, raised_at=5),
         Verdict(VerdictKind.ORANGE, 7, 0.1),
     ]
-    assert alarm_times(verdicts, MatchPolicy()) == [5, 30]
+    assert alarm_times(verdicts) == [5, 30]
 
 
 def test_pick_best_prefers_score_then_false_then_nu1():

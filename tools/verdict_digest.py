@@ -7,7 +7,7 @@ Run from the repository root:
     python3 tools/verdict_digest.py --seeds 201 7 --against HEAD~1
     python3 tools/verdict_digest.py --seeds 201 7 --against HEAD~1 --changes walk
 
-For each seed it prints five SHA-256 digests, built from the benchmark's own
+For each seed it prints six SHA-256 digests, built from the benchmark's own
 seeded inputs (``perfbench/``, imported and never written):
 
 * ``tune``: every ``run_detector`` verdict (kind, timestep, ``delta.hex()``,
@@ -18,6 +18,10 @@ seeded inputs (``perfbench/``, imported and never written):
   moves the inverse or the usage still shows. Each run goes through
   ``KoadEngine.feed_run`` with the arguments ``run_detector`` gives it, and
   the same runs give the ``tune`` verdicts;
+* ``report``: what ``tune`` reports over the same streams and configs:
+  each stream's ``reports_csv`` through ``grid_search`` at
+  ``settings.match_policy()``, then the row ``pick_best`` chose, with its
+  matches, so that a change to the scoring the ``tune`` verdicts feed shows;
 * ``replay``: the replay-archive capture's ``events.csv`` and
   ``frames_bed1.csv``, with their wall-clock columns stripped, then every
   event of an in-memory ``BedPipeline`` over the same capture: verdicts with
@@ -54,7 +58,21 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
-DIGESTS = ("tune", "state", "replay", "edge", "walk")
+DIGESTS = ("tune", "state", "report", "replay", "edge", "walk")
+
+
+def tune_settings(work: Path):
+    """The tune-grid workload's settings: the deployment config with its
+    sigma and ell sweeps."""
+    import inputs
+    import workloads
+    from vitalwatch import load_settings
+
+    return load_settings(inputs.write_config(
+        work,
+        "grid_sigma = " + ", ".join(map(str, workloads.TUNE_SIGMAS)),
+        "grid_ell = " + ", ".join(map(str, workloads.TUNE_ELLS)),
+    ))
 
 
 def tune_digest(seed: int, work: Path) -> tuple[str, str, int, int]:
@@ -62,15 +80,10 @@ def tune_digest(seed: int, work: Path) -> tuple[str, str, int, int]:
     verdict count and the number of runs."""
     import inputs
     import workloads
-    from vitalwatch import KoadEngine, load_settings
+    from vitalwatch import KoadEngine
     from vitalwatch.pipeline import standardized_stream
 
-    config = inputs.write_config(
-        work,
-        "grid_sigma = " + ", ".join(map(str, workloads.TUNE_SIGMAS)),
-        "grid_ell = " + ", ".join(map(str, workloads.TUNE_ELLS)),
-    )
-    settings = load_settings(config)
+    settings = tune_settings(work)
     grid = settings.tuning_grid()
     digest, state = hashlib.sha256(), hashlib.sha256()
     verdicts = runs = 0
@@ -88,6 +101,31 @@ def tune_digest(seed: int, work: Path) -> tuple[str, str, int, int]:
                 state.update(array.tobytes())
             state.update(f"{d.timesteps}\n".encode())
     return digest.hexdigest(), state.hexdigest(), verdicts, runs
+
+
+def report_digest(seed: int, work: Path) -> tuple[str, int]:
+    """Digest of ``tune``'s report over each tune-grid stream, and the
+    number of grid rows."""
+    import inputs
+    import workloads
+    from vitalwatch import grid_search
+    from vitalwatch.pipeline import standardized_stream
+    from vitalwatch.tuning import reports_csv
+
+    settings = tune_settings(work)
+    digest = hashlib.sha256()
+    rows = 0
+    for stream in inputs.tune_streams(workloads.TUNE_LINES, seed, workloads.TUNE_STREAMS):
+        timesteps, vectors = standardized_stream(stream.lines, settings)
+        reports, best = grid_search(
+            settings.tuning_grid(), vectors, stream.labels,
+            policy=settings.match_policy(), train_steps=settings.train_steps,
+            timesteps=timesteps,
+        )
+        rows += len(reports)
+        digest.update(reports_csv(reports).encode())
+        digest.update(f"best {reports_csv([best]).split()[1]} {best.matches}\n".encode())
+    return digest.hexdigest(), rows
 
 
 def replay_digest(seed: int, work: Path) -> tuple[str, int, int]:
@@ -197,6 +235,8 @@ def print_digests(seeds: list[int], src: Path) -> None:
             digest, state, verdicts, runs = tune_digest(seed, work / "tune")
             print(f"seed {seed} tune {digest} ({verdicts} verdicts, {runs} runs)")
             print(f"seed {seed} state {state} ({runs} runs)")
+            digest, rows = report_digest(seed, work / "report")
+            print(f"seed {seed} report {digest} ({rows} rows)")
             digest, events, frames = replay_digest(seed, work / "replay")
             print(f"seed {seed} replay {digest} ({events} events, {frames} frames)")
             digest, fed = edge_digest(seed, work / "edge")
