@@ -181,9 +181,8 @@ class VerdictKind(Enum):
 
 
 # What an alarm is, as in KOAD: a Red1, or a Red2 (an Orange that ell
-# timesteps of evidence did not explain). The board counts these as
-# emergencies and the tuner scores these against labels; an Orange is never
-# one, since its resolution is the verdict that judges it.
+# timesteps of evidence did not explain). An Orange is never one: its
+# resolution is the verdict that judges it.
 ALARM_KINDS = (VerdictKind.RED1, VerdictKind.RED2)
 
 # Module-level names for the kinds the scorer emits: reading one is a

@@ -793,7 +793,6 @@ class TestTuneAgreesWithReplay:
             [_verdict_from_row(r) for r in replayed], labels, policy, config=deployed
         )
 
-
     def test_the_board_counts_the_alarms_the_tuner_counts(self, tmp_path, faulty_capture):
         path, _ = faulty_capture
         settings = Settings(
@@ -1029,11 +1028,10 @@ class TestMonitorRun:
     def test_paced_sources_stop_when_the_run_stops(self, tmp_path, capture_file):
         # At the default 12 s cadence each paced source waits for its next
         # frame when the 0.5 s run ends; it must not wait the gap out.
-        beds = ("paced1", "paced2", "paced3")
         settings = replace(Settings(speedup=1.0), beds=(
-            BedSource(bed=beds[0], kind="replay", target=str(capture_file)),
-            BedSource(bed=beds[1], kind="replay", target=str(capture_file)),
-            BedSource(bed=beds[2], kind="synthetic", target="7"),
+            BedSource(bed="paced1", kind="replay", target=str(capture_file)),
+            BedSource(bed="paced2", kind="replay", target=str(capture_file)),
+            BedSource(bed="paced3", kind="synthetic", target="7"),
         ))
         monitor_run(settings, out_dir=tmp_path / "out", duration=0.5, screen=io.StringIO())
         alive = [t.name for t in threading.enumerate() if t.name.startswith("src-paced")]
