@@ -188,17 +188,25 @@ class BedPipeline:
         of the later frames the walk has not reached in between. An arrival
         on which the detector raises ``EngineError`` restarts it, as in
         ``feed_line``. Between two frames it yields, nothing else may feed
-        this pipeline: the engine holds the walk's block.
+        this pipeline: the engine holds the walk's block. A ``SourceError``
+        from ``frames`` ends the recording there: it is raised once every
+        frame taken before it has had its events.
         """
+        failed: list[SourceError] = []
 
         def screened():
-            for line, received_at in frames:
-                warning, x = self.screen(line, received_at)
-                yield x, warning, received_at
+            try:
+                for line, received_at in frames:
+                    warning, x = self.screen(line, received_at)
+                    yield x, warning, received_at
+            except SourceError as exc:
+                failed.append(exc)
 
         walk = self.engine.feed_recording(screened(), self.settings.train_steps)
         for (x, warning, received_at), outcome in walk:
             yield self._events(warning, x, outcome), received_at
+        if failed:
+            raise failed[0]
 
     def _events(
         self,

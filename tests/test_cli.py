@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import vitalwatch
+import vitalwatch.sources as sources
 from vitalwatch.cli import main
 from vitalwatch.synth import default_spec, read_labels, write_stream
 
@@ -307,6 +308,21 @@ def test_missing_stream_exits_1(tmp_path, monkeypatch, capsys):
     assert "source error" in err
     # failing before any output is touched: no archive dir appears
     assert not (tmp_path / "archives").exists()
+
+
+def test_a_read_that_fails_mid_file_exits_1(tmp_path, capsys, labeled_stream, monkeypatch,
+                                           watch_reads):
+    stream, _ = labeled_stream
+    monkeypatch.setattr(sources, "READ_BYTES", 4096)
+    watch_reads(stream, fail_at=2)
+    out = tmp_path / "archives"
+    code, stdout, err = run(capsys, "replay", str(stream), "--out", str(out))
+    assert code == 1
+    assert stdout == ""
+    assert err == f"source error: cannot read {stream}: [Errno 5] Input/output error\n"
+    # the frames the first read held are archived
+    rows = (out / "frames_bed1.csv").read_text(encoding="utf-8").splitlines()
+    assert 1 < len(rows) < 300
 
 
 def test_tune_requires_labels(capsys):

@@ -378,6 +378,31 @@ class TestReplayRun:
         assert min(t for t in verdicts if t > 43) == 67
         assert counts["board"].tiles["bed1"].data_warning is False
 
+    @pytest.mark.parametrize("speedup", [math.inf, 1e9])
+    def test_a_read_that_fails_mid_file_archives_the_frames_before_it(
+        self, tmp_path, monkeypatch, watch_reads, capture_file, speedup
+    ):
+        # The first read ends inside the capture's row 80, and the second
+        # fails: both archives hold what a replay of the first 79 rows
+        # gives, and then the error propagates.
+        text = capture_file.read_text(encoding="utf-8")
+        cut = len("".join(text.splitlines(keepends=True)[:81])) - 3
+        monkeypatch.setattr(sources_module, "READ_BYTES", cut)
+        head = tmp_path / "head.csv"
+        head.write_text(text[:cut].rpartition("\n")[0] + "\n", encoding="utf-8")
+        settings = Settings(warmup=10, train_steps=20, speedup=speedup)
+        assert replay_run(settings, head, out_dir=tmp_path / "head")["frames"] == 79
+        watch_reads(capture_file, fail_at=2)
+        with pytest.raises(SourceError, match=f"^cannot read {capture_file}: "):
+            replay_run(settings, capture_file, out_dir=tmp_path / "cut")
+        archives = [
+            [drop_column((out / "frames_bed1.csv").read_text(), 2),
+             drop_column((out / "events.csv").read_text(), 0)]
+            for out in (tmp_path / "head", tmp_path / "cut")
+        ]
+        assert archives[0] == archives[1]
+        assert archives[0][1].count("\n") > 40  # a header and the scored frames' verdicts
+
     def test_a_restart_leaves_no_orange_window_open_forever(self, tmp_path, monkeypatch):
         capture = tmp_path / "stream.csv"
         spec = default_spec(steps=3000, n_anomalies=20, seed=3, dim=4)

@@ -7,6 +7,7 @@ import math
 import socket
 import threading
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -41,7 +42,14 @@ def test_replay_wire_file_yields_each_row_once(tmp_path):
     assert got == rows
 
 
-def test_replay_capture_file_gets_password_prefixed(tmp_path):
+# Bytes a replay reads at a time: its own size, and sizes that cut every
+# record and the header.
+READ_SIZES = [sources.READ_BYTES, 1, 3]
+
+
+@pytest.mark.parametrize("read_bytes", READ_SIZES)
+def test_replay_capture_file_gets_password_prefixed(tmp_path, monkeypatch, read_bytes):
+    monkeypatch.setattr(sources, "READ_BYTES", read_bytes)
     path = tmp_path / "capture.csv"
     path.write_text("hr,spo2\n72.000,98.000\n71.000,97.000\n", encoding="utf-8")
     got = [line for line, _ in ReplaySource(path, PW).frames()]
@@ -61,7 +69,9 @@ def test_replay_capture_file_gets_password_prefixed(tmp_path):
         ("hr,98\n72,98\n", False),  # a decimal is never a name
     ],
 )
-def test_replay_tells_a_capture_by_its_header(tmp_path, text, captured):
+@pytest.mark.parametrize("read_bytes", READ_SIZES)
+def test_replay_tells_a_capture_by_its_header(tmp_path, monkeypatch, text, captured, read_bytes):
+    monkeypatch.setattr(sources, "READ_BYTES", read_bytes)
     path = tmp_path / "stream.csv"
     path.write_text(text, encoding="utf-8")
     got = [line for line, _ in ReplaySource(path, PW).frames()]
@@ -119,11 +129,15 @@ def test_every_source_reads_a_stream_by_one_rule(tmp_path_factory, pieces, data)
     chunks = [whole[a:b] for a, b in zip([0, *cuts], [*cuts, len(whole)])]
     assert list(records(chunks)) == list(records([whole])) == records_one_by_one(whole)
 
-    # replay reads a file as one stream, its end ending the last record
+    # replay reads a file as one stream, its end ending the last record,
+    # whatever size of chunk it reads the file in
     path = tmp_path_factory.getbasetemp() / "one_rule.csv"
     path.write_bytes(f"{PW},1,2\n".encode() + whole)
-    got = [line for line, _ in ReplaySource(path, PW).frames()]
-    assert got == list(records([path.read_bytes(), b"\n"]))
+    whole_file = list(records([path.read_bytes(), b"\n"]))
+    assert [line for line, _ in ReplaySource(path, PW).frames()] == whole_file
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sources, "READ_BYTES", data.draw(st.integers(1, 7)))
+        assert [line for line, _ in ReplaySource(path, PW).frames()] == whole_file
 
 
 def test_replay_skips_blank_lines(tmp_path):
@@ -136,6 +150,57 @@ def test_replay_skips_blank_lines(tmp_path):
 def test_replay_missing_file_is_a_source_error(tmp_path):
     with pytest.raises(SourceError):
         list(ReplaySource(tmp_path / "nope.csv", PW).frames())
+
+
+def test_a_replays_memory_does_not_grow_with_its_file(tmp_path, watch_reads):
+    # 200 000 wire records, 7 MB: read whole first, they took a 45 MB peak
+    row = wire_line(PW, [72.0, 98.0, 118.0, 76.0]) + "\n"
+    path = tmp_path / "long.csv"
+    path.write_text(row * 200_000, encoding="utf-8")
+    opened = watch_reads(path)
+    tracemalloc.start()
+    try:
+        frames = ReplaySource(path, PW).frames()
+        assert next(frames)[0] == row.rstrip()
+        # the first frame waits for its batch of lines, not for the file
+        assert sum(opened[0].sizes) < 2**20
+        assert sum(1 for _ in frames) == 200_000 - 1
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+    assert opened[0].closed
+
+
+def test_a_replay_opens_its_file_at_the_first_frame_and_closes_it_when_closed(
+    tmp_path, watch_reads
+):
+    path = tmp_path / "stream.csv"
+    path.write_text(f"{PW},1\n{PW},2\n", encoding="utf-8")
+    opened = watch_reads(path)
+    frames = ReplaySource(path, PW).frames()
+    assert opened == []
+    assert next(frames)[0] == f"{PW},1"
+    assert not opened[0].closed
+    frames.close()
+    assert opened[0].closed
+
+
+@pytest.mark.parametrize("speedup", [math.inf, 1e9])
+def test_a_read_that_fails_mid_file_is_a_source_error(tmp_path, monkeypatch, watch_reads, speedup):
+    # the first read takes two whole records and a part of the third, and
+    # the second read fails: the two are handed out, then the error
+    monkeypatch.setattr(sources, "READ_BYTES", 20)
+    path = tmp_path / "stream.csv"
+    path.write_text(f"{PW},1\n{PW},2\n{PW},3\n{PW},4\n", encoding="utf-8")
+    opened = watch_reads(path, fail_at=2)
+    got = []
+    with pytest.raises(SourceError) as failure:
+        for line, _ in ReplaySource(path, PW, speedup=speedup).frames():
+            got.append(line)
+    assert got == [f"{PW},1", f"{PW},2"]
+    assert str(failure.value) == f"cannot read {path}: [Errno 5] Input/output error"
+    assert opened[0].sizes == [20] and opened[0].closed
 
 
 def test_replay_pacing_honors_speedup(tmp_path):
@@ -401,11 +466,17 @@ def test_emitter_gives_up_when_nobody_listens(monkeypatch):
 
 
 def test_speedup_must_be_positive(tmp_path):
+    # refused where the source is made, not once its first frame is asked for
     path = tmp_path / "stream.csv"
     path.write_text(f"{PW},1\n", encoding="utf-8")
-    with pytest.raises(ValueError):
-        list(ReplaySource(path, PW, speedup=0.0).frames())
-    assert math.isinf(ReplaySource(path, PW).speedup)
+    spec = default_spec(steps=10, n_anomalies=0, seed=1, dim=2)
+    for make in (lambda **p: ReplaySource(path, PW, **p), lambda **p: SyntheticSource(spec, PW, **p)):
+        for pacing in ({"speedup": 0.0}, {"speedup": -1.0}, {"speedup": math.nan},
+                       {"poll_interval": 0.0}, {"poll_interval": -1.0}):
+            (name, value), = pacing.items()
+            with pytest.raises(ValueError, match=f"^{name} must be > 0, got {value}$"):
+                make(**pacing)
+        assert math.isinf(make().speedup)
 
 
 @pytest.mark.parametrize("record_end", ["newline", "disconnect"])

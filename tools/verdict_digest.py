@@ -7,8 +7,8 @@ Run from the repository root:
     python3 tools/verdict_digest.py --seeds 201 7 --against HEAD~1
     python3 tools/verdict_digest.py --seeds 201 7 --against HEAD~1 --changes walk
 
-For each seed it prints six SHA-256 digests, built from the benchmark's own
-seeded inputs (``perfbench/``, imported and never written):
+For each seed it prints seven SHA-256 digests, built from the benchmark's
+own seeded inputs (``perfbench/``, imported and never written):
 
 * ``tune``: every ``run_detector`` verdict (kind, timestep, ``delta.hex()``,
   resolves) over the tune-grid streams and configs;
@@ -27,6 +27,11 @@ seeded inputs (``perfbench/``, imported and never written):
   event of an in-memory ``BedPipeline`` over the same capture: verdicts with
   ``delta.hex()``, which the archive rounds to 6 decimals, and data warnings
   by kind and timestep;
+* ``read``: the lines ``ReplaySource(path, password).frames()`` hands out
+  for the replay capture written three ways: as ``inputs.write_stream``
+  writes it; as a capture file (the schema's names as its header, each row
+  without its first field, the password); and with CRLF line ends behind a
+  byte-order mark, so that a change to how a replay reads its file shows;
 * ``edge``: the frame archive and the events of a ``BedPipeline`` over the
   same capture with ``EDGE_LINES`` spliced in at every phase: wire spellings
   the capture never holds (CRLF, padded fields, ``+.25``, ``7.``) and every
@@ -58,7 +63,7 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
-DIGESTS = ("tune", "state", "report", "replay", "edge", "walk")
+DIGESTS = ("tune", "state", "report", "replay", "read", "edge", "walk")
 
 
 def tune_settings(work: Path):
@@ -157,6 +162,31 @@ def replay_digest(seed: int, work: Path) -> tuple[str, int, int]:
     return digest.hexdigest(), *counts
 
 
+def read_digest(seed: int, work: Path) -> tuple[str, int]:
+    """Digest of the lines a replay hands out for the replay capture written
+    as a wire file, as a capture file and with CRLF ends behind a
+    byte-order mark; and their count over the three."""
+    import inputs
+    import workloads
+    from vitalwatch import ReplaySource, load_settings
+
+    settings = load_settings(inputs.write_config(work))
+    stream, _ = inputs.replay_capture(workloads.REPLAY_LINES, seed, settings.warn_threshold)
+    wire, _ = inputs.write_stream(stream, work, "wire")
+    capture = work / "capture.csv"
+    rows = [",".join(settings.schema().names), *(line.split(",", 1)[1] for line in stream.lines)]
+    capture.write_text("".join(row + "\n" for row in rows), encoding="utf-8")
+    crlf = work / "crlf.csv"
+    crlf.write_bytes("\ufeff".encode() + wire.read_bytes().replace(b"\n", b"\r\n"))
+    digest = hashlib.sha256()
+    lines = 0
+    for path in (wire, capture, crlf):
+        for line, _ in ReplaySource(path, settings.password).frames():
+            lines += 1
+            digest.update((line + "\n").encode())
+    return digest.hexdigest(), lines
+
+
 def walk_digest(seed: int, work: Path) -> tuple[str, int]:
     """Digest of the deployment config's ``run_detector`` verdicts over the
     replay capture's standardized vectors, and their count."""
@@ -239,6 +269,8 @@ def print_digests(seeds: list[int], src: Path) -> None:
             print(f"seed {seed} report {digest} ({rows} rows)")
             digest, events, frames = replay_digest(seed, work / "replay")
             print(f"seed {seed} replay {digest} ({events} events, {frames} frames)")
+            digest, lines = read_digest(seed, work / "read")
+            print(f"seed {seed} read {digest} ({lines} lines)")
             digest, fed = edge_digest(seed, work / "edge")
             print(f"seed {seed} edge {digest} ({fed} lines)")
             digest, verdicts = walk_digest(seed, work / "walk")
