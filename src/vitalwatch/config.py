@@ -144,8 +144,9 @@ class Settings:
         for name in ("poll_interval", "speedup", "refresh"):
             if not getattr(self, name) > 0:
                 raise ConfigError(f"{name} must be > 0")
-        if math.isinf(self.poll_interval):
-            raise ConfigError("poll_interval must be finite")
+        for name in ("poll_interval", "refresh"):  # a wait that never ends
+            if math.isinf(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite")
         # A paced source waits this long between frames; a day is past any
         # cadence a bedside unit keeps, and far inside what Event.wait takes.
         gap = self.poll_interval / self.speedup

@@ -59,13 +59,3 @@ def kernel_vector(basis: np.ndarray, x: np.ndarray, sigma: float) -> np.ndarray:
     sq /= -(2.0 * sigma**2)
     np.exp(sq, sq)
     return sq if x.ndim == 1 else sq.reshape(len(x), len(basis))
-
-
-def gram_matrix(basis: np.ndarray, sigma: float) -> np.ndarray:
-    """Full kernel matrix of the basis rows (used by consistency checks)."""
-    basis = np.asarray(basis, dtype=float)
-    m = basis.shape[0] if basis.ndim == 2 else 0
-    if m == 0:
-        return np.zeros((0, 0))
-    sq = np.sum((basis[:, None, :] - basis[None, :, :]) ** 2, axis=-1)
-    return np.exp(-sq / (2.0 * sigma**2))

@@ -285,16 +285,26 @@ def build_source(bed: BedSource, settings: Settings, stop: threading.Event):
 class Ward:
     """One run's outputs: the board, each bed's ``BedPipeline`` with its
     ``frames_<bed>.csv``, ``events.csv`` and the ``counts``; ``fresh`` first
-    removes a previous run's archives. Each event ``feed`` or ``fail``
-    produces is counted, applied to the board and archived, and a data
-    warning that names its cause gets a screen line."""
+    removes a previous run's ``events.csv`` and its own beds' frame
+    archives, and refuses a directory that holds another bed's (its rows are
+    in that ``events.csv`` too). Each event ``feed`` or ``fail`` produces is
+    counted, applied to the board and archived, and a data warning that
+    names its cause gets a screen line."""
 
     def __init__(self, settings: Settings, beds: list[str], out_dir: str | Path,
                  fresh: bool = False, screen=None) -> None:
         self.out_dir = Path(out_dir)
         self.out_dir.mkdir(parents=True, exist_ok=True)
+        owned = [self.out_dir / f"frames_{bed}.csv" for bed in beds]
         if fresh:
-            for path in [self.out_dir / "events.csv", *self.out_dir.glob("frames_*.csv")]:
+            for path in sorted(self.out_dir.glob("frames_*.csv")):
+                if path not in owned:
+                    raise ConfigError(
+                        f"{self.out_dir} holds {path.name}, the frame archive of "
+                        f"another bed; a fresh run there would delete that bed's "
+                        f"events.csv rows"
+                    )
+            for path in [self.out_dir / "events.csv", *owned]:
                 path.unlink(missing_ok=True)
         self.screen = screen
         self.board = BoardState.for_beds(beds)
@@ -302,8 +312,7 @@ class Ward:
         self.pipelines: dict[str, BedPipeline] = {}
         self._frame_archives = {}
         with ExitStack() as opened:
-            for bed in beds:
-                path = self.out_dir / f"frames_{bed}.csv"
+            for bed, path in zip(beds, owned):
                 frames = opened.enter_context(path.open("a", encoding="utf-8"))
                 self._frame_archives[bed] = frames
                 self.pipelines[bed] = BedPipeline(bed, settings, frame_archive=frames)

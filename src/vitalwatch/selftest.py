@@ -1,20 +1,20 @@
 """Built-in sanity suite, runnable on any install without test tooling.
 
-Five checks, each independent of the code path it verifies:
+Four checks, each independent of the code path it verifies:
 
 * projection errors and the maintained inverse Gram against fresh dense
   linear solves on randomized admission/removal sequences, and the kept
-  Gram matrix against one rebuilt from the basis,
+  Gram matrix against one rebuilt from the basis; the dense side computes
+  every kernel value with ``kernel_eval``, not the engine's
+  ``kernel_vector``,
 * the Green / Red1 / Orange / Red2 alarm walk on a scripted 1-d stream
   whose expected deltas come from the same dense solves,
-* the tuner's block walk (``feed_run``) against one ``feed`` per arrival,
-  bit for bit, on a stream that churns the dictionary: the walk projects
-  stacked rows, so a numpy whose stacked arithmetic differs from its
-  one-row arithmetic fails here rather than letting tune and replay drift,
-* a replay at speedup = inf (``BedPipeline.feed_recording``, whose walk
-  pulls each frame through the screen) against the per-frame chain
-  (``feed_line``), bit for bit, on a seeded capture with flagged frames and
-  a data-warning burst,
+* replay's walk (``BedPipeline.feed_recording``) and tune's
+  (``standardized_stream`` then ``KoadEngine.feed_run``) against one
+  ``feed_line`` per frame, bit for bit, on a seeded capture with flagged
+  frames and a data-warning burst, at a churning config and at the default
+  one: the walks project stacked rows, so a numpy whose stacked arithmetic
+  differs from its one-row arithmetic fails here,
 * the frame validity table and the consecutive-flag warning counter.
 
 Kept deliberately small (about a second); the full development suite lives
@@ -38,8 +38,8 @@ from .engine import (
     Verdict,
     VerdictKind,
 )
-from .kernels import gram_matrix, kernel_vector
-from .pipeline import BedPipeline
+from .kernels import kernel_eval, kernel_vector
+from .pipeline import BedPipeline, standardized_stream
 from .sources import wire_line
 from .synth import default_spec, generate
 from .validity import (
@@ -59,13 +59,17 @@ class CheckResult:
     detail: str
 
 
+def _dense_gram(basis: np.ndarray, sigma: float) -> np.ndarray:
+    """The basis rows' Gram matrix, one ``kernel_eval`` per entry."""
+    return np.array([[kernel_eval(a, b, sigma) for b in basis] for a in basis])
+
+
 def _dense_delta(basis: np.ndarray, x: np.ndarray, sigma: float) -> float:
     """Projection error by a from-scratch dense solve (the oracle side)."""
     if basis.shape[0] == 0:
         return 1.0
-    gram = gram_matrix(basis, sigma)
-    k = kernel_vector(basis, x, sigma)
-    return float(1.0 - k @ np.linalg.solve(gram, k))
+    k = np.array([kernel_eval(b, x, sigma) for b in basis])
+    return float(1.0 - k @ np.linalg.solve(_dense_gram(basis, sigma), k))
 
 
 def check_projection_oracle(cases: int = 40, seed: int = 7) -> CheckResult:
@@ -97,7 +101,7 @@ def check_projection_oracle(cases: int = 40, seed: int = 7) -> CheckResult:
             if state.size > 2 and rng.random() < 0.3:
                 state.remove(int(rng.integers(0, state.size)))
         worst_consistency = max(worst_consistency, state.consistency_error())
-        kept = np.abs(state.gram() - gram_matrix(state.basis, sigma))
+        kept = np.abs(state.gram() - _dense_gram(state.basis, sigma))
         worst_gram = max(worst_gram, float(kept.max(initial=0.0)))
         near = state.basis[int(rng.integers(0, state.size))] + rng.normal(0.0, 0.3, size=d)
         for probe in (rng.uniform(-spread, spread, size=d), near):
@@ -191,50 +195,15 @@ def check_alarm_walk() -> CheckResult:
     return CheckResult("alarm state machine", not problems, detail)
 
 
-def check_block_walk(steps: int = 600, train_steps: int = 50) -> CheckResult:
-    """``feed_run`` against one ``feed`` per arrival on one stream, at a
-    churning config and at the default one, where most arrivals take the
-    walk's quiet lane: verdicts (with ``delta.hex()``) and the dictionary
-    must match bit for bit."""
-    values, _ = generate(default_spec(steps=steps, n_anomalies=6, seed=8, dim=4))
-    z = (values - values.mean(axis=0)) / values.std(axis=0)
-
-    def key(engine: KoadEngine, verdicts) -> tuple:
-        d = engine.dictionary
-        arrays = [a.tobytes() for a in (d.basis, d.gram(), d.inv_gram, d.usage)]
-        rows = [(v.kind, v.at_timestep, v.delta.hex(), v.resolves_timestep) for v in verdicts]
-        return rows, arrays, d.timesteps
-
-    same, verdicts, changes = True, 0, []
-    for config in (ThresholdConfig(sigma=1.5, max_size=12), ThresholdConfig()):
-        walked, stepped = KoadEngine(4, config), KoadEngine(4, config)
-        got = walked.feed_run(z, list(range(steps)), train_steps)
-        expected = []
-        for t, row in enumerate(z):
-            expected += stepped.feed(MeasurementVector(row, t), train_steps)
-        same = same and key(walked, got) == key(stepped, expected)
-        verdicts += len(got)
-        changes.append(walked.dictionary.changes)
-    return CheckResult(
-        "block walk vs one feed per arrival",
-        same and changes[0] >= 100,  # few changes would leave the fallbacks untested
-        f"{verdicts} verdicts and the dictionaries "
-        f"{'bit-identical' if same else 'DIFFER'} over {steps} arrivals at 2 configs, "
-        f"{changes[0]} dictionary changes in the churning one (100 needed; "
-        f"numpy {np.__version__})",
-    )
-
-
-def check_recording_replay(steps: int = 600) -> CheckResult:
-    """``feed_recording`` against one ``feed_line`` per frame over the same
-    wire lines, at a churning config: each frame's events (verdicts with
-    ``delta.hex()``), its ``received_at`` and the frame archive must match
-    bit for bit."""
+def check_walks(steps: int = 600) -> CheckResult:
+    """Replay's walk (``feed_recording``) and tune's (``standardized_stream``
+    then ``feed_run``) against one ``feed_line`` per frame, at a churning
+    config and at the default one, where most arrivals take the walk's
+    quiet lane: the events (verdicts with ``delta.hex()``, data warnings,
+    each frame's ``received_at``), the frame archive and the dictionary
+    left behind must match bit for bit; tune, which has no events, its
+    verdicts and dictionary."""
     password = "PW123"
-    settings = Settings(
-        password=password, warmup=10, train_steps=20, warn_threshold=3,
-        detector=ThresholdConfig(sigma=1.5, max_size=12, ell=10),
-    )
     values, _ = generate(default_spec(steps=steps, n_anomalies=6, seed=8, dim=4))
     lines = [wire_line(password, row) for row in values]
     for at in (15, 40, 333):  # flagged frames in warm-up, training and scoring
@@ -248,7 +217,12 @@ def check_recording_replay(steps: int = 600) -> CheckResult:
             return kind.value, at, delta.hex(), resolves
         return event.active, event.at_timestep, event.reason
 
-    def replay(per_frame: bool) -> tuple:
+    def state(engine: KoadEngine) -> tuple:
+        d = engine.dictionary
+        arrays = [a.tobytes() for a in (d.basis, d.gram(), d.inv_gram, d.usage)]
+        return arrays, d.timesteps, d.changes
+
+    def replay(settings: Settings, per_frame: bool) -> tuple:
         sink = io.StringIO()
         pipe = BedPipeline("bed1", settings, frame_archive=sink)
         if per_frame:
@@ -256,17 +230,32 @@ def check_recording_replay(steps: int = 600) -> CheckResult:
         else:
             produced = list(pipe.feed_recording(frames))
         rows = [(at, [key(event) for event in events]) for events, at in produced]
-        return rows, sink.getvalue(), pipe.engine.dictionary.changes
+        verdicts = [key(e) for events, _ in produced for e in events if type(e) is Verdict]
+        return rows, sink.getvalue(), verdicts, state(pipe.engine)
 
-    walked, fed = replay(per_frame=False), replay(per_frame=True)
-    same = walked == fed
-    events = sum(len(keys) for _, keys in walked[0])
+    def tune(settings: Settings) -> tuple:
+        timesteps, vectors = standardized_stream(lines, settings)
+        engine = KoadEngine(vectors.shape[1], settings.threshold_config())
+        verdicts = engine.feed_run(vectors, timesteps, settings.train_steps)
+        return [key(v) for v in verdicts], state(engine)
+
+    same, events, changes = True, 0, []
+    for detector in (ThresholdConfig(sigma=1.5, max_size=12, ell=10), ThresholdConfig()):
+        settings = Settings(
+            password=password, warmup=10, train_steps=20, warn_threshold=3,
+            detector=detector,
+        )
+        fed = replay(settings, per_frame=True)
+        same = same and replay(settings, per_frame=False) == fed and tune(settings) == fed[2:]
+        events += sum(len(keys) for _, keys in fed[0])
+        changes.append(fed[-1][-1])  # the reference's dictionary changes
     return CheckResult(
-        "replay at speedup = inf vs the per-frame chain",
-        same and walked[2] >= 50,  # few changes would leave the block patches untested
-        f"{events} events over {len(frames)} frames and the frame archive "
-        f"{'bit-identical' if same else 'DIFFER'}, {walked[2]} dictionary changes "
-        "(50 needed)",
+        "replay and tune walks vs the per-frame chain",
+        same and changes[0] >= 50,  # few changes would leave the block patches untested
+        f"{events} events over {len(frames)} frames at 2 configs, the frame archives "
+        f"and the dictionaries {'bit-identical' if same else 'DIFFER'}, "
+        f"{changes[0]} dictionary changes in the churning one (50 needed; "
+        f"numpy {np.__version__})",
     )
 
 
@@ -312,8 +301,7 @@ def run_all() -> list[CheckResult]:
     return [
         check_projection_oracle(),
         check_alarm_walk(),
-        check_block_walk(),
-        check_recording_replay(),
+        check_walks(),
         check_validity_table(),
     ]
 

@@ -5,10 +5,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import vitalwatch
 import vitalwatch.sources as sources
+from vitalwatch import selftest
 from vitalwatch.cli import main
 from vitalwatch.synth import default_spec, read_labels, write_stream
 
@@ -162,8 +164,22 @@ def test_monitor_drains_replay_beds(tmp_path, capsys, labeled_stream):
 def test_selftest_passes_on_clean_build(capsys):
     code, out, _ = run(capsys, "selftest")
     assert code == 0
-    assert "all 5 checks passed" in out
-    assert "[  ok] replay at speedup = inf vs the per-frame chain: " in out
+    assert "all 4 checks passed" in out
+    assert "[  ok] replay and tune walks vs the per-frame chain: " in out
+
+
+def test_selftest_fails_when_stacked_rows_round_unlike_one_row(capsys, monkeypatch):
+    """The walks sum their stacked rows with ``np.vecdot``; einsum's row
+    sums round differently (equal in 23 of 1000 cases), as a numpy whose
+    stacked arithmetic drifts from its one-row arithmetic would. The walk
+    check then fails, and ``selftest`` exits 1 naming it."""
+    monkeypatch.setattr(np, "vecdot", lambda a, b: np.einsum("ij,ij->i", a, b))
+    assert not selftest.check_walks().ok
+    code, out, _ = run(capsys, "selftest")
+    assert code == 1
+    assert "[FAIL] replay and tune walks vs the per-frame chain: " in out
+    assert "DIFFER" in out
+    assert "1 of 4 checks failed" in out
 
 
 def test_bad_config_exits_2_with_line_number(tmp_path, capsys):
@@ -349,6 +365,31 @@ def test_speedup_flag_wins_over_the_config(tmp_path, capsys, labeled_stream):
     )
     assert code == 0
     assert "replayed 300 frames" in out
+
+
+def test_replay_into_another_beds_archives_exits_2(tmp_path, capsys, labeled_stream):
+    # A replay once deleted every frames_*.csv in its --out directory, and
+    # the events.csv that held those beds' rows with them.
+    stream, _ = labeled_stream
+    out = tmp_path / "archives"
+    assert run(capsys, "replay", str(stream), "--bed", "icu1", "--out", str(out))[0] == 0
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    code, _, err = run(capsys, "replay", str(stream), "--out", str(out))
+    assert code == 2
+    assert err.startswith(f"config error: {out} holds frames_icu1.csv, ")
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+
+def test_refresh_flag_must_be_finite(tmp_path, capsys):
+    # --refresh inf once loaded, and the board was drawn only at the end.
+    cfg = tmp_path / "ward.cfg"
+    cfg.write_text("bed.s.source = synthetic:7\n")
+    code, _, err = run(
+        capsys, "monitor", "--config", str(cfg), "--refresh", "inf", "--out", str(tmp_path / "w")
+    )
+    assert code == 2
+    assert "refresh must be finite" in err
+    assert not (tmp_path / "w").exists()
 
 
 def test_speedup_flag_must_be_positive(capsys, labeled_stream):

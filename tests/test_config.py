@@ -110,6 +110,7 @@ def test_bed_sources():
         ("nu1 = 0.5\nnu2 = 0.2\n", "nu1 < nu2", None),
         ("speedup = 0\n", "speedup", None),
         ("poll_interval = inf\nspeedup = 1000\n", "poll_interval must be finite", None),
+        ("refresh = inf\n", "refresh must be finite", None),
         ("poll_interval = 86401\nspeedup = 1\n", "at most 86400 s", None),
         ("speedup = 1e-300\n", "got 1.2e+301 s", None),
         ("warmup = 0\n", "warmup", None),
@@ -145,6 +146,7 @@ def test_errors_carry_line_numbers(text, fragment, line):
         ("nu2 = 0.1\n# the band\nnu1 = 0.2\n", 3),
         ("speedup = 0\n", 1),
         ("poll_interval = inf\nspeedup = 1000\n", 1),
+        ("speedup = 5\nrefresh = inf\n", 2),
         ("poll_interval = 86401\nspeedup = 1\n", 2),
         ("speedup = 1e-300\n", 1),
         ("warmup = 0\n", 1),

@@ -21,10 +21,10 @@ from vitalwatch.engine import (
     Verdict,
     VerdictKind,
 )
-from vitalwatch.kernels import gram_matrix, kernel_vector
+from vitalwatch.kernels import kernel_vector
 from vitalwatch.synth import default_spec, generate
 
-from _oracles import ReferenceDetector, oracle_delta
+from _oracles import ReferenceDetector, oracle_delta, oracle_gram
 
 # Distance at which delta vs a lone dictionary element {0} equals 0.1
 # (inside the default 0.07..0.16 Orange band) at sigma = 1.0, which the
@@ -508,7 +508,7 @@ def test_projection_matches_dense_oracle_during_live_run():
 def max_gram_drift(engine: KoadEngine) -> float:
     """Largest entry of |kept Gram - Gram rebuilt from the basis|."""
     dictionary = engine.dictionary
-    rebuilt = gram_matrix(dictionary.basis, engine.config.sigma)
+    rebuilt = oracle_gram(dictionary.basis, engine.config.sigma)
     return float(np.abs(dictionary.gram() - rebuilt).max(initial=0.0))
 
 

@@ -6,6 +6,7 @@ import io
 import itertools
 import math
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -306,6 +307,24 @@ class TestReplayRun:
             events = drop_column((out / "events.csv").read_text(), 0)
             outs.append((frames, events))
         assert outs[0] == outs[1]
+
+    def test_a_fresh_replay_refuses_a_directory_with_another_beds_archive(
+        self, tmp_path, capture_file
+    ):
+        """A replay replaces its own bed's frame archive and ``events.csv``,
+        but a directory that also holds another bed's frame archive (a
+        monitor's, say) is refused before any file is touched: that bed's
+        rows are in ``events.csv`` too."""
+        settings = Settings(warmup=10, train_steps=20)
+        out = tmp_path / "out"
+        for _ in range(2):
+            replay_run(settings, capture_file, bed="icu1", out_dir=out)
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        assert sorted(before) == ["events.csv", "frames_icu1.csv"]
+        assert len(before["frames_icu1.csv"].splitlines()) == 121  # replaced, not appended
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(out))} holds frames_icu1.csv, "):
+            replay_run(settings, capture_file, out_dir=out)
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
     @pytest.mark.parametrize(
         "first",

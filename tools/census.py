@@ -6,6 +6,8 @@ Run from the repository root, with the package importable (installed, or
 
     PYTHONPATH=src python3 tools/census.py
 
+It needs Python 3.11 or newer, for ``code.co_qualname``.
+
 It runs the five commands in this process, through ``vitalwatch.cli.main``,
 on seeded inputs it writes into a temporary directory, under
 ``sys.setprofile`` and ``threading.setprofile``, so that the threads the
@@ -23,6 +25,8 @@ commands start are seen too:
   found nothing new. The run stops by Ctrl-C (an interrupt of the main
   thread) once both beds' rows are in their frame archives and the failing
   bed's warning row is in ``events.csv``; no sleep decides what runs;
+* ``replay`` into the monitor's directory, which holds other beds' frame
+  archives: it exits 2 and leaves every file there as it was;
 * one refused config, which exits 2;
 * ``selftest``.
 
@@ -235,6 +239,11 @@ class Run:
                      "--config", str(w / "tune.cfg"), "--out", str(w / "tune.csv"))
 
         self.monitor(capture)
+        ward = w / "ward"
+        archives = {path.name: read(path) for path in ward.iterdir()}
+        self.command(2, "replay", str(w / "clean.csv"), "--out", str(ward))
+        if {path.name: read(path) for path in ward.iterdir()} != archives:
+            self.failures.append("replay into the monitor's directory changed its archives")
 
         (w / "refused.cfg").write_text("ell = 20\nmax_size = 20\n", encoding="utf-8")
         self.command(2, "replay", str(w / "clean.csv"), "--config", str(w / "refused.cfg"))
