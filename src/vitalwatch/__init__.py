@@ -16,14 +16,7 @@ from .engine import (
     VerdictKind,
 )
 from .pipeline import BedPipeline, monitor_run, replay_run, standardized_stream
-from .sources import (
-    ReplaySource,
-    SocketSource,
-    SourceError,
-    SyntheticSource,
-    TailSource,
-    emit_lines,
-)
+from .sources import ReplaySource, SocketSource, SourceError, TailSource, emit_lines
 from .standardize import RunningStandardizer
 from .synth import SyntheticSpec, default_spec, generate, read_labels, write_stream
 from .tuning import DetectionReport, MatchPolicy, grid_search, pick_best, score_run
@@ -56,7 +49,6 @@ __all__ = [
     "Settings",
     "SocketSource",
     "SourceError",
-    "SyntheticSource",
     "SyntheticSpec",
     "TailSource",
     "ThresholdConfig",

@@ -168,7 +168,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         if value < 0:
             raise ConfigError(f"{flag} must be >= 0, got {value}")
     # place anomalies after the detector's lead-in, spaced to fit the stream
-    lead = settings.lead_in
+    lead = settings.warmup + settings.train_steps
     if args.steps <= lead:
         raise ConfigError(
             f"{args.steps} steps is too short to tune: it must exceed "

@@ -5,7 +5,7 @@ loudly, and a refused file names the line from which on it is refused. The
 detector's parameters are the fields of ``engine.ThresholdConfig``, whose
 defaults are their only definition; each is set by a key of the same name,
 except ``lambda`` for ``lam``. Bed sources use dotted keys (bed.<id>.source =
-replay:path | tail:path | socket:host:port | synthetic:seed).
+replay:path | tail:path | socket:host:port).
 
 ``Settings`` and ``BedSource`` are frozen and check themselves when made, so
 a value no run accepts fails as a ``ConfigError`` wherever the object is
@@ -54,7 +54,7 @@ def _check_password(password: str) -> None:
         raise ConfigError("password must be a non-empty comma-free token")
 
 
-_SOURCE_KINDS = ("replay", "tail", "socket", "synthetic")
+_SOURCE_KINDS = ("replay", "tail", "socket")
 
 
 @dataclass(frozen=True)
@@ -63,8 +63,8 @@ class BedSource:
     a run accepts (a path target is first opened by the run)."""
 
     bed: str
-    kind: str  # replay | tail | socket | synthetic
-    target: str  # path, host:port, or seed
+    kind: str  # replay | tail | socket
+    target: str  # path or host:port
 
     def __post_init__(self) -> None:
         check_bed_id(self.bed)
@@ -77,11 +77,6 @@ class BedSource:
                 socket_address(self.target)
             except ValueError as exc:
                 raise ConfigError(f"bed {self.bed!r}: {exc}") from None
-        elif self.kind == "synthetic" and not re.fullmatch(r"[0-9]+", self.target):
-            raise ConfigError(
-                f"bed {self.bed!r}: synthetic source needs a non-negative "
-                f"integer seed, got {self.target!r}"
-            )
 
 
 @dataclass(frozen=True)
@@ -172,11 +167,6 @@ class Settings:
     def standardizer(self) -> RunningStandardizer:
         """A fresh standardizer for one bed; it owns the warm-up rule."""
         return RunningStandardizer(self.schema().dim, self.warmup)
-
-    @property
-    def lead_in(self) -> int:
-        """Valid frames before a bed's first verdict: warm-up, then training."""
-        return self.warmup + self.train_steps
 
     def threshold_config(self, **overrides) -> ThresholdConfig:
         """The deployed detector config, with any fields replaced."""

@@ -860,9 +860,7 @@ class KoadEngine:
         their rows' entries: only the differences' signs are flipped."""
         dictionary = self.dictionary
         if dictionary.size >= self.config.max_size:
-            removed = self.prune_dictionary(force=True)
-            if not removed:
-                raise EngineError("forced prune failed to free a dictionary slot")
+            removed = self.prune_dictionary(force=True)  # one index at least, or it raises
             for index in reversed(removed):
                 kvec = np.concatenate((kvec[:index], kvec[index + 1 :]))
             delta, coeffs, kvec = self._project(values, kvec)

@@ -58,15 +58,7 @@ import numpy as np
 from .board import BoardState, EventArchive, needs_flush, render
 from .config import BedSource, ConfigError, Settings
 from .engine import EngineError, KoadEngine, MeasurementVector, Verdict, VerdictKind
-from .sources import (
-    ReplaySource,
-    SocketSource,
-    SourceError,
-    SyntheticSource,
-    TailSource,
-    socket_address,
-)
-from .synth import default_spec
+from .sources import ReplaySource, SocketSource, SourceError, TailSource, socket_address
 from .validity import (
     DataWarning,
     FlagStreak,
@@ -265,21 +257,8 @@ def build_source(bed: BedSource, settings: Settings, stop: threading.Event):
         )
     if bed.kind == "tail":
         return TailSource(bed.target, settings.poll_interval, stop=stop)
-    if bed.kind == "socket":
-        return SocketSource(*socket_address(bed.target), stop=stop)
-    # synthetic, the one kind left: 9700 steps from the first anomaly on,
-    # 10 000 in all at the default lead-in
-    first_anomaly = max(300, 2 * settings.lead_in)
-    spec = default_spec(
-        steps=first_anomaly + 9_700,
-        n_anomalies=20,
-        seed=int(bed.target),
-        dim=settings.schema().arity,
-        first_anomaly=first_anomaly,
-    )
-    return SyntheticSource(
-        spec, settings.password, settings.poll_interval, settings.speedup, stop=stop
-    )
+    # socket, the one kind left
+    return SocketSource(*socket_address(bed.target), stop=stop)
 
 
 class Ward:
@@ -287,9 +266,11 @@ class Ward:
     ``frames_<bed>.csv``, ``events.csv`` and the ``counts``; ``fresh`` first
     removes a previous run's ``events.csv`` and its own beds' frame
     archives, and refuses a directory that holds another bed's (its rows are
-    in that ``events.csv`` too). Each event ``feed`` or ``fail`` produces is
-    counted, applied to the board and archived, and a data warning that
-    names its cause gets a screen line."""
+    in that ``events.csv`` too). A run that is not ``fresh`` appends to its
+    beds' frame archives, and refuses one whose first line is not the
+    header of its schema, before it writes any file. Each event ``feed`` or
+    ``fail`` produces is counted, applied to the board and archived, and a
+    data warning that names its cause gets a screen line."""
 
     def __init__(self, settings: Settings, beds: list[str], out_dir: str | Path,
                  fresh: bool = False, screen=None) -> None:
@@ -306,6 +287,18 @@ class Ward:
                     )
             for path in [self.out_dir / "events.csv", *owned]:
                 path.unlink(missing_ok=True)
+        else:
+            header = archive_header(settings.schema())
+            for path in owned:
+                with suppress(FileNotFoundError), path.open(
+                    encoding="utf-8", errors="replace"
+                ) as archive:
+                    held = archive.readline()
+                    if held not in ("", header + "\n"):
+                        raise ConfigError(
+                            f"{path} holds frame rows under the header {held.rstrip()!r}; "
+                            f"this run's schema writes {header!r}"
+                        )
         self.screen = screen
         self.board = BoardState.for_beds(beds)
         self.counts = {"frames": 0, "events": 0, "board": self.board}

@@ -1,9 +1,9 @@
 """Frame transport: where record lines come from and how they are paced.
 
 All sources yield (line, received_at) pairs in order, at most once per
-record. Replay and synthetic sources pace themselves from a nominal polling
-interval divided by a speedup factor (rows carry no timestamps, so the
-cadence is the configured nominal one). The socket source accepts plain
+record. Only replay sources pace themselves, from a nominal polling interval
+divided by a speedup factor (rows carry no timestamps, so the cadence is the
+configured nominal one). The socket source accepts plain
 newline-delimited records on a listening port; the matching emitter connects
 out and retries with exponential backoff a bounded number of times, so a
 flaky link shows up downstream as missing frames rather than a crash.
@@ -20,7 +20,6 @@ from itertools import chain, islice
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator, Sequence
 
-from .synth import SyntheticSpec, generate
 from .validity import DECIMAL_RE
 
 DEFAULT_POLL_INTERVAL = 12.0  # seconds between frames from a bedside unit
@@ -53,13 +52,6 @@ def socket_address(target: str) -> tuple[str, int]:
             f"socket target needs host:port with a port in 0-65535, got {target!r}"
         )
     return host, int(port)
-
-
-def _check_pacing(poll_interval: float, speedup: float) -> None:
-    """Refuse a paced source's cadence unless both of its terms are > 0."""
-    for name, value in (("poll_interval", poll_interval), ("speedup", speedup)):
-        if not value > 0:
-            raise ValueError(f"{name} must be > 0, got {value}")
 
 
 def _pace(
@@ -126,7 +118,9 @@ class ReplaySource:
         speedup: float = math.inf,
         stop: threading.Event | None = None,
     ) -> None:
-        _check_pacing(poll_interval, speedup)
+        for name, value in (("poll_interval", poll_interval), ("speedup", speedup)):
+            if not value > 0:
+                raise ValueError(f"{name} must be > 0, got {value}")
         self.path = Path(path)
         if not self.path.is_file():
             # a replay needs a finished recording; fail before any output
@@ -165,31 +159,6 @@ def _file_chunks(handle: BinaryIO, path: Path) -> Iterator[bytes]:
             yield b"\n"
             return
         yield chunk
-
-
-class SyntheticSource:
-    """Generate-and-pace wrapper around the synthetic stream builder; a paced
-    one ends early once ``stop`` is set."""
-
-    def __init__(
-        self,
-        spec: SyntheticSpec,
-        password: str,
-        poll_interval: float = DEFAULT_POLL_INTERVAL,
-        speedup: float = math.inf,
-        stop: threading.Event | None = None,
-    ) -> None:
-        _check_pacing(poll_interval, speedup)
-        self.spec = spec
-        self.password = password
-        self.poll_interval = poll_interval
-        self.speedup = speedup
-        self.stop = stop or threading.Event()
-
-    def frames(self) -> Iterator[tuple[str, float]]:
-        values, _ = generate(self.spec)
-        lines = [wire_line(self.password, row) for row in values]
-        yield from _pace(lines, self.poll_interval, self.speedup, self.stop)
 
 
 def records(chunks: Iterable[bytes]) -> Iterator[str]:

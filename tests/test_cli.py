@@ -288,6 +288,19 @@ def test_synth_refuses_a_capture_too_short_to_tune(tmp_path, capsys, steps, anom
     assert not stream.exists()
 
 
+def test_synth_refuses_more_anomalies_than_fit_after_the_lead_in(tmp_path, capsys):
+    # 130 steps leave 9 after the first anomaly at 120, one short of 10.
+    stream = tmp_path / "x.csv"
+    code, out, err = run(
+        capsys, "synth", "--steps", "130", "--anomalies", "10", "--out", str(stream)
+    )
+    assert (code, out) == (2, "")
+    assert err == (
+        "config error: 130 steps is too short for 10 anomalies after a lead-in of 120\n"
+    )
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_synth_writes_the_shortest_capture_tune_accepts(tmp_path, capsys):
     stream = tmp_path / "s.csv"
     code, _, _ = run(
@@ -380,10 +393,39 @@ def test_replay_into_another_beds_archives_exits_2(tmp_path, capsys, labeled_str
     assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
 
-def test_refresh_flag_must_be_finite(tmp_path, capsys):
-    # --refresh inf once loaded, and the board was drawn only at the end.
+@pytest.mark.parametrize("names", ["hr,spo2,sys,dia,rr", "a,b,c,d"])
+def test_monitor_appends_to_frame_archives_of_its_own_schema_only(
+    tmp_path, capsys, labeled_stream, names
+):
+    # A monitor into the same --out under other schema.names once appended
+    # its rows under the first run's header: wider rows, or rows of the
+    # same width under the wrong names.
+    stream, _ = labeled_stream
+    out = tmp_path / "ward"
     cfg = tmp_path / "ward.cfg"
-    cfg.write_text("bed.s.source = synthetic:7\n")
+    cfg.write_text(f"bed.b1.source = replay:{stream}\n")
+    for _ in range(2):
+        assert run(capsys, "monitor", "--config", str(cfg), "--out", str(out))[0] == 0
+    rows = (out / "frames_b1.csv").read_text().splitlines()
+    assert rows[0] == "bed,timestep,received_at,flags,hr,spo2,nbp_sys,nbp_dia"
+    assert [row.split(",")[1] for row in rows[1::300]] == ["0", "0"]
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    cfg.write_text(f"bed.b1.source = replay:{stream}\nschema.names = {names}\n")
+    code, _, err = run(capsys, "monitor", "--config", str(cfg), "--out", str(out))
+    assert code == 2
+    assert err == (
+        f"config error: {out / 'frames_b1.csv'} holds frame rows under the header "
+        "'bed,timestep,received_at,flags,hr,spo2,nbp_sys,nbp_dia'; this run's schema "
+        f"writes 'bed,timestep,received_at,flags,{names}'\n"
+    )
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+
+def test_refresh_flag_must_be_finite(tmp_path, capsys, labeled_stream):
+    # --refresh inf once loaded, and the board was drawn only at the end.
+    stream, _ = labeled_stream
+    cfg = tmp_path / "ward.cfg"
+    cfg.write_text(f"bed.s.source = replay:{stream}\n")
     code, _, err = run(
         capsys, "monitor", "--config", str(cfg), "--refresh", "inf", "--out", str(tmp_path / "w")
     )

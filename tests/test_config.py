@@ -84,12 +84,12 @@ def test_bed_sources():
     s = parse_settings(
         "bed.bed1.source = replay:data/run1.csv\n"
         "bed.bed2.source = socket:0.0.0.0:9650\n"
-        "bed.icu3.source = synthetic:42\n"
+        "bed.icu3.source = tail:data/icu3.log\n"
     )
     assert s.beds == (
         BedSource("bed1", "replay", "data/run1.csv"),
         BedSource("bed2", "socket", "0.0.0.0:9650"),
-        BedSource("icu3", "synthetic", "42"),
+        BedSource("icu3", "tail", "data/icu3.log"),
     )
 
 
@@ -123,12 +123,11 @@ def test_bed_sources():
         ("max_size = 20\n", "max_size (20) must exceed ell (20)", None),
         ("grid_ell = 10, 60\n", "max_size (50) must exceed ell (60)", None),
         ("bed.b1.source = socket:127.0.0.1:99999\n", "port in 0-65535", 1),
-        ("bed.b1.source = synthetic:abc\n", "integer seed", None),
-        ("\nbed.b2.source = synthetic:abc\n", "integer seed", 2),
-        ("bed.a,b.source = synthetic:1\n", "bed id must be", 1),
-        ("\nbed.x/y.source = synthetic:1\n", "got 'x/y'", 2),
-        ("bed..source = synthetic:1\n", "bed id must be", 1),
-        ("bed.icu 1.source = synthetic:1\n", "bed id must be", 1),
+        ("\nbed.s.source = synthetic:7\n", "source kind must be one of replay, tail, socket", 2),
+        ("bed.a,b.source = replay:a.csv\n", "bed id must be", 1),
+        ("\nbed.x/y.source = replay:a.csv\n", "got 'x/y'", 2),
+        ("bed..source = replay:a.csv\n", "bed id must be", 1),
+        ("bed.icu 1.source = replay:a.csv\n", "bed id must be", 1),
     ],
 )
 def test_errors_carry_line_numbers(text, fragment, line):
@@ -184,12 +183,12 @@ _LINE_PASSES = [
     "", "# a note", "warmup = 0", "warmup = 10", "nu1 = 0.5", "nu2 = 0.2",
     "speedup = 0", "ell = 30", "max_size = 20", "schema.use = 9", "grid =",
     "grid_ell = 0", "password = PW9",
-    "bed.a.source = synthetic:1", "bed.b.source = replay:b.csv",
+    "bed.a.source = replay:a.csv", "bed.b.source = replay:b.csv",
 ]
 _LINE_FAILS = [
     "nu1 = abc", "ell = 2.5", "no_equals_here", "= 3", "grid = 0.03-0.08",
     "bed.b1.speed = 2", "bed.b1.source = ftp:host", "password = a,b",
-    "bogus = 1", "sigma = nan", "bed.x/y.source = synthetic:1", "schema.use = 1.5",
+    "bogus = 1", "sigma = nan", "bed.x/y.source = replay:a.csv", "schema.use = 1.5",
     "bed.c.source = synthetic:abc", "counted_kinds = red1",
 ]
 
@@ -222,28 +221,26 @@ def test_every_detector_field_is_set_by_its_key():
 
 
 def test_six_beds_rejected():
-    text = "".join(f"bed.b{i}.source = synthetic:{i}\n" for i in range(6))
+    text = "".join(f"bed.b{i}.source = replay:b{i}.csv\n" for i in range(6))
     with pytest.raises(ConfigError, match="at most 5"):
         parse_settings(text)
 
 
 def test_check_refuses_a_bed_id_set_in_code():
     with pytest.raises(ConfigError, match="bed id must be"):
-        Settings(beds=(BedSource("x/y", "synthetic", "1"),))
+        Settings(beds=(BedSource("x/y", "replay", "run.csv"),))
 
 
 @pytest.mark.parametrize(
     "bed,kind,target,fragment",
     [
-        ("x/y", "synthetic", "1", "bed id must be"),
-        ("a,b", "synthetic", "1", "bed id must be"),
+        ("x/y", "replay", "run.csv", "bed id must be"),
+        ("a,b", "replay", "run.csv", "bed id must be"),
         ("", "replay", "run.csv", "bed id must be"),
         ("bed1", "ftp", "host", "source kind must be one of"),
         ("bed1", "replay", "", "needs a target"),
         ("bed1", "socket", "nonsense", "host:port"),
         ("bed1", "socket", "127.0.0.1:99999", "port in 0-65535"),
-        ("bed1", "synthetic", "-1", "integer seed"),
-        ("bed1", "synthetic", "\u0663", "integer seed"),  # a non-ASCII digit
     ],
 )
 def test_bed_source_refuses_a_bad_bed_when_made(bed, kind, target, fragment):
@@ -259,8 +256,8 @@ def test_bed_source_refuses_a_bad_bed_when_made(bed, kind, target, fragment):
         ({"grid": ()}, "at least one nu1:nu2 pair"),
         ({"grid_sigma": (math.nan,)}, "sigma must be finite and > 0, got nan"),
         ({"schema_names": ()}, "at least one parameter name"),
-        ({"beds": (BedSource("b1", "synthetic", "1"),) * 2}, "bed ids must be unique"),
-        ({"beds": tuple(BedSource(f"b{i}", "synthetic", "1") for i in range(6))}, "at most 5"),
+        ({"beds": (BedSource("b1", "replay", "run.csv"),) * 2}, "bed ids must be unique"),
+        ({"beds": tuple(BedSource(f"b{i}", "replay", "run.csv") for i in range(6))}, "at most 5"),
     ],
 )
 def test_settings_refuse_what_a_config_file_refuses(overrides, fragment):

@@ -623,6 +623,13 @@ def test_every_entry_point_refuses_a_wrong_width_arrival_alike(entry):
     assert str(refused.value) == "expected shape (4,), got (3,)"
 
 
+def test_feed_run_refuses_timesteps_and_vectors_of_unequal_length():
+    engine = KoadEngine(2)
+    with pytest.raises(ValueError, match="^timesteps and vectors must have equal length$"):
+        engine.feed_run(np.zeros((3, 2)), [0, 1], 1)
+    assert engine.steps_seen == 0
+
+
 # Recordings for the property test: at max_size 2-12 with ell below it an
 # admission at capacity forces a prune, and with ell at or above it a
 # prune can find every element under a tracker, which raises EngineError.

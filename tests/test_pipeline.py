@@ -1075,7 +1075,6 @@ class TestMonitorRun:
         settings = replace(Settings(speedup=1.0), beds=(
             BedSource(bed="paced1", kind="replay", target=str(capture_file)),
             BedSource(bed="paced2", kind="replay", target=str(capture_file)),
-            BedSource(bed="paced3", kind="synthetic", target="7"),
         ))
         monitor_run(settings, out_dir=tmp_path / "out", duration=0.5, screen=io.StringIO())
         alive = [t.name for t in threading.enumerate() if t.name.startswith("src-paced")]
@@ -1102,30 +1101,6 @@ class TestBuildSource:
             build_source(BedSource("bed1", "socket", "127.0.0.1:9"), settings, stop),
             SocketSource,
         )
-
-    def test_the_default_synthetic_bed_keeps_its_stream(self):
-        source = build_source(BedSource("bed1", "synthetic", "3"), Settings(), threading.Event())
-        assert source.spec == default_spec(
-            steps=10_000, n_anomalies=20, seed=3, dim=4, first_anomaly=300
-        )
-
-    def test_a_one_column_synthetic_bed_streams_its_frames(self):
-        settings = Settings(schema_names=("hr",))
-        source = build_source(BedSource("bed1", "synthetic", "3"), settings, threading.Event())
-        assert len(source.spec.channels) == 1
-        assert {anomaly.channels for anomaly in source.spec.anomalies} == {(0,)}
-        assert sum(1 for _ in source.frames()) == source.spec.steps
-
-    def test_a_long_lead_in_lengthens_the_synthetic_stream(self):
-        # At a fixed 10 000 steps the anomalies after a lead-in of 5050
-        # frames did not fit, and the bed died before its first frame.
-        settings = Settings(warmup=5000)
-        source = build_source(BedSource("bed1", "synthetic", "3"), settings, threading.Event())
-        first = 2 * settings.lead_in
-        assert source.spec.steps == first + 9_700
-        assert len(source.spec.anomalies) == 20
-        assert source.spec.anomalies[0].timestep >= first
-        assert sum(1 for _ in source.frames()) == source.spec.steps
 
     def test_socket_target_must_be_host_port(self):
         # refused when the bed is made, so build_source never receives it

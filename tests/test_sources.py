@@ -19,13 +19,11 @@ from vitalwatch.sources import (
     ReplaySource,
     SocketSource,
     SourceError,
-    SyntheticSource,
     TailSource,
     emit_lines,
     records,
     wire_line,
 )
-from vitalwatch.synth import ChannelBaseline, SyntheticSpec, capture_text, default_spec, generate
 
 PW = "PW123"
 
@@ -214,26 +212,6 @@ def test_replay_pacing_honors_speedup(tmp_path):
     assert len(got) == 20
     expected = 19 * 0.02
     assert expected * 0.8 <= elapsed <= expected * 1.6
-
-
-def test_synthetic_source_emits_wire_records():
-    spec = SyntheticSpec(
-        channels=(ChannelBaseline(75.0, 5.0), ChannelBaseline(97.0, 1.0)),
-        steps=4,
-        seed=3,
-    )
-    got = [line for line, _ in SyntheticSource(spec, PW).frames()]
-    assert len(got) == 4
-    assert all(line.split(",")[0] == PW for line in got)
-    assert all(len(line.split(",")) == 3 for line in got)
-
-
-def test_synthetic_source_lines_are_the_capture_rows_behind_the_password():
-    spec = default_spec(steps=500, n_anomalies=5, seed=11, dim=4)
-    rows = capture_text(generate(spec)[0]).splitlines()[1:]  # the header dropped
-    assert [line for line, _ in SyntheticSource(spec, PW).frames()] == [
-        f"{PW},{row}" for row in rows
-    ]
 
 
 def test_tail_source_sees_only_appended_lines(tmp_path):
@@ -469,14 +447,12 @@ def test_speedup_must_be_positive(tmp_path):
     # refused where the source is made, not once its first frame is asked for
     path = tmp_path / "stream.csv"
     path.write_text(f"{PW},1\n", encoding="utf-8")
-    spec = default_spec(steps=10, n_anomalies=0, seed=1, dim=2)
-    for make in (lambda **p: ReplaySource(path, PW, **p), lambda **p: SyntheticSource(spec, PW, **p)):
-        for pacing in ({"speedup": 0.0}, {"speedup": -1.0}, {"speedup": math.nan},
-                       {"poll_interval": 0.0}, {"poll_interval": -1.0}):
-            (name, value), = pacing.items()
-            with pytest.raises(ValueError, match=f"^{name} must be > 0, got {value}$"):
-                make(**pacing)
-        assert math.isinf(make().speedup)
+    for pacing in ({"speedup": 0.0}, {"speedup": -1.0}, {"speedup": math.nan},
+                   {"poll_interval": 0.0}, {"poll_interval": -1.0}):
+        (name, value), = pacing.items()
+        with pytest.raises(ValueError, match=f"^{name} must be > 0, got {value}$"):
+            ReplaySource(path, PW, **pacing)
+    assert math.isinf(ReplaySource(path, PW).speedup)
 
 
 @pytest.mark.parametrize("record_end", ["newline", "disconnect"])

@@ -18,15 +18,17 @@ commands start are seen too:
   copy with flagged frames and a data-warning burst, and paced at a high
   speedup;
 * ``tune`` with ``grid``, ``grid_sigma`` and ``grid_ell`` keys and ``--out``;
-* ``monitor`` with a ``replay:``, a ``synthetic:``, a ``tail:`` and a
-  ``socket:`` bed, and one whose source fails. While it runs, ``replay
+* ``monitor`` with a ``replay:``, a ``tail:`` and a ``socket:`` bed, and
+  one whose source fails. While it runs, ``replay
   --emit`` sends the damaged capture to the socket bed, and lines are
   appended to the tail bed's file once its source has polled the file and
   found nothing new. The run stops by Ctrl-C (an interrupt of the main
   thread) once both beds' rows are in their frame archives and the failing
   bed's warning row is in ``events.csv``; no sleep decides what runs;
 * ``replay`` into the monitor's directory, which holds other beds' frame
-  archives: it exits 2 and leaves every file there as it was;
+  archives, then ``monitor`` there again with ``schema.names = hr,spo2,sys,dia,rr``
+  added to its config, whose frame archives hold another schema's header:
+  each exits 2 and leaves every file there as it was;
 * one refused config, which exits 2;
 * ``selftest``.
 
@@ -244,13 +246,19 @@ class Run:
         self.command(2, "replay", str(w / "clean.csv"), "--out", str(ward))
         if {path.name: read(path) for path in ward.iterdir()} != archives:
             self.failures.append("replay into the monitor's directory changed its archives")
+        config = (w / "monitor.cfg").read_text(encoding="utf-8")
+        (w / "wider.cfg").write_text(config + "schema.names = hr,spo2,sys,dia,rr\n",
+                                     encoding="utf-8")
+        self.command(2, "monitor", "--config", str(w / "wider.cfg"), "--out", str(ward))
+        if {path.name: read(path) for path in ward.iterdir()} != archives:
+            self.failures.append("monitor under another schema changed the monitor's archives")
 
         (w / "refused.cfg").write_text("ell = 20\nmax_size = 20\n", encoding="utf-8")
         self.command(2, "replay", str(w / "clean.csv"), "--config", str(w / "refused.cfg"))
         self.command(0, "selftest")
 
     def monitor(self, capture: str) -> None:
-        """``monitor`` over five beds, stopped by an interrupt once the tail
+        """``monitor`` over four beds, stopped by an interrupt once the tail
         and socket beds' rows and the failing bed's warning are on disk."""
         w = self.work
         tail = w / "tail.log"
@@ -258,7 +266,6 @@ class Run:
         port = free_port()
         (w / "monitor.cfg").write_text(
             f"bed.r.source = replay:{w / 'quiet.csv'}\n"
-            "bed.s.source = synthetic:7\n"
             f"bed.t.source = tail:{tail}\n"
             f"bed.k.source = socket:127.0.0.1:{port}\n"
             f"bed.f.source = tail:{w / 'missing.log'}\n",
@@ -274,7 +281,7 @@ class Run:
         previous = signal.signal(signal.SIGINT, interrupt_keeping(hook, done))
         watcher.start()
         try:
-            # --speedup 24: the paced beds hand over a frame every half
+            # --speedup 24: the paced replay bed hands over a frame every half
             # second, so the interrupt finds the consumer idle, not in a frame
             self.command(0, "monitor", "--config", str(w / "monitor.cfg"),
                          "--out", str(w / "ward"), "--speedup", "24")
