@@ -121,8 +121,15 @@ def cmd_replay(args: argparse.Namespace) -> int:
 
 def cmd_tune(args: argparse.Namespace) -> int:
     settings = _settings(args)
-    lines = [line for line, _ in ReplaySource(args.stream, settings.password).frames()]
-    timesteps, vectors = standardized_stream(lines, settings)
+    frames = 0
+
+    def lines():
+        nonlocal frames
+        for line, _ in ReplaySource(args.stream, settings.password).frames():
+            frames += 1
+            yield line
+
+    timesteps, vectors = standardized_stream(lines(), settings)
     if len(vectors) <= settings.train_steps:
         raise ConfigError(
             f"{args.stream} leaves {len(vectors)} vectors after warm-up, too few "
@@ -134,7 +141,7 @@ def cmd_tune(args: argparse.Namespace) -> int:
         raise SourceError(f"cannot read labels {args.labels}: {exc.strerror or exc}") from None
     except ValueError as exc:
         raise SourceError(f"bad label file {args.labels}: {exc}") from None
-    arity, frames = settings.schema().arity, len(lines)
+    arity = settings.schema().arity
     for label in labels:
         if not (0 <= label.timestep < frames and all(0 <= c < arity for c in label.channels)):
             raise SourceError(

@@ -83,6 +83,7 @@ from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
+from numpy._core.multiarray import c_einsum
 
 from .kernels import kernel_vector
 # Not called here; imported so that perfbench's tracer can wrap
@@ -332,10 +333,12 @@ class DictionaryState:
             inv[0, 0] = 1.0  # k(x, x) = 1
         else:
             # c_i c_j / delta over whole rows: the zero padding adds +-0 to
-            # the stale columns past m, and column m is written below.
+            # the stale columns past m, and column m is written below. The
+            # outer product is c_einsum's, bitwise np.multiply's (a product
+            # has no sum) with less dispatch; remove's is built the same way.
             padded = np.zeros(self.max_size)
             padded[:m] = coeffs
-            term = np.multiply(coeffs[:, None], padded)
+            term = c_einsum("i,j->ij", coeffs, padded)
             term /= delta
             inv[:m] += term
             np.divide(coeffs, -delta, out=inv[m, :m])
@@ -370,7 +373,7 @@ class DictionaryState:
             # index leave with it, and the stale columns past m get +-0.
             padded = np.zeros(self.max_size)
             padded[:m] = inv[:m, index]
-            term = np.multiply(padded[:m, None], padded)
+            term = c_einsum("i,j->ij", padded[:m], padded)
             term /= q
             inv[:m] -= term
         mats = self._mats

@@ -48,6 +48,7 @@ import sys
 import threading
 import time
 import traceback
+from array import array
 from collections.abc import Iterable, Iterator
 from contextlib import ExitStack, suppress
 from pathlib import Path
@@ -55,7 +56,7 @@ from queue import Empty, Full, Queue
 
 import numpy as np
 
-from .board import BoardState, EventArchive, needs_flush, render
+from .board import EVENT_HEADER, BoardState, EventArchive, needs_flush, render
 from .config import BedSource, ConfigError, Settings
 from .engine import EngineError, KoadEngine, MeasurementVector, Verdict, VerdictKind
 from .sources import ReplaySource, SocketSource, SourceError, TailSource, socket_address
@@ -232,21 +233,25 @@ class BedPipeline:
         return events
 
 
-def standardized_stream(lines: list[str], settings: Settings) -> tuple[list[int], np.ndarray]:
-    """Run only the front half of a fresh ``BedPipeline``; returns the
-    original stream timesteps of the model-space vectors and the vectors as
-    one (n, dim) array (for the tuner). A line yields at most one vector,
-    so an array with a row per line has room for every one. The pipeline
-    archives nothing, so its bed id names nothing the result depends on."""
+def standardized_stream(
+    lines: Iterable[str], settings: Settings
+) -> tuple[list[int], np.ndarray]:
+    """Run only the front half of a fresh ``BedPipeline`` over ``lines``,
+    any iterable of lines, taken one at a time; returns the original stream
+    timesteps of the model-space vectors and the vectors as one (n, dim)
+    array (for the tuner), a view of the one float buffer they grew. So a
+    caller that passes the lines as they are read never holds them all.
+    The pipeline archives nothing, so its bed id names nothing the result
+    depends on."""
     pipe = BedPipeline("bed1", settings)
     timesteps: list[int] = []
-    vectors = np.empty((len(lines), pipe.schema.dim))
+    values = array("d")
     for line in lines:
         _, x = pipe.screen(line, 0.0)
         if x is not None:
-            vectors[len(timesteps)] = x.values
+            values.extend(x.values)
             timesteps.append(x.timestep)
-    return timesteps, vectors[: len(timesteps)]
+    return timesteps, np.frombuffer(values).reshape(-1, pipe.schema.dim)
 
 
 def build_source(bed: BedSource, settings: Settings, stop: threading.Event):
@@ -261,16 +266,33 @@ def build_source(bed: BedSource, settings: Settings, stop: threading.Event):
     return SocketSource(*socket_address(bed.target), stop=stop)
 
 
+def _foreign_header(path: Path, header: str) -> str | None:
+    """The first line of the archive at ``path``, quoted, if it is not
+    ``header``; None if the file is missing, empty or starts with the line
+    ``header``. At most ``len(header) + 2`` characters are read, so a large
+    file with no line end is refused without being read whole: a longer
+    first line is quoted up to there and marked with "..."."""
+    limit = len(header) + 2
+    with suppress(FileNotFoundError), path.open(encoding="utf-8", errors="replace") as archive:
+        held = archive.readline(limit)
+        if held not in ("", header + "\n"):
+            cut = len(held) == limit and not held.endswith("\n")
+            return repr(held.rstrip("\n")) + ("..." if cut else "")
+    return None
+
+
 class Ward:
     """One run's outputs: the board, each bed's ``BedPipeline`` with its
     ``frames_<bed>.csv``, ``events.csv`` and the ``counts``; ``fresh`` first
     removes a previous run's ``events.csv`` and its own beds' frame
     archives, and refuses a directory that holds another bed's (its rows are
     in that ``events.csv`` too). A run that is not ``fresh`` appends to its
-    beds' frame archives, and refuses one whose first line is not the
-    header of its schema, before it writes any file. Each event ``feed`` or
-    ``fail`` produces is counted, applied to the board and archived, and a
-    data warning that names its cause gets a screen line."""
+    beds' frame archives and to ``events.csv``, and refuses, before it
+    writes any file, a frame archive whose first line is not the header of
+    its schema or an ``events.csv`` whose first line is not
+    ``EVENT_HEADER``. Each event ``feed`` or ``fail`` produces is counted,
+    applied to the board and archived, and a data warning that names its
+    cause gets a screen line."""
 
     def __init__(self, settings: Settings, beds: list[str], out_dir: str | Path,
                  fresh: bool = False, screen=None) -> None:
@@ -290,15 +312,18 @@ class Ward:
         else:
             header = archive_header(settings.schema())
             for path in owned:
-                with suppress(FileNotFoundError), path.open(
-                    encoding="utf-8", errors="replace"
-                ) as archive:
-                    held = archive.readline()
-                    if held not in ("", header + "\n"):
-                        raise ConfigError(
-                            f"{path} holds frame rows under the header {held.rstrip()!r}; "
-                            f"this run's schema writes {header!r}"
-                        )
+                held = _foreign_header(path, header)
+                if held is not None:
+                    raise ConfigError(
+                        f"{path} holds frame rows under the header {held}; "
+                        f"this run's schema writes {header!r}"
+                    )
+            held = _foreign_header(self.out_dir / "events.csv", EVENT_HEADER)
+            if held is not None:
+                raise ConfigError(
+                    f"{self.out_dir / 'events.csv'} holds event rows under the header "
+                    f"{held}; this run writes {EVENT_HEADER!r}"
+                )
         self.screen = screen
         self.board = BoardState.for_beds(beds)
         self.counts = {"frames": 0, "events": 0, "board": self.board}

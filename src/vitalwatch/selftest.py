@@ -1,20 +1,18 @@
 """Built-in sanity suite, runnable on any install without test tooling.
 
-Four checks, each independent of the code path it verifies:
+Two checks, each independent of the code path it verifies:
 
-* projection errors and the maintained inverse Gram against fresh dense
-  linear solves on randomized admission/removal sequences, and the kept
-  Gram matrix against one rebuilt from the basis; the dense side computes
-  every kernel value with ``kernel_eval``, not the engine's
-  ``kernel_vector``,
-* the Green / Red1 / Orange / Red2 alarm walk on a scripted 1-d stream
-  whose expected deltas come from the same dense solves,
-* replay's walk (``BedPipeline.feed_recording``) and tune's
-  (``standardized_stream`` then ``KoadEngine.feed_run``) against one
-  ``feed_line`` per frame, bit for bit, on a seeded capture with flagged
-  frames and a data-warning burst, at a churning config and at the default
-  one: the walks project stacked rows, so a numpy whose stacked arithmetic
-  differs from its one-row arithmetic fails here,
+* the per-frame chain (one ``feed_line`` per frame) on a seeded capture
+  with flagged frames and a data-warning burst, at a churning config and
+  at the default one, against
+  * replay's walk (``BedPipeline.feed_recording``) and tune's
+    (``standardized_stream`` then ``KoadEngine.feed_run``), bit for bit:
+    the walks project stacked rows, so a numpy whose stacked arithmetic
+    differs from its one-row arithmetic fails here;
+  * the dense KOAD reference (``reference.ReferenceDetector``), verdict by
+    verdict, with the final basis, the kept Gram matrix, the inverse and
+    two probes' projection errors held to dense solves whose every kernel
+    value comes from ``kernel_eval``, not the engine's ``kernel_vector``;
 * the frame validity table and the consecutive-flag warning counter.
 
 Kept deliberately small (about a second); the full development suite lives
@@ -26,20 +24,15 @@ from __future__ import annotations
 import io
 import sys
 import time
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import Settings
-from .engine import (
-    KoadEngine,
-    MeasurementVector,
-    ThresholdConfig,
-    Verdict,
-    VerdictKind,
-)
-from .kernels import kernel_eval, kernel_vector
+from .engine import KoadEngine, ThresholdConfig, Verdict
 from .pipeline import BedPipeline, standardized_stream
+from .reference import ReferenceDetector, oracle_delta, oracle_gram
 from .sources import wire_line
 from .synth import default_spec, generate
 from .validity import (
@@ -59,150 +52,22 @@ class CheckResult:
     detail: str
 
 
-def _dense_gram(basis: np.ndarray, sigma: float) -> np.ndarray:
-    """The basis rows' Gram matrix, one ``kernel_eval`` per entry."""
-    return np.array([[kernel_eval(a, b, sigma) for b in basis] for a in basis])
-
-
-def _dense_delta(basis: np.ndarray, x: np.ndarray, sigma: float) -> float:
-    """Projection error by a from-scratch dense solve (the oracle side)."""
-    if basis.shape[0] == 0:
-        return 1.0
-    k = np.array([kernel_eval(b, x, sigma) for b in basis])
-    return float(1.0 - k @ np.linalg.solve(_dense_gram(basis, sigma), k))
-
-
-def check_projection_oracle(cases: int = 40, seed: int = 7) -> CheckResult:
-    """Incremental Gram and inverse-Gram bookkeeping vs dense rebuilds.
-
-    A random admit/remove walk builds an engine's dictionary; its
-    ``projection_error`` then scores a probe from the whole box (delta near
-    1) and a basis row plus N(0, 0.3) noise (delta inside (0, 1)).
-    """
-    rng = np.random.default_rng(seed)
-    sigma = 1.0
-    worst_delta = 0.0
-    worst_consistency = 0.0
-    worst_gram = 0.0
-    deltas = []
-    for _ in range(cases):
-        d = int(rng.integers(2, 6))
-        engine = KoadEngine(d, ThresholdConfig(sigma=sigma, max_size=12))
-        state = engine.dictionary
-        spread = 3.0 * 10 ** (1.0 / d)
-        for _ in range(int(rng.integers(3, 9))):
-            x = rng.uniform(-spread, spread, size=d)
-            delta = _dense_delta(state.basis, x, sigma)
-            if delta < 0.05:
-                continue  # too close to the span; a live engine would not admit it
-            k = kernel_vector(state.basis, x, sigma)
-            coeffs = state.inv_gram @ k if state.size else np.zeros(0)
-            state.admit(x, 0, coeffs, delta, k)
-            if state.size > 2 and rng.random() < 0.3:
-                state.remove(int(rng.integers(0, state.size)))
-        worst_consistency = max(worst_consistency, state.consistency_error())
-        kept = np.abs(state.gram() - _dense_gram(state.basis, sigma))
-        worst_gram = max(worst_gram, float(kept.max(initial=0.0)))
-        near = state.basis[int(rng.integers(0, state.size))] + rng.normal(0.0, 0.3, size=d)
-        for probe in (rng.uniform(-spread, spread, size=d), near):
-            dense = _dense_delta(state.basis, probe, sigma)
-            recursive, _ = engine.projection_error(probe)
-            worst_delta = max(worst_delta, abs(recursive - dense))
-            deltas.append(dense)
-    ok = worst_delta <= 1e-8 and worst_consistency <= 1e-6 and worst_gram <= 1e-12
-    low, mid, high = np.percentile(deltas, [0, 50, 100])
-    return CheckResult(
-        "projection vs dense solve",
-        ok,
-        f"max |delta diff| {worst_delta:.2e} over {len(deltas)} probes "
-        f"(delta min/median/max {low:.3f}/{mid:.3f}/{high:.3f}), "
-        f"max inverse drift {worst_consistency:.2e}, max kept-Gram drift {worst_gram:.2e}",
-    )
-
-
-def check_alarm_walk() -> CheckResult:
-    """One scripted pass through every alarm branch."""
-    config = ThresholdConfig(
-        nu1=0.05, nu2=0.3, ell=4, sigma=1.0, lam=0.98,
-        d_similar=0.9, epsilon_frac=0.5, prune_period=1000,
-        usage_floor=0.0, max_size=10,
-    )
-    engine = KoadEngine(1, config)
-    t = 0
-
-    def step(value: float):
-        nonlocal t
-        out = engine.step(MeasurementVector(np.array([value]), t))
-        t += 1
-        return out
-
-    problems: list[str] = []
-
-    def expect(condition: bool, label: str) -> None:
-        if not condition:
-            problems.append(label)
-
-    for value in (0.0, 5.0):
-        engine.warm_start(MeasurementVector(np.array([value]), t))
-        t += 1
-    expect(engine.dictionary.size == 2, "warm start should admit both anchors")
-
-    verdict, _ = step(0.02)
-    expect(verdict.kind is VerdictKind.GREEN, "near-basis arrival should be Green")
-
-    size_before = engine.dictionary.size
-    verdict, _ = step(2.5)
-    expect(verdict.kind is VerdictKind.RED1, "far arrival should be Red1")
-    expect(engine.dictionary.size == size_before, "Red1 must not grow the basis")
-
-    candidate = 0.45
-    band_delta = _dense_delta(engine.dictionary.basis, np.array([candidate]), config.sigma)
-    expect(0.05 <= band_delta <= 0.3, "scripted arrival should sit in the band")
-    verdict, _ = step(candidate)
-    raise_t = verdict.at_timestep
-    expect(verdict.kind is VerdictKind.ORANGE, "band arrival should be Orange")
-    expect(engine.dictionary.size == size_before + 1, "Orange admits provisionally")
-
-    resolutions = []
-    for value in (candidate, candidate, 0.0):
-        _, due = step(value)
-        resolutions.extend(due)
-    _, due = step(0.0)  # deadline step
-    resolutions.extend(due)
-    expect(len(resolutions) == 1, "exactly one resolution should fall due")
-    if resolutions:
-        r = resolutions[0]
-        expect(r.kind is VerdictKind.GREEN, "explained Orange should settle Green")
-        expect(r.resolves_timestep == raise_t, "resolution should name the raise step")
-        expect(r.at_timestep == raise_t + config.ell, "resolution lands at raise + ell")
-    expect(engine.dictionary.size == size_before + 1, "settled candidate stays")
-
-    verdict, _ = step(4.55)
-    raise_t = verdict.at_timestep
-    expect(verdict.kind is VerdictKind.ORANGE, "second band arrival should be Orange")
-    resolutions = []
-    for _ in range(config.ell):
-        _, due = step(0.0)  # far from the candidate: nothing explains it
-        resolutions.extend(due)
-    expect(len(resolutions) == 1, "second Orange should resolve once")
-    if resolutions:
-        r = resolutions[0]
-        expect(r.kind is VerdictKind.RED2, "unexplained Orange should settle Red2")
-        expect(r.at_timestep == raise_t + config.ell, "Red2 lands at raise + ell")
-    expect(engine.dictionary.size == size_before + 1, "Red2 evicts its candidate")
-
-    detail = "; ".join(problems) if problems else "all branches behaved"
-    return CheckResult("alarm state machine", not problems, detail)
-
-
 def check_walks(steps: int = 600) -> CheckResult:
-    """Replay's walk (``feed_recording``) and tune's (``standardized_stream``
-    then ``feed_run``) against one ``feed_line`` per frame, at a churning
-    config and at the default one, where most arrivals take the walk's
-    quiet lane: the events (verdicts with ``delta.hex()``, data warnings,
-    each frame's ``received_at``), the frame archive and the dictionary
-    left behind must match bit for bit; tune, which has no events, its
-    verdicts and dictionary."""
+    """The per-frame chain against replay's walk (``feed_recording``),
+    tune's (``standardized_stream`` then ``feed_run``) and the dense
+    reference, at a churning config and at the default one, where most
+    arrivals take the walk's quiet lane.
+
+    The walks must match the chain bit for bit: the events (verdicts with
+    ``delta.hex()``, data warnings, each frame's ``received_at``), the frame
+    archive and the dictionary left behind; tune, which has no events, its
+    verdicts and dictionary. The reference, fed tune's vectors, must give
+    every verdict's kind and timesteps, each delta within 1e-9, every kind,
+    and the chain's final basis. The chain's kept Gram matrix must be within
+    1e-12 of the reference's rebuilt one, its inverse times that matrix
+    within 1e-6 of the identity (Frobenius), and its ``projection_error``
+    of a probe far from the basis and of one near it within 1e-9 of
+    ``oracle_delta``."""
     password = "PW123"
     values, _ = generate(default_spec(steps=steps, n_anomalies=6, seed=8, dim=4))
     lines = [wire_line(password, row) for row in values]
@@ -231,31 +96,71 @@ def check_walks(steps: int = 600) -> CheckResult:
             produced = list(pipe.feed_recording(frames))
         rows = [(at, [key(event) for event in events]) for events, at in produced]
         verdicts = [key(e) for events, _ in produced for e in events if type(e) is Verdict]
-        return rows, sink.getvalue(), verdicts, state(pipe.engine)
+        return (rows, sink.getvalue(), verdicts, state(pipe.engine)), pipe.engine
 
-    def tune(settings: Settings) -> tuple:
-        timesteps, vectors = standardized_stream(lines, settings)
+    def tune(settings: Settings, timesteps: list[int], vectors: np.ndarray) -> tuple:
         engine = KoadEngine(vectors.shape[1], settings.threshold_config())
         verdicts = engine.feed_run(vectors, timesteps, settings.train_steps)
         return [key(v) for v in verdicts], state(engine)
 
-    same, events, changes = True, 0, []
+    def reference(settings: Settings, timesteps, vectors, verdicts, engine) -> tuple:
+        c = settings.detector
+        ref = ReferenceDetector(
+            c.nu1, c.nu2, c.ell, c.sigma, c.lam, c.d_similar, c.epsilon_frac,
+            c.prune_period, c.usage_floor, c.max_size,
+        )
+        want = []
+        for i, (x, t) in enumerate(zip(vectors, timesteps)):
+            if i < settings.train_steps:
+                ref.warm(x, t)
+            else:
+                want += ref.step(x, t)
+        agree = len(want) == len(verdicts) and all(
+            (kind, at, resolves) == (w[0], w[1], w[3])
+            for (kind, at, _, resolves), w in zip(verdicts, want)
+        )
+        worst = max((abs(float.fromhex(v[2]) - w[2]) for v, w in zip(verdicts, want)), default=0.0)
+        d = engine.dictionary
+        agree = agree and np.array_equal(np.reshape(ref.points, (-1, engine.dim)), d.basis)
+        if agree:
+            gram = oracle_gram(ref.points, c.sigma)
+            residual = d.inv_gram @ gram - np.eye(d.size)
+            agree = np.abs(d.gram() - gram).max() <= 1e-12 and np.linalg.norm(residual) <= 1e-6
+            near = d.basis[d.size // 2] + 0.1 * c.sigma
+            for probe in (d.basis.max(axis=0) + c.sigma, near):
+                dense, _ = oracle_delta(ref.points, probe, c.sigma)
+                worst = max(worst, abs(engine.projection_error(probe)[0] - dense))
+        kinds = Counter(kind for kind, *_ in want)
+        agree = agree and worst <= 1e-9 and len(kinds) == 4
+        counts = ", ".join(f"{kinds[k]} {k}" for k in ("green", "orange", "red1", "red2"))
+        return agree, f"{len(want)} ({counts}), worst |delta diff| {worst:.1e}"
+
+    same, agree, events, changes, found = True, True, 0, [], []
     for detector in (ThresholdConfig(sigma=1.5, max_size=12, ell=10), ThresholdConfig()):
         settings = Settings(
             password=password, warmup=10, train_steps=20, warn_threshold=3,
             detector=detector,
         )
-        fed = replay(settings, per_frame=True)
-        same = same and replay(settings, per_frame=False) == fed and tune(settings) == fed[2:]
+        fed, engine = replay(settings, per_frame=True)
+        timesteps, vectors = standardized_stream(lines, settings)
+        same = (
+            same
+            and replay(settings, per_frame=False)[0] == fed
+            and tune(settings, timesteps, vectors) == fed[2:]
+        )
         events += sum(len(keys) for _, keys in fed[0])
-        changes.append(fed[-1][-1])  # the reference's dictionary changes
+        changes.append(fed[-1][-1])  # the per-frame chain's dictionary changes
+        held, verdicts = reference(settings, timesteps, vectors, fed[2], engine)
+        agree = agree and held
+        found.append(verdicts)
     return CheckResult(
-        "replay and tune walks vs the per-frame chain",
-        same and changes[0] >= 50,  # few changes would leave the block patches untested
+        "replay, tune and the dense reference vs the per-frame chain",
+        same and agree and changes[0] >= 50,  # few changes would leave the block patches untested
         f"{events} events over {len(frames)} frames at 2 configs, the frame archives "
         f"and the dictionaries {'bit-identical' if same else 'DIFFER'}, "
-        f"{changes[0]} dictionary changes in the churning one (50 needed; "
-        f"numpy {np.__version__})",
+        f"{changes[0]} dictionary changes in the churning one (50 needed); the "
+        f"reference's verdicts {'agree' if agree else 'DISAGREE'}, churning "
+        f"{found[0]}, default {found[1]} (numpy {np.__version__})",
     )
 
 
@@ -298,12 +203,7 @@ def check_validity_table() -> CheckResult:
 
 
 def run_all() -> list[CheckResult]:
-    return [
-        check_projection_oracle(),
-        check_alarm_walk(),
-        check_walks(),
-        check_validity_table(),
-    ]
+    return [check_walks(), check_validity_table()]
 
 
 def main(screen=None) -> int:

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,8 +11,9 @@ import pytest
 
 import vitalwatch
 import vitalwatch.sources as sources
-from vitalwatch import selftest
+from vitalwatch import cli, selftest
 from vitalwatch.cli import main
+from vitalwatch.engine import KoadEngine
 from vitalwatch.synth import default_spec, read_labels, write_stream
 
 
@@ -164,8 +166,10 @@ def test_monitor_drains_replay_beds(tmp_path, capsys, labeled_stream):
 def test_selftest_passes_on_clean_build(capsys):
     code, out, _ = run(capsys, "selftest")
     assert code == 0
-    assert "all 4 checks passed" in out
-    assert "[  ok] replay and tune walks vs the per-frame chain: " in out
+    assert "all 2 checks passed" in out
+    assert "[  ok] replay, tune and the dense reference vs the per-frame chain: " in out
+    assert "the reference's verdicts agree, churning 601 (" in out
+    assert ", default 596 (" in out
 
 
 def test_selftest_fails_when_stacked_rows_round_unlike_one_row(capsys, monkeypatch):
@@ -177,9 +181,38 @@ def test_selftest_fails_when_stacked_rows_round_unlike_one_row(capsys, monkeypat
     assert not selftest.check_walks().ok
     code, out, _ = run(capsys, "selftest")
     assert code == 1
-    assert "[FAIL] replay and tune walks vs the per-frame chain: " in out
+    assert "[FAIL] replay, tune and the dense reference vs the per-frame chain: " in out
     assert "DIFFER" in out
-    assert "1 of 4 checks failed" in out
+    assert "1 of 2 checks failed" in out
+
+
+def test_selftest_fails_when_the_engine_breaks_a_rule_the_reference_keeps(
+    capsys, monkeypatch
+):
+    """A forced prune that evicts the most-used free element, not the least
+    used: every path of the engine takes it alike, so the walks still match
+    the per-frame chain, but the churning config's verdicts move away from
+    the dense reference's. The check then fails, and ``selftest`` exits 1
+    naming it."""
+    keep_floor = KoadEngine.prune_dictionary
+
+    def evict_most_used(self, force=False):
+        removed = keep_floor(self)
+        if force and not removed:
+            held = {tracker.dict_index for tracker in self.trackers}
+            usage = self.dictionary.usage
+            removed = [max((i for i in range(len(usage)) if i not in held), key=usage.__getitem__)]
+            self._remove_element(removed[0])
+        return removed
+
+    monkeypatch.setattr(KoadEngine, "prune_dictionary", evict_most_used)
+    result = selftest.check_walks()
+    assert not result.ok
+    assert "bit-identical" in result.detail and "DISAGREE" in result.detail
+    code, out, _ = run(capsys, "selftest")
+    assert code == 1
+    assert "[FAIL] replay, tune and the dense reference vs the per-frame chain: " in out
+    assert "1 of 2 checks failed" in out
 
 
 def test_bad_config_exits_2_with_line_number(tmp_path, capsys):
@@ -354,6 +387,35 @@ def test_a_read_that_fails_mid_file_exits_1(tmp_path, capsys, labeled_stream, mo
     assert 1 < len(rows) < 300
 
 
+def test_tunes_memory_holds_its_vectors_not_its_lines(tmp_path, capsys, monkeypatch):
+    # 200 000 capture rows, 4.2 MB: collected as a list of lines first,
+    # they took a 30 MB peak before the grid search began
+    stream = tmp_path / "long.csv"
+    stream.write_text("hr,spo2,nbp_sys,nbp_dia\n" + "72.0,98.0,118.0,76.0\n" * 200_000)
+    labels = tmp_path / "labels.csv"
+    labels.write_text("timestep,channels,note\n")
+    seen = {}
+
+    class Searched(Exception):
+        pass
+
+    def grid_search(grid, vectors, labels, **kwargs):
+        seen["peak"] = tracemalloc.get_traced_memory()[1]
+        seen["shape"] = vectors.shape
+        raise Searched
+
+    monkeypatch.setattr(cli, "grid_search", grid_search)
+    tracemalloc.start()
+    try:
+        with pytest.raises(Searched):
+            main(["tune", str(stream), "--labels", str(labels)])
+    finally:
+        tracemalloc.stop()
+    assert seen["shape"] == (200_000 - 50, 4)  # the default warmup is 50 frames
+    # the vectors' 6.4 MB and their timesteps' 7.2 MB
+    assert seen["peak"] < 16 * 2**20
+
+
 def test_tune_requires_labels(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["tune", "stream.csv"])
@@ -413,10 +475,62 @@ def test_monitor_appends_to_frame_archives_of_its_own_schema_only(
     cfg.write_text(f"bed.b1.source = replay:{stream}\nschema.names = {names}\n")
     code, _, err = run(capsys, "monitor", "--config", str(cfg), "--out", str(out))
     assert code == 2
+    # the check reads two characters past the length of the header it wants
+    header = f"bed,timestep,received_at,flags,{names}"
+    held = rows[0][: len(header) + 2]
     assert err == (
         f"config error: {out / 'frames_b1.csv'} holds frame rows under the header "
-        "'bed,timestep,received_at,flags,hr,spo2,nbp_sys,nbp_dia'; this run's schema "
-        f"writes 'bed,timestep,received_at,flags,{names}'\n"
+        f"{held!r}...; this run's schema writes {header!r}\n"
+    )
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+
+def test_monitor_refuses_a_frame_archive_with_no_line_end_after_a_bounded_read(
+    tmp_path, capsys, labeled_stream
+):
+    # The header check once read an archive's whole first line: a file with
+    # no line end was read whole before it was refused, and a path linked
+    # to /dev/full was read until the run was killed.
+    stream, _ = labeled_stream
+    out = tmp_path / "ward"
+    out.mkdir()
+    (out / "frames_b1.csv").write_text("x" * 8 * 2**20)
+    cfg = tmp_path / "ward.cfg"
+    cfg.write_text(f"bed.b1.source = replay:{stream}\n")
+    tracemalloc.start()
+    try:
+        code, _, err = run(capsys, "monitor", "--config", str(cfg), "--out", str(out))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    header = "bed,timestep,received_at,flags,hr,spo2,nbp_sys,nbp_dia"
+    assert err == (
+        f"config error: {out / 'frames_b1.csv'} holds frame rows under the header "
+        f"{'x' * (len(header) + 2)!r}...; this run's schema writes {header!r}\n"
+    )
+    assert peak < 2**20
+    assert [path.name for path in out.iterdir()] == ["frames_b1.csv"]
+
+
+def test_monitor_appends_to_an_events_csv_under_its_header_only(
+    tmp_path, capsys, labeled_stream
+):
+    # A monitor once appended its rows to any events.csv, whatever its
+    # first line held.
+    stream, _ = labeled_stream
+    out = tmp_path / "ward"
+    out.mkdir()
+    (out / "events.csv").write_text("timestamp,bed,kind,timestep,delta\n1.0,b1,red1,5,0.9\n")
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    cfg = tmp_path / "ward.cfg"
+    cfg.write_text(f"bed.b1.source = replay:{stream}\n")
+    code, _, err = run(capsys, "monitor", "--config", str(cfg), "--out", str(out))
+    assert code == 2
+    assert err == (
+        f"config error: {out / 'events.csv'} holds event rows under the header "
+        "'timestamp,bed,kind,timestep,delta'; this run writes "
+        "'timestamp,bed,kind,timestep,delta,resolves_timestep'\n"
     )
     assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
