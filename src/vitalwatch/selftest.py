@@ -150,9 +150,9 @@ def check_walks(steps: int = 600) -> CheckResult:
         )
         events += sum(len(keys) for _, keys in fed[0])
         changes.append(fed[-1][-1])  # the per-frame chain's dictionary changes
-        held, verdicts = reference(settings, timesteps, vectors, fed[2], engine)
+        held, summary = reference(settings, timesteps, vectors, fed[2], engine)
         agree = agree and held
-        found.append(verdicts)
+        found.append(summary)
     return CheckResult(
         "replay, tune and the dense reference vs the per-frame chain",
         same and agree and changes[0] >= 50,  # few changes would leave the block patches untested
