@@ -215,6 +215,9 @@ class EventArchive:
         tile.last_delta, tile.last_update = delta, wall_time
         self._handle.write(_verdict_line(wall_time, tile.bed, _GREEN._value_, t, delta, None))
 
+    def flush(self) -> None:
+        self._handle.flush()
+
     def close(self) -> None:
         self._handle.close()
 

@@ -36,9 +36,15 @@ with no flush test (``EventArchive.deliver_green``), and for any other
 event one ``needs_flush`` test flushes the bed's frame archive before the
 event's row, then the row. On both paths a detector that raises
 ``EngineError`` restarts in place (``KoadEngine.restart``), so a bed keeps
-one engine for its whole run. ``tune`` runs the front half once
-(``standardized_stream``, which returns the vectors as one array) and the
-walk once per grid row (``tuning.run_detector``, through ``feed_run``).
+one engine for its whole run. The ``Ward`` also owns the screen and the
+run's clock: ``Ward.tick(now)`` is the one place for work due by the clock,
+which ``monitor``'s loop calls after each poll of its hand-off; once per
+``refresh`` it flushes every archive and then draws the board. Both
+drivers end with ``Ward.draw``, the last board and one summary line, and
+hold no screen code of their own; ``replay`` never ticks. ``tune`` runs
+the front half once (``standardized_stream``, which returns the vectors as
+one array) and the walk once per grid row (``tuning.run_detector``,
+through ``feed_run``).
 """
 
 from __future__ import annotations
@@ -292,7 +298,8 @@ class Ward:
     its schema or an ``events.csv`` whose first line is not
     ``EVENT_HEADER``. Each event ``feed`` or ``fail`` produces is counted,
     applied to the board and archived, and a data warning that names its
-    cause gets a screen line."""
+    cause gets a screen line. ``tick`` does the work due by the clock, and
+    ``draw`` draws the board on the screen, when there is one."""
 
     def __init__(self, settings: Settings, beds: list[str], out_dir: str | Path,
                  fresh: bool = False, screen=None) -> None:
@@ -325,6 +332,9 @@ class Ward:
                     f"{held}; this run writes {EVENT_HEADER!r}"
                 )
         self.screen = screen
+        self.refresh = settings.refresh
+        self._drawn_at: float | None = None  # the clock's start, then its last draw
+        self._phase = 0  # the next draw's flash phase
         self.board = BoardState.for_beds(beds)
         self.counts = {"frames": 0, "events": 0, "board": self.board}
         self.pipelines: dict[str, BedPipeline] = {}
@@ -379,6 +389,32 @@ class Ward:
             if self.screen is not None and isinstance(event, DataWarning) and event.reason:
                 self.screen.write(event.reason + "\n")
 
+    def tick(self, now: float) -> None:
+        """Work that is due by the clock, ``now`` read from any monotonic
+        clock. The first call starts the clock; from one ``refresh`` later,
+        once per ``refresh``, a tick flushes every frame archive and
+        ``events.csv``, so a quiet bed's rows are on disk, and then draws the
+        board with the next flash phase."""
+        if self._drawn_at is None:
+            self._drawn_at = now
+        elif now - self._drawn_at >= self.refresh:
+            self._drawn_at = now
+            for archive in [*self._frame_archives.values(), self.archive]:
+                archive.flush()
+            self.draw()
+
+    def draw(self, verb: str | None = None) -> None:
+        """Draw the board on the screen, if the ``Ward`` has one, and move
+        the flash phase on. A driver ends its run with ``verb`` (``replayed``,
+        ``monitored``): the last board, then ``<verb> N frames, M events ->
+        <dir>``."""
+        if self.screen is not None:
+            self.screen.write(render(self.board, phase=self._phase))
+            if verb is not None:
+                frames, events = self.counts["frames"], self.counts["events"]
+                self.screen.write(f"{verb} {frames} frames, {events} events -> {self.out_dir}\n")
+        self._phase += 1
+
     def close(self) -> None:
         self._opened.close()
 
@@ -407,12 +443,7 @@ def replay_run(
         else:
             for line, received_at in source.frames():
                 ward.feed(bed, line, received_at)
-    if screen is not None:
-        screen.write(render(ward.board, phase=0))
-        screen.write(
-            f"replayed {ward.counts['frames']} frames, "
-            f"{ward.counts['events']} events -> {ward.out_dir}\n"
-        )
+    ward.draw("replayed")
     return ward.counts
 
 
@@ -432,7 +463,10 @@ def monitor_run(
     as in ``replay_run``. A producer's frames and failure go through one
     bounded hand-off that stops waiting once the run stops; what was handed
     over by then, the queue's backlog first, still reaches the ``Ward``
-    after the producers are joined.
+    after the producers are joined. After each poll of the hand-off, with
+    or without an item, the loop ticks the ``Ward`` on ``time.monotonic()``;
+    a screen whose ``write`` raises ``KeyboardInterrupt`` stops the run as
+    Ctrl-C does.
     """
     if not settings.beds:
         raise ConfigError("monitor needs at least one bed.<id>.source entry")
@@ -477,25 +511,17 @@ def monitor_run(
         threading.Thread(target=pump, args=(b,), daemon=True, name=f"src-{b.bed}")
         for b in settings.beds
     ]
-    phase = 0
     with ward:
         try:
             for thread in threads:
                 thread.start()
-            deadline = None if duration is None else time.monotonic() + duration
-            last_render = time.monotonic()
-            while True:
-                if deadline is not None and time.monotonic() >= deadline:
-                    break
-                if all(not t.is_alive() for t in threads) and queue.empty():
-                    break
+            deadline = math.inf if duration is None else time.monotonic() + duration
+            while time.monotonic() < deadline and (
+                not queue.empty() or any(t.is_alive() for t in threads)
+            ):
                 with suppress(Empty):
                     take(queue.get(timeout=0.05))
-                now = time.monotonic()
-                if now - last_render >= settings.refresh:
-                    screen.write(render(ward.board, phase=phase))
-                    phase += 1
-                    last_render = now
+                ward.tick(time.monotonic())
         except KeyboardInterrupt:
             pass
         finally:
@@ -509,8 +535,5 @@ def monitor_run(
                 take(queue.get_nowait())
         for item in late:
             take(item)
-    screen.write(render(ward.board, phase=phase))
-    screen.write(
-        f"monitored {ward.counts['frames']} frames, {ward.counts['events']} events\n"
-    )
+    ward.draw("monitored")
     return ward.counts

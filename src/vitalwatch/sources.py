@@ -289,9 +289,11 @@ class SocketSource:
     """Accept newline-delimited records on a listening TCP port.
 
     One peer at a time; when a connection drops, the listener simply waits
-    for the next one, and the silent stretch surfaces as missing frames.
-    Records are split and bounded by ``records``, afresh for each
-    connection.
+    for the next one. Nothing marks the silent stretch: no frame or event
+    comes from it, so the bed's tile keeps its state and only its ``age``
+    grows. A check for silence is work due by the clock, so it is to run in
+    ``Ward.tick``; none runs yet. Records are split and bounded by
+    ``records``, afresh for each connection.
     """
 
     def __init__(

@@ -777,6 +777,82 @@ class TestWardDelivery:
             assert row.startswith("bed1,60,60.000,,")
 
 
+class ListScreen:
+    """A screen that keeps each write apart."""
+
+    def __init__(self) -> None:
+        self.writes: list[str] = []
+
+    def write(self, text: str) -> None:
+        self.writes.append(text)
+
+
+def rows_on_disk(path: Path) -> list[str]:
+    """The rows of an archive that have reached its file, header included."""
+    return path.read_text(encoding="utf-8").splitlines()
+
+
+class TestWardTick:
+    """``Ward.tick`` is the one place for work due by the clock: from one
+    ``refresh`` after its first call, once per ``refresh``, it flushes every
+    archive and draws the board. These tests hand it the clock's values and
+    sleep nowhere."""
+
+    def test_a_tick_draws_once_per_refresh_after_the_first(self, tmp_path):
+        screen = ListScreen()
+        with Ward(small_settings(refresh=2.0), ["bed1"], tmp_path, screen=screen) as ward:
+            ward.board.apply_event("bed1", Verdict(VerdictKind.RED1, 7, 0.9, None), 1.0)
+            drawn_at = []
+            for now in (100.0, 101.0, 101.99, 102.0, 103.0, 103.99, 104.0, 105.0, 106.5,
+                        108.0, 108.49, 108.5, 130.0, 131.0):
+                before = len(screen.writes)
+                ward.tick(now)
+                drawn_at += [now] * (len(screen.writes) - before)
+        # the clock starts at 100; a draw restarts the wait for the next
+        assert drawn_at == [102.0, 104.0, 106.5, 108.5, 130.0]
+        # the Red tile flashes: its two glyphs alternate from draw to draw
+        tiles = [board.splitlines()[1] for board in screen.writes]
+        assert all(" RED " in tile for tile in tiles)
+        assert ["*** RED ***" in tile for tile in tiles] == [True, False, True, False, True]
+
+    def test_a_drawing_tick_puts_every_fed_row_on_disk(self, tmp_path):
+        screen = ListScreen()
+        frames, events = tmp_path / "frames_a.csv", tmp_path / "events.csv"
+        with Ward(small_settings(), ["a", "b"], tmp_path, screen=screen) as ward:
+            ward.tick(0.0)
+            for i in range(300):  # a quiet bed: three frames over and over
+                ward.feed("a", wire(70 + i % 3, 98, 120 - i % 3), 1.7e9 + i)
+            fed = ward.counts["events"]
+            # plain Greens and clean rows wait in the write buffers ...
+            assert len(rows_on_disk(frames)) - 1 < 300
+            assert len(rows_on_disk(events)) - 1 < fed
+            ward.tick(1.9)
+            assert screen.writes == []
+            assert len(rows_on_disk(frames)) - 1 < 300
+            # ... until the tick that draws flushes them, every bed's archive
+            ward.tick(2.0)
+            assert len(screen.writes) == 1
+            assert len(rows_on_disk(frames)) == 301
+            assert rows_on_disk(tmp_path / "frames_b.csv") == [
+                archive_header(ward.pipelines["b"].schema)
+            ]
+            assert len(rows_on_disk(events)) == 1 + fed >= 1 + 290  # past warm-up and training
+
+    def test_a_ward_without_a_screen_draws_nothing_but_flushes(self, tmp_path, monkeypatch):
+        drawn = []
+        monkeypatch.setattr(pipeline_module, "render", lambda *args, **kwargs: drawn.append(args))
+        with Ward(small_settings(), ["a"], tmp_path) as ward:
+            ward.tick(0.0)
+            for i in range(300):
+                ward.feed("a", wire(70 + i % 3, 98, 120 - i % 3), float(i))
+            assert len(rows_on_disk(tmp_path / "frames_a.csv")) < 301
+            ward.tick(2.0)
+            ward.draw("replayed")
+            assert len(rows_on_disk(tmp_path / "frames_a.csv")) == 301
+            assert len(rows_on_disk(tmp_path / "events.csv")) == 1 + ward.counts["events"]
+        assert drawn == []
+
+
 class TestTuneAgreesWithReplay:
     """``tune`` runs the front half once and the detector half per grid row;
     on the deployed config it must see exactly what ``replay`` archives."""
@@ -1052,6 +1128,54 @@ class TestMonitorRun:
         events = drop_column((out / "events.csv").read_text(), 0).splitlines()[1:]
         assert events == ["bed1,data-warning-raised,3,,"]
         assert "source for bed1 failed: link lost\n" in screen.getvalue()
+
+    def test_an_interrupt_from_a_draw_stops_the_run_with_its_rows_on_disk(
+        self, tmp_path, capture_file, monkeypatch
+    ):
+        # A screen that raises KeyboardInterrupt on its first draw stops the
+        # run as Ctrl-C does. The draw comes after the tick's flush, so every
+        # frame and event the Ward took by then is on disk when it fails.
+        wards = []
+
+        class Kept(Ward):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                wards.append(self)
+
+        class Interrupting(ListScreen):
+            seen = None  # (frames, events, frame rows, event rows) at the draw
+
+            def write(self, text):
+                super().write(text)
+                if self.seen is None:
+                    (ward,) = wards
+                    self.seen = (
+                        ward.counts["frames"], ward.counts["events"],
+                        rows_on_disk(out / "frames_bed1.csv"), rows_on_disk(out / "events.csv"),
+                    )
+                    raise KeyboardInterrupt
+
+        monkeypatch.setattr(pipeline_module, "Ward", Kept)
+        # 50 ms between frames: the source runs for 6 s unless the run stops it
+        settings = replace(
+            Settings(warmup=10, train_steps=20, speedup=240.0, refresh=0.1),
+            beds=(BedSource(bed="bed1", kind="replay", target=str(capture_file)),),
+        )
+        out = tmp_path / "out"
+        screen = Interrupting()
+        counts = monitor_run(settings, out_dir=out, screen=screen)
+        frames, events, frame_rows, event_rows = screen.seen
+        assert 0 < frames < 120
+        assert len(frame_rows) == 1 + frames and len(event_rows) == 1 + events
+        # what was handed over after the draw is archived too
+        archived = rows_on_disk(out / "frames_bed1.csv")
+        assert archived[: len(frame_rows)] == frame_rows
+        assert len(archived) == 1 + counts["frames"]
+        assert len(rows_on_disk(out / "events.csv")) == 1 + counts["events"]
+        assert screen.writes[-1] == (
+            f"monitored {counts['frames']} frames, {counts['events']} events -> {out}\n"
+        )
+        assert [t for t in threading.enumerate() if t.name == "src-bed1"] == []
 
     def test_an_event_archive_that_cannot_open_leaves_no_archive_open(
         self, tmp_path, capture_file

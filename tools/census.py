@@ -24,7 +24,9 @@ commands start are seen too:
   appended to the tail bed's file once its source has polled the file and
   found nothing new. The run stops by Ctrl-C (an interrupt of the main
   thread) once both beds' rows are in their frame archives and the failing
-  bed's warning row is in ``events.csv``; no sleep decides what runs;
+  bed's warning row is in ``events.csv``; no sleep decides what runs. The
+  last rows get there by the ward's tick, which flushes every archive once
+  per ``refresh``;
 * ``replay`` into the monitor's directory, which holds other beds' frame
   archives, then ``monitor`` there again with ``schema.names = hr,spo2,sys,dia,rr``
   added to its config, whose frame archives hold another schema's header:
@@ -170,9 +172,8 @@ def judge(defined: dict, unrun_names: list[str], entries: dict[str, str]) -> lis
 
 def damaged(capture: str) -> str:
     """The capture with a flagged frame, of each kind in turn, at every 37th
-    row, a burst of six flagged frames (one more than ``warn_threshold``'s
-    default) at row 200, and a flagged last row, so that a bed's frame
-    archive is flushed through its last row."""
+    row, and a burst of six flagged frames (one more than ``warn_threshold``'s
+    default) at row 200."""
     header, *rows = capture.rstrip("\n").split("\n")
     kinds = ["null", "0", "-", "99999", "1e3", "", "7,7"]
     for i in range(37, len(rows), 37):
@@ -181,7 +182,6 @@ def damaged(capture: str) -> str:
         rows[i] = ",".join(fields)
     for i in range(200, 206):
         rows[i] = ",".join(["-"] * len(header.split(",")))
-    rows[-1] = rows[-1].replace(",", ",,", 1)
     return "\n".join([header, *rows]) + "\n"
 
 
@@ -271,7 +271,7 @@ class Run:
             f"bed.f.source = tail:{w / 'missing.log'}\n",
             encoding="utf-8",
         )
-        wire = [f"PW123,{row}" for row in capture.split("\n")[1:31]] + ["PW123,72,98,,80"]
+        wire = [f"PW123,{row}" for row in capture.split("\n")[1:31]]
         emitted = damaged(capture).count("\n") - 1
         done = threading.Event()
         watcher = threading.Thread(
