@@ -2,11 +2,16 @@
 
 A tile's clinical state follows the verdict stream: Orange while any Orange
 window is open, Green otherwise, and Red after any Red1/Red2. A data warning
-that names its cause (a restarted detector or a failed source) closes every
-open window, since none of them will resolve. Red latches for the rest of
+raised for a restarted detector or a failed source (``WarningCause.RESTART``
+or ``SOURCE``) closes every open window, since none of them will resolve; a
+run of flagged frames (``FLAGS``) closes none. Red latches for the rest of
 the run: an emergency that silently clears is the one failure mode this
 display must never have. Data warnings are a separate badge that
 co-displays with the clinical state and drives the shared console warning.
+
+Every event has one row in the event archive, under ``EVENT_HEADER``; a
+data warning's row names its cause and its reason, the ``cause`` and
+``detail`` columns a verdict's row leaves empty.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from enum import Enum
 from pathlib import Path
 
 from .engine import ALARM_KINDS, Verdict, VerdictKind
-from .validity import DataWarning
+from .validity import DataWarning, WarningCause
 
 MAX_BEDS = 5  # the display shows up to five patient statuses
 
@@ -89,8 +94,8 @@ class BoardState:
         tile = self._tile(bed)
         if type(event) is not Verdict:
             tile.data_warning = event.active
-            if event.active and event.reason:
-                # A restart or a source failure abandons the open windows.
+            if event.active and event.cause in (WarningCause.RESTART, WarningCause.SOURCE):
+                # A restarted detector or a dead source resolves no open window.
                 tile.open_orange_count = 0
             return
         kind, _, tile.last_delta, resolves = event
@@ -148,17 +153,23 @@ def render(board: BoardState, phase: int = 0, now: float | None = None) -> str:
 
 # -- event archive -----------------------------------------------------------
 
-EVENT_HEADER = "timestamp,bed,kind,timestep,delta,resolves_timestep"
+EVENT_HEADER = "timestamp,bed,kind,timestep,delta,resolves_timestep,cause,detail"
 
 
 def event_row(
     bed: str, event: Verdict | DataWarning, wall_time: float | None = None
 ) -> str:
+    """The event's row in the event archive, stamped ``wall_time`` (now, if
+    None), without its line end. A data warning's ``detail`` is its reason
+    on one line, its line breaks folded to spaces, and CSV-quoted when it
+    holds a comma or a quote."""
     if wall_time is None:
         wall_time = time.time()
     if type(event) is not Verdict:
         kind = "data-warning-raised" if event.active else "data-warning-cleared"
-        return f"{wall_time:.3f},{bed},{kind},{event.at_timestep},,"
+        detail = " ".join(event.reason.splitlines()).replace('"', '""')
+        detail = f'"{detail}"' if "," in detail or '"' in detail else detail
+        return f"{wall_time:.3f},{bed},{kind},{event.at_timestep},,,{event.cause.value},{detail}"
     kind, t, delta, resolves = event
     # _value_ is the member's plain attribute; .value is a Python-level
     # property, and a dict keyed by kind would call Enum.__hash__.
@@ -171,7 +182,7 @@ def _verdict_line(
     """A verdict's line in the event archive, its end included: the one
     format behind ``event_row`` and ``EventArchive.deliver_green``."""
     resolved = "" if resolves is None else resolves
-    return f"{wall_time:.3f},{bed},{kind},{t},{delta:.6f},{resolved}\n"
+    return f"{wall_time:.3f},{bed},{kind},{t},{delta:.6f},{resolved},,\n"
 
 
 def needs_flush(event: Verdict | DataWarning) -> bool:

@@ -69,6 +69,7 @@ from .sources import ReplaySource, SocketSource, SourceError, TailSource, socket
 from .validity import (
     DataWarning,
     FlagStreak,
+    WarningCause,
     archive_header,
     archive_row,
     frame_matcher,
@@ -217,9 +218,9 @@ class BedPipeline:
         ``feed_recording``: the streak's warning transition, if any, then
         the detector's outcome for the frame's arrival ``x`` (none for a
         frame without one). That is its verdicts, or the ``EngineError``
-        after which the detector restarted, reported by a data warning that
-        the restarted detector's first verdict clears, unless a streak's
-        clear comes first (the badge is one flag)."""
+        after which the detector restarted, reported by a ``restart`` data
+        warning that the restarted detector's first verdict clears, unless a
+        streak's ``flags`` clear comes first (the badge is one flag)."""
         if warning is None and type(outcome) is list and not self._restart_warning:
             return outcome  # the common frame: its verdicts alone
         events = []
@@ -230,12 +231,12 @@ class BedPipeline:
         if type(outcome) is list:
             if outcome and self._restart_warning:
                 self._restart_warning = False
-                events.append(DataWarning(active=False, at_timestep=x.timestep))
+                events.append(DataWarning(False, x.timestep, WarningCause.RESTART))
             events += outcome
         elif outcome is not None:
             self._restart_warning = True
             reason = f"detector for {self.bed} restarted: {outcome}"
-            events.append(DataWarning(True, x.timestep, reason))
+            events.append(DataWarning(True, x.timestep, WarningCause.RESTART, reason))
         return events
 
 
@@ -296,10 +297,13 @@ class Ward:
     beds' frame archives and to ``events.csv``, and refuses, before it
     writes any file, a frame archive whose first line is not the header of
     its schema or an ``events.csv`` whose first line is not
-    ``EVENT_HEADER``. Each event ``feed`` or ``fail`` produces is counted,
-    applied to the board and archived, and a data warning that names its
-    cause gets a screen line. ``tick`` does the work due by the clock, and
-    ``draw`` draws the board on the screen, when there is one."""
+    ``EVENT_HEADER``; it ends a last line that a killed run cut, so that its
+    first new row starts a line of its own. Each event ``feed`` or ``fail``
+    produces is counted, applied to the board and archived, and the raise
+    of a data warning whose cause is not ``flags`` (a restarted detector, a
+    failed source) gets a screen line, its reason. ``tick`` does the work
+    due by the clock, and ``draw`` draws the board on the screen, when
+    there is one."""
 
     def __init__(self, settings: Settings, beds: list[str], out_dir: str | Path,
                  fresh: bool = False, screen=None) -> None:
@@ -331,6 +335,13 @@ class Ward:
                     f"{self.out_dir / 'events.csv'} holds event rows under the header "
                     f"{held}; this run writes {EVENT_HEADER!r}"
                 )
+            # A killed run may have cut its last row: end that line, so that the
+            # first new row starts a line of its own.
+            for path in [*owned, self.out_dir / "events.csv"]:
+                with suppress(FileNotFoundError), path.open("rb+") as archive:
+                    archive.seek(max(0, archive.seek(0, 2) - 1))
+                    if archive.read(1) not in (b"", b"\n"):
+                        archive.write(b"\n")
         self.screen = screen
         self.refresh = settings.refresh
         self._drawn_at: float | None = None  # the clock's start, then its last draw
@@ -360,7 +371,8 @@ class Ward:
 
     def fail(self, bed: str, error: str) -> None:
         reason = f"source for {bed} failed: {error}"
-        self._deliver(bed, [DataWarning(True, self.pipelines[bed].frame_index, reason)], None)
+        at = self.pipelines[bed].frame_index
+        self._deliver(bed, [DataWarning(True, at, WarningCause.SOURCE, reason)], None)
 
     def _deliver(self, bed: str, produced: list[Verdict | DataWarning],
                  wall_time: float | None) -> None:
@@ -386,7 +398,8 @@ class Ward:
             if flush:
                 self._frame_archives[bed].flush()
             self.archive.append(bed, event, wall_time, flush)
-            if self.screen is not None and isinstance(event, DataWarning) and event.reason:
+            if (self.screen is not None and type(event) is not Verdict and event.active
+                    and event.cause is not WarningCause.FLAGS):
                 self.screen.write(event.reason + "\n")
 
     def tick(self, now: float) -> None:

@@ -59,9 +59,9 @@ def check_walks(steps: int = 600) -> CheckResult:
     arrivals take the walk's quiet lane.
 
     The walks must match the chain bit for bit: the events (verdicts with
-    ``delta.hex()``, data warnings, each frame's ``received_at``), the frame
-    archive and the dictionary left behind; tune, which has no events, its
-    verdicts and dictionary. The reference, fed tune's vectors, must give
+    ``delta.hex()``, data warnings with their causes and reasons, each
+    frame's ``received_at``), the frame archive and the dictionary left
+    behind; tune, which has no events, its verdicts and dictionary. The reference, fed tune's vectors, must give
     every verdict's kind and timesteps, each delta within 1e-9, every kind,
     and the chain's final basis. The chain's kept Gram matrix must be within
     1e-12 of the reference's rebuilt one, its inverse times that matrix
@@ -80,7 +80,7 @@ def check_walks(steps: int = 600) -> CheckResult:
         if type(event) is Verdict:
             kind, at, delta, resolves = event
             return kind.value, at, delta.hex(), resolves
-        return event.active, event.at_timestep, event.reason
+        return event.active, event.at_timestep, event.cause, event.reason
 
     def state(engine: KoadEngine) -> tuple:
         d = engine.dictionary

@@ -6,7 +6,8 @@ field count, and flags individual values that are empty/null, zero, a bare
 hyphen, above the physiological transmission limit, or not plain decimal
 numbers. Flagged frames are archived but never scored. A per-bed streak
 counter raises a DataWarning after ``warn_threshold`` consecutive flagged
-frames and clears it on the next valid one.
+frames and clears it on the next valid one; every DataWarning names its
+``WarningCause``, which is ``flags`` for this one.
 
 There are two screens with one verdict. ``frame_matcher`` accepts a clean
 frame with one compiled match and returns its values; ``parse_frame`` and
@@ -46,6 +47,15 @@ class FlagReason(Enum):
     BAD_PASSWORD = "bad-password"
     BAD_ARITY = "bad-arity"
     NON_NUMERIC = "non-numeric"
+
+
+class WarningCause(Enum):
+    """Why a bed's data cannot be trusted: the closed set of causes a
+    ``DataWarning`` names, each written to ``events.csv``'s ``cause`` column."""
+
+    FLAGS = "flags"  # a run of ``warn_threshold`` flagged frames
+    RESTART = "restart"  # the detector raised ``EngineError`` and restarted
+    SOURCE = "source"  # the bed's source failed; its frames stop
 
 
 @dataclass(frozen=True)
@@ -107,11 +117,14 @@ class ValidationResult:
 
 @dataclass(frozen=True)
 class DataWarning:
-    """Raised after a run of flagged frames, cleared by the next valid one.
-    A failed source or a restarted detector names its cause in ``reason``."""
+    """A bed's data warning raised (``active``) or cleared, with its
+    ``cause``; a clear names the cause of the warning it clears. A failed
+    source or a restarted detector also says what went wrong in ``reason``,
+    which a flag streak leaves empty."""
 
     active: bool
     at_timestep: int
+    cause: WarningCause
     reason: str = ""
 
 
@@ -225,10 +238,10 @@ def track(streak: FlagStreak, ok: bool, timestep: int) -> DataWarning | None:
     if ok:
         cleared = streak.warning_active
         streak.consecutive_flagged = 0
-        return DataWarning(active=False, at_timestep=timestep) if cleared else None
+        return DataWarning(False, timestep, WarningCause.FLAGS) if cleared else None
     streak.consecutive_flagged += 1
     if streak.consecutive_flagged == streak.warn_threshold:
-        return DataWarning(active=True, at_timestep=timestep)
+        return DataWarning(True, timestep, WarningCause.FLAGS)
     return None
 
 

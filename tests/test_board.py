@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import csv
+
 import pytest
 
 from vitalwatch.board import (
+    EVENT_HEADER,
     BedTile,
     BoardError,
     BoardState,
@@ -15,7 +18,9 @@ from vitalwatch.board import (
     render,
 )
 from vitalwatch.engine import Verdict, VerdictKind
-from vitalwatch.validity import DataWarning
+from vitalwatch.validity import DataWarning, WarningCause
+
+FLAGS, RESTART, SOURCE = WarningCause
 
 
 def green(t, resolves=None):
@@ -93,24 +98,25 @@ def test_red2_closes_its_window_and_latches():
 
 def test_data_warning_badge_and_console_or():
     b = board()
-    b.apply_event("bed2", DataWarning(active=True, at_timestep=9), now=0.0)
+    b.apply_event("bed2", DataWarning(active=True, at_timestep=9, cause=FLAGS), now=0.0)
     assert b.tiles["bed2"].data_warning
     assert b.console_warning
     # the badge co-displays without touching the clinical state
     assert b.tiles["bed2"].state is TileState.UNOCCUPIED
-    b.apply_event("bed2", DataWarning(active=False, at_timestep=12), now=1.0)
+    b.apply_event("bed2", DataWarning(active=False, at_timestep=12, cause=FLAGS), now=1.0)
     assert not b.console_warning
 
 
 def test_a_restart_leaves_no_orange_window_open_forever():
     # A restarted detector or a failed source abandons its open Orange
-    # windows: no resolution will come for them. (A streak's warning, which
-    # names no cause, leaves them open: see EVENT_SHAPES.)
+    # windows: no resolution will come for them. (A streak's warning, whose
+    # cause is flags, leaves them open: see EVENT_SHAPES.)
     b = board()
     for t in (1, 2, 3):
         b.apply_event("bed1", orange(t), now=0.0)
     b.apply_event("bed1", red1(4), now=1.0)
-    b.apply_event("bed1", DataWarning(True, 5, "detector for bed1 restarted: boom"), now=2.0)
+    restart = DataWarning(True, 5, RESTART, "detector for bed1 restarted: boom")
+    b.apply_event("bed1", restart, now=2.0)
     tile = b.tiles["bed1"]
     assert tile.open_orange_count == 0
     assert tile.state is TileState.RED
@@ -123,7 +129,7 @@ def test_a_restart_leaves_no_orange_window_open_forever():
 def test_data_warning_badge_co_displays_with_red():
     b = board()
     b.apply_event("bed1", red1(3), now=0.0)
-    b.apply_event("bed1", DataWarning(active=True, at_timestep=4), now=1.0)
+    b.apply_event("bed1", DataWarning(active=True, at_timestep=4, cause=FLAGS), now=1.0)
     tile = b.tiles["bed1"]
     assert tile.state is TileState.RED
     assert tile.data_warning
@@ -158,7 +164,7 @@ def test_event_order_determinism():
         ("bed1", orange(1)),
         ("bed2", red1(2)),
         ("bed1", green(21, resolves=1)),
-        ("bed2", DataWarning(active=True, at_timestep=3)),
+        ("bed2", DataWarning(active=True, at_timestep=3, cause=FLAGS)),
     ]
 
     def run():
@@ -190,8 +196,8 @@ def test_render_flashes_red_across_phases():
 
 def test_render_banner_present_exactly_once():
     b = board()
-    b.apply_event("bed1", DataWarning(active=True, at_timestep=1), now=0.0)
-    b.apply_event("bed2", DataWarning(active=True, at_timestep=1), now=0.0)
+    b.apply_event("bed1", DataWarning(active=True, at_timestep=1, cause=FLAGS), now=0.0)
+    b.apply_event("bed2", DataWarning(active=True, at_timestep=1, cause=FLAGS), now=0.0)
     screen = render(b, phase=0, now=1.0)
     assert screen.count("!! DATA WARNING") == 1
 
@@ -205,48 +211,53 @@ WALL = 1700000000.0625
 EVENT_SHAPES = {
     "plain-green": (
         Verdict(VerdictKind.GREEN, 7, 0.0123456789),
-        "1700000000.062,bed1,green,7,0.012346,", False,
+        "1700000000.062,bed1,green,7,0.012346,,,", False,
         (1, False, 0.0123456789, WALL, False, 0),
     ),
     "green-resolution": (
         Verdict(VerdictKind.GREEN, 27, 0.1, 7),
-        "1700000000.062,bed1,green,27,0.100000,7", False,
+        "1700000000.062,bed1,green,27,0.100000,7,,", False,
         (0, False, 0.1, WALL, False, 0),
     ),
     "orange": (
         Verdict(VerdictKind.ORANGE, 8, 0.0875),
-        "1700000000.062,bed1,orange,8,0.087500,", True,
+        "1700000000.062,bed1,orange,8,0.087500,,,", True,
         (2, False, 0.0875, WALL, False, 0),
     ),
     "red1": (
         Verdict(VerdictKind.RED1, 9, 0.5000005),
-        "1700000000.062,bed1,red1,9,0.500000,", True,
+        "1700000000.062,bed1,red1,9,0.500000,,,", True,
         (1, True, 0.5000005, WALL, False, 1),
     ),
     "red2": (
         Verdict(VerdictKind.RED2, 28, 0.12, 8),
-        "1700000000.062,bed1,red2,28,0.120000,8", True,
+        "1700000000.062,bed1,red2,28,0.120000,8,,", True,
         (0, True, 0.12, WALL, False, 1),
     ),
     "warning-raised": (
-        DataWarning(True, 30),
-        "1700000000.062,bed1,data-warning-raised,30,,", True,
+        DataWarning(True, 30, FLAGS),
+        "1700000000.062,bed1,data-warning-raised,30,,,flags,", True,
         (1, False, 0.5, 5.0, True, 0),
     ),
     "warning-raised-reason": (
-        DataWarning(True, 31, "detector for bed1 restarted: boom"),
-        "1700000000.062,bed1,data-warning-raised,31,,", True,
+        DataWarning(True, 31, RESTART, "detector for bed1 restarted: boom"),
+        "1700000000.062,bed1,data-warning-raised,31,,,restart,detector for bed1 restarted: boom", True,
         (0, False, 0.5, 5.0, True, 0),
     ),
     "warning-cleared": (
-        DataWarning(False, 32),
-        "1700000000.062,bed1,data-warning-cleared,32,,", True,
+        DataWarning(False, 32, FLAGS),
+        "1700000000.062,bed1,data-warning-cleared,32,,,flags,", True,
         (1, False, 0.5, 5.0, False, 0),
     ),
     "warning-cleared-reason": (
-        DataWarning(False, 33, "cleared"),
-        "1700000000.062,bed1,data-warning-cleared,33,,", True,
+        DataWarning(False, 33, RESTART, "cleared"),
+        "1700000000.062,bed1,data-warning-cleared,33,,,restart,cleared", True,
         (1, False, 0.5, 5.0, False, 0),
+    ),
+    "warning-raised-source": (
+        DataWarning(True, 34, SOURCE, "source for bed1 failed: refused"),
+        "1700000000.062,bed1,data-warning-raised,34,,,source,source for bed1 failed: refused",
+        True, (0, False, 0.5, 5.0, True, 0),
     ),
 }
 
@@ -273,17 +284,17 @@ def test_each_event_shape_row_flush_and_tile(event, row, flush, after):
 
 def test_event_rows_and_archive(tmp_path):
     row = event_row("bed1", red2(25, raised=5), wall_time=100.0)
-    assert row == "100.000,bed1,red2,25,0.120000,5"
-    row = event_row("bed1", DataWarning(active=True, at_timestep=7), wall_time=1.5)
-    assert row == "1.500,bed1,data-warning-raised,7,,"
+    assert row == "100.000,bed1,red2,25,0.120000,5,,"
+    row = event_row("bed1", DataWarning(active=True, at_timestep=7, cause=FLAGS), wall_time=1.5)
+    assert row == "1.500,bed1,data-warning-raised,7,,,flags,"
 
     written = tmp_path / "written.csv"
     with EventArchive(written) as archive:
         archive.append("bed1", green(1), 0.5, needs_flush(green(1)))
         archive.append("bed1", red1(2), 1.0, needs_flush(red1(2)))
     lines = written.read_text(encoding="utf-8").splitlines()
-    assert lines[0] == "timestamp,bed,kind,timestep,delta,resolves_timestep"
-    assert lines[1] == "0.500,bed1,green,1,0.010000,"
+    assert lines[0] == "timestamp,bed,kind,timestep,delta,resolves_timestep,cause,detail"
+    assert lines[1] == "0.500,bed1,green,1,0.010000,,,"
     assert len(lines) == 3
 
     path = tmp_path / "events.csv"
@@ -293,7 +304,26 @@ def test_event_rows_and_archive(tmp_path):
         archive.append("bed1", green(2), 1.5, needs_flush(green(2)))
     lines = path.read_text(encoding="utf-8").splitlines()
     assert len(lines) == 3
-    assert lines[0] == "timestamp,bed,kind,timestep,delta,resolves_timestep"
+    assert lines[0] == "timestamp,bed,kind,timestep,delta,resolves_timestep,cause,detail"
+
+
+def test_a_reason_reads_back_through_csv_as_one_field_on_one_line(tmp_path):
+    # A reason may hold what a bare CSV field cannot: a comma, a quote, a
+    # line break. Its row folds the break to a space and quotes the field.
+    reason = 'source for bed1 failed: read "a,b"\nthen gave up'
+    path = tmp_path / "events.csv"
+    with EventArchive(path) as archive:
+        archive.append("bed1", DataWarning(True, 3, SOURCE, reason), 2.0, True)
+        archive.append("bed1", red1(4), 2.5, True)
+    assert len(path.read_text(encoding="utf-8").splitlines()) == 3
+    with path.open(encoding="utf-8", newline="") as handle:
+        rows = list(csv.reader(handle))
+    assert rows == [
+        EVENT_HEADER.split(","),
+        ["2.000", "bed1", "data-warning-raised", "3", "", "", "source",
+         'source for bed1 failed: read "a,b" then gave up'],
+        ["2.500", "bed1", "red1", "4", "0.900000", "", "", ""],
+    ]
 
 
 def test_alarms_reach_the_file_before_the_archive_closes(tmp_path):
@@ -303,7 +333,7 @@ def test_alarms_reach_the_file_before_the_archive_closes(tmp_path):
         archive.append("bed1", red1(2), 1.0, needs_flush(red1(2)))
         # a second handle sees what a killed process would have left behind
         assert "1.000,bed1,red1,2," in path.read_text(encoding="utf-8")
-        warning = DataWarning(active=True, at_timestep=3)
+        warning = DataWarning(active=True, at_timestep=3, cause=FLAGS)
         archive.append("bed1", warning, 2.0, needs_flush(warning))
         assert "bed1,data-warning-raised,3" in path.read_text(encoding="utf-8")
     finally:

@@ -530,7 +530,31 @@ def test_monitor_appends_to_an_events_csv_under_its_header_only(
     assert err == (
         f"config error: {out / 'events.csv'} holds event rows under the header "
         "'timestamp,bed,kind,timestep,delta'; this run writes "
-        "'timestamp,bed,kind,timestep,delta,resolves_timestep'\n"
+        "'timestamp,bed,kind,timestep,delta,resolves_timestep,cause,detail'\n"
+    )
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+
+def test_monitor_refuses_an_events_csv_of_six_columns(tmp_path, capsys, labeled_stream):
+    # events.csv gained its cause and detail columns after runs had written
+    # six-column rows: a monitor into such a directory appends nothing, not
+    # even a line end to its frame archive's cut last row.
+    stream, _ = labeled_stream
+    out = tmp_path / "ward"
+    out.mkdir()
+    six = "timestamp,bed,kind,timestep,delta,resolves_timestep"
+    (out / "events.csv").write_text(f"{six}\n1.000,b1,data-warning-raised,5,,\n")
+    (out / "frames_b1.csv").write_text(
+        "bed,timestep,received_at,flags,hr,spo2,nbp_sys,nbp_dia\nb1,0,1.000,,72,98,1"
+    )
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    cfg = tmp_path / "ward.cfg"
+    cfg.write_text(f"bed.b1.source = replay:{stream}\n")
+    code, _, err = run(capsys, "monitor", "--config", str(cfg), "--out", str(out))
+    assert code == 2
+    assert err == (
+        f"config error: {out / 'events.csv'} holds event rows under the header "
+        f"{six!r}; this run writes {six + ',cause,detail'!r}\n"
     )
     assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 

@@ -1,5 +1,6 @@
 """End-to-end checks on the per-bed chain and the run drivers."""
 
+import csv
 import gc
 import importlib.util
 import io
@@ -50,6 +51,7 @@ from vitalwatch.synth import capture_text, default_spec, generate, read_labels, 
 from vitalwatch.tuning import alarm_times, grid_search, run_detector, score_run
 from vitalwatch.validity import (
     DataWarning,
+    WarningCause,
     archive_header,
     archive_row,
     parse_frame,
@@ -181,9 +183,9 @@ class TestBedPipeline:
         assert pipe.feed_line("x", 3.0) == []
         assert pipe.feed_line("x", 4.0) == []
         events = pipe.feed_line("x", 5.0)
-        assert events == [DataWarning(active=True, at_timestep=5)]
+        assert events == [DataWarning(active=True, at_timestep=5, cause=WarningCause.FLAGS)]
         events = pipe.feed_line(steady_line(rng), 6.0)
-        assert DataWarning(active=False, at_timestep=6) in events
+        assert DataWarning(active=False, at_timestep=6, cause=WarningCause.FLAGS) in events
 
     def test_frame_archive_gets_every_frame_including_flagged(self):
         sink = io.StringIO()
@@ -283,6 +285,17 @@ def drop_column(text: str, idx: int) -> str:
         del cells[idx]
         rows.append(",".join(cells))
     return "\n".join(rows)
+
+
+def warning_fields(out: Path) -> list[list[str]]:
+    """The data-warning rows of ``out``'s ``events.csv`` as ``csv.reader``
+    reads them, wall-clock field dropped; every row of the file must read
+    back as the header's eight fields."""
+    with (out / "events.csv").open(encoding="utf-8", newline="") as handle:
+        rows = list(csv.reader(handle))
+    assert rows[0] == EVENT_HEADER.split(",")
+    assert {len(row) for row in rows} == {8}
+    return [row[1:] for row in rows[1:] if row[2].startswith("data-warning-")]
 
 
 class TestReplayRun:
@@ -386,16 +399,43 @@ class TestReplayRun:
         counts = replay_run(settings, capture_file, out_dir=out)
         events = drop_column((out / "events.csv").read_text(), 0).splitlines()
         assert [row for row in events if ",data-warning-" in row] == [
-            "bed1,data-warning-raised,42,,",
-            "bed1,data-warning-cleared,43,,",
-            "bed1,data-warning-raised,43,,",
-            "bed1,data-warning-raised,52,,",
-            "bed1,data-warning-cleared,53,,",
+            "bed1,data-warning-raised,42,,,flags,",
+            "bed1,data-warning-cleared,43,,,flags,",
+            "bed1,data-warning-raised,43,,,restart,detector for bed1 restarted: injected fault",
+            "bed1,data-warning-raised,52,,,flags,",
+            "bed1,data-warning-cleared,53,,,flags,",
         ]
         # the fresh engine trains on 44-49 and 53-66, and scores from 67 on
         verdicts = [int(row.split(",")[2]) for row in events[1:] if ",data-" not in row]
         assert min(t for t in verdicts if t > 43) == 67
         assert counts["board"].tiles["bed1"].data_warning is False
+
+    def test_a_restart_archives_its_cause_and_error_then_its_clear(
+        self, tmp_path, capture_file, monkeypatch
+    ):
+        inject_engine_fault(monkeypatch, at=60)
+        out = tmp_path / "out"
+        replay_run(Settings(warmup=10, train_steps=20), capture_file, out_dir=out)
+        # the fresh engine trains on frames 61-80; its first verdict, at 81,
+        # clears the warning
+        assert warning_fields(out) == [
+            ["bed1", "data-warning-raised", "60", "", "", "restart",
+             "detector for bed1 restarted: injected fault"],
+            ["bed1", "data-warning-cleared", "81", "", "", "restart", ""],
+        ]
+
+    def test_a_flagged_streak_archives_flags_rows(self, tmp_path, capture_file):
+        rows = capture_file.read_text(encoding="utf-8").splitlines()
+        for i in range(41, 45):  # rows[i] is timestep i - 1
+            rows[i] = "garbage"
+        capture_file.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        settings = Settings(warmup=10, train_steps=20, warn_threshold=3)
+        replay_run(settings, capture_file, out_dir=out)
+        assert warning_fields(out) == [
+            ["bed1", "data-warning-raised", "42", "", "", "flags", ""],
+            ["bed1", "data-warning-cleared", "44", "", "", "flags", ""],
+        ]
 
     @pytest.mark.parametrize("speedup", [math.inf, 1e9])
     def test_a_read_that_fails_mid_file_archives_the_frames_before_it(
@@ -679,8 +719,8 @@ GREEN, ORANGE, RED1, RED2 = (VerdictKind[k] for k in ("GREEN", "ORANGE", "RED1",
 @st.composite
 def event_frames(draw):
     """Each frame's events: any mix of plain and resolving Greens, Orange,
-    Red1, Red2, and data warnings raised or cleared, with and without a
-    reason, at the frame's timestep."""
+    Red1, Red2, and data warnings raised or cleared, of any cause, with and
+    without a reason, at the frame's timestep."""
     frames = []
     for t in range(draw(st.integers(1, 30))):
         events = []
@@ -692,7 +732,8 @@ def event_frames(draw):
                 events.append(Verdict(verdict_kind, t, delta, resolves))
             else:
                 reason = draw(st.sampled_from(["", "source for bed1 failed: gone"]))
-                events.append(DataWarning(kind == 5, t, reason))
+                cause = draw(st.sampled_from(WarningCause))
+                events.append(DataWarning(kind == 5, t, cause, reason))
         frames.append(events)
     return frames
 
@@ -935,7 +976,7 @@ class TestTuneAgreesWithReplay:
 
 def _verdict_from_row(row: str) -> Verdict:
     """An ``events.csv`` verdict row, wall-clock column stripped."""
-    _, kind, timestep, delta, resolves = row.split(",")
+    _, kind, timestep, delta, resolves, _, _ = row.split(",")
     return Verdict(
         VerdictKind(kind), int(timestep), float(delta),
         int(resolves) if resolves else None,
@@ -1027,11 +1068,13 @@ class TestMonitorRun:
         assert rows(out, "bed2") == rows(clean, "bed2")
 
         bed1 = rows(out, "bed1")
-        cut = bed1.index("bed1,data-warning-raised,60,,")
+        cut = bed1.index(
+            "bed1,data-warning-raised,60,,,restart,detector for bed1 restarted: injected fault"
+        )
         assert bed1[:cut] == [r for r in rows(clean, "bed1") if int(r.split(",")[2]) < 60]
         # the fresh engine trains on frames 61-80 and scores from 81 on; its
         # first verdict clears the restart's warning
-        assert bed1[cut + 1] == "bed1,data-warning-cleared,81,,"
+        assert bed1[cut + 1] == "bed1,data-warning-cleared,81,,,restart,"
         after = [int(r.split(",")[2]) for r in bed1[cut + 1 :]]
         assert after and min(after) == 81
         frames = (out / "frames_bed1.csv").read_text().splitlines()
@@ -1126,8 +1169,54 @@ class TestMonitorRun:
         assert len((out / "frames_bed1.csv").read_text().splitlines()[1:]) == 3
         # The failure's warning, after the three frames; its cause goes to the screen.
         events = drop_column((out / "events.csv").read_text(), 0).splitlines()[1:]
-        assert events == ["bed1,data-warning-raised,3,,"]
+        assert events == ["bed1,data-warning-raised,3,,,source,source for bed1 failed: link lost"]
         assert "source for bed1 failed: link lost\n" in screen.getvalue()
+
+    def test_a_failed_source_archives_a_source_row_naming_its_error(
+        self, tmp_path, capture_file, monkeypatch
+    ):
+        class Failing:
+            def frames(self):
+                raise SourceError('link lost, peer said "bye"')
+                yield  # a generator, like every source
+
+        monkeypatch.setattr(pipeline_module, "build_source", lambda *_: Failing())
+        settings = replace(Settings(), beds=(
+            BedSource(bed="bed1", kind="replay", target=str(capture_file)),
+        ))
+        out = tmp_path / "out"
+        screen = io.StringIO()
+        monitor_run(settings, out_dir=out, screen=screen)
+        reason = 'source for bed1 failed: link lost, peer said "bye"'
+        assert warning_fields(out) == [
+            ["bed1", "data-warning-raised", "0", "", "", "source", reason],
+        ]
+        assert reason + "\n" in screen.getvalue()
+
+    def test_an_append_after_a_killed_run_starts_on_a_line_of_its_own(self, tmp_path):
+        # A killed run may leave an archive's last row cut, with no line
+        # end; the next run's first row was once joined to it.
+        settings = small_settings(warmup=2, train_steps=2)
+        cut = {
+            "events.csv": f"{EVENT_HEADER}\n1.000,b1,green,5,0.01",
+            "frames_b1.csv": f"{archive_header(settings.schema())}\nb1,0,1.000,,72,98,1",
+        }
+        for name, text in cut.items():
+            (tmp_path / name).write_text(text, encoding="utf-8")
+        rng = np.random.default_rng(6)
+        with Ward(settings, ["b1"], tmp_path) as ward:
+            for i in range(8):
+                ward.feed("b1", steady_line(rng), 100.0 + i)
+        events = (tmp_path / "events.csv").read_text(encoding="utf-8")
+        assert events.startswith(cut["events.csv"] + "\n1")
+        rows = events.splitlines()[2:]
+        assert len(rows) == ward.counts["events"] == 4  # the scored frames' verdicts
+        assert {len(row.split(",")) for row in rows} == {8}
+        frames = (tmp_path / "frames_b1.csv").read_text(encoding="utf-8")
+        assert frames.startswith(cut["frames_b1.csv"] + "\nb1,0,100.000,")
+        assert [row.split(",")[1] for row in frames.splitlines()[2:]] == [
+            str(i) for i in range(8)
+        ]
 
     def test_an_interrupt_from_a_draw_stops_the_run_with_its_rows_on_disk(
         self, tmp_path, capture_file, monkeypatch

@@ -17,6 +17,7 @@ from vitalwatch.validity import (
     FlagStreak,
     ParameterSchema,
     RawFrame,
+    WarningCause,
     archive_header,
     archive_row,
     frame_matcher,
@@ -155,7 +156,7 @@ def test_warning_raised_on_exactly_the_wth_frame():
     streak = FlagStreak(warn_threshold=5)
     events = [track(streak, FLAGGED, t) for t in range(5)]
     assert events[:4] == [None] * 4
-    assert events[4] == DataWarning(active=True, at_timestep=4)
+    assert events[4] == DataWarning(active=True, at_timestep=4, cause=WarningCause.FLAGS)
     # staying flagged does not re-raise
     assert track(streak, FLAGGED, 5) is None
     assert streak.warning_active
@@ -174,9 +175,9 @@ def test_valid_frame_clears_active_warning():
     streak = FlagStreak(warn_threshold=2)
     track(streak, FLAGGED, 0)
     raised = track(streak, FLAGGED, 1)
-    assert raised == DataWarning(active=True, at_timestep=1)
+    assert raised == DataWarning(active=True, at_timestep=1, cause=WarningCause.FLAGS)
     cleared = track(streak, VALID, 2)
-    assert cleared == DataWarning(active=False, at_timestep=2)
+    assert cleared == DataWarning(active=False, at_timestep=2, cause=WarningCause.FLAGS)
     assert not streak.warning_active
     # a second valid frame emits nothing new
     assert track(streak, VALID, 3) is None

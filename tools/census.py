@@ -24,9 +24,9 @@ commands start are seen too:
   appended to the tail bed's file once its source has polled the file and
   found nothing new. The run stops by Ctrl-C (an interrupt of the main
   thread) once both beds' rows are in their frame archives and the failing
-  bed's warning row is in ``events.csv``; no sleep decides what runs. The
-  last rows get there by the ward's tick, which flushes every archive once
-  per ``refresh``;
+  bed's warning row, which names the cause ``source``, is in ``events.csv``;
+  no sleep decides what runs. The last rows get there by the ward's tick,
+  which flushes every archive once per ``refresh``;
 * ``replay`` into the monitor's directory, which holds other beds' frame
   archives, then ``monitor`` there again with ``schema.names = hr,spo2,sys,dia,rr``
   added to its config, whose frame archives hold another schema's header:
@@ -50,6 +50,7 @@ import _thread
 import contextlib
 import inspect
 import os
+import re
 import signal
 import socket
 import sys
@@ -295,8 +296,8 @@ class Run:
     def watch(self, tail: Path, wire: list[str], port: int, emitted: int,
               done: threading.Event) -> None:
         """Feed the tail and socket beds, then interrupt the main thread once
-        their rows and the failing bed's warning are on disk (or, if the
-        monitor has already returned, only stop)."""
+        their rows and the failing bed's ``source`` warning are on disk (or,
+        if the monitor has already returned, only stop)."""
         ward = self.work / "ward"
         deadline = time.monotonic() + MONITOR_TIMEOUT_S
 
@@ -316,7 +317,8 @@ class Run:
             wait(lambda: (
                 rows_on_disk(ward / "frames_t.csv") >= len(wire)
                 and rows_on_disk(ward / "frames_k.csv") >= emitted
-                and b",f,data-warning-raised," in read(ward / "events.csv")
+                and re.search(rb"\n[^,\n]*,f,data-warning-raised,[0-9]+,,,source,",
+                              read(ward / "events.csv"))
             ), "the beds' rows never reached their archives")
         except Exception as exc:
             self.failures.append(f"{type(exc).__name__}: {exc}")
