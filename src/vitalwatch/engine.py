@@ -70,7 +70,10 @@ a bad arrival alike, with the same type and message at the same arrival,
 after scoring the arrivals before it. ``restart`` is the one definition
 of a fresh detector: ``__init__`` calls it, ``feed_recording`` calls it
 after an arrival that raises ``EngineError`` and goes on walking, and the
-pipeline calls it when ``feed`` raises.
+pipeline calls it when ``feed`` raises. It empties the engine's one
+dictionary and one tracker list in place, so a walk, paused or running,
+goes on across a restart at any arrival; only loading the next block
+drops a walk, apart from one that died raising.
 """
 
 from __future__ import annotations
@@ -239,9 +242,9 @@ class DictionaryState:
     Storage is preallocated to max_size: basis, Gram matrix, inverse Gram
     and usage live in fixed buffers of which the leading m rows (and
     columns) are active. ``size``, ``basis``, ``inv_gram`` and ``usage`` are
-    set on every admission and removal; the arrays are views of the active
-    block and alias the buffers, so a caller that keeps one across an
-    admission or removal must copy it. A copy (``copy.deepcopy``, pickle)
+    set on every admission, removal and ``clear``; the arrays are views of
+    the active block and alias the buffers, so a caller that keeps one
+    across an admission, removal or clear must copy it. A copy (``copy.deepcopy``, pickle)
     rebuilds the views on its own buffers.
 
     The Gram matrix is kept beside its inverse rather than rebuilt from the
@@ -266,8 +269,9 @@ class DictionaryState:
     reallocate the storage.
 
     ``changes`` counts the calls that write the basis or the inverse
-    (``admit``, ``remove`` and ``refresh_inverse``): a projection made at
-    one count holds while the count stays the same.
+    (``admit``, ``remove``, ``refresh_inverse`` and ``clear``) and never
+    goes back: a projection made at one count holds while the count stays
+    the same.
     """
 
     def __init__(self, dim: int, max_size: int) -> None:
@@ -275,7 +279,6 @@ class DictionaryState:
             raise ValueError(f"dimension must be >= 1, got {dim}")
         self.dim = dim
         self.max_size = max_size
-        self.timesteps: list[int] = []
         self._basis = np.zeros((max_size, dim))
         # The Gram matrix and its inverse in one buffer, so that one copy
         # shifts the rows of both on removal and one shifts their columns.
@@ -283,7 +286,7 @@ class DictionaryState:
         self._gram, self._inv = self._mats
         self._usage = np.zeros(max_size)
         self.changes = 0
-        self._resize(0)
+        self.clear()
 
     def __getstate__(self) -> dict:
         # The buffers without their views: a copy or an unpickled state
@@ -298,6 +301,14 @@ class DictionaryState:
         self.__dict__.update(state)
         self._gram, self._inv = self._mats
         self._resize(self.size)
+
+    def clear(self) -> None:
+        """Empty the basis in place. The buffers stay, their rows all stale
+        (see ``remove``), and ``changes`` moves on, so no projection made
+        before is taken as current after."""
+        self.timesteps = []
+        self.changes += 1
+        self._resize(0)
 
     def _resize(self, m: int) -> None:
         self.size = m
@@ -418,6 +429,8 @@ class KoadEngine:
     def __init__(self, dim: int, config: ThresholdConfig | None = None) -> None:
         self.config = config or ThresholdConfig()
         self._shape = (dim,)  # an arrival's shape, for _as_row's compare
+        self.dictionary = DictionaryState(dim, self.config.max_size)
+        self.trackers: list[OrangeTracker] = []
         self.restart()
         # The walk's current block: its arrivals and their timesteps, their
         # kernel rows against the basis (max_size columns each, the leading
@@ -433,18 +446,19 @@ class KoadEngine:
         return self._shape[0]
 
     def restart(self) -> None:
-        """Become a fresh detector in place: an empty dictionary, no
-        trackers, no arrival seen, so the next arrival trains as a fresh
-        engine's first would. A walk paused between arrivals goes on from
-        its next arrival: its generator, which holds the old dictionary and
-        the block's stacked projection, is dropped, and the rows still to
-        come need no kernel call, since the empty basis has no columns and
-        ``_admit`` patches each later row as the dictionary grows again."""
-        self.dictionary = DictionaryState(self.dim, self.config.max_size)
-        self.trackers: list[OrangeTracker] = []
+        """Become a fresh detector in place: the engine's one dictionary
+        and one tracker list emptied (``DictionaryState.clear``), no arrival
+        seen, so the next arrival trains as a fresh engine's first would.
+        A walk, paused between arrivals or inside ``_score``, goes on across
+        it from its next arrival: the dictionary's ``changes`` moved on, so
+        the block's stacked projection no longer holds, and the rows still
+        to come need no kernel call, since the empty basis has no columns
+        and ``_admit`` patches each later row as the dictionary grows
+        again."""
+        self.dictionary.clear()
+        self.trackers.clear()
         self.steps_seen = 0
         self.last_timestep = -1  # before any arrival: every timestep >= 0 follows it
-        self._walking = None
 
     # -- scoring ---------------------------------------------------------
 
@@ -558,7 +572,8 @@ class KoadEngine:
         ``_checked``, which refuses it as ``feed`` would, at its turn, after
         every earlier frame is handed back. The block is walked by one
         paused generator (``_walk``), which makes the stacked projection on
-        the block's first turn and is resumed once a turn. Until the walk ends or is closed, which empties
+        the block's first turn and is resumed once a turn; it goes on
+        across a restart. Until the walk ends or is closed, which empties
         the block, nothing else may feed this engine.
         """
         dim = self.dim
@@ -601,8 +616,9 @@ class KoadEngine:
                             walk = self._walking = self._walk([], train_steps, True)
                         out = next(walk)
                     except EngineError as exc:
+                        # the walk died raising, or must not walk arrival i
                         self.restart()
-                        self._next = i + 1
+                        self._next, self._walking = i + 1, None
                         out = exc
                     yield head, out
                 if self._next == len(keys) and (len(times) == BLOCK or not taking and times):
@@ -676,6 +692,14 @@ class KoadEngine:
         its delta is at least 0 and below nu1 (Green) or above nu2 (Red1),
         and its step is not a prune step. Every other arrival goes through
         ``_train`` or ``_score``.
+
+        The walk goes on across a restart at any arrival, one inside
+        ``_score`` or one between a paused walk's turns: it holds the
+        engine's one dictionary and one tracker list, which ``restart``
+        empties in place, and the restart moves ``dictionary.changes`` on,
+        so the stacked projections no longer hold. Only loading the next
+        block (``_load``) drops a walk, apart from one that died raising
+        (see ``feed_recording``).
         """
         dictionary, trackers = self.dictionary, self.trackers
         changes, usage = dictionary.changes, dictionary.usage
@@ -699,7 +723,8 @@ class KoadEngine:
                     and (seen + 1) % period
                 ):
                     # The quiet lane: _score's steps for this arrival. The
-                    # dictionary is the block's, so `usage` is still its view.
+                    # dictionary has not changed since the stacked projection,
+                    # so `usage` is still its view.
                     usage *= lam
                     if delta < nu1:
                         if credits is None:

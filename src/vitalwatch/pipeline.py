@@ -87,11 +87,12 @@ _tuple_new = tuple.__new__  # builds a MeasurementVector; see MeasurementVector
 class BedPipeline:
     """Single-writer chain turning raw lines into verdicts for one bed.
 
-    The frame archive, when given, gets one row per record, and is flushed
-    after a flagged frame's row. The flush behind an event is its caller's,
-    which archives the events: the ``Ward`` flushes the frame archive before
-    the row of each event that ``needs_flush``, so the frames behind an
-    alarm or a data warning survive a killed process.
+    The frame archive (``frame_archive``), when given, gets one row per
+    record, and is flushed after a flagged frame's row. The flush behind an
+    event is its caller's, which archives the events: the ``Ward`` flushes
+    the frame archive before the row of each event that ``needs_flush``, so
+    the frames behind an alarm or a data warning survive a killed process.
+    The pipeline's handle is the only one the ``Ward`` keeps on the file.
     """
 
     def __init__(self, bed: str, settings: Settings, frame_archive=None) -> None:
@@ -104,7 +105,7 @@ class BedPipeline:
         self.frame_index = 0
         self._match = frame_matcher(settings.password, self.schema)
         self._fields_at = len(settings.password) + 1  # a clean record's fields start here
-        self._archive = frame_archive
+        self.frame_archive = frame_archive
         # a restart's data warning is up and waits for the next verdict
         self._restart_warning = False
         if frame_archive is not None and frame_archive.tell() == 0:
@@ -132,8 +133,8 @@ class BedPipeline:
         values = self._match(record)
         if values is None:
             values = self._classify(line, timestep, received_at)
-        elif self._archive is not None:
-            self._archive.write(
+        elif self.frame_archive is not None:
+            self.frame_archive.write(
                 f"{self.bed},{timestep},{received_at:.3f},,{record[self._fields_at:]}\n"
             )
         warning = track(self.streak, values is not None, timestep)
@@ -151,13 +152,13 @@ class BedPipeline:
         and flush its row, and return its values if it passes after all."""
         frame = parse_frame(line)
         result = validate(frame, self.settings.password, self.schema)
-        if self._archive is not None:
-            self._archive.write(
+        if self.frame_archive is not None:
+            self.frame_archive.write(
                 archive_row(self.bed, timestep, received_at, result, frame, self.schema)
                 + "\n"
             )
             if not result.ok:
-                self._archive.flush()
+                self.frame_archive.flush()
         return None if result.vector is None else result.vector.tolist()
 
     def feed_line(self, line: str, received_at: float) -> list[Verdict | DataWarning]:
@@ -349,11 +350,9 @@ class Ward:
         self.board = BoardState.for_beds(beds)
         self.counts = {"frames": 0, "events": 0, "board": self.board}
         self.pipelines: dict[str, BedPipeline] = {}
-        self._frame_archives = {}
         with ExitStack() as opened:
             for bed, path in zip(beds, owned):
                 frames = opened.enter_context(path.open("a", encoding="utf-8"))
-                self._frame_archives[bed] = frames
                 self.pipelines[bed] = BedPipeline(bed, settings, frame_archive=frames)
             self.archive = opened.enter_context(EventArchive(self.out_dir / "events.csv"))
             self._opened = opened.pop_all()
@@ -396,7 +395,7 @@ class Ward:
             self.board.apply_event(bed, event, wall_time)
             flush = needs_flush(event)
             if flush:
-                self._frame_archives[bed].flush()
+                self.pipelines[bed].frame_archive.flush()
             self.archive.append(bed, event, wall_time, flush)
             if (self.screen is not None and type(event) is not Verdict and event.active
                     and event.cause is not WarningCause.FLAGS):
@@ -412,8 +411,9 @@ class Ward:
             self._drawn_at = now
         elif now - self._drawn_at >= self.refresh:
             self._drawn_at = now
-            for archive in [*self._frame_archives.values(), self.archive]:
-                archive.flush()
+            for pipe in self.pipelines.values():
+                pipe.frame_archive.flush()
+            self.archive.flush()
             self.draw()
 
     def draw(self, verb: str | None = None) -> None:

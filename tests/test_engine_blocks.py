@@ -515,14 +515,82 @@ def test_a_restarted_engine_is_a_fresh_one():
     for t in range(400, 600):
         restarted.feed(MeasurementVector(z[t], t), TRAIN)
     assert restarted.trackers and restarted.dictionary.changes > 100
+    dictionary, trackers = restarted.dictionary, restarted.trackers
+    changes = dictionary.changes
     restarted.restart()
     assert state(restarted) == state(fresh)
+    # emptied in place, and its change count moves on, never back
+    assert restarted.dictionary is dictionary and restarted.trackers is trackers
+    assert dictionary.changes > changes
     got, expected = [], []
     for t in range(600, len(z)):
         got += restarted.feed(MeasurementVector(z[t], t), TRAIN)
         expected += fresh.feed(MeasurementVector(z[t], t), TRAIN)
     assert key(got) == key(expected)
     assert state(restarted) == state(fresh)
+
+
+class Restarting(KoadEngine):
+    """An engine whose ``_score`` restarts it right after a periodic prune
+    step: the step of an arrival whose timestep is in ``at``, or any one
+    whose prune leaves the dictionary empty (ROADMAP item 1's rule).
+    ``restarts`` lists the timesteps of the arrivals it restarted after."""
+
+    def __init__(self, dim: int, config: ThresholdConfig, at: tuple[int, ...] = ()) -> None:
+        self.at, self.restarts = at, []
+        super().__init__(dim, config)
+
+    def _score(self, values, t, delta, coeffs, kvec):
+        scored = super()._score(values, t, delta, coeffs, kvec)
+        if not self.steps_seen % self.config.prune_period and (
+            t in self.at or not self.dictionary.size
+        ):
+            self.restarts.append(t)
+            self.restart()
+        return scored
+
+
+# The prune step of arrival 99 (the 100th of a stream from timestep 0) is
+# where the chosen restarts land, at this place in its block.
+AT = 99
+PLACE = {"first": 0, "middle": 16, "last": BLOCK - 1, "flat": 5}
+
+
+@pytest.mark.parametrize("config", [CHURNING, ThresholdConfig()], ids=["churning", "default"])
+@pytest.mark.parametrize("case", ["emptied", "first", "middle", "last", "flat"])
+def test_every_walk_goes_on_across_a_restart_inside_score(config, case):
+    """A restart inside ``_score``, at a periodic prune step, leaves
+    ``feed_run`` and ``feed_recording`` equal to one ``feed`` per arrival:
+    the verdicts, the restarts and the final state. ``emptied``: a flood of
+    +8 on three channels from arrival 400 empties the dictionary at a
+    prune. The other cases restart after arrival AT, which is the first,
+    middle or last arrival of its block once the walks start ``lead``
+    arrivals in, each fed to every engine by ``feed`` first; ``flat``
+    repeats one vector over the whole block of the restart."""
+    z = stream(8)
+    if case == "emptied":
+        z[400:, :3] += 8
+        at, lead = (), 0
+    else:
+        at, lead = (AT,), (AT - PLACE[case]) % BLOCK
+    if case == "flat":
+        z[AT - PLACE[case] : AT - PLACE[case] + BLOCK] = z[AT]
+    stepped, walked, recorded = (Restarting(4, config, at) for _ in range(3))
+    for t in range(lead):
+        for engine in (stepped, walked, recorded):
+            engine.feed(MeasurementVector(z[t], t), TRAIN)
+    timesteps = list(range(lead, len(z)))
+    expected = []
+    for t in timesteps:
+        expected += stepped.feed(MeasurementVector(z[t], t), TRAIN)
+    got = walked.feed_run(z[lead:], timesteps, TRAIN)
+    frames = [(MeasurementVector(z[t], t), t) for t in timesteps]
+    taken = [v for _, outcome in recorded.feed_recording(frames, TRAIN) for v in outcome]
+    assert stepped.restarts  # the flood's, or the chosen one first
+    assert not at or stepped.restarts[0] == AT
+    assert walked.restarts == recorded.restarts == stepped.restarts
+    assert key(got) == key(taken) == key(expected)
+    assert state(walked) == state(recorded) == state(stepped)
 
 
 def walk_recording(engine: KoadEngine, z: np.ndarray, restart_after: int | None = None) -> dict:

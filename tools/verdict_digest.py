@@ -26,7 +26,7 @@ own seeded inputs (``perfbench/``, imported and never written):
   ``frames_bed1.csv``, with their wall-clock columns stripped, then every
   event of an in-memory ``BedPipeline`` over the same capture: verdicts with
   ``delta.hex()``, which the archive rounds to 6 decimals, and data warnings
-  by kind and timestep;
+  by kind, timestep, cause and reason;
 * ``read``: the lines ``ReplaySource(path, password).frames()`` hands out
   for the replay capture written three ways: as ``inputs.write_stream``
   writes it; as a capture file (the schema's names as its header, each row
@@ -220,11 +220,13 @@ EDGE_LINES = [
 
 
 def event_row(event) -> str:
-    """A verdict with its exact delta, or a data warning by kind and timestep."""
+    """A verdict with its exact delta, or a data warning with its kind,
+    timestep, cause and reason."""
     from vitalwatch import DataWarning
 
     if isinstance(event, DataWarning):
-        return f"data-warning-{'raised' if event.active else 'cleared'},{event.at_timestep}\n"
+        kind = "raised" if event.active else "cleared"
+        return f"data-warning-{kind},{event.at_timestep},{event.cause.value},{event.reason!r}\n"
     kind, at, delta, resolves = event
     return f"{kind.value},{at},{delta.hex()},{resolves}\n"
 
